@@ -8,9 +8,10 @@ The degree-m extension space is the quotient
     {U*A - A*V : U, V in Mat_3(S_m)}
 
 computed coefficientwise: matrices of forms are vectorized over the
-basis (entry row-major, monomials graded-lex), solution spaces come from
-null spaces, homotopy spaces from column spans, and subspace comparisons
-from canonical reduced echelon forms.
+basis (entry row-major, monomials graded-lex) as rows of int residues,
+solution spaces come from null spaces, homotopy spaces from column
+spans, and subspace comparisons from canonical reduced echelon forms,
+all through the int kernel of the linalg module.
 """
 
 from __future__ import annotations
@@ -36,39 +37,57 @@ class ExtSpace:
     representatives: list[FormMatrix]
 
 
-def _vectorize(mat: FormMatrix, degree: int) -> list[FieldElement]:
+def vectorize(mat: FormMatrix, degree: int) -> list[FieldElement]:
     """Coordinates of a 3x3 matrix of degree-d forms: entries row-major,
     monomials graded-lex."""
     monos = monomials(degree)
-    out = []
-    for i in range(3):
-        for j in range(3):
-            entry = mat.entries[i][j]
-            out.extend(entry.coefficient(e) for e in monos)
-    return out
+    return [mat.entries[i][j].coefficient(e) for i in range(3) for j in range(3) for e in monos]
 
 
-def _unvectorize(vec, degree: int, p: int) -> FormMatrix:
+def _unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
     monos = monomials(degree)
     k = len(monos)
+    return FormMatrix(
+        [
+            [
+                HomForm(
+                    degree,
+                    p,
+                    {e: FieldElement(v, p) for e, v in zip(monos, vec[(3 * i + j) * k :]) if v},
+                )
+                for j in range(3)
+            ]
+            for i in range(3)
+        ]
+    )
+
+
+def _unit_products(A: FormMatrix, degree: int, sign: int, on_left: bool) -> list[list[int]]:
+    """Coordinates of sign * E_rc*mu @ A (on_left) or sign * A @ E_rc*mu,
+    for r, c row-major and mu over the degree-d monomials, as int rows.
+
+    E_rc*mu @ A is row c of A times mu placed in row r, and A @ E_rc*mu
+    is column r of A times mu placed in column c: shifted coefficients
+    of A, with no form products."""
+    out_monos = monomials(degree + A.entries[0][0].degree)
+    k = len(out_monos)
+    index = {e: n for n, e in enumerate(out_monos)}
     rows = []
-    idx = 0
-    for i in range(3):
-        row = []
-        for j in range(3):
-            coeffs = {e: c for e, c in zip(monos, vec[idx : idx + k]) if c.value}
-            row.append(HomForm(degree, p, coeffs))
-            idx += k
-        rows.append(row)
-    return FormMatrix(rows)
+    for r in range(3):
+        for c in range(3):
+            for mu in monomials(degree):
+                v = [0] * (9 * k)
+                for t in range(3):
+                    # product entry (i, j) gets mu * A[a][b]
+                    i, j, a, b = (r, t, c, t) if on_left else (t, c, t, r)
+                    for e, coef in A.entries[a][b].coeffs.items():
+                        shifted = (e[0] + mu[0], e[1] + mu[1], e[2] + mu[2])
+                        v[(3 * i + j) * k + index[shifted]] = sign * coef.value
+                rows.append(v)
+    return rows
 
 
-def _reduced_coords(g: HomForm, f, target_monos) -> list[FieldElement]:
-    _, r = divide_by_cubic(g, f)
-    return [r.coefficient(e) for e in target_monos]
-
-
-def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[FieldElement]]:
+def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
     """Null space of the trace condition on Mat_3(S_{m+1})."""
     p = fac.f.p
     monos = monomials(m + 1)
@@ -82,35 +101,19 @@ def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[FieldElemen
         for c in range(3):
             bcr = fac.B.entries[c][r]
             for mono in monos:
-                g = bcr * HomForm.monomial(f_one(p), mono)
-                columns.append(_reduced_coords(g, fac.f, target))
-    constraint = linalg.transpose(columns)
-    return linalg.nullspace(constraint)
+                _, rem = divide_by_cubic(bcr * HomForm.monomial(f_one(p), mono), fac.f)
+                values = {e: c.value for e, c in rem.coeffs.items()}
+                columns.append([values.get(e, 0) for e in target])
+    return linalg.nullspace_mod([list(row) for row in zip(*columns)], p)
 
 
-def _homotopy_vectors(fac: MatrixFactorization, m: int) -> list[list[FieldElement]]:
-    """Span of {vec(U*A - A*V)} for U, V in Mat_3(S_m)."""
-    p = fac.f.p
-    monos = monomials(m)
-    if not monos:
+def _homotopy_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
+    """Reduced basis of the span of {vec(U*A - A*V)} for U, V in Mat_3(S_m)."""
+    if m < 0:
         return []
-    vectors = []
-    for r in range(3):
-        for c in range(3):
-            for mono in monos:
-                unit = _unit_matrix(r, c, mono, p)
-                vectors.append(_vectorize(unit @ fac.A, m + 1))
-                vectors.append(_vectorize(-(fac.A @ unit), m + 1))
-    return [list(v) for v in linalg.row_space(vectors)]
-
-
-def _unit_matrix(r: int, c: int, mono, p: int) -> FormMatrix:
-    deg = sum(mono)
-    zero = HomForm.zero(deg, p)
-    entries = [[zero] * 3 for _ in range(3)]
-    entries[r] = list(entries[r])
-    entries[r][c] = HomForm.monomial(f_one(p), mono)
-    return FormMatrix(entries)
+    gens = _unit_products(fac.A, m, 1, on_left=True)
+    gens += _unit_products(fac.A, m, -1, on_left=False)
+    return gens[: len(linalg.rref_mod(gens, fac.f.p))]
 
 
 def ext_space(a, m: int) -> ExtSpace:
@@ -119,25 +122,18 @@ def ext_space(a, m: int) -> ExtSpace:
     p = fac.f.p
     sols = _solution_vectors(fac, m)
     homs = _homotopy_vectors(fac, m)
-    dim_sol = linalg.span_dim(sols) if sols else 0
-    dim_hom = len(homs)
-    dim_join = linalg.span_dim(sols + homs) if (sols or homs) else 0
-    dim_meet = dim_sol + dim_hom - dim_join
-    quotient = dim_sol - dim_meet
-    # representatives: solution vectors extending the homotopy span
-    reps = []
-    working = [list(v) for v in homs]
-    current = linalg.span_dim(working) if working else 0
-    for v in sols:
-        if linalg.span_dim(working + [v]) > current:
-            working.append(v)
-            current += 1
-            reps.append(v)
+    # representatives: taken greedily, a solution vector is one when it is
+    # outside the span of the homotopies and the solutions before it, that
+    # is when its column is a pivot column of the matrix with columns
+    # [homotopies; solutions]
+    joined = [list(col) for col in zip(*(homs + sols))]
+    pivots = linalg.rref_mod(joined, p)
+    reps = [sols[c - len(homs)] for c in pivots if c >= len(homs)]
     return ExtSpace(
         m=m,
         solution_basis=[_unvectorize(v, m + 1, p) for v in sols],
         homotopy_basis=[_unvectorize(v, m + 1, p) for v in homs],
-        quotient_dimension=quotient,
+        quotient_dimension=len(pivots) - len(homs),
         representatives=[_unvectorize(v, m + 1, p) for v in reps],
     )
 
@@ -161,8 +157,8 @@ def verify_moore_span(a) -> bool:
     """The m = -1 solution space equals span{M_{b,e0}, M_{b,e1}, M_{b,e2}}
     inside the 9-dimensional space of constant matrices."""
     space = ext_space(a, -1)
-    sols = [_vectorize(s, 0) for s in space.solution_basis]
-    span = [_vectorize(s, 0) for s in moore_span_basis(a)]
+    sols = [vectorize(s, 0) for s in space.solution_basis]
+    span = [vectorize(s, 0) for s in moore_span_basis(a)]
     if linalg.span_dim(span) != 3:
         return False
     return linalg.same_span(sols, span)
@@ -179,30 +175,25 @@ def moore_representative(a, C: FormMatrix):
     fac = moore_factorization(a)
     p = fac.f.p
     x = coordinate_vars(p)
-    columns = []
-    # y unknowns: y_i = sum_k y_ik x_k contributes M_{b,e_i} * x_k
+    # y unknowns: y_i = sum_k y_ik x_k contributes M_{b,e_i} * x_k; then
+    # the U and V unknowns (constant matrices)
     basis_m = moore_span_basis(a)
-    for i in range(3):
-        for k in range(3):
-            contrib = basis_m[i].scale_form(x[k])
-            columns.append(_vectorize(contrib, 1))
-    # U and V unknowns (constant matrices)
-    for r in range(3):
-        for c in range(3):
-            unit = _unit_matrix(r, c, (0, 0, 0), p)
-            columns.append(_vectorize(unit @ fac.A, 1))
-    for r in range(3):
-        for c in range(3):
-            unit = _unit_matrix(r, c, (0, 0, 0), p)
-            columns.append(_vectorize(-(fac.A @ unit), 1))
-    system = linalg.transpose(columns)
-    rhs = _vectorize(C, 1)
-    sol = linalg.solve(system, rhs)
+    columns = [
+        [c.value for c in vectorize(basis_m[i].scale_form(x[k]), 1)]
+        for i in range(3)
+        for k in range(3)
+    ]
+    columns += _unit_products(fac.A, 0, 1, on_left=True)
+    columns += _unit_products(fac.A, 0, -1, on_left=False)
+    system = [list(row) for row in zip(*columns)]
+    rhs = [c.value for c in vectorize(C, 1)]
+    sol = linalg.solve_mod(system, rhs, p)
     if sol is None:
         residual = _residual_norm(system, rhs, p)
         raise RepresentationError(
             f"no Moore representative: inconsistent system (residual rank defect {residual})"
         )
+    sol = [FieldElement(v, p) for v in sol]
     y = []
     for i in range(3):
         coeffs = {}
@@ -218,7 +209,8 @@ def moore_representative(a, C: FormMatrix):
 
 
 def _residual_norm(system, rhs, p) -> int:
-    return linalg.span_dim(linalg.transpose(system) + [rhs]) - linalg.rank(system)
+    columns = [list(col) for col in zip(*system)]
+    return len(linalg.rref_mod(columns + [rhs], p)) - len(linalg.rref_mod(columns, p))
 
 
 def divergence_class(a, C: FormMatrix) -> FieldElement:

@@ -13,12 +13,7 @@ import math
 
 from .field import FieldElement, one as f_one, primitive_root_of_unity, zero as f_zero
 from .poly import HesseCubicForm, HomForm
-from .moore import (
-    ProjectivePoint,
-    left_kernel_point,
-    moore_scalar,
-    scalar_adjugate,
-)
+from .moore import ProjectivePoint, adjugate_det, left_kernel_point, moore_scalar
 
 
 def iota(coords):
@@ -84,8 +79,10 @@ class HesseCurve:
         return list(self._points)
 
     def hasse_window(self) -> tuple[int, int]:
-        s = 2 * math.sqrt(self.p)
-        return math.ceil(self.p + 1 - s), math.floor(self.p + 1 + s)
+        """The n with (p+1-n)^2 <= 4p.  isqrt(4p) is floor(2*sqrt(p)),
+        and 4p is never a square, so the bounds are exact."""
+        s = math.isqrt(4 * self.p)
+        return self.p + 1 - s, self.p + 1 + s
 
     # -- group law ----------------------------------------------------
 
@@ -190,7 +187,7 @@ class HesseCurve:
         (x -_E a)^T * (-_E x -_E a), projectively."""
         self._require(a)
         self._require(x)
-        adj = scalar_adjugate(moore_scalar(a.coords, x.coords))
+        adj, _ = adjugate_det(moore_scalar(a.coords, x.coords))
         if all(c.value == 0 for row in adj for c in row):
             raise ValueError("specialized adjugate is zero")
         left = self.sub(x, a)

@@ -1,9 +1,14 @@
 """Exact dense linear algebra over F_p.
 
-Everything operates on lists of lists of FieldElement.  Sizes here are
-tiny (at most a few dozen rows), so plain Gaussian elimination is all we
-need.  Reduced row echelon form is canonical, which makes subspace
-comparison a matter of comparing rref bases.
+One Gauss-Jordan kernel, ``rref_mod``, works on lists of lists of plain
+int residues with the modulus passed once; ``nullspace_mod`` and
+``solve_mod`` read their answers off it.  The public functions without
+the suffix take and return lists of lists of FieldElement: they check
+that every entry has the same modulus, convert to residues, call the
+kernel and convert the result back.  Sizes here are small (at most a
+few hundred rows), so plain elimination is all we need.  Reduced row
+echelon form is canonical, which makes subspace comparison a matter of
+comparing rref bases.
 """
 
 from __future__ import annotations
@@ -48,80 +53,119 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns (input left untouched)."""
-    m = [row[:] for row in a]
+# -- the int kernel -------------------------------------------------------
+
+
+def rref_mod(m: list[list[int]], p: int) -> list[int]:
+    """Reduce m to reduced row echelon form over F_p in place; return the
+    pivot columns.  Entries may be any ints; afterwards they are residues
+    in [0, p), and the first len(pivots) rows are the nonzero ones."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    for i in range(rows):
+        m[i] = [x % p for x in m[i]]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inv()
-        m[r] = [x * inv for x in m[r]]
+        inv = pow(m[r][c], p - 2, p)
+        prow = m[r] = [x * inv % p for x in m[r]]
         for i in range(rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+            factor = m[i][c]
+            if factor and i != r:
+                m[i] = [(x - factor * y) % p for x, y in zip(m[i], prow)]
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    return m, pivots
+    return pivots
+
+
+def nullspace_mod(m: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {v : m @ v = 0} over F_p, one vector per free column, for
+    a nonempty m (reduced in place)."""
+    cols = len(m[0])
+    pivots = rref_mod(m, p)
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        v = [0] * cols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc] % p
+        basis.append(v)
+    return basis
+
+
+def solve_mod(m: list[list[int]], b: list[int], p: int) -> list[int] | None:
+    """One solution of m @ x = b over F_p (free variables zero), or None
+    when the system is inconsistent; m is left untouched."""
+    cols = len(m[0]) if m else 0
+    aug = [row + [bi] for row, bi in zip(m, b)]
+    pivots = rref_mod(aug, p)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = aug[r][cols]
+    return x
+
+
+# -- the FieldElement boundary ----------------------------------------------
+
+
+def _residues(a: Matrix) -> tuple[list[list[int]], int | None]:
+    """The entries of a as ints and their common modulus (None when a has
+    no entries); mixed moduli are a ValueError."""
+    moduli = {x.p for row in a for x in row}
+    if len(moduli) > 1:
+        low, high = sorted(moduli)[:2]
+        raise ValueError(f"modulus mismatch: {low} vs {high}")
+    return [[x.value for x in row] for row in a], (moduli.pop() if moduli else None)
+
+
+def _elements(m: list[list[int]], p: int) -> Matrix:
+    return [[FieldElement(x, p) for x in row] for row in m]
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns (input left untouched)."""
+    m, p = _residues(a)
+    pivots = rref_mod(m, p)
+    return _elements(m, p), pivots
 
 
 def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
+    return len(rref_mod(*_residues(a)))
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of {v : a @ v = 0}, one vector per free column."""
     if not a:
         return []
-    cols = len(a[0])
-    p = a[0][0].p
-    red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero(p) for _ in range(cols)]
-        v[fc] = one(p)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    m, p = _residues(a)
+    return _elements(nullspace_mod(m, p), p)
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a @ x = b, or None when the system is inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    p = b[0].p
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [zero(p) for _ in range(cols)]
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+    m, p = _residues(a + [b])
+    x = solve_mod(m[:-1], m[-1], p)
+    return None if x is None else _elements([x], p)[0]
 
 
 def row_space(vectors: list[Vector]) -> Matrix:
     """Canonical (rref, zero rows dropped) basis of the span of the vectors."""
-    if not vectors:
-        return []
-    red, pivots = rref(vectors)
-    return red[: len(pivots)]
+    m, p = _residues(vectors)
+    return _elements(m[: len(rref_mod(m, p))], p)
 
 
 def span_dim(vectors: list[Vector]) -> int:
-    return len(row_space(vectors))
+    return rank(vectors)
 
 
 def same_span(u: list[Vector], v: list[Vector]) -> bool:

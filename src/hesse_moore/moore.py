@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import linalg
 from .field import FieldElement
-from .poly import HomForm
+from .poly import HomForm, sum_of_products
 
 Triple = tuple[FieldElement, FieldElement, FieldElement]
 
@@ -87,17 +87,16 @@ class FormMatrix:
     def __matmul__(self, other: "FormMatrix") -> "FormMatrix":
         if other.n != self.n:
             raise ValueError("size mismatch")
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = None
-                for k in range(self.n):
-                    term = self.entries[i][k] * other.entries[k][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(out)
+        n = self.n
+        return FormMatrix(
+            [
+                [
+                    sum_of_products((self.entries[i][k], other.entries[k][j]) for k in range(n))
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         return FormMatrix(
@@ -234,50 +233,27 @@ def moore_det(a) -> HomForm:
     )
 
 
-def det3_form(m: FormMatrix) -> HomForm:
-    """Leibniz expansion of a 3x3 form matrix (independent oracle)."""
-    if m.n != 3:
-        raise ValueError("det3_form expects a 3x3 matrix")
-    e = m.entries
-    pos = e[0][0] * e[1][1] * e[2][2] + e[0][1] * e[1][2] * e[2][0] + e[0][2] * e[1][0] * e[2][1]
-    neg = e[0][2] * e[1][1] * e[2][0] + e[0][0] * e[1][2] * e[2][1] + e[0][1] * e[1][0] * e[2][2]
-    return pos - neg
+def adjugate_det(m) -> tuple[list[list], object]:
+    """Adjugate and determinant of a 3x3 matrix given as rows of
+    FieldElements or of HomForms (independent oracle for the closed forms).
 
-
-def cofactor_adjugate(m: FormMatrix) -> FormMatrix:
-    """Adjugate of a 3x3 form matrix from 2x2 minors (independent oracle)."""
-    if m.n != 3:
-        raise ValueError("cofactor_adjugate expects a 3x3 matrix")
-    e = m.entries
-    out = []
+    The adjugate comes from the 2x2 minors, the determinant from expanding
+    the first row against the adjugate's first column.
+    """
+    if len(m) != 3 or any(len(row) != 3 for row in m):
+        raise ValueError("adjugate_det expects a 3x3 matrix")
+    adj = []
     for i in range(3):
         row = []
         for j in range(3):
             # entry (i,j) of the adjugate is the (j,i) cofactor
             r = [k for k in range(3) if k != j]
             c = [k for k in range(3) if k != i]
-            minor = e[r[0]][c[0]] * e[r[1]][c[1]] - e[r[0]][c[1]] * e[r[1]][c[0]]
-            if (i + j) % 2:
-                minor = -minor
-            row.append(minor)
-        out.append(row)
-    return FormMatrix(out)
-
-
-def scalar_adjugate(m: list[list[FieldElement]]) -> list[list[FieldElement]]:
-    """Adjugate of a scalar 3x3 matrix."""
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            r = [k for k in range(3) if k != j]
-            c = [k for k in range(3) if k != i]
             minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            if (i + j) % 2:
-                minor = -minor
-            row.append(minor)
-        out.append(row)
-    return out
+            row.append(-minor if (i + j) % 2 else minor)
+        adj.append(row)
+    det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+    return adj, det
 
 
 class KernelError(ValueError):
@@ -288,16 +264,16 @@ def left_kernel_point(m: list[list[FieldElement]]) -> ProjectivePoint:
     """The projective point spanning {c : m @ c = 0} of a rank-2 matrix.
 
     Extracted as the first nonzero column of the scalar adjugate (the
-    columns of the adjugate span the null space when rank is 2).
+    columns of the adjugate span the null space when rank is 2).  The
+    rank is 2 exactly when det = 0 and the adjugate is nonzero.
     """
-    if linalg.rank(m) != 2:
-        raise KernelError(f"rank is {linalg.rank(m)}, need exactly 2")
-    adj = scalar_adjugate(m)
-    for j in range(3):
-        col = [adj[i][j] for i in range(3)]
-        if any(c.value for c in col):
-            return ProjectivePoint(col)
-    raise KernelError("adjugate vanished on a rank-2 matrix")  # unreachable
+    adj, det = adjugate_det(m)
+    if not det:
+        for j in range(3):
+            col = [adj[i][j] for i in range(3)]
+            if any(c.value for c in col):
+                return ProjectivePoint(col)
+    raise KernelError(f"rank is {linalg.rank(m)}, need exactly 2")
 
 
 def right_kernel_point(m: list[list[FieldElement]]) -> ProjectivePoint:

@@ -3,6 +3,8 @@
 Forms are stored densely as a map from exponent triples (e0, e1, e2),
 with e0+e1+e2 equal to the degree, to nonzero field elements.  The
 degrees in play never exceed six, so nothing fancier is warranted.
+Sums, products and division accumulate plain int coefficients and
+wrap each output coefficient in a FieldElement once.
 
 Monomial order is graded lex with x0 > x1 > x2; since all forms are
 homogeneous this is plain lex on the exponent triples.  Division by the
@@ -78,37 +80,26 @@ class HomForm:
         if other.p != self.p:
             raise ValueError("modulus mismatch")
 
-    def __add__(self, other: "HomForm") -> "HomForm":
+    def _combine(self, other: "HomForm", sign: int) -> "HomForm":
         self._check(other)
         if other.degree != self.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            s = out.get(exps, f_zero(self.p)) + c
-            if s.value:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return HomForm(self.degree, self.p, out)
+        acc = {e: c.value for e, c in self.coeffs.items()}
+        for e, c in other.coeffs.items():
+            acc[e] = acc.get(e, 0) + sign * c.value
+        return _from_residues(self.degree, self.p, acc)
+
+    def __add__(self, other: "HomForm") -> "HomForm":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "HomForm") -> "HomForm":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "HomForm":
         return HomForm(self.degree, self.p, {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other: "HomForm") -> "HomForm":
-        self._check(other)
-        out: dict[Exps, FieldElement] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = out.get(exps, f_zero(self.p)) + c1 * c2
-                if s.value:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        return HomForm(self.degree + other.degree, self.p, out)
+        return sum_of_products([(self, other)])
 
     def scale(self, c: FieldElement) -> "HomForm":
         if c.p != self.p:
@@ -186,6 +177,42 @@ class HomForm:
         return f"HomForm({self.serialize()!r}, deg={self.degree}, p={self.p})"
 
 
+def _from_residues(degree: int, p: int, acc: dict[Exps, int]) -> HomForm:
+    """The form with int coefficients acc, each reduced and wrapped once;
+    the exponents are the caller's and are trusted to have the degree."""
+    form = HomForm.__new__(HomForm)
+    form.degree = degree
+    form.p = p
+    form.coeffs = {}
+    for exps, v in acc.items():
+        v %= p
+        if v:
+            form.coeffs[exps] = FieldElement(v, p)
+    return form
+
+
+def sum_of_products(pairs) -> HomForm:
+    """The form sum(f * g for f, g in pairs), accumulated in one int dict.
+    Every product must have the same degree and modulus."""
+    acc: dict[Exps, int] = {}
+    degree = p = None
+    for f, g in pairs:
+        f._check(g)
+        if degree is None:
+            degree, p = f.degree + g.degree, f.p
+        elif f.degree + g.degree != degree:
+            raise ValueError(f"degree mismatch: {degree} vs {f.degree + g.degree}")
+        elif f.p != p:
+            raise ValueError("modulus mismatch")
+        g_terms = [(e, c.value) for e, c in g.coeffs.items()]
+        for (a0, a1, a2), c in f.coeffs.items():
+            v = c.value
+            for (b0, b1, b2), w in g_terms:
+                exps = (a0 + b0, a1 + b1, a2 + b2)
+                acc[exps] = acc.get(exps, 0) + v * w
+    return _from_residues(degree, p, acc)
+
+
 def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
     """Single-divisor division g = q*f + r in graded-lex order.
 
@@ -196,23 +223,29 @@ def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
         raise ZeroDivisionError("division by the zero form")
     if g.p != f.p:
         raise ValueError("modulus mismatch")
+    p = g.p
     lm, lc = f.leading()
-    qdeg = g.degree - f.degree
-    q = HomForm.zero(max(qdeg, 0), g.p)
-    r = HomForm.zero(g.degree, g.p)
-    work = g
-    while not work.is_zero():
-        exps, c = work.leading()
+    lc_inv = pow(lc.value, p - 2, p)
+    tail = [(e, c.value) for e, c in f.coeffs.items() if e != lm]
+    work = {e: c.value for e, c in g.coeffs.items()}
+    q: dict[Exps, int] = {}
+    r: dict[Exps, int] = {}
+    # subtracting t*f from the current leading term only changes smaller
+    # monomials, so one sweep in descending order performs the division
+    for exps in monomials(g.degree):
+        c = work.get(exps, 0) % p
+        if not c:
+            continue
         diff = (exps[0] - lm[0], exps[1] - lm[1], exps[2] - lm[2])
-        if qdeg >= 0 and min(diff) >= 0:
-            t = HomForm.monomial(c / lc, diff)
-            q = q + t
-            work = work - t * f
-        else:
-            mono = HomForm.monomial(c, exps)
-            r = r + mono
-            work = work - mono
-    return q, r
+        if min(diff) < 0:
+            r[exps] = c
+            continue
+        t = c * lc_inv % p
+        q[diff] = t
+        for (e0, e1, e2), v in tail:
+            key = (diff[0] + e0, diff[1] + e1, diff[2] + e2)
+            work[key] = work.get(key, 0) - t * v
+    return _from_residues(max(g.degree - f.degree, 0), p, q), _from_residues(g.degree, p, r)
 
 
 def divides(f: HomForm, g: HomForm) -> bool:

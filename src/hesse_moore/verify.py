@@ -23,8 +23,7 @@ from .hesse import HesseCurve, extension_representative
 from .moore import (
     FormMatrix,
     ProjectivePoint,
-    cofactor_adjugate,
-    det3_form,
+    adjugate_det,
     moore,
     moore_adjugate,
     moore_det,
@@ -101,11 +100,12 @@ def check_determinant_identity(rng: random.Random, p: int = 13, samples: int = 2
         a = _random_triple(p, rng)
         m = moore(a)
         closed = moore_det(a)
-        if closed != det3_form(m):
+        cofactors, det = adjugate_det(m.entries)
+        if closed != det:
             failures += 1
             continue
         adj = moore_adjugate(a)
-        if adj != cofactor_adjugate(m):
+        if adj != FormMatrix(cofactors):
             failures += 1
             continue
         prod = m @ adj
@@ -306,39 +306,27 @@ def check_characters(rng: random.Random, p: int = 13):
 # -- 8. partner lemma -----------------------------------------------------
 
 
-def _solvable(columns, rhs) -> bool:
-    system = linalg.transpose(columns)
-    return linalg.solve(system, rhs) is not None
+def _unit_matrix(r: int, c: int, mono, p: int) -> FormMatrix:
+    """The matrix with the monomial mono at (r, c) and zero forms elsewhere."""
+    zero = HomForm.zero(sum(mono), p)
+    entries = [[zero] * 3 for _ in range(3)]
+    entries[r][c] = HomForm.monomial(FieldElement(1, p), mono)
+    return FormMatrix(entries)
 
 
-def _exists_left_partner(fac, C) -> bool:
-    """Whether some D (entry degree deg C + 1) solves A*D + C*B = 0."""
+def _partner_systems(fac, deg: int):
+    """The linear systems in the entries of D (degree deg) behind
+    A*D = -C*B and D*A = -B*C: their columns are the coordinates of
+    A @ E and E @ A for the unit matrices E of entry degree deg."""
     p = fac.f.p
-    deg = C.entries[0][0].degree + 1
-    out_deg = deg + 1
-    columns = []
+    left, right = [], []
     for r in range(3):
         for c in range(3):
             for mono in monomials(deg):
-                unit = ext_mod._unit_matrix(r, c, mono, p)
-                columns.append(ext_mod._vectorize(fac.A @ unit, out_deg))
-    rhs = ext_mod._vectorize(-(C @ fac.B), out_deg)
-    return _solvable(columns, rhs)
-
-
-def _exists_right_partner(fac, C) -> bool:
-    """Whether some D solves D*A + B*C = 0."""
-    p = fac.f.p
-    deg = C.entries[0][0].degree + 1
-    out_deg = deg + 1
-    columns = []
-    for r in range(3):
-        for c in range(3):
-            for mono in monomials(deg):
-                unit = ext_mod._unit_matrix(r, c, mono, p)
-                columns.append(ext_mod._vectorize(unit @ fac.A, out_deg))
-    rhs = ext_mod._vectorize(-(fac.B @ C), out_deg)
-    return _solvable(columns, rhs)
+                unit = _unit_matrix(r, c, mono, p)
+                left.append(ext_mod.vectorize(fac.A @ unit, deg + 1))
+                right.append(ext_mod.vectorize(unit @ fac.A, deg + 1))
+    return linalg.transpose(left), linalg.transpose(right)
 
 
 def check_partner_lemma(rng: random.Random, p: int = 13, samples: int = 100):
@@ -356,9 +344,16 @@ def check_partner_lemma(rng: random.Random, p: int = 13, samples: int = 100):
     mismatches = 0
     positive = 0
     broken = 0
+    systems = {}
     for C in candidates:
-        ca = _exists_left_partner(fac, C)
-        cb = _exists_right_partner(fac, C)
+        # whether some D (entry degree deg C + 1) solves A*D + C*B = 0,
+        # and whether some D solves D*A + B*C = 0
+        deg = C.entries[0][0].degree + 1
+        if deg not in systems:
+            systems[deg] = _partner_systems(fac, deg)
+        left, right = systems[deg]
+        ca = linalg.solve(left, ext_mod.vectorize(-(C @ fac.B), deg + 1)) is not None
+        cb = linalg.solve(right, ext_mod.vectorize(-(fac.B @ C), deg + 1)) is not None
         cc = ulrich_mod.bcb_divisible(fac, C)
         if not (ca == cb == cc):
             mismatches += 1
@@ -438,8 +433,8 @@ def _divergence_kernel_matches_homotopy(a) -> bool:
     """The kernel of divergence_class on the m = 0 solution space equals
     the homotopy subspace, as subspaces."""
     space = ext_mod.ext_space(a, 0)
-    sol_vecs = [ext_mod._vectorize(C, 1) for C in space.solution_basis]
-    hom_vecs = [ext_mod._vectorize(C, 1) for C in space.homotopy_basis]
+    sol_vecs = [ext_mod.vectorize(C, 1) for C in space.solution_basis]
+    hom_vecs = [ext_mod.vectorize(C, 1) for C in space.homotopy_basis]
     values = [ext_mod.divergence_class(a, C) for C in space.solution_basis]
     # kernel of the functional sum c_i * values_i on solution coordinates
     p = a[0].p

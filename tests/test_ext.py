@@ -3,17 +3,17 @@ import pytest
 from hesse_moore import linalg
 from hesse_moore.ext import (
     RepresentationError,
-    _unit_matrix,
-    _vectorize,
     divergence_class,
     ext_space,
     moore_representative,
     moore_span_basis,
+    vectorize,
     verify_moore_span,
 )
 from hesse_moore.field import FieldElement, zero
 from hesse_moore.hesse import extension_representative
-from hesse_moore.moore import coordinate_vars, moore
+from hesse_moore.moore import FormMatrix, coordinate_vars, moore
+from hesse_moore.poly import HomForm
 from hesse_moore.ulrich import moore_factorization, trace_criterion
 
 P = 13
@@ -41,24 +41,25 @@ def test_solution_basis_satisfies_trace_condition():
 
 def test_homotopies_inside_solutions():
     space = ext_space(A_POINT, 0)
-    sols = [_vectorize(C, 1) for C in space.solution_basis]
+    sols = [vectorize(C, 1) for C in space.solution_basis]
     for h in space.homotopy_basis:
-        assert linalg.in_span(sols, _vectorize(h, 1))
+        assert linalg.in_span(sols, vectorize(h, 1))
 
 
 def test_homotopy_form():
     # each homotopy generator U*A - A*V is reproduced by the basis span
     fac = moore_factorization(A_POINT)
     space = ext_space(A_POINT, 0)
-    hom = [_vectorize(C, 1) for C in space.homotopy_basis]
-    u = _unit_matrix(0, 1, (0, 0, 0), P)
+    hom = [vectorize(C, 1) for C in space.homotopy_basis]
+    z = HomForm.zero(0, P)
+    u = FormMatrix([[z, HomForm.constant(F(1)), z], [z, z, z], [z, z, z]])
     gen = u @ fac.A - fac.A @ u
-    assert linalg.in_span(hom, _vectorize(gen, 1))
+    assert linalg.in_span(hom, vectorize(gen, 1))
 
 
 def test_moore_span():
     basis = moore_span_basis(A_POINT)
-    vecs = [_vectorize(m, 0) for m in basis]
+    vecs = [vectorize(m, 0) for m in basis]
     assert linalg.span_dim(vecs) == 3
     assert verify_moore_span(A_POINT)
 
@@ -115,8 +116,8 @@ def test_divergence_class_rejects_non_solutions():
 def test_representatives_extend_homotopies():
     space = ext_space(A_POINT, 0)
     assert len(space.representatives) == space.quotient_dimension == 1
-    hom = [_vectorize(C, 1) for C in space.homotopy_basis]
-    rep = _vectorize(space.representatives[0], 1)
+    hom = [vectorize(C, 1) for C in space.homotopy_basis]
+    rep = vectorize(space.representatives[0], 1)
     assert not linalg.in_span(hom, rep)
 
 
@@ -126,3 +127,21 @@ def test_dimension_table_other_points():
         assert ext_space(a, -1).quotient_dimension == 3
         assert ext_space(a, 0).quotient_dimension == 1
         assert verify_moore_span(a)
+
+
+@pytest.mark.parametrize("p", [13, 19])
+@pytest.mark.parametrize("m", [-1, 0, 1])
+def test_representatives_match_greedy_span_dim(p, m):
+    # the greedy choice: a solution is a representative when it raises the
+    # span dimension of the homotopies and the representatives before it
+    a = tuple(FieldElement(v, p) for v in (1, 2, 3))
+    space = ext_space(a, m)
+    working = [vectorize(C, m + 1) for C in space.homotopy_basis]
+    reps = []
+    for C in space.solution_basis:
+        v = vectorize(C, m + 1)
+        if linalg.span_dim(working + [v]) > linalg.span_dim(working):
+            working.append(v)
+            reps.append(v)
+    assert [vectorize(C, m + 1) for C in space.representatives] == reps
+    assert space.quotient_dimension == len(reps)

@@ -1,6 +1,6 @@
 import pytest
 
-from hesse_moore.field import FieldElement
+from hesse_moore.field import FieldElement, is_prime
 from hesse_moore.hesse import (
     HesseCurve,
     curve_through,
@@ -55,6 +55,15 @@ def test_point_counts_frozen_and_in_hasse_window():
             curve = HesseCurve.from_lambda(lam, p)
             lo, hi = curve.hasse_window()
             assert lo <= len(curve.enumerate_points()) <= hi
+
+
+def test_hasse_window_is_integer_definition():
+    # every p = 1 (mod 6) below 2000: the window is {n : (p+1-n)^2 <= 4p}
+    primes = [p for p in range(7, 2000, 6) if is_prime(p)]
+    assert len(primes) == 148
+    for p in primes:
+        inside = [n for n in range(2 * p + 3) if (p + 1 - n) ** 2 <= 4 * p]
+        assert HesseCurve.from_lambda(0, p).hasse_window() == (inside[0], inside[-1])
 
 
 def test_identity_and_negation():

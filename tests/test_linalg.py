@@ -1,3 +1,7 @@
+import random
+
+import pytest
+
 from hesse_moore import linalg
 from hesse_moore.field import FieldElement
 
@@ -80,3 +84,66 @@ def test_span_predicates():
 def test_transpose_involution(rng):
     a = random_matrix(3, 5, rng)
     assert linalg.transpose(linalg.transpose(a)) == a
+
+
+def reference_rref(a):
+    """Gauss-Jordan elimination on FieldElement entries, the reference for
+    the int kernel behind linalg.rref."""
+    m = [row[:] for row in a]
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inv()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
+def test_int_kernel_matches_reference(p):
+    rng = random.Random(1000 + p)
+
+    def rand(rows, cols):
+        return [[FieldElement(rng.randrange(p), p) for _ in range(cols)] for _ in range(rows)]
+
+    for _ in range(5):
+        low_rank = linalg.mat_mul(rand(9, 3), rand(3, 8))  # rank <= 3
+        dependent = rand(4, 6)
+        dependent += [[x + y for x, y in zip(dependent[0], dependent[1])], dependent[2][:]]
+        for a in (rand(12, 5), rand(5, 12), rand(7, 7), low_rank, dependent):
+            want, want_pivots = reference_rref(a)
+            red, pivots = linalg.rref(a)
+            assert (red, pivots) == (want, want_pivots)
+            ints = [[x.value for x in row] for row in a]
+            assert linalg.rref_mod(ints, p) == want_pivots
+            assert ints == [[x.value for x in row] for row in want]
+            assert linalg.rank(a) == len(want_pivots)
+            assert linalg.row_space(a) == want[: len(want_pivots)]
+            for v in linalg.nullspace(a):
+                assert all(x.is_zero() for x in linalg.mat_vec(a, v))
+        assert linalg.rank(low_rank) <= 3
+        assert linalg.rank(dependent) <= 4
+
+
+def test_mixed_moduli_raise():
+    a = [[FieldElement(1, 7), FieldElement(2, 7)], [FieldElement(3, 13), FieldElement(4, 13)]]
+    for fn in (linalg.rref, linalg.rank, linalg.nullspace, linalg.row_space, linalg.span_dim):
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            fn(a)
+    a7 = [[FieldElement(1, 7), FieldElement(2, 7)]]
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        linalg.solve(a7, [FieldElement(1, 13)])
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        linalg.in_span(a7, [FieldElement(1, 13), FieldElement(0, 13)])

@@ -6,16 +6,14 @@ from hesse_moore.moore import (
     FormMatrix,
     KernelError,
     ProjectivePoint,
-    cofactor_adjugate,
+    adjugate_det,
     coordinate_vars,
-    det3_form,
     left_kernel_point,
     moore,
     moore_adjugate,
     moore_det,
     moore_scalar,
     right_kernel_point,
-    scalar_adjugate,
 )
 from hesse_moore.poly import HomForm
 
@@ -81,15 +79,26 @@ def test_moore_det_closed_form_frozen():
 
 
 def test_det_matches_leibniz_oracle(rng):
+    # the generic determinant is a cofactor expansion, checked against the
+    # Leibniz formula written out here
     for _ in range(50):
         a = random_triple(rng)
-        assert moore_det(a) == det3_form(moore(a))
+        e = moore(a).entries
+        leibniz = (
+            e[0][0] * e[1][1] * e[2][2] + e[0][1] * e[1][2] * e[2][0] + e[0][2] * e[1][0] * e[2][1]
+        ) - (
+            e[0][2] * e[1][1] * e[2][0] + e[0][0] * e[1][2] * e[2][1] + e[0][1] * e[1][0] * e[2][2]
+        )
+        _, det = adjugate_det(e)
+        assert det == leibniz
+        assert moore_det(a) == det
 
 
 def test_adjugate_matches_cofactor_oracle(rng):
     for _ in range(50):
         a = random_triple(rng)
-        assert moore_adjugate(a) == cofactor_adjugate(moore(a))
+        adj, _ = adjugate_det(moore(a).entries)
+        assert moore_adjugate(a) == FormMatrix(adj)
 
 
 def test_mul_by_adjugate_gives_det(rng):
@@ -132,6 +141,12 @@ def test_left_kernel_requires_rank_two():
         left_kernel_point(moore_scalar(a, b))
     with pytest.raises(KernelError):
         left_kernel_point(linalg.identity(3, P))
+    # det = 0 with a vanishing adjugate: rank 1 and rank 0
+    rank1 = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(0)]]
+    with pytest.raises(KernelError, match="rank is 1, need exactly 2"):
+        left_kernel_point(rank1)
+    with pytest.raises(KernelError, match="rank is 0, need exactly 2"):
+        left_kernel_point(linalg.mat_zero(3, 3, P))
 
 
 def test_right_kernel_is_left_of_transpose():
@@ -147,9 +162,8 @@ def test_right_kernel_is_left_of_transpose():
 def test_scalar_adjugate_identity(rng):
     for _ in range(20):
         m = [[FieldElement(rng.randrange(P), P) for _ in range(3)] for _ in range(3)]
-        adj = scalar_adjugate(m)
+        adj, det = adjugate_det(m)
         prod = linalg.mat_mul(m, adj)
-        det = prod[0][0]
         assert prod == [
             [det if i == j else zero(P) for j in range(3)] for i in range(3)
         ]

@@ -8,6 +8,7 @@ from hesse_moore.poly import (
     divide_by_cubic,
     divides,
     monomials,
+    sum_of_products,
 )
 
 P = 13
@@ -104,6 +105,55 @@ def test_division_certificate(rng):
             assert q * f + r == g
             # canonical remainder: no monomial divisible by LM(f) = x0^3
             assert all(e[0] < 3 for e in r.coeffs)
+
+
+def reference_divide(g, f):
+    """Division by repeated subtraction of leading terms, on whole forms."""
+    lm, lc = f.leading()
+    q = HomForm.zero(max(g.degree - f.degree, 0), g.p)
+    r = HomForm.zero(g.degree, g.p)
+    work = g
+    while not work.is_zero():
+        exps, c = work.leading()
+        diff = tuple(x - y for x, y in zip(exps, lm))
+        if min(diff) >= 0:
+            t = HomForm.monomial(c / lc, diff)
+            q = q + t
+            work = work - t * f
+        else:
+            mono = HomForm.monomial(c, exps)
+            r = r + mono
+            work = work - mono
+    return q, r
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_division_matches_reference(p, rng):
+    # general divisors (leading monomials other than x0^3, degree above
+    # the dividend's) on the int division path
+    for fdeg in (1, 2, 3):
+        for gdeg in range(0, 7):
+            f = random_form(fdeg, rng, p)
+            if f.is_zero():
+                continue
+            g = random_form(gdeg, rng, p)
+            q, r = divide(g, f)
+            assert (q, r) == reference_divide(g, f)
+            if gdeg >= fdeg:
+                assert q * f + r == g
+            else:
+                assert q.is_zero() and r == g
+            lm = f.leading()[0]
+            assert all(min(x - y for x, y in zip(e, lm)) < 0 for e in r.coeffs)
+
+
+def test_sum_of_products(rng):
+    f, g, h, k = (random_form(d, rng) for d in (1, 2, 2, 1))
+    assert sum_of_products([(f, g), (h, k)]) == f * g + h * k
+    with pytest.raises(ValueError, match="degree mismatch"):
+        sum_of_products([(f, g), (h, h)])
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        sum_of_products([(f, g), (random_form(1, rng, 7), random_form(2, rng, 7))])
 
 
 def test_divides(rng):
