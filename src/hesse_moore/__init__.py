@@ -33,7 +33,6 @@ from .heisenberg import (
     heis3_matrix,
     hn_elements,
     hn_identity,
-    hn_mul,
     orbit,
     schrodinger_character,
     trace_invariants,
@@ -90,7 +89,6 @@ __all__ = [
     "heis3_matrix",
     "hn_elements",
     "hn_identity",
-    "hn_mul",
     "iota",
     "left_kernel_point",
     "monomials",

@@ -25,7 +25,6 @@ from .field import FieldElement, primitive_root_of_unity
 from .hesse import HesseCurve, curve_through
 from .moore import (
     FormMatrix,
-    KernelError,
     ProjectivePoint,
     left_kernel_point,
     moore,
@@ -46,7 +45,11 @@ def _triple(text: str, p: int):
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError(f"expected three comma-separated residues, got {text!r}")
-    return tuple(FieldElement(int(v), p) for v in parts)
+    try:
+        values = [int(v) for v in parts]
+    except ValueError:
+        raise UsageError(f"residues must be integers, got {text!r}") from None
+    return tuple(FieldElement(v, p) for v in values)
 
 
 def _point(text: str, p: int) -> ProjectivePoint:
@@ -78,11 +81,18 @@ def _parse_matrix(text: str, degree: int, p: int) -> FormMatrix:
         cells = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"matrix must be JSON (3x3 array of form strings): {exc}")
-    if not (isinstance(cells, list) and len(cells) == 3 and all(len(r) == 3 for r in cells)):
+    if not (
+        isinstance(cells, list)
+        and len(cells) == 3
+        and all(isinstance(r, list) and len(r) == 3 for r in cells)
+        and all(isinstance(cell, str) for r in cells for cell in r)
+    ):
         raise UsageError("matrix must be a 3x3 array of form strings")
-    return FormMatrix(
-        [[HomForm.parse(cell, degree, p) for cell in row] for row in cells]
-    )
+    try:
+        forms = [[HomForm.parse(cell, degree, p) for cell in row] for row in cells]
+    except (ValueError, IndexError) as exc:
+        raise UsageError(f"matrix cells must be forms of degree {degree}: {exc}") from None
+    return FormMatrix(forms)
 
 
 # -- hesse ---------------------------------------------------------------
@@ -349,13 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (
-    ValueError,  # includes UsageError subclasses raised post-parse, Kernel/Factorization errors
-    ZeroDivisionError,
-    ext_mod.RepresentationError,
-    KernelError,
-    ulrich_mod.FactorizationError,
-)
+# ValueError covers KernelError, FactorizationError and RepresentationError
+_DOMAIN_ERRORS = (ValueError, ZeroDivisionError)
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ from math import gcd
 
 from . import linalg
 from .field import FieldElement, one as f_one, primitive_root_of_unity, zero as f_zero
-from .hesse import curve_through, tripling_representative
+from .hesse import curve_through
 from .moore import FormMatrix, ProjectivePoint, moore
 
 
@@ -68,10 +68,6 @@ def hn_elements(n: int) -> list[HeisenbergElement]:
         for s in range(n)
         for t in range(n)
     ]
-
-
-def hn_mul(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
-    return g * h
 
 
 # -- the 3x3 matrix realization Heis_3 --------------------------------
@@ -249,12 +245,6 @@ def are_equivalent(a, a2) -> bool:
     if ca.lam != cb.lam:
         return False
     return trace_invariants(a) == trace_invariants(a2)
-
-
-def tripling_from_invariants(a) -> ProjectivePoint:
-    """3*a reconstructed from the closed tripling formula (consistency
-    hook for the invariant <-> tripling relation)."""
-    return ProjectivePoint(tripling_representative(tuple(a)))
 
 
 # -- Schroedinger characters -------------------------------------------

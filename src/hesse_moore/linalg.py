@@ -118,7 +118,7 @@ def solve_mod(m: list[list[int]], b: list[int], p: int) -> list[int] | None:
 # -- the FieldElement boundary ----------------------------------------------
 
 
-def _residues(a: Matrix) -> tuple[list[list[int]], int | None]:
+def residues(a: Matrix) -> tuple[list[list[int]], int | None]:
     """The entries of a as ints and their common modulus (None when a has
     no entries); mixed moduli are a ValueError."""
     moduli = {x.p for row in a for x in row}
@@ -134,33 +134,33 @@ def _elements(m: list[list[int]], p: int) -> Matrix:
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns (input left untouched)."""
-    m, p = _residues(a)
+    m, p = residues(a)
     pivots = rref_mod(m, p)
     return _elements(m, p), pivots
 
 
 def rank(a: Matrix) -> int:
-    return len(rref_mod(*_residues(a)))
+    return len(rref_mod(*residues(a)))
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of {v : a @ v = 0}, one vector per free column."""
     if not a:
         return []
-    m, p = _residues(a)
+    m, p = residues(a)
     return _elements(nullspace_mod(m, p), p)
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a @ x = b, or None when the system is inconsistent."""
-    m, p = _residues(a + [b])
+    m, p = residues(a + [b])
     x = solve_mod(m[:-1], m[-1], p)
     return None if x is None else _elements([x], p)[0]
 
 
 def row_space(vectors: list[Vector]) -> Matrix:
     """Canonical (rref, zero rows dropped) basis of the span of the vectors."""
-    m, p = _residues(vectors)
+    m, p = residues(vectors)
     return _elements(m[: len(rref_mod(m, p))], p)
 
 

@@ -9,16 +9,20 @@ realizes the curve's group law (see the hesse module).
 from __future__ import annotations
 
 from . import linalg
-from .field import FieldElement
+from .field import FieldElement, validate_modulus
 from .poly import HomForm, sum_of_products
 
 Triple = tuple[FieldElement, FieldElement, FieldElement]
 
 
 class ProjectivePoint:
-    """A point of P^2(F_p), normalized so the first nonzero coordinate is 1."""
+    """A point of P^2(F_p), normalized so the first nonzero coordinate is 1.
 
-    __slots__ = ("coords", "p")
+    The point is stored as int residues; ``coords``, the same coordinates
+    as FieldElements, is built on first use.
+    """
+
+    __slots__ = ("residues", "p", "_coords")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -27,23 +31,38 @@ class ProjectivePoint:
         self.p = coords[0].p
         if any(c.p != self.p for c in coords):
             raise ValueError("modulus mismatch among coordinates")
-        lead = next((c for c in coords if c.value), None)
-        if lead is None:
-            raise ValueError("(0,0,0) is not a projective point")
-        inv = lead.inv()
-        self.coords = tuple(c * inv for c in coords)
+        self.residues = normalize_mod([c.value for c in coords], self.p)
+        self._coords = None
 
     @classmethod
     def from_ints(cls, values, p: int) -> "ProjectivePoint":
-        return cls(tuple(FieldElement(v, p) for v in values))
+        validate_modulus(p)
+        values = tuple(values)
+        if len(values) != 3:
+            raise ValueError("projective point needs 3 coordinates")
+        pt = cls.__new__(cls)
+        pt.residues = normalize_mod(values, p)
+        pt.p = p
+        pt._coords = None
+        return pt
+
+    @property
+    def coords(self) -> Triple:
+        if self._coords is None:
+            p = self.p
+            self._coords = tuple(FieldElement(v, p) for v in self.residues)
+        return self._coords
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
-        return self.coords == other.coords
+        return self.residues == other.residues and self.p == other.p
 
     def __hash__(self):
-        return hash(self.coords)
+        # the hash of the FieldElement coordinate tuple, so sets of points
+        # keep the iteration order they had when points stored FieldElements
+        p = self.p
+        return hash(tuple((v, p) for v in self.residues))
 
     def __getitem__(self, i):
         return self.coords[i]
@@ -52,14 +71,28 @@ class ProjectivePoint:
         return iter(self.coords)
 
     def coordinate_product(self) -> FieldElement:
-        return self.coords[0] * self.coords[1] * self.coords[2]
+        x, y, z = self.residues
+        return FieldElement(x * y * z, self.p)
 
     def as_ints(self) -> list[int]:
-        return [c.value for c in self.coords]
+        return list(self.residues)
 
     def __repr__(self):
-        a = self.as_ints()
-        return f"[{a[0]}:{a[1]}:{a[2]}]"
+        x, y, z = self.residues
+        return f"[{x}:{y}:{z}]"
+
+
+def normalize_mod(values, p: int) -> tuple[int, int, int]:
+    """The int triple scaled so its first nonzero residue mod p is 1."""
+    x, y, z = values
+    x, y, z = x % p, y % p, z % p
+    lead = x or y or z
+    if not lead:
+        raise ValueError("(0,0,0) is not a projective point")
+    if lead == 1:
+        return x, y, z
+    inv = pow(lead, p - 2, p)
+    return x * inv % p, y * inv % p, z * inv % p
 
 
 class FormMatrix:
@@ -185,11 +218,16 @@ def moore(a, variables=None) -> FormMatrix:
     )
 
 
-def moore_scalar(a, b) -> list[list[FieldElement]]:
-    """The Moore matrix specialized at the scalar triple b."""
-    a = _as_triple(a)
-    b = _as_triple(b)
-    return [[a[(i + j) % 3] * b[(i - j) % 3] for j in range(3)] for i in range(3)]
+def moore_scalar(a, b) -> list[list]:
+    """The Moore matrix specialized at the scalar triple b, entry (i,j)
+    a[i+j] * b[i-j]; the triples may be FieldElements or ints."""
+    a0, a1, a2 = _as_triple(a)
+    b0, b1, b2 = _as_triple(b)
+    return [
+        [a0 * b0, a1 * b2, a2 * b1],
+        [a1 * b1, a2 * b0, a0 * b2],
+        [a2 * b2, a0 * b1, a1 * b0],
+    ]
 
 
 def moore_adjugate(a) -> FormMatrix:
@@ -234,25 +272,22 @@ def moore_det(a) -> HomForm:
 
 
 def adjugate_det(m) -> tuple[list[list], object]:
-    """Adjugate and determinant of a 3x3 matrix given as rows of
-    FieldElements or of HomForms (independent oracle for the closed forms).
+    """Adjugate and determinant of a 3x3 matrix given as rows of ints,
+    FieldElements or HomForms (independent oracle for the closed forms).
 
     The adjugate comes from the 2x2 minors, the determinant from expanding
     the first row against the adjugate's first column.
     """
-    if len(m) != 3 or any(len(row) != 3 for row in m):
+    if [len(row) for row in m] != [3, 3, 3]:
         raise ValueError("adjugate_det expects a 3x3 matrix")
-    adj = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            # entry (i,j) of the adjugate is the (j,i) cofactor
-            r = [k for k in range(3) if k != j]
-            c = [k for k in range(3) if k != i]
-            minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            row.append(-minor if (i + j) % 2 else minor)
-        adj.append(row)
-    det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+    (a, b, c), (d, e, f), (g, h, k) = m
+    # entry (i,j) of the adjugate is the (j,i) cofactor
+    adj = [
+        [e * k - f * h, c * h - b * k, b * f - c * e],
+        [f * g - d * k, a * k - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
     return adj, det
 
 
@@ -260,20 +295,29 @@ class KernelError(ValueError):
     """The matrix does not have a one-dimensional null space."""
 
 
-def left_kernel_point(m: list[list[FieldElement]]) -> ProjectivePoint:
-    """The projective point spanning {c : m @ c = 0} of a rank-2 matrix.
+def left_kernel_mod(m: list[list[int]], p: int) -> tuple[int, int, int]:
+    """The normalized residues spanning {c : m @ c = 0 mod p} of a rank-2
+    int matrix.
 
-    Extracted as the first nonzero column of the scalar adjugate (the
-    columns of the adjugate span the null space when rank is 2).  The
-    rank is 2 exactly when det = 0 and the adjugate is nonzero.
+    Read off as the first nonzero column of the adjugate (the columns of
+    the adjugate span the null space when rank is 2).  The rank is 2
+    exactly when det = 0 and the adjugate is nonzero; the rank itself is
+    computed only for the KernelError message.
     """
     adj, det = adjugate_det(m)
-    if not det:
+    if not det % p:
         for j in range(3):
-            col = [adj[i][j] for i in range(3)]
-            if any(c.value for c in col):
-                return ProjectivePoint(col)
-    raise KernelError(f"rank is {linalg.rank(m)}, need exactly 2")
+            col = (adj[0][j] % p, adj[1][j] % p, adj[2][j] % p)
+            if any(col):
+                return normalize_mod(col, p)
+    rank = len(linalg.rref_mod([list(row) for row in m], p))
+    raise KernelError(f"rank is {rank}, need exactly 2")
+
+
+def left_kernel_point(m: list[list[FieldElement]]) -> ProjectivePoint:
+    """The projective point spanning {c : m @ c = 0} of a rank-2 matrix."""
+    ints, p = linalg.residues(m)
+    return ProjectivePoint.from_ints(left_kernel_mod(ints, p), p)
 
 
 def right_kernel_point(m: list[list[FieldElement]]) -> ProjectivePoint:

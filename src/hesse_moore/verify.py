@@ -3,9 +3,9 @@ statement verified by enumeration, symbolic identity, or a seeded random
 sweep.
 
 Each check returns a CheckResult with a pass flag and a short detail
-string (counts of cases exercised).  run_all executes all twelve;
-a prime filter restricts the exhaustive parts to curves over the given
-primes, keeping `verify all --p 7` genuinely about F_7.
+string (counts of cases exercised).  run_all executes all twelve; a
+prime filter reruns the five checks in _PRIME_FILTERED over the given
+prime only, and the other seven stay on the primes their statements name.
 """
 
 from __future__ import annotations
@@ -89,6 +89,21 @@ def _sample_nontorsion(p: int, count: int, rng: random.Random):
     if len(pool) < count:
         return pool
     return rng.sample(pool, count)
+
+
+def _base_points(primes, sample: int, rng: random.Random):
+    """(p, a) for non-torsion points a: all of them over F_7, a seeded
+    sample of `sample` over every other prime."""
+    points = []
+    for p in primes:
+        if p == 7:
+            for lam in smooth_lambdas(7):
+                points.extend(
+                    (7, a) for a in _nontorsion_points(HesseCurve.from_lambda(lam, 7))
+                )
+        else:
+            points.extend((p, a) for _, a in _sample_nontorsion(p, sample, rng))
+    return points
 
 
 # -- 1. determinant identity -------------------------------------------
@@ -399,19 +414,11 @@ def check_trace_lemma(rng: random.Random, p: int = 13, samples: int = 100):
 # -- 10. rank-2 Ulrich blocks ----------------------------------------------
 
 
-def check_rank2_blocks(rng: random.Random, primes=(7, 13), sample_13: int = 10):
+def check_rank2_blocks(rng: random.Random, primes=(7, 13), sample: int = 10):
     tested = 0
     bad = 0
-    points = []
-    if 7 in primes:
-        for lam in smooth_lambdas(7):
-            points.extend(
-                (7, a) for a in _nontorsion_points(HesseCurve.from_lambda(lam, 7))
-            )
-    if 13 in primes:
-        points.extend((13, a) for _, a in _sample_nontorsion(13, sample_13, rng))
     three = {p: FieldElement(3, p) for p in primes}
-    for p, a in points:
+    for p, a in _base_points(primes, sample, rng):
         tested += 1
         try:
             blocks = ulrich_mod.rank2_ulrich(a.coords)  # certifies 6x6 product
@@ -451,21 +458,13 @@ def _divergence_kernel_matches_homotopy(a) -> bool:
     return linalg.same_span(kernel_vecs, hom_vecs)
 
 
-def check_ext_dimensions(rng: random.Random, primes=(7, 13), sample_13: int = 10,
+def check_ext_dimensions(rng: random.Random, primes=(7, 13), sample: int = 10,
                          kernel_points: int = 2):
     expected = {-2: 0, -1: 3, 0: 1, 1: 0}
-    points = []
-    if 7 in primes:
-        for lam in smooth_lambdas(7):
-            points.extend(
-                a for a in _nontorsion_points(HesseCurve.from_lambda(lam, 7))
-            )
-    if 13 in primes:
-        points.extend(a for _, a in _sample_nontorsion(13, sample_13, rng))
     tested = 0
     bad = 0
     kernel_checked = 0
-    for a in points:
+    for _, a in _base_points(primes, sample, rng):
         tested += 1
         dims = {m: ext_mod.ext_space(a.coords, m).quotient_dimension for m in expected}
         if dims != expected:
@@ -529,18 +528,6 @@ ALL_CHECKS = [
     check_ext_dimensions,
     check_geometric_interpretations,
 ]
-
-# checks whose sweeps are pinned to F_13 (or F_31 for full 6-torsion) by
-# the statements they verify; a --p filter does not reparameterize them
-_FIXED_PRIME = {
-    check_determinant_identity,
-    check_torsion,
-    check_equivalence_classification,
-    check_characters,
-    check_partner_lemma,
-    check_trace_lemma,
-    check_geometric_interpretations,
-}
 
 _PRIME_FILTERED = {
     check_rank_lemma,

@@ -66,3 +66,12 @@ def test_criterion_11_extension_dimensions(rng):
 
 def test_criterion_12_geometric_interpretations(rng):
     _assert(verify.check_geometric_interpretations(rng))
+
+
+def test_prime_filter_tests_the_selected_prime():
+    # F_19 has non-torsion points, so the base-point checks exercise them
+    results = {r.name: r for r in verify.run_all(random.Random(19), p=19)}
+    assert all(r.passed for r in results.values())
+    assert not [r.line() for r in results.values() if "vacuous" in r.detail]
+    for name in ("rank-2 Ulrich blocks", "extension dimensions"):
+        assert results[name].detail.startswith("10 base points"), results[name].line()

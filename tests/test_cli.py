@@ -150,6 +150,17 @@ def test_usage_error_exit_code(capsys):
     )
     assert code == 2
     assert "usage error" in err
+    # malformed values are usage errors too, not domain errors
+    bad = [
+        ("hesse", "add", "--p", "13", "--lambda", "6", "--x", "1,2,3", "--a", "0,x,12"),
+        ("ext", "class", "--p", "13", "--a", "1,2,3", "--C", "[[1,2,3],[1,2,3],[1,2,3]]"),
+        ("ulrich", "trace", "--p", "13", "--a", "1,2,3", "--C",
+         json.dumps([["1*x0^2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]])),
+    ]
+    for argv in bad:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ")
 
 
 def test_unknown_subcommand_exits_2():

@@ -27,6 +27,8 @@ _C_PARTNER = json.dumps(
 )
 # diag(x0, x1, x2): fails the trace criterion, so it has no partner
 _C_DIAG = json.dumps([["1*x0^1", "0", "0"], ["0", "1*x1^1", "0"], ["0", "0", "1*x2^1"]])
+# a cell without its coefficient: a usage error, not a domain error
+_C_NO_COEFF = json.dumps([["x0", "0", "0"], ["0", "1*x1^1", "0"], ["0", "0", "1*x2^1"]])
 _C_DEG0 = json.dumps([["1", "2", "0"], ["0", "5", "7"], ["3", "0", "1"]])
 _C_DEG2 = json.dumps(
     [
@@ -49,6 +51,9 @@ CASES = {
     "hesse_mul_negative": ["hesse", "mul", "--p", "19", "--a", "1,2,3", "--n=-1000003"],
     "hesse_torsion3": ["hesse", "torsion3", "--p", "13", "--lambda", "6"],
     "hesse_torsion6": ["hesse", "torsion6", "--p", "31", "--lambda", "1"],
+    "hesse_points_p103": ["hesse", "points", "--p", "103", "--lambda", "5"],
+    "hesse_torsion6_p61": ["hesse", "torsion6", "--p", "61", "--lambda", "1"],
+    "hesse_mul_60bit": ["hesse", "mul", "--p", "103", "--a", "1,2,3", "--n", "987654321987654321"],
     "moore_build": ["moore", "build", "--p", "13", "--a", "1,2,3"],
     "moore_det": ["moore", "det", "--p", "13", "--a", "1,2,3"],
     "moore_adjugate": ["moore", "adjugate", "--p", "13", "--a", "1,2,3"],
@@ -79,6 +84,10 @@ CASES = {
     "error_bad_modulus": ["hesse", "points", "--p", "12", "--lambda", "1"],
     "usage_missing_n": ["hesse", "mul", "--p", "13", "--lambda", "6", "--a", "1,2,3"],
     "usage_unknown_group": ["frobenius"],
+    "usage_bad_residue": [
+        "hesse", "add", "--p", "13", "--lambda", "6", "--x", "1,x,3", "--a", "0,1,12",
+    ],
+    "usage_bad_form_cell": ["ulrich", "trace", "--p", "13", "--a", "1,2,3", "--C", _C_NO_COEFF],
     "verify_all": ["verify", "all"],
     "verify_all_p13": ["verify", "all", "--p", "13"],
 }

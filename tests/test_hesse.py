@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from hesse_moore import linalg
 from hesse_moore.field import FieldElement, is_prime
 from hesse_moore.hesse import (
     HesseCurve,
@@ -9,7 +12,7 @@ from hesse_moore.hesse import (
     iota,
     tripling_representative,
 )
-from hesse_moore.moore import ProjectivePoint
+from hesse_moore.moore import ProjectivePoint, left_kernel_point, moore_scalar
 
 P = 13
 
@@ -168,3 +171,83 @@ def test_translation_graph_and_segre_small():
     assert curve.translation_graph_check(a)
     for x in pts[:3]:
         assert curve.segre_check(a, x)
+
+
+# -- the int curve layer against FieldElement oracles ----------------------
+
+
+def scan_points(curve):
+    """E(F_p) by HomForm.evaluate over the normalized representatives of
+    P^2, in the order [0:0:1], [0:1:z], [1:y:z]."""
+    p = curve.p
+    reps = [(0, 0, 1)] + [(0, 1, z) for z in range(p)]
+    reps += [(1, y, z) for y in range(p) for z in range(p)]
+    out = []
+    for rep in reps:
+        coords = T(rep, p)
+        if curve.form.evaluate(coords).is_zero():
+            out.append(ProjectivePoint(coords))
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
+def test_enumerate_points_matches_form_evaluation_scan(p):
+    rng = random.Random(p)
+    for lam in rng.sample(smooth_lambdas(p), 2):
+        curve = HesseCurve.from_lambda(lam, p)
+        assert curve.enumerate_points() == scan_points(curve)
+
+
+def test_add_sub_match_field_element_kernels():
+    curve = HesseCurve.from_lambda(6, 13)
+    pts = curve.enumerate_points()
+    for a in pts:
+        for b in pts:
+            m_sub = moore_scalar(a.coords, b.coords)
+            m_add = moore_scalar(iota(a.coords), b.coords)
+            assert curve.sub(b, a) == left_kernel_point(m_sub)
+            assert curve.add(b, a) == left_kernel_point(m_add)
+            # and against Gauss-Jordan elimination instead of the adjugate
+            (v,) = linalg.nullspace(m_add)
+            assert curve.add(b, a) == ProjectivePoint(v)
+
+
+def test_double_triple_match_field_element_formulas():
+    for p, lam in [(13, 6), (19, 4), (37, 5)]:
+        curve = HesseCurve.from_lambda(lam, p)
+        for a in curve.enumerate_points():
+            assert curve.double(a) == ProjectivePoint(doubling_representative(a.coords))
+            if a.coordinate_product():
+                assert curve.triple(a) == ProjectivePoint(tripling_representative(a.coords))
+
+
+def test_off_curve_and_foreign_points_raise_the_same_errors():
+    curve = HesseCurve.from_lambda(6, 13)
+    on, off = pt([1, 2, 3]), pt([1, 1, 2])
+    message = r"^\[1:1:2\] is not on HesseCurve\(lambda=6, p=13\)$"
+    calls = [
+        lambda: curve.add(off, on), lambda: curve.add(on, off),
+        lambda: curve.sub(off, on), lambda: curve.sub(on, off),
+        lambda: curve.neg(off), lambda: curve.double(off), lambda: curve.triple(off),
+        lambda: curve.mul(5, off), lambda: curve.mul(-5, off), lambda: curve.mul(0, off),
+        lambda: curve.translation_graph_check(off), lambda: curve.segre_check(on, off),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    foreign = pt([1, 2, 3], 7)
+    with pytest.raises(ValueError, match="^modulus mismatch: 13 vs 7$"):
+        curve.contains(foreign)
+    with pytest.raises(ValueError, match="^modulus mismatch: 13 vs 7$"):
+        curve.add(on, foreign)
+
+
+def test_point_counts_divisible_by_nine_in_hasse_window():
+    # p = 1 (mod 3) makes E[3] rational, so 9 | #E(F_p)
+    rng = random.Random(500)
+    primes = [p for p in range(7, 500, 6) if is_prime(p)]
+    for p in primes:
+        curve = HesseCurve.from_lambda(rng.choice(smooth_lambdas(p)), p)
+        n = len(curve.enumerate_points())
+        lo, hi = curve.hasse_window()
+        assert n % 9 == 0 and lo <= n <= hi, (p, curve.lam.value, n)

@@ -8,6 +8,7 @@ from hesse_moore.moore import (
     ProjectivePoint,
     adjugate_det,
     coordinate_vars,
+    left_kernel_mod,
     left_kernel_point,
     moore,
     moore_adjugate,
@@ -147,6 +148,59 @@ def test_left_kernel_requires_rank_two():
         left_kernel_point(rank1)
     with pytest.raises(KernelError, match="rank is 0, need exactly 2"):
         left_kernel_point(linalg.mat_zero(3, 3, P))
+
+
+def test_int_kernel_keeps_the_rank_messages():
+    rank1 = [[1, 2, 3], [2, 4, 6], [0, 0, 0]]
+    with pytest.raises(KernelError, match="^rank is 1, need exactly 2$"):
+        left_kernel_mod(rank1, P)
+    rank3 = [[c.value for c in row] for row in moore_scalar(T((1, 2, 3)), T((1, 1, 2)))]
+    with pytest.raises(KernelError, match="^rank is 3, need exactly 2$"):
+        left_kernel_mod(rank3, P)
+    with pytest.raises(KernelError, match="^rank is 3, need exactly 2$"):
+        left_kernel_point(moore_scalar(T((1, 2, 3)), T((1, 1, 2))))
+    # entries need not be reduced: 13 = 0 and 14 = 1 mod 13
+    assert left_kernel_mod([[14, 0, 0], [0, 14, 0], [0, 0, 13]], P) == (0, 0, 1)
+
+
+def test_int_kernel_matches_gauss_jordan_nullspace(rng):
+    for p in (7, 13, 31):
+        checked = 0
+        while checked < 30:
+            m = [[FieldElement(rng.randrange(p), p) for _ in range(3)] for _ in range(3)]
+            if linalg.rank(m) != 2:
+                continue
+            checked += 1
+            (v,) = linalg.nullspace(m)
+            want = ProjectivePoint(v)
+            assert left_kernel_point(m) == want
+            assert left_kernel_mod([[c.value for c in row] for row in m], p) == want.residues
+
+
+def test_from_ints_matches_field_element_normalization(rng):
+    """from_ints against normalization written with FieldElements."""
+    for p in (7, 13, 43):
+        triples = [(0, 0, 1), (0, 5, 3), (0, 0, p - 1), (p + 2, -1, 2 * p)]
+        triples += [tuple(rng.randrange(-2 * p, 2 * p) for _ in range(3)) for _ in range(60)]
+        for t in triples:
+            fe = tuple(FieldElement(v, p) for v in t)
+            if not any(fe):
+                with pytest.raises(ValueError, match="not a projective point"):
+                    ProjectivePoint.from_ints(t, p)
+                continue
+            lead_inv = next(c for c in fe if c).inv()
+            want = tuple(c * lead_inv for c in fe)
+            pt = ProjectivePoint.from_ints(t, p)
+            assert pt.coords == want
+            assert pt.as_ints() == [c.value for c in want]
+            assert pt == ProjectivePoint(fe)
+            assert hash(pt) == hash(want)
+            assert pt.coordinate_product() == want[0] * want[1] * want[2]
+    with pytest.raises(ValueError, match="needs 3 coordinates"):
+        ProjectivePoint.from_ints((1, 2), P)
+    with pytest.raises(ValueError, match="not congruent to 1 mod 6"):
+        ProjectivePoint.from_ints((1, 2, 3), 11)
+    assert ProjectivePoint.from_ints((1, 2, 3), 7) != ProjectivePoint.from_ints((1, 2, 3), 13)
 
 
 def test_right_kernel_is_left_of_transpose():
