@@ -52,6 +52,13 @@ def _triple(text: str, p: int):
     return tuple(FieldElement(v, p) for v in values)
 
 
+def _shift(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"--m takes integer shifts, got {text!r}") from None
+
+
 def _point(text: str, p: int) -> ProjectivePoint:
     return ProjectivePoint(_triple(text, p))
 
@@ -238,13 +245,13 @@ def cmd_ext(args):
     p = args.p
     a = _triple(args.a, p)
     if args.action == "dims":
-        shifts = [int(v) for v in args.m.split(",")]
+        shifts = [_shift(v) for v in args.m.split(",")]
         dims = {
             str(m): ext_mod.ext_space(a, m).quotient_dimension for m in shifts
         }
         return {"dims": dims}
     if args.action == "basis":
-        m = int(args.m)
+        m = _shift(args.m)
         space = ext_mod.ext_space(a, m)
         return {
             "homotopies": [_matrix_payload(c) for c in space.homotopy_basis],

@@ -37,11 +37,16 @@ class ExtSpace:
     representatives: list[FormMatrix]
 
 
-def vectorize(mat: FormMatrix, degree: int) -> list[FieldElement]:
-    """Coordinates of a 3x3 matrix of degree-d forms: entries row-major,
-    monomials graded-lex."""
+def vectorize(mat: FormMatrix, degree: int) -> list[int]:
+    """Coordinates of a 3x3 matrix of degree-d forms as int residues:
+    entries row-major, monomials graded-lex."""
     monos = monomials(degree)
-    return [mat.entries[i][j].coefficient(e) for i in range(3) for j in range(3) for e in monos]
+    out = []
+    for row in mat.entries:
+        for entry in row:
+            values = {e: c.value for e, c in entry.coeffs.items()}
+            out += [values.get(e, 0) for e in monos]
+    return out
 
 
 def _unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
@@ -62,7 +67,7 @@ def _unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
     )
 
 
-def _unit_products(A: FormMatrix, degree: int, sign: int, on_left: bool) -> list[list[int]]:
+def unit_products(A: FormMatrix, degree: int, sign: int, on_left: bool) -> list[list[int]]:
     """Coordinates of sign * E_rc*mu @ A (on_left) or sign * A @ E_rc*mu,
     for r, c row-major and mu over the degree-d monomials, as int rows.
 
@@ -111,8 +116,8 @@ def _homotopy_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
     """Reduced basis of the span of {vec(U*A - A*V)} for U, V in Mat_3(S_m)."""
     if m < 0:
         return []
-    gens = _unit_products(fac.A, m, 1, on_left=True)
-    gens += _unit_products(fac.A, m, -1, on_left=False)
+    gens = unit_products(fac.A, m, 1, on_left=True)
+    gens += unit_products(fac.A, m, -1, on_left=False)
     return gens[: len(linalg.rref_mod(gens, fac.f.p))]
 
 
@@ -156,12 +161,11 @@ def moore_span_basis(a) -> list[FormMatrix]:
 def verify_moore_span(a) -> bool:
     """The m = -1 solution space equals span{M_{b,e0}, M_{b,e1}, M_{b,e2}}
     inside the 9-dimensional space of constant matrices."""
+    p = a[0].p
     space = ext_space(a, -1)
     sols = [vectorize(s, 0) for s in space.solution_basis]
     span = [vectorize(s, 0) for s in moore_span_basis(a)]
-    if linalg.span_dim(span) != 3:
-        return False
-    return linalg.same_span(sols, span)
+    return linalg.rank_mod(span, p) == 3 and linalg.same_span_mod(sols, span, p)
 
 
 class RepresentationError(ValueError):
@@ -178,15 +182,11 @@ def moore_representative(a, C: FormMatrix):
     # y unknowns: y_i = sum_k y_ik x_k contributes M_{b,e_i} * x_k; then
     # the U and V unknowns (constant matrices)
     basis_m = moore_span_basis(a)
-    columns = [
-        [c.value for c in vectorize(basis_m[i].scale_form(x[k]), 1)]
-        for i in range(3)
-        for k in range(3)
-    ]
-    columns += _unit_products(fac.A, 0, 1, on_left=True)
-    columns += _unit_products(fac.A, 0, -1, on_left=False)
+    columns = [vectorize(basis_m[i].scale_form(x[k]), 1) for i in range(3) for k in range(3)]
+    columns += unit_products(fac.A, 0, 1, on_left=True)
+    columns += unit_products(fac.A, 0, -1, on_left=False)
     system = [list(row) for row in zip(*columns)]
-    rhs = [c.value for c in vectorize(C, 1)]
+    rhs = vectorize(C, 1)
     sol = linalg.solve_mod(system, rhs, p)
     if sol is None:
         residual = _residual_norm(system, rhs, p)

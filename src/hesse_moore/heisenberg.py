@@ -396,5 +396,5 @@ def verify_tensor_h3(zeta: FieldElement) -> bool:
     vectors = []
     for k in range(3):
         for f in (f0, f1, f2):
-            vectors.append([f[i][j][k] for i in range(3) for j in range(3)])
-    return linalg.span_dim(vectors) == 9
+            vectors.append([f[i][j][k].value for i in range(3) for j in range(3)])
+    return linalg.rank_mod(vectors, p) == 9

@@ -1,22 +1,22 @@
 """Exact dense linear algebra over F_p.
 
 One Gauss-Jordan kernel, ``rref_mod``, works on lists of lists of plain
-int residues with the modulus passed once; ``nullspace_mod`` and
-``solve_mod`` read their answers off it.  The public functions without
-the suffix take and return lists of lists of FieldElement: they check
-that every entry has the same modulus, convert to residues, call the
-kernel and convert the result back.  Sizes here are small (at most a
-few hundred rows), so plain elimination is all we need.  Reduced row
-echelon form is canonical, which makes subspace comparison a matter of
-comparing rref bases.
+int residues with the modulus passed once; ``nullspace_mod``,
+``solve_mod``, ``rank_mod`` and ``same_span_mod`` read their answers off
+it.  Sizes here are small (at most a few hundred rows), so plain
+elimination is all we need.  Reduced row echelon form is canonical,
+which makes subspace comparison a matter of comparing rref bases.
+
+The FieldElement functions are few: ``residues`` and ``rref`` convert
+at the boundary, and ``mat_zero``, ``identity`` and ``mat_mul`` hold
+the Heisenberg representation matrices.
 """
 
 from __future__ import annotations
 
 from .field import FieldElement, zero, one
 
-Vector = list[FieldElement]
-Matrix = list[Vector]
+Matrix = list[list[FieldElement]]
 
 
 def mat_zero(rows: int, cols: int, p: int) -> Matrix:
@@ -42,15 +42,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             for j in range(cols):
                 out[i][j] = out[i][j] + aik * b[k][j]
     return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    p = v[0].p
-    return [sum((aij * vj for aij, vj in zip(row, v)), zero(p)) for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 # -- the int kernel -------------------------------------------------------
@@ -115,6 +106,20 @@ def solve_mod(m: list[list[int]], b: list[int], p: int) -> list[int] | None:
     return x
 
 
+def rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p of the int rows (left untouched)."""
+    return len(rref_mod([list(row) for row in rows], p))
+
+
+def same_span_mod(u: list[list[int]], v: list[list[int]], p: int) -> bool:
+    """Whether the int rows u and v span the same subspace of F_p^n."""
+    bases = []
+    for rows in (u, v):
+        m = [list(row) for row in rows]
+        bases.append(m[: len(rref_mod(m, p))])
+    return bases[0] == bases[1]
+
+
 # -- the FieldElement boundary ----------------------------------------------
 
 
@@ -128,49 +133,8 @@ def residues(a: Matrix) -> tuple[list[list[int]], int | None]:
     return [[x.value for x in row] for row in a], (moduli.pop() if moduli else None)
 
 
-def _elements(m: list[list[int]], p: int) -> Matrix:
-    return [[FieldElement(x, p) for x in row] for row in m]
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns (input left untouched)."""
     m, p = residues(a)
     pivots = rref_mod(m, p)
-    return _elements(m, p), pivots
-
-
-def rank(a: Matrix) -> int:
-    return len(rref_mod(*residues(a)))
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of {v : a @ v = 0}, one vector per free column."""
-    if not a:
-        return []
-    m, p = residues(a)
-    return _elements(nullspace_mod(m, p), p)
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a @ x = b, or None when the system is inconsistent."""
-    m, p = residues(a + [b])
-    x = solve_mod(m[:-1], m[-1], p)
-    return None if x is None else _elements([x], p)[0]
-
-
-def row_space(vectors: list[Vector]) -> Matrix:
-    """Canonical (rref, zero rows dropped) basis of the span of the vectors."""
-    m, p = residues(vectors)
-    return _elements(m[: len(rref_mod(m, p))], p)
-
-
-def span_dim(vectors: list[Vector]) -> int:
-    return rank(vectors)
-
-
-def same_span(u: list[Vector], v: list[Vector]) -> bool:
-    return row_space(u) == row_space(v)
-
-
-def in_span(vectors: list[Vector], v: Vector) -> bool:
-    return span_dim(vectors + [v]) == span_dim(vectors)
+    return [[FieldElement(x, p) for x in row] for row in m], pivots

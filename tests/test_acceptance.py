@@ -1,18 +1,9 @@
 """Acceptance battery: one test per criterion, each delegating to the
 named check in hesse_moore.verify and printing its pass/fail line."""
 
-import os
 import random
 
-import pytest
-
 from hesse_moore import verify
-
-
-@pytest.fixture(scope="module")
-def rng():
-    seed = int(os.environ.get("HESSE_MOORE_SEED", "20260823"))
-    return random.Random(seed)
 
 
 def _assert(result):

@@ -128,10 +128,14 @@ def test_ext_commands(capsys):
 
 
 def test_verify_all_p7(capsys):
+    # every smooth curve over F_7 has only its nine flexes, so the two
+    # base-point checks test nothing there: they fail instead of passing
     code, payload = run_json(capsys, "verify", "all", "--p", "7")
-    assert code == 0
-    assert payload["failed"] == 0
-    assert payload["passed"] == 12
+    assert code == 1
+    assert (payload["failed"], payload["passed"]) == (2, 10)
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["rank-2 Ulrich blocks", "extension dimensions"]
+    assert all(c["detail"].startswith("vacuous: ") for c in failed)
 
 
 def test_domain_error_exit_code(capsys):
@@ -154,6 +158,8 @@ def test_usage_error_exit_code(capsys):
     bad = [
         ("hesse", "add", "--p", "13", "--lambda", "6", "--x", "1,2,3", "--a", "0,x,12"),
         ("ext", "class", "--p", "13", "--a", "1,2,3", "--C", "[[1,2,3],[1,2,3],[1,2,3]]"),
+        ("ext", "dims", "--p", "13", "--a", "1,2,3", "--m=1,y"),
+        ("ext", "basis", "--p", "13", "--a", "1,2,3", "--m=0,1"),
         ("ulrich", "trace", "--p", "13", "--a", "1,2,3", "--C",
          json.dumps([["1*x0^2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]])),
     ]

@@ -7,13 +7,14 @@ from hesse_moore.ext import (
     ext_space,
     moore_representative,
     moore_span_basis,
+    unit_products,
     vectorize,
     verify_moore_span,
 )
 from hesse_moore.field import FieldElement, zero
 from hesse_moore.hesse import extension_representative
 from hesse_moore.moore import FormMatrix, coordinate_vars, moore
-from hesse_moore.poly import HomForm
+from hesse_moore.poly import HomForm, monomials
 from hesse_moore.ulrich import moore_factorization, trace_criterion
 
 P = 13
@@ -43,7 +44,7 @@ def test_homotopies_inside_solutions():
     space = ext_space(A_POINT, 0)
     sols = [vectorize(C, 1) for C in space.solution_basis]
     for h in space.homotopy_basis:
-        assert linalg.in_span(sols, vectorize(h, 1))
+        assert linalg.rank_mod(sols + [vectorize(h, 1)], P) == len(sols)
 
 
 def test_homotopy_form():
@@ -54,13 +55,13 @@ def test_homotopy_form():
     z = HomForm.zero(0, P)
     u = FormMatrix([[z, HomForm.constant(F(1)), z], [z, z, z], [z, z, z]])
     gen = u @ fac.A - fac.A @ u
-    assert linalg.in_span(hom, vectorize(gen, 1))
+    assert linalg.rank_mod(hom + [vectorize(gen, 1)], P) == len(hom)
 
 
 def test_moore_span():
     basis = moore_span_basis(A_POINT)
     vecs = [vectorize(m, 0) for m in basis]
-    assert linalg.span_dim(vecs) == 3
+    assert linalg.rank_mod(vecs, P) == 3
     assert verify_moore_span(A_POINT)
 
 
@@ -118,7 +119,7 @@ def test_representatives_extend_homotopies():
     assert len(space.representatives) == space.quotient_dimension == 1
     hom = [vectorize(C, 1) for C in space.homotopy_basis]
     rep = vectorize(space.representatives[0], 1)
-    assert not linalg.in_span(hom, rep)
+    assert linalg.rank_mod(hom + [rep], P) == len(hom) + 1
 
 
 def test_dimension_table_other_points():
@@ -140,8 +141,32 @@ def test_representatives_match_greedy_span_dim(p, m):
     reps = []
     for C in space.solution_basis:
         v = vectorize(C, m + 1)
-        if linalg.span_dim(working + [v]) > linalg.span_dim(working):
+        if linalg.rank_mod(working + [v], p) > linalg.rank_mod(working, p):
             working.append(v)
             reps.append(v)
     assert [vectorize(C, m + 1) for C in space.representatives] == reps
     assert space.quotient_dimension == len(reps)
+
+
+def unit_matrix(r, c, mono, p):
+    """The matrix with the monomial mono at (r, c) and zero forms elsewhere."""
+    z = HomForm.zero(sum(mono), p)
+    entries = [[z] * 3 for _ in range(3)]
+    entries[r][c] = HomForm.monomial(FieldElement(1, p), mono)
+    return FormMatrix(entries)
+
+
+@pytest.mark.parametrize("p", [13, 19])
+@pytest.mark.parametrize("deg", [0, 1, 2])
+def test_unit_products_match_form_products(p, deg):
+    # reference: vec(E @ A) and vec(A @ E) from FormMatrix products with
+    # the unit matrices E, in the row order r, c, monomial
+    A = moore_factorization(tuple(FieldElement(v, p) for v in (1, 2, 3))).A
+    units = [
+        unit_matrix(r, c, mono, p) for r in range(3) for c in range(3) for mono in monomials(deg)
+    ]
+    for on_left in (True, False):
+        want = [vectorize(E @ A if on_left else A @ E, deg + 1) for E in units]
+        assert unit_products(A, deg, 1, on_left) == want
+        negated = [[-x % p for x in row] for row in unit_products(A, deg, -1, on_left)]
+        assert negated == want

@@ -88,6 +88,7 @@ CASES = {
         "hesse", "add", "--p", "13", "--lambda", "6", "--x", "1,x,3", "--a", "0,1,12",
     ],
     "usage_bad_form_cell": ["ulrich", "trace", "--p", "13", "--a", "1,2,3", "--C", _C_NO_COEFF],
+    "usage_bad_shift": ["ext", "dims", "--p", "13", "--a", "1,2,3", "--m=1,y"],
     "verify_all": ["verify", "all"],
     "verify_all_p13": ["verify", "all", "--p", "13"],
 }

@@ -12,14 +12,6 @@ def M(rows):
     return [[FieldElement(v, P) for v in row] for row in rows]
 
 
-def V(vals):
-    return [FieldElement(v, P) for v in vals]
-
-
-def random_matrix(rows, cols, rng):
-    return [[FieldElement(rng.randrange(P), P) for _ in range(cols)] for _ in range(rows)]
-
-
 def test_identity_and_mat_mul():
     a = M([[1, 2], [3, 4]])
     i = linalg.identity(2, P)
@@ -35,55 +27,69 @@ def test_rref_known():
     assert red == M([[1, 2, 0], [0, 0, 1]])
 
 
+def random_rows(rows, cols, rng, p=P):
+    return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+
+def mat_vec_mod(m, v, p=P):
+    return [sum(x * y for x, y in zip(row, v)) % p for row in m]
+
+
 def test_rref_is_canonical(rng):
-    a = random_matrix(4, 6, rng)
+    a = random_rows(4, 6, rng)
+    want = [row[:] for row in a]
+    want_pivots = linalg.rref_mod(want, P)
     shuffled = a[:]
     rng.shuffle(shuffled)
-    assert linalg.row_space(a) == linalg.row_space(shuffled)
-    # scaling rows does not change the row space either
-    scaled = [[FieldElement(5, P) * x for x in row] for row in a]
-    assert linalg.row_space(a) == linalg.row_space(scaled)
+    # scaling rows does not change the reduced form either
+    scaled = [[5 * x for x in row] for row in a]
+    for b in (shuffled, scaled):
+        assert linalg.same_span_mod(a, b, P)
+        assert linalg.rref_mod(b, P) == want_pivots
+        assert b == want
 
 
 def test_rank_nullity(rng):
     for _ in range(20):
-        a = random_matrix(4, 7, rng)
-        ns = linalg.nullspace(a)
-        assert linalg.rank(a) + len(ns) == 7
+        a = random_rows(4, 7, rng)
+        ns = linalg.nullspace_mod([row[:] for row in a], P)
+        assert linalg.rank_mod(a, P) + len(ns) == 7
         for v in ns:
-            assert all(x.is_zero() for x in linalg.mat_vec(a, v))
+            assert not any(mat_vec_mod(a, v))
         # nullspace vectors are independent
-        assert linalg.span_dim(ns) == len(ns)
+        assert linalg.rank_mod(ns, P) == len(ns)
 
 
 def test_solve_consistent(rng):
     for _ in range(20):
-        a = random_matrix(5, 3, rng)
-        x = V([rng.randrange(P) for _ in range(3)])
-        b = linalg.mat_vec(a, x)
-        sol = linalg.solve(a, b)
+        a = random_rows(5, 3, rng)
+        x = [rng.randrange(P) for _ in range(3)]
+        b = mat_vec_mod(a, x)
+        sol = linalg.solve_mod(a, b, P)
         assert sol is not None
-        assert linalg.mat_vec(a, sol) == b
+        assert mat_vec_mod(a, sol) == b
 
 
 def test_solve_inconsistent():
-    a = M([[1, 0], [1, 0]])
-    assert linalg.solve(a, V([1, 2])) is None
-    assert linalg.solve(a, V([1, 1])) == V([1, 0])
+    a = [[1, 0], [1, 0]]
+    assert linalg.solve_mod(a, [1, 2], P) is None
+    assert linalg.solve_mod(a, [1, 1], P) == [1, 0]
+    assert a == [[1, 0], [1, 0]]  # left untouched
 
 
 def test_span_predicates():
-    u = [V([1, 0, 1]), V([0, 1, 1])]
-    v = [V([1, 1, 2]), V([1, 12, 0])]
-    assert linalg.same_span(u, v)
-    assert linalg.in_span(u, V([2, 3, 5]))
-    assert not linalg.in_span(u, V([0, 0, 1]))
-    assert linalg.span_dim(u + v) == 2
-
-
-def test_transpose_involution(rng):
-    a = random_matrix(3, 5, rng)
-    assert linalg.transpose(linalg.transpose(a)) == a
+    u = [[1, 0, 1], [0, 1, 1]]
+    v = [[1, 1, 2], [1, 12, 0]]
+    assert linalg.same_span_mod(u, v, P)
+    assert linalg.rank_mod(u + [[2, 3, 5]], P) == 2  # in the span
+    assert linalg.rank_mod(u + [[0, 0, 1]], P) == 3  # not in it
+    assert not linalg.same_span_mod(u, u + [[0, 0, 1]], P)
+    assert linalg.rank_mod(u + v, P) == 2
+    # entries need not be reduced; the zero space is spanned by nothing
+    assert linalg.same_span_mod([[14, 13, 27]], [[1, 0, 1]], P)
+    assert linalg.same_span_mod([], [[0, 0, 0]], P)
+    assert not linalg.same_span_mod([], u, P)
+    assert u == [[1, 0, 1], [0, 1, 1]]  # left untouched
 
 
 def reference_rref(a):
@@ -129,21 +135,16 @@ def test_int_kernel_matches_reference(p):
             ints = [[x.value for x in row] for row in a]
             assert linalg.rref_mod(ints, p) == want_pivots
             assert ints == [[x.value for x in row] for row in want]
-            assert linalg.rank(a) == len(want_pivots)
-            assert linalg.row_space(a) == want[: len(want_pivots)]
-            for v in linalg.nullspace(a):
-                assert all(x.is_zero() for x in linalg.mat_vec(a, v))
-        assert linalg.rank(low_rank) <= 3
-        assert linalg.rank(dependent) <= 4
+            rows = [[x.value for x in row] for row in a]
+            assert linalg.rank_mod(rows, p) == len(want_pivots)
+            for v in linalg.nullspace_mod([row[:] for row in rows], p):
+                assert not any(mat_vec_mod(rows, v, p))
+        assert linalg.rank_mod([[x.value for x in row] for row in low_rank], p) <= 3
+        assert linalg.rank_mod([[x.value for x in row] for row in dependent], p) <= 4
 
 
 def test_mixed_moduli_raise():
     a = [[FieldElement(1, 7), FieldElement(2, 7)], [FieldElement(3, 13), FieldElement(4, 13)]]
-    for fn in (linalg.rref, linalg.rank, linalg.nullspace, linalg.row_space, linalg.span_dim):
+    for fn in (linalg.rref, linalg.residues):
         with pytest.raises(ValueError, match="modulus mismatch"):
             fn(a)
-    a7 = [[FieldElement(1, 7), FieldElement(2, 7)]]
-    with pytest.raises(ValueError, match="modulus mismatch"):
-        linalg.solve(a7, [FieldElement(1, 13)])
-    with pytest.raises(ValueError, match="modulus mismatch"):
-        linalg.in_span(a7, [FieldElement(1, 13), FieldElement(0, 13)])
