@@ -3,7 +3,10 @@ subcommand with canonical JSON output.
 
 Output JSON is deterministic byte-for-byte for fixed inputs (sorted
 keys, compact separators); timing goes to standard error so it never
-perturbs the payload.  Exit codes: 0 ok, 1 domain error, 2 usage error.
+perturbs the payload.  Exit codes: 0 ok, 1 domain error, 2 usage error
+(including a required option missing for the chosen action), 3 internal
+error (a failed cross-check, reported as {"error": ..., "status":
+"internal"}).  Any other exception is a bug and propagates.
 The environment variable HESSE_MOORE_SEED fixes the randomness source
 used by sampled checks in `verify all`.
 """
@@ -79,10 +82,6 @@ def _sorted_points(points) -> list[list[int]]:
     return sorted(pt.as_ints() for pt in points)
 
 
-def _matrix_payload(m: FormMatrix) -> list[list[str]]:
-    return m.serialize()
-
-
 def _parse_matrix(text: str, degree: int, p: int) -> FormMatrix:
     try:
         cells = json.loads(text)
@@ -146,11 +145,11 @@ def cmd_hesse(args):
 def cmd_moore(args):
     a = _triple(args.a, args.p)
     if args.action == "build":
-        return {"matrix": _matrix_payload(moore(a))}
+        return {"matrix": moore(a).serialize()}
     if args.action == "det":
         return {"det": moore_det(a).serialize()}
     if args.action == "adjugate":
-        return {"adjugate": _matrix_payload(moore_adjugate(a))}
+        return {"adjugate": moore_adjugate(a).serialize()}
     if args.action == "kernel":
         x = _triple(args.x, args.p)
         pt = left_kernel_point(moore_scalar(a, x))
@@ -168,14 +167,14 @@ def cmd_heis(args):
         return {"orbit": _sorted_points(orb), "size": len(orb)}
     if args.action == "invariants":
         t = heis.trace_invariants(_triple(args.a, p))
-        return {"invariants": [c.value for c in t]}
+        return {"invariants": list(t)}
     if args.action == "equiv":
         a = _triple(args.a, p)
         a2 = _triple(args.a2, p)
         return {
             "equivalent": heis.are_equivalent(a, a2),
-            "invariants": [c.value for c in heis.trace_invariants(a)],
-            "invariants2": [c.value for c in heis.trace_invariants(a2)],
+            "invariants": list(heis.trace_invariants(a)),
+            "invariants2": list(heis.trace_invariants(a2)),
             "orbit_size": len(heis.orbit(a)),
         }
     if args.action == "characters":
@@ -185,7 +184,7 @@ def cmd_heis(args):
         for j in range(n):
             chi = heis.schrodinger_character(n, j, zeta)
             table[str(j)] = {
-                f"{g.r},{g.s},{g.t}": chi(g).value for g in heis.hn_elements(n)
+                f"{g.r},{g.s},{g.t}": chi(g) for g in heis.hn_elements(n)
             }
         return {"n": n, "p": p, "zeta": zeta.value, "table": table}
     if args.action == "restrict":
@@ -207,8 +206,8 @@ def cmd_ulrich(args):
     if args.action == "rank1":
         fac = ulrich_mod.moore_factorization(a)
         return {
-            "A": _matrix_payload(fac.A),
-            "B": _matrix_payload(fac.B),
+            "A": fac.A.serialize(),
+            "B": fac.B.serialize(),
             "certified": True,
             "f": fac.f.form.serialize(),
         }
@@ -228,7 +227,7 @@ def cmd_ulrich(args):
     C = _parse_matrix(args.C, args.deg, p)
     if args.action == "partner":
         D = ulrich_mod.partner_D(fac, C)
-        return {"D": _matrix_payload(D)}
+        return {"D": D.serialize()}
     if args.action == "trace":
         return {
             "bcb_congruence": ulrich_mod.bcb_congruence(fac, C),
@@ -254,11 +253,11 @@ def cmd_ext(args):
         m = _shift(args.m)
         space = ext_mod.ext_space(a, m)
         return {
-            "homotopies": [_matrix_payload(c) for c in space.homotopy_basis],
+            "homotopies": [c.serialize() for c in space.homotopy_basis],
             "m": m,
             "quotient_dimension": space.quotient_dimension,
-            "representatives": [_matrix_payload(c) for c in space.representatives],
-            "solutions": [_matrix_payload(c) for c in space.solution_basis],
+            "representatives": [c.serialize() for c in space.representatives],
+            "solutions": [c.serialize() for c in space.solution_basis],
         }
     if args.action == "class":
         if args.C is None:
@@ -379,14 +378,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except TypeError as exc:
-        # missing argument for the chosen action (e.g. --x for kernel)
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except _DOMAIN_ERRORS as exc:
         print(json.dumps({"error": str(exc), "status": "error"},
                          sort_keys=True, separators=(",", ":")))
         return 1
+    except AssertionError as exc:
+        # an internal cross-check failed (e.g. the trace-invariant closed forms)
+        print(json.dumps({"error": str(exc), "status": "internal"},
+                         sort_keys=True, separators=(",", ":")))
+        return 3
     ok = True
     if isinstance(out, tuple):
         out, ok = out

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .field import FieldElement, one as f_one, zero as f_zero
+from .field import FieldElement, one as f_one
 from .hesse import extension_representative
 from .moore import FormMatrix, coordinate_vars, moore_scalar
 from .poly import HomForm, divide_by_cubic, monomials
@@ -148,13 +148,12 @@ def moore_span_basis(a) -> list[FormMatrix]:
     representative b of -2*a."""
     a = tuple(a)
     p = a[0].p
-    b = extension_representative(a)
+    b = [c.value for c in extension_representative(a)]
     basis = []
     for i in range(3):
-        e = [f_zero(p)] * 3
-        e[i] = f_one(p)
-        scalar = moore_scalar(b, e)
-        basis.append(FormMatrix.from_scalars(scalar, p))
+        e = [0, 0, 0]
+        e[i] = 1
+        basis.append(FormMatrix.from_scalars(moore_scalar(b, e), p))
     return basis
 
 
@@ -174,7 +173,8 @@ class RepresentationError(ValueError):
 
 def moore_representative(a, C: FormMatrix):
     """Solve C = M_{b,y} + U*A - A*V for y (linear forms) and constant
-    U, V; existence is the content of the divergence theorem."""
+    U, V (rows of int residues); existence is the content of the
+    divergence theorem."""
     a = tuple(a)
     fac = moore_factorization(a)
     p = fac.f.p
@@ -193,18 +193,17 @@ def moore_representative(a, C: FormMatrix):
         raise RepresentationError(
             f"no Moore representative: inconsistent system (residual rank defect {residual})"
         )
-    sol = [FieldElement(v, p) for v in sol]
     y = []
     for i in range(3):
         coeffs = {}
         for k in range(3):
             c = sol[3 * i + k]
-            if c.value:
+            if c:
                 exps = tuple(1 if t == k else 0 for t in range(3))
-                coeffs[exps] = c
+                coeffs[exps] = FieldElement(c, p)
         y.append(HomForm(1, p, coeffs))
-    U = [[sol[9 + 3 * r + c] for c in range(3)] for r in range(3)]
-    V = [[sol[18 + 3 * r + c] for c in range(3)] for r in range(3)]
+    U = [sol[9 + 3 * r : 12 + 3 * r] for r in range(3)]
+    V = [sol[18 + 3 * r : 21 + 3 * r] for r in range(3)]
     return tuple(y), U, V
 
 

@@ -9,7 +9,11 @@ with three trace invariants, classifies Moore matrices up to
 equivalence.
 
 Characters take values in F_p through a chosen root of unity zeta, so
-the whole computation stays in one exact arithmetic domain.
+the whole computation stays in one exact arithmetic domain.  FieldElement
+appears only in the inputs (the triples a, zeta, mu); every matrix is
+rows of int residues mod p (each Heis_3 matrix is monomial and is built
+from its shift and diagonal), trace invariants and character values are
+int residues.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
-from .field import FieldElement, one as f_one, primitive_root_of_unity, zero as f_zero
+from .field import FieldElement, primitive_root_of_unity
 from .hesse import curve_through
 from .moore import FormMatrix, ProjectivePoint, moore
 
@@ -71,62 +75,64 @@ def hn_elements(n: int) -> list[HeisenbergElement]:
 
 
 # -- the 3x3 matrix realization Heis_3 --------------------------------
+#
+# Every matrix of Heis_3 is monomial: a diagonal times a power of Sigma.
+# All of them are rows of int residues mod p.
 
 
-def sigma_matrix(p: int):
-    z, o = f_zero(p), f_one(p)
-    return [[z, z, o], [o, z, z], [z, o, z]]
+def _monomial_matrix(shift: int, diag, p: int) -> list[list[int]]:
+    """The 3x3 matrix with diag[r] at (r, r - shift mod 3), zero elsewhere."""
+    m = [[0, 0, 0] for _ in range(3)]
+    for r in range(3):
+        m[r][(r - shift) % 3] = diag[r] % p
+    return m
 
 
-def t_matrix(p: int):
-    omega = primitive_root_of_unity(p, 3)
-    z, o = f_zero(p), f_one(p)
-    return [[o, z, z], [z, omega, z], [z, z, omega * omega]]
+def sigma_matrix(p: int) -> list[list[int]]:
+    return _monomial_matrix(1, (1, 1, 1), p)
 
 
-def heis3_matrix(mu: FieldElement, i: int, j: int):
-    """The matrix mu * T^i * Sigma^j of Heis_3."""
+def t_matrix(p: int) -> list[list[int]]:
+    w = primitive_root_of_unity(p, 3).value
+    return _monomial_matrix(0, (1, w, w * w), p)
+
+
+def heis3_matrix(mu: FieldElement, i: int, j: int) -> list[list[int]]:
+    """The matrix mu * T^i * Sigma^j of Heis_3: mu * w^(i*r) at
+    (r, r - j)."""
     if not mu:
         raise ValueError("mu must be nonzero")
     p = mu.p
-    m = linalg.identity(3, p)
-    for _ in range(i % 3):
-        m = linalg.mat_mul(t_matrix(p), m)
-    for _ in range(j % 3):
-        m = linalg.mat_mul(m, sigma_matrix(p))
-    return [[mu * c for c in row] for row in m]
+    w = primitive_root_of_unity(p, 3).value
+    return _monomial_matrix(j, [mu.value * pow(w, i * r % 3, p) for r in range(3)], p)
 
 
-def commutator_matrix(p: int):
+def commutator_matrix(p: int) -> list[list[int]]:
     """[Sigma, T] = Sigma T Sigma^{-1} T^{-1} = w^2 * I.
 
     Note the exponent: for the displayed matrices the commutation
     relation is Sigma T = w^2 T Sigma, equivalently T Sigma = w Sigma T.
     """
+    mm = linalg.mat_mul_mod
     s, t = sigma_matrix(p), t_matrix(p)
-    s_inv = linalg.mat_mul(s, s)  # Sigma^3 = I
-    t_inv = linalg.mat_mul(t, t)
-    return linalg.mat_mul(linalg.mat_mul(s, t), linalg.mat_mul(s_inv, t_inv))
+    s_inv = mm(s, s, p)  # Sigma^3 = I
+    t_inv = mm(t, t, p)
+    return mm(mm(s, t, p), mm(s_inv, t_inv, p), p)
 
 
-def heis3_representation(g: HeisenbergElement, p: int):
+def heis3_representation(g: HeisenbergElement, p: int) -> list[list[int]]:
     """The matrix of [sigma,tau]^r sigma^s tau^t in Heis_3 over F_p,
-    under sigma -> Sigma, tau -> T, [sigma,tau] -> w^2 * I.
+    under sigma -> Sigma, tau -> T, [sigma,tau] -> w^2 * I: the entry
+    w^(2r + t(row - s)) at (row, row - s).
 
     A homomorphism: heis3_representation(g * h) equals the matrix
     product of the images (tested, not assumed).
     """
     if g.n != 3:
         raise ValueError("matrix realization is for H_3 only")
-    c = commutator_matrix(p)
-    acc = linalg.identity(3, p)
-    for _ in range(g.r % 3):
-        acc = linalg.mat_mul(acc, c)
-    for _ in range(g.s % 3):
-        acc = linalg.mat_mul(acc, sigma_matrix(p))
-    for _ in range(g.t % 3):
-        acc = linalg.mat_mul(acc, t_matrix(p))
-    return acc
+    w = primitive_root_of_unity(p, 3).value
+    diag = [pow(w, (2 * g.r + g.t * (r - g.s)) % 3, p) for r in range(3)]
+    return _monomial_matrix(g.s, diag, p)
 
 
 def conjugation_identities(a) -> bool:
@@ -156,7 +162,8 @@ def t_action(a):
 
 def orbit(a) -> set[ProjectivePoint]:
     """The projective Heis_3 orbit {T^i Sigma^j a}; 9 points when
-    a0*a1*a2 != 0."""
+    a0*a1*a2 != 0 and the Hesse curve through a is smooth (a vertex of
+    a singular triangle, such as (1, 1, -2), has 3)."""
     a = tuple(a)
     if all(c.value == 0 for c in a):
         raise ValueError("orbit of the zero triple")
@@ -174,63 +181,51 @@ def orbit(a) -> set[ProjectivePoint]:
 # -- trace invariants and equivalence ----------------------------------
 
 
-def _coefficient_matrices(a):
-    """M_i = d(Moore matrix)/dx_i as scalar 3x3 matrices."""
-    p = a[0].p
-    z = f_zero(p)
-    mats = []
-    for i in range(3):
-        mats.append(
-            [
-                [a[(r + c) % 3] if (r - c) % 3 == i else z for c in range(3)]
-                for r in range(3)
-            ]
-        )
-    return mats
-
-
-def n_matrices(a):
-    """N_i = M_0^{-1} M_i for i = 1, 2, with M_0 = diag(a0, a2, a1)."""
-    a = tuple(a)
-    if not (a[0] * a[1] * a[2]):
+def n_matrices(a) -> tuple[list[list[int]], list[list[int]]]:
+    """N_i = M_0^{-1} M_i for i = 1, 2, with M_0 = diag(a0, a2, a1) and
+    M_i = d(Moore matrix)/dx_i: row r of N_i holds a[2r - i] / a[2r] in
+    column r - i."""
+    (v,), p = linalg.residues([tuple(a)])
+    prod = v[0] * v[1] * v[2] % p
+    if not prod:
         raise ValueError("n_matrices needs a0*a1*a2 != 0")
-    m0, m1, m2 = _coefficient_matrices(a)
-    d_inv = [m0[i][i].inv() for i in range(3)]
-    n1 = [[d_inv[i] * m1[i][j] for j in range(3)] for i in range(3)]
-    n2 = [[d_inv[i] * m2[i][j] for j in range(3)] for i in range(3)]
-    return n1, n2
+    inv = pow(prod, p - 2, p)
+    # 1/a[k] is the product of the other two coordinates over a0*a1*a2
+    recip = [v[1] * v[2] * inv % p, v[0] * v[2] * inv % p, v[0] * v[1] * inv % p]
+    return tuple(
+        _monomial_matrix(i, [v[(2 * r - i) % 3] * recip[2 * r % 3] for r in range(3)], p)
+        for i in (1, 2)
+    )
 
 
-def _trace(m) -> FieldElement:
-    return m[0][0] + m[1][1] + m[2][2]
-
-
-def trace_invariants(a):
-    """(tr((N1 N2)^2), tr(N1^2 N2^2), tr(N1 N2 N1^2 N2^2)).
+def trace_invariants(a) -> tuple[int, int, int]:
+    """(tr((N1 N2)^2), tr(N1^2 N2^2), tr(N1 N2 N1^2 N2^2)) as residues.
 
     Computed from the matrices and cross-checked against the closed
     rational expressions; a mismatch is an internal error.
     """
-    a = tuple(a)
     n1, n2 = n_matrices(a)
-    mm = linalg.mat_mul
+    (v,), p = linalg.residues([tuple(a)])
+
+    def mm(x, y):
+        return linalg.mat_mul_mod(x, y, p)
+
+    def trace(m):
+        return (m[0][0] + m[1][1] + m[2][2]) % p
+
     n12 = mm(n1, n2)
-    n1sq = mm(n1, n1)
-    n2sq = mm(n2, n2)
-    t1 = _trace(mm(n12, n12))
-    t2 = _trace(mm(n1sq, n2sq))
-    t3 = _trace(mm(n12, mm(n1sq, n2sq)))
-    c0, c1, c2 = a[0] ** 3, a[1] ** 3, a[2] ** 3
-    sq = (a[0] * a[1] * a[2]) ** 2
-    cu = (a[0] * a[1] * a[2]) ** 3
+    n1sq_n2sq = mm(mm(n1, n1), mm(n2, n2))
+    traces = (trace(mm(n12, n12)), trace(n1sq_n2sq), trace(mm(n12, n1sq_n2sq)))
+    c0, c1, c2 = (pow(x, 3, p) for x in v)
+    inv = pow(v[0] * v[1] * v[2], p - 2, p)
     closed = (
-        (c0 * c0 + c1 * c1 + c2 * c2) / sq,
-        (c0 * c1 + c0 * c2 + c1 * c2) / sq,
-        (c0 * c0 * c1 + c1 * c1 * c2 + c2 * c2 * c0) / cu,
+        (c0 * c0 + c1 * c1 + c2 * c2) * inv * inv % p,
+        (c0 * c1 + c0 * c2 + c1 * c2) * inv * inv % p,
+        (c0 * c0 * c1 + c1 * c1 * c2 + c2 * c2 * c0) * pow(inv, 3, p) % p,
     )
-    if (t1, t2, t3) != closed:
+    if traces != closed:
         raise AssertionError("trace invariants disagree with their closed forms")
-    return t1, t2, t3
+    return traces
 
 
 def are_equivalent(a, a2) -> bool:
@@ -251,51 +246,50 @@ def are_equivalent(a, a2) -> bool:
 
 
 class ClassFunction:
-    """An F_p-valued class function on H_n."""
+    """An F_p-valued class function on H_n, with int residue values."""
 
-    def __init__(self, n: int, p: int, values: dict[HeisenbergElement, FieldElement]):
+    def __init__(self, n: int, p: int, values: dict[HeisenbergElement, int]):
         self.n = n
         self.p = p
         self.values = values
 
-    def __call__(self, g: HeisenbergElement) -> FieldElement:
+    def __call__(self, g: HeisenbergElement) -> int:
         return self.values[g]
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
+        p = self.p
         return ClassFunction(
-            self.n, self.p, {g: self.values[g] * other.values[g] for g in self.values}
+            self.n, p, {g: v * other.values[g] % p for g, v in self.values.items()}
         )
 
-    def scale(self, c: FieldElement) -> "ClassFunction":
-        return ClassFunction(self.n, self.p, {g: c * v for g, v in self.values.items()})
+    def scale(self, c: int) -> "ClassFunction":
+        p = self.p
+        return ClassFunction(self.n, p, {g: c * v % p for g, v in self.values.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
             return NotImplemented
         return self.n == other.n and self.values == other.values
 
-    def inner_product(self, other: "ClassFunction") -> FieldElement:
+    def inner_product(self, other: "ClassFunction") -> int:
         """(1/n^3) * sum_g self(g) * other(g^{-1}), in F_p."""
-        total = f_zero(self.p)
-        for g in hn_elements(self.n):
-            total = total + self.values[g] * other.values[g.inverse()]
-        return total / FieldElement(self.n ** 3, self.p)
+        p = self.p
+        total = sum(self.values[g] * other.values[g.inverse()] for g in hn_elements(self.n))
+        return total * pow(self.n ** 3, -1, p) % p
 
 
 def schrodinger_character(n: int, j: int, zeta: FieldElement) -> ClassFunction:
     """chi_j of H_n: zero off the subgroup s = 0, j*t = 0, and n*zeta^(j*r)
     on it."""
-    p = zeta.p
-    if pow(zeta.value, n, p) != 1 or any(
-        pow(zeta.value, k, p) == 1 for k in range(1, n)
-    ):
+    p, z = zeta.p, zeta.value
+    if pow(z, n, p) != 1 or any(pow(z, k, p) == 1 for k in range(1, n)):
         raise ValueError("zeta must be a primitive n-th root of unity")
     values = {}
     for g in hn_elements(n):
         if g.s % n == 0 and (j * g.t) % n == 0:
-            values[g] = FieldElement(n, p) * zeta ** ((j * g.r) % n)
+            values[g] = n * pow(z, (j * g.r) % n, p) % p
         else:
-            values[g] = f_zero(p)
+            values[g] = 0
     return ClassFunction(n, p, values)
 
 
@@ -310,16 +304,13 @@ def verify_restriction(n: int, d: int, j: int, zeta: FieldElement) -> bool:
     m = n // d
     if gcd(d, m) != 1:
         raise ValueError("restriction needs gcd(d, n/d) = 1")
+    p = zeta.p
     chi_n = schrodinger_character(n, j, zeta)
     chi_d = schrodinger_character(d, (j * m) % d, zeta ** m) if d > 1 else None
-    mult = FieldElement(m, zeta.p)
     for g in hn_elements(d):
         image = HeisenbergElement(n, (m * m * g.r) % n, (m * g.s) % n, (m * g.t) % n)
-        expected = (
-            mult * chi_d(g)
-            if chi_d is not None
-            else FieldElement(n, zeta.p)  # H_1 is trivial; chi = n at its element
-        )
+        # H_1 is trivial; chi = n at its element
+        expected = m * chi_d(g) % p if chi_d is not None else n % p
         if chi_n(image) != expected:
             return False
     return True
@@ -328,11 +319,20 @@ def verify_restriction(n: int, d: int, j: int, zeta: FieldElement) -> bool:
 # -- tensor decomposition on H_3 ---------------------------------------
 
 
-def _tensor_tau(coeff, omega):
+def _tensor(cells):
+    """The tensor with coefficient a_k on x_i y_j for each (i, j, k) in
+    cells: coeff[i][j] is a length-3 int vector over the symbolic a."""
+    coeff = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
+    for i, j, k in cells:
+        coeff[i][j][k] = 1
+    return coeff
+
+
+def _tensor_tau(coeff, omega: int, p: int):
     """tau' = rho_1(tau) x rho_1(tau) scales the basis tensor x_i y_j by
-    omega^(i+j); coeff[i][j] is a length-3 vector over the symbolic a."""
+    omega^(i+j)."""
     return [
-        [[omega ** ((i + j) % 3) * c for c in coeff[i][j]] for j in range(3)]
+        [[pow(omega, (i + j) % 3, p) * c % p for c in coeff[i][j]] for j in range(3)]
         for i in range(3)
     ]
 
@@ -342,22 +342,8 @@ def _tensor_sigma(coeff):
     return [[coeff[(i + 1) % 3][(j + 1) % 3] for j in range(3)] for i in range(3)]
 
 
-def _tensor_scale(coeff, c: FieldElement):
-    return [[[c * v for v in cell] for cell in row] for row in coeff]
-
-
-def _schrodinger_tensor_basis(p: int):
-    """f_0 = a0 x0 y0 + a1 x2 y1 + a2 x1 y2 and f_{-i} = sigma'^i(f_0),
-    with coefficients kept linear in the symbolic a (vectors in F_p^3)."""
-    z, o = f_zero(p), f_one(p)
-    zero_vec = [z, z, z]
-    f0 = [[list(zero_vec) for _ in range(3)] for _ in range(3)]
-    f0[0][0][0] = o  # a0 x0 y0
-    f0[2][1][1] = o  # a1 x2 y1
-    f0[1][2][2] = o  # a2 x1 y2
-    f1 = _tensor_sigma(_tensor_sigma(f0))  # f_1 = sigma'^2 (f_0) = sigma'^{-1}(f_0)
-    f2 = _tensor_sigma(f0)  # f_2 = sigma'(f_0)
-    return f0, f1, f2
+def _tensor_scale(coeff, c: int, p: int):
+    return [[[c * v % p for v in cell] for cell in row] for row in coeff]
 
 
 def verify_tensor_h3(zeta: FieldElement) -> bool:
@@ -371,30 +357,26 @@ def verify_tensor_h3(zeta: FieldElement) -> bool:
     p = zeta.p
     chi1 = schrodinger_character(3, 1, zeta)
     chi2 = schrodinger_character(3, 2, zeta)
-    if chi1 * chi1 != chi2.scale(FieldElement(3, p)):
+    if chi1 * chi1 != chi2.scale(3):
         return False
-    omega = zeta
-    f0, f1, f2 = _schrodinger_tensor_basis(p)
-    eigen = [f_one(p), omega * omega, omega]
+    omega = zeta.value
+    # f_0 = a0 x0 y0 + a1 x2 y1 + a2 x1 y2 and f_{-i} = sigma'^i(f_0)
+    f0 = _tensor([(0, 0, 0), (2, 1, 1), (1, 2, 2)])
+    f1 = _tensor_sigma(_tensor_sigma(f0))  # f_1 = sigma'^2 (f_0) = sigma'^{-1}(f_0)
+    f2 = _tensor_sigma(f0)  # f_2 = sigma'(f_0)
+    eigen = [1, omega * omega % p, omega]
     for f, ev in zip((f0, f1, f2), eigen):
-        if _tensor_tau(f, omega) != _tensor_scale(f, ev):
+        if _tensor_tau(f, omega, p) != _tensor_scale(f, ev, p):
             return False
     # displayed formulas: f1 = a2 x2 y0 + a0 x1 y1 + a1 x0 y2,
     #                     f2 = a1 x1 y0 + a2 x0 y1 + a0 x2 y2
-    z, o = f_zero(p), f_one(p)
-    expected_f1 = [[[z, z, z] for _ in range(3)] for _ in range(3)]
-    expected_f1[2][0][2] = o
-    expected_f1[1][1][0] = o
-    expected_f1[0][2][1] = o
-    expected_f2 = [[[z, z, z] for _ in range(3)] for _ in range(3)]
-    expected_f2[1][0][1] = o
-    expected_f2[0][1][2] = o
-    expected_f2[2][2][0] = o
+    expected_f1 = _tensor([(2, 0, 2), (1, 1, 0), (0, 2, 1)])
+    expected_f2 = _tensor([(1, 0, 1), (0, 1, 2), (2, 2, 0)])
     if [f1, f2] != [expected_f1, expected_f2]:
         return False
     # a = e_0, e_1, e_2 give three independent copies: nine independent tensors
     vectors = []
     for k in range(3):
         for f in (f0, f1, f2):
-            vectors.append([f[i][j][k].value for i in range(3) for j in range(3)])
+            vectors.append([f[i][j][k] for i in range(3) for j in range(3)])
     return linalg.rank_mod(vectors, p) == 9

@@ -7,41 +7,16 @@ it.  Sizes here are small (at most a few hundred rows), so plain
 elimination is all we need.  Reduced row echelon form is canonical,
 which makes subspace comparison a matter of comparing rref bases.
 
-The FieldElement functions are few: ``residues`` and ``rref`` convert
-at the boundary, and ``mat_zero``, ``identity`` and ``mat_mul`` hold
-the Heisenberg representation matrices.
+``mat_mul_mod`` multiplies int matrices (the Heisenberg commutator and
+trace invariants).  Only ``residues`` and ``rref`` touch FieldElement:
+they convert at the boundary.
 """
 
 from __future__ import annotations
 
-from .field import FieldElement, zero, one
+from .field import FieldElement
 
 Matrix = list[list[FieldElement]]
-
-
-def mat_zero(rows: int, cols: int, p: int) -> Matrix:
-    return [[zero(p) for _ in range(cols)] for _ in range(rows)]
-
-
-def identity(n: int, p: int) -> Matrix:
-    out = mat_zero(n, n, p)
-    for i in range(n):
-        out[i][i] = one(p)
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    p = a[0][0].p
-    out = mat_zero(rows, cols, p)
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if not aik:
-                continue
-            for j in range(cols):
-                out[i][j] = out[i][j] + aik * b[k][j]
-    return out
 
 
 # -- the int kernel -------------------------------------------------------
@@ -73,6 +48,12 @@ def rref_mod(m: list[list[int]], p: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def mat_mul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    """The product a @ b of int matrices, reduced mod p."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
 
 
 def nullspace_mod(m: list[list[int]], p: int) -> list[list[int]]:

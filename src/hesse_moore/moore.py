@@ -110,9 +110,9 @@ class FormMatrix:
             raise ValueError("modulus mismatch among entries")
 
     @classmethod
-    def from_scalars(cls, mat, p: int) -> "FormMatrix":
-        """Lift a scalar matrix to a matrix of degree-0 forms."""
-        return cls([[HomForm.constant(c) for c in row] for row in mat])
+    def from_scalars(cls, mat: list[list[int]], p: int) -> "FormMatrix":
+        """Lift a scalar matrix of int residues to a matrix of degree-0 forms."""
+        return cls([[HomForm.constant(FieldElement(c, p)) for c in row] for row in mat])
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]

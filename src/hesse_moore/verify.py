@@ -307,7 +307,7 @@ def check_characters(rng: random.Random, p: int = 13):
         for i in units:
             for j in units:
                 expect = 1 if i == j else 0
-                if chars[i].inner_product(chars[j]).value != expect:
+                if chars[i].inner_product(chars[j]) != expect:
                     ok = False
         details.append(f"orthogonality n={n}")
     if not heis.verify_restriction(6, 3, 1, primitive_root_of_unity(p, 6)):
@@ -320,6 +320,12 @@ def check_characters(rng: random.Random, p: int = 13):
 
 
 # -- 8. partner lemma -----------------------------------------------------
+
+
+def _in_column_space(left_kernel: list[list[int]], b: list[int], p: int) -> bool:
+    """Whether b is in the column space of a system, given a basis of the
+    system's left null space."""
+    return not any(sum(y * x for y, x in zip(row, b)) % p for row in left_kernel)
 
 
 def check_partner_lemma(rng: random.Random, p: int = 13, samples: int = 100):
@@ -337,21 +343,22 @@ def check_partner_lemma(rng: random.Random, p: int = 13, samples: int = 100):
     mismatches = 0
     positive = 0
     broken = 0
-    systems = {}
+    kernels = {}
     for C in candidates:
         # whether some D (entry degree deg C + 1) solves A*D + C*B = 0,
         # and whether some D solves D*A + B*C = 0
         deg = C.entries[0][0].degree + 1
-        if deg not in systems:
-            # columns: the coordinates of A @ E and E @ A for the unit
-            # matrices E of entry degree deg
-            systems[deg] = [
-                [list(row) for row in zip(*ext_mod.unit_products(fac.A, deg, 1, on_left))]
+        if deg not in kernels:
+            # the system's columns are the coordinates of A @ E (resp.
+            # E @ A) for the unit matrices E of entry degree deg; a right
+            # side is solvable when every y with y @ system = 0 kills it
+            kernels[deg] = [
+                linalg.nullspace_mod(ext_mod.unit_products(fac.A, deg, 1, on_left), p)
                 for on_left in (False, True)
             ]
-        left, right = systems[deg]
-        ca = linalg.solve_mod(left, ext_mod.vectorize(-(C @ fac.B), deg + 1), p) is not None
-        cb = linalg.solve_mod(right, ext_mod.vectorize(-(fac.B @ C), deg + 1), p) is not None
+        left, right = kernels[deg]
+        ca = _in_column_space(left, ext_mod.vectorize(-(C @ fac.B), deg + 1), p)
+        cb = _in_column_space(right, ext_mod.vectorize(-(fac.B @ C), deg + 1), p)
         cc = ulrich_mod.bcb_divisible(fac, C)
         if not (ca == cb == cc):
             mismatches += 1

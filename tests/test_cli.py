@@ -169,6 +169,52 @@ def test_usage_error_exit_code(capsys):
         assert err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moore", "kernel", "--p", "13", "--a", "1,2,3"),
+        ("heis", "equiv", "--p", "13", "--a", "1,2,3"),
+        ("heis", "orbit", "--p", "13"),
+        ("ulrich", "partner", "--p", "13", "--a", "1,2,3"),
+        ("ext", "class", "--p", "13", "--a", "1,2,3"),
+        ("hesse", "add", "--p", "13", "--lambda", "6", "--a", "1,2,3"),
+        ("hesse", "points", "--p", "13"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_missing_required_option_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+
+
+def test_type_error_in_handler_propagates(monkeypatch):
+    # a TypeError is a programming bug, not a usage error
+    from hesse_moore import heisenberg
+
+    def broken(a):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(heisenberg, "orbit", broken)
+    with pytest.raises(TypeError, match="bug"):
+        main(["heis", "orbit", "--p", "13", "--a", "1,2,3"])
+
+
+def test_internal_assertion_exits_3(capsys, monkeypatch):
+    from hesse_moore import heisenberg
+
+    def broken(a):
+        raise AssertionError("trace invariants disagree with their closed forms")
+
+    monkeypatch.setattr(heisenberg, "trace_invariants", broken)
+    code, out, _ = run(capsys, "heis", "invariants", "--p", "13", "--a", "1,2,3")
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "trace invariants disagree with their closed forms",
+        "status": "internal",
+    }
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobenius"])

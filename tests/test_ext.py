@@ -76,10 +76,13 @@ def test_moore_representative_of_moore_matrix():
     b = extension_representative(A_POINT)
     C = moore(b)
     y, U, V = moore_representative(A_POINT, C)
+    # U and V are rows of int residues
+    for mat in (U, V):
+        assert len(mat) == 3
+        assert all(len(row) == 3 and all(isinstance(x, int) and 0 <= x < P for x in row)
+                   for row in mat)
     # reconstruct: C = M_{b,y} + U*A - A*V
     fac = moore_factorization(A_POINT)
-    from hesse_moore.moore import FormMatrix
-
     u_mat = FormMatrix.from_scalars(U, P)
     v_mat = FormMatrix.from_scalars(V, P)
     rebuilt = moore(b, variables=y) + u_mat @ fac.A - fac.A @ v_mat
@@ -170,3 +173,34 @@ def test_unit_products_match_form_products(p, deg):
         assert unit_products(A, deg, 1, on_left) == want
         negated = [[-x % p for x in row] for row in unit_products(A, deg, -1, on_left)]
         assert negated == want
+
+
+@pytest.mark.parametrize("deg", [1, 2])
+def test_left_kernel_solvability_matches_solve(deg, rng):
+    # the partner-lemma check calls a right side b solvable when y . b = 0
+    # for every y with y @ system = 0; that must agree with elimination
+    p = 13
+    a = tuple(FieldElement(v, p) for v in (1, 2, 3))
+    fac = moore_factorization(a)
+    mb = moore(extension_representative(a))
+    constructed = [fac.A, mb, mb.scale(FieldElement(5, p)), fac.A + mb]
+    for on_left in (False, True):
+        gens = unit_products(fac.A, deg, 1, on_left)
+        system = [list(row) for row in zip(*gens)]
+        kernel = linalg.nullspace_mod(unit_products(fac.A, deg, 1, on_left), p)
+        assert kernel
+        rhs = [[rng.randrange(p) for _ in system] for _ in range(20)]
+        # combinations of the generators lie in the column space
+        for _ in range(20):
+            x = [rng.randrange(p) for _ in gens]
+            rhs.append([sum(c * g[i] for c, g in zip(x, gens)) % p for i in range(len(system))])
+        if deg == 2:
+            # the four constructed candidates of the check, all with partners
+            for C in constructed:
+                rhs.append(vectorize(-(fac.B @ C if on_left else C @ fac.B), deg + 1))
+        solvable = 0
+        for b in rhs:
+            by_kernel = not any(sum(y * x for y, x in zip(row, b)) % p for row in kernel)
+            assert by_kernel == (linalg.solve_mod(system, b, p) is not None)
+            solvable += by_kernel
+        assert solvable == len(rhs) - 20

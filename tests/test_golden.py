@@ -65,6 +65,12 @@ CASES = {
     "heis_characters_n6": ["heis", "characters", "--p", "13", "--n", "6"],
     "heis_restrict": ["heis", "restrict", "--p", "13", "--n", "6", "--d", "3", "--j", "1"],
     "heis_tensor": ["heis", "tensor", "--p", "13"],
+    "heis_equiv_false": ["heis", "equiv", "--p", "31", "--a", "1,2,3", "--a2", "1,1,26"],
+    "heis_invariants_zero": ["heis", "invariants", "--p", "13", "--a", "0,1,12"],
+    "heis_characters_n3": ["heis", "characters", "--p", "7", "--n", "3"],
+    "heis_tensor_p7": ["heis", "tensor", "--p", "7"],
+    "heis_restrict_d2": ["heis", "restrict", "--p", "13", "--n", "6", "--d", "2", "--j", "1"],
+    "heis_orbit_p19": ["heis", "orbit", "--p", "19", "--a", "1,2,3"],
     "ulrich_rank1": ["ulrich", "rank1", "--p", "13", "--a", "1,2,3"],
     "ulrich_rank2": ["ulrich", "rank2", "--p", "13", "--a", "1,2,3"],
     "ulrich_partner": ["ulrich", "partner", "--p", "13", "--a", "1,2,3", "--C", _C_PARTNER],

@@ -70,33 +70,82 @@ class TestNormalForm:
             HeisenbergElement(3, 0, 1, 0) * HeisenbergElement(6, 0, 1, 0)
 
 
+IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def mm(a, b, p=P):
+    return linalg.mat_mul_mod(a, b, p)
+
+
+def reference_generators(p):
+    """Sigma, T and [Sigma, T] = Sigma T Sigma^2 T^2 written out and
+    multiplied, independent of the closed forms."""
+    w = primitive_root_of_unity(p, 3).value
+    s = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    t = [[1, 0, 0], [0, w, 0], [0, 0, w * w % p]]
+    c = mm(mm(s, t, p), mm(mm(s, s, p), mm(t, t, p), p), p)
+    return s, t, c
+
+
+def reference_heis3_matrix(mu, i, j):
+    """mu * T^i * Sigma^j as a product of generator powers."""
+    p = mu.p
+    s, t, _ = reference_generators(p)
+    m = IDENTITY
+    for _ in range(i % 3):
+        m = mm(t, m, p)
+    for _ in range(j % 3):
+        m = mm(m, s, p)
+    return [[mu.value * x % p for x in row] for row in m]
+
+
+def reference_representation(g, p):
+    """[Sigma,T]^r Sigma^s T^t as a product of generator powers."""
+    s, t, c = reference_generators(p)
+    acc = IDENTITY
+    for gen, k in ((c, g.r), (s, g.s), (t, g.t)):
+        for _ in range(k % 3):
+            acc = mm(acc, gen, p)
+    return acc
+
+
+def reference_n_matrices(a):
+    """M_0^{-1} M_i with M_i = d(Moore matrix)/dx_i, entry by entry."""
+    p = a[0].p
+    v = [c.value for c in a]
+    mats = [
+        [[v[(r + c) % 3] if (r - c) % 3 == i else 0 for c in range(3)] for r in range(3)]
+        for i in range(3)
+    ]
+    d_inv = [pow(mats[0][r][r], p - 2, p) for r in range(3)]
+    return tuple(
+        [[d_inv[r] * mats[i][r][c] % p for c in range(3)] for r in range(3)] for i in (1, 2)
+    )
+
+
 class TestMatrices:
     def test_t_matrix_frozen(self):
         # omega = 3 over F_13
-        assert t_matrix(P) == [
-            [F(1), F(0), F(0)],
-            [F(0), F(3), F(0)],
-            [F(0), F(0), F(9)],
-        ]
+        assert t_matrix(P) == [[1, 0, 0], [0, 3, 0], [0, 0, 9]]
+        assert sigma_matrix(P) == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
 
     def test_orders(self):
         s, t = sigma_matrix(P), t_matrix(P)
-        i = linalg.identity(3, P)
-        assert linalg.mat_mul(s, linalg.mat_mul(s, s)) == i
-        assert linalg.mat_mul(t, linalg.mat_mul(t, t)) == i
+        assert mm(s, mm(s, s)) == IDENTITY
+        assert mm(t, mm(t, t)) == IDENTITY
 
     def test_commutation_relation(self):
         # Sigma T = w^2 T Sigma for the displayed matrices (and not w T Sigma)
-        w = primitive_root_of_unity(P, 3)
+        w = primitive_root_of_unity(P, 3).value
         s, t = sigma_matrix(P), t_matrix(P)
-        st = linalg.mat_mul(s, t)
-        ts = linalg.mat_mul(t, s)
-        assert st == [[w * w * x for x in row] for row in ts]
-        assert st != [[w * x for x in row] for row in ts]
+        st = mm(s, t)
+        ts = mm(t, s)
+        assert st == [[w * w * x % P for x in row] for row in ts]
+        assert st != [[w * x % P for x in row] for row in ts]
 
     def test_commutator_matrix_is_scalar(self):
-        w = primitive_root_of_unity(P, 3)
-        expect = [[w * w if i == j else zero(P) for j in range(3)] for i in range(3)]
+        w = primitive_root_of_unity(P, 3).value
+        expect = [[w * w % P if i == j else 0 for j in range(3)] for i in range(3)]
         assert commutator_matrix(P) == expect
 
     def test_representation_is_homomorphism(self):
@@ -104,19 +153,45 @@ class TestMatrices:
         for g in els:
             for h in els[:9]:
                 lhs = heis3_representation(g * h, P)
-                rhs = linalg.mat_mul(
-                    heis3_representation(g, P), heis3_representation(h, P)
-                )
+                rhs = mm(heis3_representation(g, P), heis3_representation(h, P))
                 assert lhs == rhs
 
     def test_heis3_matrix(self):
-        assert heis3_matrix(one(P), 0, 0) == linalg.identity(3, P)
+        assert heis3_matrix(one(P), 0, 0) == IDENTITY
         assert heis3_matrix(one(P), 1, 0) == t_matrix(P)
         assert heis3_matrix(one(P), 0, 1) == sigma_matrix(P)
         scaled = heis3_matrix(F(5), 0, 0)
-        assert scaled[0][0] == F(5)
+        assert scaled[0][0] == 5
         with pytest.raises(ValueError):
             heis3_matrix(zero(P), 1, 1)
+
+    @pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
+    def test_closed_forms_match_generator_products(self, p):
+        s, t, c = reference_generators(p)
+        assert (sigma_matrix(p), t_matrix(p), commutator_matrix(p)) == (s, t, c)
+        w = primitive_root_of_unity(p, 3).value
+        assert mm(s, t, p) == [[w * w * x % p for x in row] for row in mm(t, s, p)]
+        for mu in (1, 2, p - 1):
+            for i in range(-1, 4):
+                for j in range(-1, 4):
+                    want = reference_heis3_matrix(FieldElement(mu, p), i, j)
+                    assert heis3_matrix(FieldElement(mu, p), i, j) == want
+        els = hn_elements(3)
+        for g in els:
+            assert heis3_representation(g, p) == reference_representation(g, p)
+            for h in els:
+                prod = mm(heis3_representation(g, p), heis3_representation(h, p), p)
+                assert heis3_representation(g * h, p) == prod
+
+    @pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
+    def test_invariants_match_reference_and_orbit(self, p):
+        for vals in ((1, 2, 3), (1, 1, p - 2), (3, 5, 6)):
+            a = tuple(FieldElement(v, p) for v in vals)
+            assert n_matrices(a) == reference_n_matrices(a)
+            base = trace_invariants(a)
+            assert all(isinstance(x, int) and 0 <= x < p for x in base)
+            for pt in orbit(a):
+                assert trace_invariants(pt.coords) == base
 
 
 class TestActions:
@@ -149,19 +224,32 @@ class TestInvariants:
         # N1: entry (0,2) = a2/a0, (1,0) = a1/a2, (2,1) = a0/a1
         a = T3((1, 2, 3))
         n1, n2 = n_matrices(a)
-        z = zero(P)
         assert n1 == [
-            [z, z, F(3)],          # a2/a0 = 3
-            [F(2) / F(3), z, z],   # a1/a2
-            [z, F(1) / F(2), z],   # a0/a1
+            [0, 0, 3],   # a2/a0 = 3
+            [5, 0, 0],   # a1/a2 = 2/3 = 5
+            [0, 7, 0],   # a0/a1 = 1/2 = 7
         ]
         # M0 N1 = M1 reconstruction
-        m0 = [[F(1), z, z], [z, F(3), z], [z, z, F(2)]]
-        m1 = linalg.mat_mul(m0, n1)
-        assert m1[0][2] == F(3) and m1[1][0] == F(2) and m1[2][1] == F(1)
+        m0 = [[1, 0, 0], [0, 3, 0], [0, 0, 2]]
+        assert mm(m0, n1) == [[0, 0, 3], [2, 0, 0], [0, 1, 0]]
+        with pytest.raises(ValueError, match="a0\\*a1\\*a2 != 0"):
+            n_matrices(T3((0, 1, 12)))
 
     def test_trace_invariants_frozen(self):
-        assert trace_invariants(T3((1, 2, 3))) == (F(4), F(3), F(1))
+        assert trace_invariants(T3((1, 2, 3))) == (4, 3, 1)
+
+    def test_closed_form_mismatch_is_internal_error(self, monkeypatch):
+        # the matrix path is cross-checked: a wrong product must not pass
+        real = linalg.mat_mul_mod
+
+        def off_by_one(a, b, p):
+            m = real(a, b, p)
+            m[0][0] = (m[0][0] + 1) % p
+            return m
+
+        monkeypatch.setattr(linalg, "mat_mul_mod", off_by_one)
+        with pytest.raises(AssertionError, match="closed forms"):
+            trace_invariants(T3((1, 2, 3)))
 
     def test_invariance_over_orbit(self):
         a = T3((1, 2, 3))
@@ -191,10 +279,11 @@ class TestCharacters:
     def test_character_values(self):
         zeta = primitive_root_of_unity(P, 3)
         chi = schrodinger_character(3, 1, zeta)
-        assert chi(hn_identity(3)) == F(3)
-        assert chi(HeisenbergElement(3, 0, 1, 0)).is_zero()  # s != 0
-        assert chi(HeisenbergElement(3, 0, 0, 1)).is_zero()  # j*t != 0
-        assert chi(HeisenbergElement(3, 1, 0, 0)) == F(3) * zeta
+        assert chi(hn_identity(3)) == 3
+        assert chi(HeisenbergElement(3, 0, 1, 0)) == 0  # s != 0
+        assert chi(HeisenbergElement(3, 0, 0, 1)) == 0  # j*t != 0
+        assert chi(HeisenbergElement(3, 1, 0, 0)) == 3 * zeta.value % P
+        assert all(isinstance(v, int) and 0 <= v < P for v in chi.values.values())
 
     def test_bad_zeta_rejected(self):
         with pytest.raises(ValueError):
@@ -212,7 +301,7 @@ class TestCharacters:
         for i in units:
             for j in units:
                 ip = chars[i].inner_product(chars[j])
-                assert ip == (one(P) if i == j else zero(P))
+                assert ip == (1 if i == j else 0)
 
     def test_class_function_constant_on_conjugacy_classes(self):
         zeta = primitive_root_of_unity(P, 3)

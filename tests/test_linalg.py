@@ -13,12 +13,15 @@ def M(rows):
 
 
 def test_identity_and_mat_mul():
-    a = M([[1, 2], [3, 4]])
-    i = linalg.identity(2, P)
-    assert linalg.mat_mul(a, i) == a
-    assert linalg.mat_mul(i, a) == a
-    b = M([[0, 1], [1, 0]])
-    assert linalg.mat_mul(a, b) == M([[2, 1], [4, 3]])
+    a = [[1, 2], [3, 4]]
+    i = [[1, 0], [0, 1]]
+    assert linalg.mat_mul_mod(a, i, P) == a
+    assert linalg.mat_mul_mod(i, a, P) == a
+    assert linalg.mat_mul_mod(a, [[0, 1], [1, 0]], P) == [[2, 1], [4, 3]]
+    # products are reduced, shapes need not be square, inputs are untouched
+    assert linalg.mat_mul_mod([[12, 12, 1]], [[12], [1], [5]], P) == [[5]]
+    assert linalg.mat_mul_mod([[1], [2]], [[3, 4]], P) == [[3, 4], [6, 8]]
+    assert a == [[1, 2], [3, 4]]
 
 
 def test_rref_known():
@@ -121,26 +124,28 @@ def reference_rref(a):
 def test_int_kernel_matches_reference(p):
     rng = random.Random(1000 + p)
 
-    def rand(rows, cols):
-        return [[FieldElement(rng.randrange(p), p) for _ in range(cols)] for _ in range(rows)]
-
     for _ in range(5):
-        low_rank = linalg.mat_mul(rand(9, 3), rand(3, 8))  # rank <= 3
-        dependent = rand(4, 6)
-        dependent += [[x + y for x, y in zip(dependent[0], dependent[1])], dependent[2][:]]
-        for a in (rand(12, 5), rand(5, 12), rand(7, 7), low_rank, dependent):
+        low_rank = linalg.mat_mul_mod(
+            random_rows(9, 3, rng, p), random_rows(3, 8, rng, p), p
+        )  # rank <= 3
+        dependent = random_rows(4, 6, rng, p)
+        dependent += [[(x + y) % p for x, y in zip(dependent[0], dependent[1])], dependent[2][:]]
+        for rows in (
+            random_rows(12, 5, rng, p), random_rows(5, 12, rng, p), random_rows(7, 7, rng, p),
+            low_rank, dependent,
+        ):
+            a = [[FieldElement(x, p) for x in row] for row in rows]
             want, want_pivots = reference_rref(a)
             red, pivots = linalg.rref(a)
             assert (red, pivots) == (want, want_pivots)
-            ints = [[x.value for x in row] for row in a]
+            ints = [row[:] for row in rows]
             assert linalg.rref_mod(ints, p) == want_pivots
             assert ints == [[x.value for x in row] for row in want]
-            rows = [[x.value for x in row] for row in a]
             assert linalg.rank_mod(rows, p) == len(want_pivots)
             for v in linalg.nullspace_mod([row[:] for row in rows], p):
                 assert not any(mat_vec_mod(rows, v, p))
-        assert linalg.rank_mod([[x.value for x in row] for row in low_rank], p) <= 3
-        assert linalg.rank_mod([[x.value for x in row] for row in dependent], p) <= 4
+        assert linalg.rank_mod(low_rank, p) <= 3
+        assert linalg.rank_mod(dependent, p) <= 4
 
 
 def test_mixed_moduli_raise():

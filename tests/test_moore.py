@@ -141,13 +141,13 @@ def test_left_kernel_requires_rank_two():
     with pytest.raises(KernelError):
         left_kernel_point(moore_scalar(a, b))
     with pytest.raises(KernelError):
-        left_kernel_point(linalg.identity(3, P))
+        left_kernel_point([[F(int(i == j)) for j in range(3)] for i in range(3)])
     # det = 0 with a vanishing adjugate: rank 1 and rank 0
     rank1 = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(0)]]
     with pytest.raises(KernelError, match="rank is 1, need exactly 2"):
         left_kernel_point(rank1)
     with pytest.raises(KernelError, match="rank is 0, need exactly 2"):
-        left_kernel_point(linalg.mat_zero(3, 3, P))
+        left_kernel_point([[F(0)] * 3 for _ in range(3)])
 
 
 def test_int_kernel_keeps_the_rank_messages():
@@ -215,9 +215,19 @@ def test_scalar_adjugate_identity(rng):
     for _ in range(20):
         m = [[FieldElement(rng.randrange(P), P) for _ in range(3)] for _ in range(3)]
         adj, det = adjugate_det(m)
-        prod = linalg.mat_mul(m, adj)
+        prod = [
+            [sum((m[i][k] * adj[k][j] for k in range(3)), zero(P)) for j in range(3)]
+            for i in range(3)
+        ]
         assert prod == [
             [det if i == j else zero(P) for j in range(3)] for i in range(3)
+        ]
+        # the same identity on the int residues
+        ints = [[x.value for x in row] for row in m]
+        adj_int, det_int = adjugate_det(ints)
+        assert [[x % P for x in row] for row in adj_int] == [[x.value for x in row] for row in adj]
+        assert linalg.mat_mul_mod(ints, adj_int, P) == [
+            [det_int % P if i == j else 0 for j in range(3)] for i in range(3)
         ]
 
 
