@@ -5,7 +5,7 @@ rank-1/rank-2 Ulrich matrix factorizations with their graded extension
 spaces."""
 
 from .field import FieldElement, one, primitive_root_of_unity, validate_modulus, zero
-from .poly import HesseCubicForm, HomForm, divide, divide_by_cubic, monomials
+from .poly import HomForm, divide, monomials
 from .moore import (
     FormMatrix,
     KernelError,
@@ -67,7 +67,6 @@ __all__ = [
     "FieldElement",
     "FormMatrix",
     "HeisenbergElement",
-    "HesseCubicForm",
     "HesseCurve",
     "HomForm",
     "KernelError",
@@ -82,7 +81,6 @@ __all__ = [
     "divergence",
     "divergence_class",
     "divide",
-    "divide_by_cubic",
     "doubling_representative",
     "ext_space",
     "extension_representative",

@@ -22,7 +22,7 @@ from . import linalg
 from .field import FieldElement, one as f_one
 from .hesse import extension_representative
 from .moore import FormMatrix, coordinate_vars, moore_scalar
-from .poly import HomForm, divide_by_cubic, monomials
+from .poly import HomForm, divide, monomials
 from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_criterion
 
 
@@ -106,7 +106,7 @@ def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
         for c in range(3):
             bcr = fac.B.entries[c][r]
             for mono in monos:
-                _, rem = divide_by_cubic(bcr * HomForm.monomial(f_one(p), mono), fac.f)
+                _, rem = divide(bcr * HomForm.monomial(f_one(p), mono), fac.f.form)
                 values = {e: c.value for e, c in rem.coeffs.items()}
                 columns.append([values.get(e, 0) for e in target])
     return linalg.nullspace_mod([list(row) for row in zip(*columns)], p)

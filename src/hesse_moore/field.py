@@ -9,6 +9,8 @@ characters).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -112,11 +114,13 @@ def one(p: int) -> FieldElement:
     return FieldElement(1, p)
 
 
+@lru_cache(maxsize=None)
 def primitive_root_of_unity(p: int, n: int) -> FieldElement:
     """The smallest residue of multiplicative order exactly n in F_p.
 
     Requires n | p-1.  Deterministic, so all downstream constructions
-    (character tables, Heisenberg matrices) are reproducible.
+    (character tables, Heisenberg matrices) are reproducible.  Memoized
+    per (p, n); the shared result must not be mutated.
     """
     validate_modulus(p)
     if n <= 0 or (p - 1) % n != 0:

@@ -13,7 +13,7 @@ the whole computation stays in one exact arithmetic domain.  FieldElement
 appears only in the inputs (the triples a, zeta, mu); every matrix is
 rows of int residues mod p (each Heis_3 matrix is monomial and is built
 from its shift and diagonal), trace invariants and character values are
-int residues.
+int residues, and orbit builds its points from int triples.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class HeisenbergElement:
 
     def inverse(self) -> "HeisenbergElement":
         return HeisenbergElement(self.n, -self.r - self.s * self.t, -self.s, -self.t)
-
-    def is_identity(self) -> bool:
-        return self.r == 0 and self.s == 0 and self.t == 0
 
 
 def hn_identity(n: int) -> HeisenbergElement:
@@ -150,31 +147,38 @@ def conjugation_identities(a) -> bool:
 
 
 def sigma_action(a):
-    """Sigma sends (a0, a1, a2) to (a2, a0, a1)."""
+    """Sigma sends (a0, a1, a2) to (a2, a0, a1); FieldElements or ints."""
     return (a[2], a[0], a[1])
 
 
 def t_action(a):
     """T sends (a0, a1, a2) to (a0, w*a1, w^2*a2)."""
-    omega = primitive_root_of_unity(a[0].p, 3)
-    return (a[0], omega * a[1], omega * omega * a[2])
+    p = a[0].p
+    w = primitive_root_of_unity(p, 3).value
+    return tuple(FieldElement(v, p) for v in _t_mod([c.value for c in a], w, p))
+
+
+def _t_mod(v, w: int, p: int) -> tuple[int, int, int]:
+    """T on a triple of int residues, with w the cube root of unity."""
+    return (v[0], w * v[1] % p, w * w * v[2] % p)
 
 
 def orbit(a) -> set[ProjectivePoint]:
     """The projective Heis_3 orbit {T^i Sigma^j a}; 9 points when
     a0*a1*a2 != 0 and the Hesse curve through a is smooth (a vertex of
     a singular triangle, such as (1, 1, -2), has 3)."""
-    a = tuple(a)
-    if all(c.value == 0 for c in a):
+    p = a[0].p
+    v = tuple(c.value for c in a)
+    if not any(v):
         raise ValueError("orbit of the zero triple")
+    w = primitive_root_of_unity(p, 3).value
     out = set()
-    for i in range(3):
-        cur = a
-        for _ in range(i):
-            cur = t_action(cur)
+    for _ in range(3):
+        cur = v
         for _ in range(3):
-            out.add(ProjectivePoint(cur))
+            out.add(ProjectivePoint.from_ints(cur, p))
             cur = sigma_action(cur)
+        v = _t_mod(v, w, p)
     return out
 
 
@@ -185,7 +189,11 @@ def n_matrices(a) -> tuple[list[list[int]], list[list[int]]]:
     """N_i = M_0^{-1} M_i for i = 1, 2, with M_0 = diag(a0, a2, a1) and
     M_i = d(Moore matrix)/dx_i: row r of N_i holds a[2r - i] / a[2r] in
     column r - i."""
-    (v,), p = linalg.residues([tuple(a)])
+    return _n_matrices([c.value for c in a], a[0].p)
+
+
+def _n_matrices(v, p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """n_matrices of the int residues v."""
     prod = v[0] * v[1] * v[2] % p
     if not prod:
         raise ValueError("n_matrices needs a0*a1*a2 != 0")
@@ -204,8 +212,9 @@ def trace_invariants(a) -> tuple[int, int, int]:
     Computed from the matrices and cross-checked against the closed
     rational expressions; a mismatch is an internal error.
     """
-    n1, n2 = n_matrices(a)
-    (v,), p = linalg.residues([tuple(a)])
+    p = a[0].p
+    v = [c.value for c in a]
+    n1, n2 = _n_matrices(v, p)
 
     def mm(x, y):
         return linalg.mat_mul_mod(x, y, p)

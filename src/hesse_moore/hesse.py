@@ -6,8 +6,10 @@ Moore matrix of a specialized at b, with identity o = [0:-1:1].  Closed
 doubling/tripling formulas are the fast path; the Moore kernel is the
 reference path, and any disagreement between them is a bug.
 
-Inside HesseCurve a point is its triple of normalized int residues mod
-p; FieldElement and ProjectivePoint appear only in the arguments and
+HesseCurve is the library's one type for the cubic: it holds lam, the
+form f (the f of every MatrixFactorization) and the group law.  Inside
+it a point is its triple of normalized int residues mod p;
+FieldElement and ProjectivePoint appear only in the arguments and
 results of the public methods.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .field import FieldElement, primitive_root_of_unity
-from .poly import HesseCubicForm, HomForm
+from .poly import HomForm
 from .moore import ProjectivePoint, adjugate_det, left_kernel_mod, moore_scalar, normalize_mod
 
 Residues = tuple[int, int, int]
@@ -29,23 +31,26 @@ def iota(coords):
 
 
 class HesseCurve:
-    """A smooth Hesse cubic over F_p together with its group structure."""
+    """A smooth Hesse cubic over F_p together with its group structure;
+    ``form`` is the cubic f itself as a HomForm."""
 
     def __init__(self, lam: FieldElement):
-        self.cubic = HesseCubicForm(lam)  # rejects singular lambda
+        p = lam.p
+        if pow(lam.value, 3, p) == 27 % p:
+            raise ValueError(f"lambda = {lam.value} gives a singular cubic (lambda^3 = 27)")
         self.lam = lam
-        self.p = lam.p
+        self.p = p
         self._lam = lam.value
-        self._o = (0, 1, self.p - 1)
+        one = FieldElement(1, p)
+        self.form = HomForm(
+            3, p, {(3, 0, 0): one, (0, 3, 0): one, (0, 0, 3): one, (1, 1, 1): -lam}
+        )
+        self._o = (0, 1, p - 1)
         self._points: list[ProjectivePoint] | None = None
 
     @classmethod
     def from_lambda(cls, lam_value: int, p: int) -> "HesseCurve":
         return cls(FieldElement(lam_value, p))
-
-    @property
-    def form(self) -> HomForm:
-        return self.cubic.form
 
     @property
     def identity(self) -> ProjectivePoint:

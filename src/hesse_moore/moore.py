@@ -4,6 +4,10 @@ The Moore matrix of a triple a is M[i][j] = a[i+j] * x[i-j] with indices
 mod 3.  Its determinant cuts out a Hesse cubic, its adjugate has a
 closed form, and at a rank-2 specialization the projective kernel point
 realizes the curve's group law (see the hesse module).
+
+A ProjectivePoint is a triple of normalized int residues; its ``coords``
+property is the one conversion to FieldElements, and
+ProjectivePoint(FieldElement triple) the one conversion back.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ Triple = tuple[FieldElement, FieldElement, FieldElement]
 class ProjectivePoint:
     """A point of P^2(F_p), normalized so the first nonzero coordinate is 1.
 
-    The point is stored as int residues; ``coords``, the same coordinates
-    as FieldElements, is built on first use.
+    The point is its triple of int residues; ``coords`` is the one
+    conversion to FieldElements.
     """
 
-    __slots__ = ("residues", "p", "_coords")
+    __slots__ = ("residues", "p")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -32,7 +36,6 @@ class ProjectivePoint:
         if any(c.p != self.p for c in coords):
             raise ValueError("modulus mismatch among coordinates")
         self.residues = normalize_mod([c.value for c in coords], self.p)
-        self._coords = None
 
     @classmethod
     def from_ints(cls, values, p: int) -> "ProjectivePoint":
@@ -43,15 +46,12 @@ class ProjectivePoint:
         pt = cls.__new__(cls)
         pt.residues = normalize_mod(values, p)
         pt.p = p
-        pt._coords = None
         return pt
 
     @property
     def coords(self) -> Triple:
-        if self._coords is None:
-            p = self.p
-            self._coords = tuple(FieldElement(v, p) for v in self.residues)
-        return self._coords
+        p = self.p
+        return tuple(FieldElement(v, p) for v in self.residues)
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -59,20 +59,11 @@ class ProjectivePoint:
         return self.residues == other.residues and self.p == other.p
 
     def __hash__(self):
-        # the hash of the FieldElement coordinate tuple, so sets of points
-        # keep the iteration order they had when points stored FieldElements
-        p = self.p
-        return hash(tuple((v, p) for v in self.residues))
+        return hash((self.residues, self.p))
 
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def coordinate_product(self) -> FieldElement:
+    def coordinate_product(self) -> int:
         x, y, z = self.residues
-        return FieldElement(x * y * z, self.p)
+        return x * y * z % self.p
 
     def as_ints(self) -> list[int]:
         return list(self.residues)
@@ -179,13 +170,6 @@ class FormMatrix:
 
     def serialize(self) -> list[list[str]]:
         return [[e.serialize() for e in row] for row in self.entries]
-
-    def pretty(self) -> str:
-        cells = self.serialize()
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join(
-            "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells
-        )
 
     def __repr__(self):
         return f"FormMatrix({self.n}x{self.n}, p={self.p})"

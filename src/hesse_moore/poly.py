@@ -7,8 +7,9 @@ Sums, products and division accumulate plain int coefficients and
 wrap each output coefficient in a FieldElement once.
 
 Monomial order is graded lex with x0 > x1 > x2; since all forms are
-homogeneous this is plain lex on the exponent triples.  Division by the
-Hesse cubic (leading monomial x0^3) therefore has a canonical remainder.
+homogeneous this is plain lex on the exponent triples.  Division by one
+form (such as the Hesse cubic of the hesse module, leading monomial
+x0^3) therefore has a canonical remainder.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 from .field import FieldElement, validate_modulus, zero as f_zero
 
 Exps = tuple[int, int, int]
+
+_VARIABLES = ("x0", "x1", "x2")
 
 
 def monomials(degree: int) -> list[Exps]:
@@ -157,7 +160,7 @@ class HomForm:
 
     @classmethod
     def parse(cls, text: str, degree: int, p: int) -> "HomForm":
-        """Inverse of serialize."""
+        """Inverse of serialize; the variables are x0, x1 and x2."""
         text = text.strip()
         coeffs: dict[Exps, FieldElement] = {}
         if text == "0":
@@ -168,7 +171,9 @@ class HomForm:
             exps = [0, 0, 0]
             for fac in factors[1:]:
                 var, _, e = fac.partition("^")
-                exps[int(var[1:])] += int(e) if e else 1
+                if var not in _VARIABLES:
+                    raise ValueError(f"unknown variable {var!r}: expected x0, x1 or x2")
+                exps[_VARIABLES.index(var)] += int(e) if e else 1
             key = tuple(exps)
             coeffs[key] = coeffs.get(key, f_zero(p)) + c
         return cls(degree, p, {e: c for e, c in coeffs.items() if c.value})
@@ -250,42 +255,3 @@ def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
 
 def divides(f: HomForm, g: HomForm) -> bool:
     return divide(g, f)[1].is_zero()
-
-
-class HesseCubicForm:
-    """The cubic x0^3 + x1^3 + x2^3 - lam*x0*x1*x2, smooth (lam^3 != 27)."""
-
-    __slots__ = ("lam", "p", "form")
-
-    def __init__(self, lam: FieldElement):
-        self.lam = lam
-        self.p = lam.p
-        if (lam ** 3).value == 27 % lam.p:
-            raise ValueError(f"lambda = {lam.value} gives a singular cubic (lambda^3 = 27)")
-        one = FieldElement(1, self.p)
-        self.form = HomForm(
-            3,
-            self.p,
-            {
-                (3, 0, 0): one,
-                (0, 3, 0): one,
-                (0, 0, 3): one,
-                (1, 1, 1): -lam,
-            },
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, HesseCubicForm):
-            return NotImplemented
-        return self.lam == other.lam
-
-    def __hash__(self):
-        return hash(("hesse", self.lam))
-
-    def __repr__(self):
-        return f"HesseCubicForm(lambda={self.lam.value}, p={self.p})"
-
-
-def divide_by_cubic(g: HomForm, f: HesseCubicForm) -> tuple[HomForm, HomForm]:
-    """Division of g by the Hesse cubic; remainder is canonical (see divide)."""
-    return divide(g, f.form)

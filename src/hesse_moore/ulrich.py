@@ -5,6 +5,9 @@ adjugate, scaled so that A*B = f*I exactly (the raw product is
 a0*a1*a2*f*I).  Extension data (C, D) satisfy A*D + C*B = 0 = D*A + B*C;
 the partner D is recovered from C by exact division of B*C*B by f, and
 existence is decided by the trace criterion tr(B*C) = 0 mod f.
+
+The f of a MatrixFactorization is the HesseCurve from curve_through;
+the products equal its form f.form times the identity.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import FieldElement
-from .hesse import curve_through, extension_representative
+from .hesse import HesseCurve, curve_through, extension_representative
 from .moore import FormMatrix, ProjectivePoint, coordinate_vars, moore, moore_adjugate
-from .poly import HesseCubicForm, HomForm, divide_by_cubic
+from .poly import HomForm, divide
 
 
 class FactorizationError(ValueError):
@@ -28,12 +31,13 @@ def _identity_form(n: int, f: HomForm) -> FormMatrix:
 
 @dataclass(frozen=True)
 class MatrixFactorization:
-    """A certified pair (A, B) with A*B = B*A = f*I."""
+    """A certified pair (A, B) with A*B = B*A = f*I; f is the curve, and
+    f.form the cubic."""
 
     size: int
     A: FormMatrix
     B: FormMatrix
-    f: HesseCubicForm
+    f: HesseCurve
 
     def __post_init__(self):
         fid = _identity_form(self.size, self.f.form)
@@ -54,21 +58,21 @@ def moore_factorization(a) -> MatrixFactorization:
     curve = curve_through(ProjectivePoint(a))  # rejects singular lambda
     A = moore(a)
     B = moore_adjugate(a).scale(prod.inv())
-    return MatrixFactorization(3, A, B, curve.cubic)
+    return MatrixFactorization(3, A, B, curve)
 
 
-def _divide_matrix(m: FormMatrix, f: HesseCubicForm) -> FormMatrix:
+def _divide_matrix(m: FormMatrix, f: HomForm) -> FormMatrix:
     """Entrywise exact quotient m / f; raises FactorizationError when any
     entry is not divisible."""
     out = []
     for row in m.entries:
         qrow = []
         for entry in row:
-            q, r = divide_by_cubic(entry, f)
+            q, r = divide(entry, f)
             if not r.is_zero():
                 raise FactorizationError("no extension datum for this C: f does not divide B*C*B")
             # certified: multiply back
-            if q * f.form != entry:
+            if q * f != entry:
                 raise AssertionError("division certificate failed")
             qrow.append(q)
         out.append(qrow)
@@ -78,7 +82,7 @@ def _divide_matrix(m: FormMatrix, f: HesseCubicForm) -> FormMatrix:
 def partner_D(fac: MatrixFactorization, C: FormMatrix) -> FormMatrix:
     """The unique D with f*D = -B*C*B; verifies A*D + C*B = 0 = D*A + B*C."""
     bcb = fac.B @ C @ fac.B
-    D = -_divide_matrix(bcb, fac.f)
+    D = -_divide_matrix(bcb, fac.f.form)
     if not (fac.A @ D + C @ fac.B).is_zero() or not (D @ fac.A + fac.B @ C).is_zero():
         raise AssertionError("partner matrix does not satisfy the extension identities")
     return D
@@ -88,7 +92,7 @@ def recover_C(fac: MatrixFactorization, D: FormMatrix) -> FormMatrix:
     """The unique C with f*C = -A*D*A (inverse of partner_D)."""
     ada = fac.A @ D @ fac.A
     try:
-        C = -_divide_matrix(ada, fac.f)
+        C = -_divide_matrix(ada, fac.f.form)
     except FactorizationError:
         raise FactorizationError("no C for this D: f does not divide A*D*A")
     if not (fac.A @ D + C @ fac.B).is_zero() or not (D @ fac.A + fac.B @ C).is_zero():
@@ -98,7 +102,7 @@ def recover_C(fac: MatrixFactorization, D: FormMatrix) -> FormMatrix:
 
 def trace_criterion(fac: MatrixFactorization, C: FormMatrix) -> bool:
     """tr(B*C) = 0 mod f, equivalent to f | B*C*B entrywise."""
-    _, r = divide_by_cubic((fac.B @ C).trace(), fac.f)
+    _, r = divide((fac.B @ C).trace(), fac.f.form)
     return r.is_zero()
 
 
@@ -106,7 +110,7 @@ def bcb_divisible(fac: MatrixFactorization, C: FormMatrix) -> bool:
     """Entrywise divisibility of B*C*B by f (the partner-existence test)."""
     bcb = fac.B @ C @ fac.B
     return all(
-        divide_by_cubic(entry, fac.f)[1].is_zero()
+        divide(entry, fac.f.form)[1].is_zero()
         for row in bcb.entries
         for entry in row
     )
@@ -116,7 +120,7 @@ def bcb_congruence(fac: MatrixFactorization, C: FormMatrix) -> bool:
     """B*C*B = tr(B*C) * B mod f, entry by entry."""
     diff = fac.B @ C @ fac.B - fac.B.scale_form((fac.B @ C).trace())
     return all(
-        divide_by_cubic(entry, fac.f)[1].is_zero()
+        divide(entry, fac.f.form)[1].is_zero()
         for row in diff.entries
         for entry in row
     )

@@ -162,6 +162,9 @@ def test_usage_error_exit_code(capsys):
         ("ext", "basis", "--p", "13", "--a", "1,2,3", "--m=0,1"),
         ("ulrich", "trace", "--p", "13", "--a", "1,2,3", "--C",
          json.dumps([["1*x0^2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]])),
+        # only x0, x1, x2 are variables
+        ("ulrich", "trace", "--p", "13", "--a", "1,2,3", "--deg", "1", "--C",
+         json.dumps([["3*y0", "0", "0"], ["0", "1*z1", "0"], ["0", "0", "1*w2"]])),
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)

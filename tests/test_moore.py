@@ -54,8 +54,9 @@ class TestProjectivePoint:
             ProjectivePoint.from_ints((0, 0, 0), P)
 
     def test_coordinate_product(self):
-        assert ProjectivePoint.from_ints((1, 2, 3), P).coordinate_product() == F(6)
-        assert ProjectivePoint.from_ints((0, 1, 1), P).coordinate_product().is_zero()
+        assert ProjectivePoint.from_ints((1, 2, 3), P).coordinate_product() == 6
+        assert ProjectivePoint.from_ints((2, 3, 4), P).coordinate_product() == 3  # 1 * 8 * 2 = 16
+        assert ProjectivePoint.from_ints((0, 1, 1), P).coordinate_product() == 0
 
 
 def test_moore_displayed_entries():
@@ -194,8 +195,8 @@ def test_from_ints_matches_field_element_normalization(rng):
             assert pt.coords == want
             assert pt.as_ints() == [c.value for c in want]
             assert pt == ProjectivePoint(fe)
-            assert hash(pt) == hash(want)
-            assert pt.coordinate_product() == want[0] * want[1] * want[2]
+            assert hash(pt) == hash(ProjectivePoint(fe))
+            assert pt.coordinate_product() == (want[0] * want[1] * want[2]).value
     with pytest.raises(ValueError, match="needs 3 coordinates"):
         ProjectivePoint.from_ints((1, 2), P)
     with pytest.raises(ValueError, match="not congruent to 1 mod 6"):

@@ -1,11 +1,10 @@
 import pytest
 
 from hesse_moore.field import FieldElement, one, zero
+from hesse_moore.hesse import HesseCurve
 from hesse_moore.poly import (
-    HesseCubicForm,
     HomForm,
     divide,
-    divide_by_cubic,
     divides,
     monomials,
     sum_of_products,
@@ -96,8 +95,16 @@ def test_serialize_parse_roundtrip(rng):
     assert HomForm.parse("0", 2, P).is_zero()
 
 
+@pytest.mark.parametrize("text", ["3*y0", "1*z1", "1*w2", "2*x3", "2*X0", "1*x", "1*x01"])
+def test_parse_rejects_unknown_variables(text):
+    # only x0, x1, x2 are variables; other names used to alias them
+    with pytest.raises(ValueError, match="unknown variable"):
+        HomForm.parse(text, 1, P)
+    assert HomForm.parse("3*x0 + 1*x1^1 + 1*x2", 1, P).serialize() == "3*x0^1 + 1*x1^1 + 1*x2^1"
+
+
 def test_division_certificate(rng):
-    f = HesseCubicForm(F(6)).form
+    f = HesseCurve(F(6)).form
     for gdeg in (3, 4, 5):
         for _ in range(10):
             g = random_form(gdeg, rng)
@@ -157,26 +164,28 @@ def test_sum_of_products(rng):
 
 
 def test_divides(rng):
-    f = HesseCubicForm(F(6)).form
+    f = HesseCurve(F(6)).form
     g = random_form(2, rng)
     assert divides(f, f * g)
-    assert divide_by_cubic(f * g, HesseCubicForm(F(6)))[0] == g
+    assert divide(f * g, f) == (g, HomForm.zero(5, P))
     with pytest.raises(ZeroDivisionError):
         divide(g, HomForm.zero(1, P))
 
 
 def test_hesse_cubic_form():
-    f = HesseCubicForm(F(6))
-    assert f.form.coefficient((3, 0, 0)) == one(P)
-    assert f.form.coefficient((1, 1, 1)) == -F(6)
-    assert f.form.degree == 3
+    f = HesseCurve(F(6)).form
+    assert f.coefficient((3, 0, 0)) == one(P)
+    assert f.coefficient((0, 3, 0)) == f.coefficient((0, 0, 3)) == one(P)
+    assert f.coefficient((1, 1, 1)) == -F(6)
+    assert len(f.coeffs) == 4
+    assert f.degree == 3
 
 
 @pytest.mark.parametrize("lam", [1, 3, 9])
 def test_singular_lambda_rejected(lam):
     # lambda^3 = 27 = 1 mod 13 exactly on the cube roots of unity times 3
-    with pytest.raises(ValueError):
-        HesseCubicForm(F(lam))
+    with pytest.raises(ValueError, match="gives a singular cubic"):
+        HesseCurve(F(lam))
 
 
 def test_leading_is_graded_lex_max():

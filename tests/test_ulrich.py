@@ -1,8 +1,15 @@
 import pytest
 
 from hesse_moore.field import FieldElement, zero
-from hesse_moore.hesse import extension_representative, iota
-from hesse_moore.moore import FormMatrix, coordinate_vars, moore, moore_adjugate
+from hesse_moore.hesse import HesseCurve, curve_through, extension_representative, iota
+from hesse_moore.moore import (
+    FormMatrix,
+    ProjectivePoint,
+    coordinate_vars,
+    moore,
+    moore_adjugate,
+    moore_det,
+)
 from hesse_moore.poly import HomForm, monomials
 from hesse_moore.ulrich import (
     FactorizationError,
@@ -53,6 +60,23 @@ def test_factorization_certified(fac):
     assert fac.size == 3
     assert fac.f.lam == F(6)
     assert fac.B == moore_adjugate(A_POINT).scale(F(6).inv())
+
+
+@pytest.mark.parametrize("p", [13, 19, 37])
+def test_det_identity_is_the_factorization_curve(p, rng):
+    # det M_{a,x} = a0*a1*a2 * f, with f the curve the factorization certifies
+    checked = 0
+    while checked < 10:
+        a = tuple(FieldElement(rng.randrange(1, p), p) for _ in range(3))
+        try:
+            curve = curve_through(ProjectivePoint(a))
+        except ValueError:
+            continue  # singular lambda
+        fac = moore_factorization(a)
+        assert isinstance(fac.f, HesseCurve)
+        assert fac.f == curve
+        assert moore_det(a) == fac.f.form.scale(a[0] * a[1] * a[2])
+        checked += 1
 
 
 def test_bad_factorization_rejected(fac):
