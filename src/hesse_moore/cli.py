@@ -252,12 +252,16 @@ def cmd_ext(args):
     if args.action == "basis":
         m = _shift(args.m)
         space = ext_mod.ext_space(a, m)
+
+        def serialized(vecs):
+            return [ext_mod.unvectorize(v, m + 1, p).serialize() for v in vecs]
+
         return {
-            "homotopies": [c.serialize() for c in space.homotopy_basis],
+            "homotopies": serialized(space.homotopies),
             "m": m,
             "quotient_dimension": space.quotient_dimension,
-            "representatives": [c.serialize() for c in space.representatives],
-            "solutions": [c.serialize() for c in space.solution_basis],
+            "representatives": serialized(space.representatives),
+            "solutions": serialized(space.solutions),
         }
     if args.action == "class":
         if args.C is None:

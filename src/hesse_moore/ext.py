@@ -11,7 +11,8 @@ computed coefficientwise: matrices of forms are vectorized over the
 basis (entry row-major, monomials graded-lex) as rows of int residues,
 solution spaces come from null spaces, homotopy spaces from column
 spans, and subspace comparisons from canonical reduced echelon forms,
-all through the int kernel of the linalg module.
+all through the int kernel of the linalg module.  An ExtSpace keeps
+those int rows; unvectorize turns one back into a matrix of forms.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .field import FieldElement, one as f_one
+from .field import FieldElement
 from .hesse import extension_representative
 from .moore import FormMatrix, coordinate_vars, moore_scalar
 from .poly import HomForm, divide, monomials
@@ -28,13 +29,15 @@ from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_
 
 @dataclass
 class ExtSpace:
-    """Solution/homotopy bases and the quotient dimension at shift m."""
+    """Solution and homotopy bases, the quotient dimension and the chosen
+    quotient representatives at shift m; each basis element is the int
+    coordinate row (see vectorize) of a matrix of degree-(m+1) forms."""
 
     m: int
-    solution_basis: list[FormMatrix]
-    homotopy_basis: list[FormMatrix]
+    solutions: list[list[int]]
+    homotopies: list[list[int]]
     quotient_dimension: int
-    representatives: list[FormMatrix]
+    representatives: list[list[int]]
 
 
 def vectorize(mat: FormMatrix, degree: int) -> list[int]:
@@ -44,22 +47,19 @@ def vectorize(mat: FormMatrix, degree: int) -> list[int]:
     out = []
     for row in mat.entries:
         for entry in row:
-            values = {e: c.value for e, c in entry.coeffs.items()}
-            out += [values.get(e, 0) for e in monos]
+            out += [entry.residues.get(e, 0) for e in monos]
     return out
 
 
-def _unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
+def unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
+    """The 3x3 matrix of degree-d forms with coordinates vec over F_p
+    (the inverse of vectorize)."""
     monos = monomials(degree)
     k = len(monos)
     return FormMatrix(
         [
             [
-                HomForm(
-                    degree,
-                    p,
-                    {e: FieldElement(v, p) for e, v in zip(monos, vec[(3 * i + j) * k :]) if v},
-                )
+                HomForm.from_residues(degree, p, dict(zip(monos, vec[(3 * i + j) * k :])))
                 for j in range(3)
             ]
             for i in range(3)
@@ -85,9 +85,9 @@ def unit_products(A: FormMatrix, degree: int, sign: int, on_left: bool) -> list[
                 for t in range(3):
                     # product entry (i, j) gets mu * A[a][b]
                     i, j, a, b = (r, t, c, t) if on_left else (t, c, t, r)
-                    for e, coef in A.entries[a][b].coeffs.items():
+                    for e, coef in A.entries[a][b].residues.items():
                         shifted = (e[0] + mu[0], e[1] + mu[1], e[2] + mu[2])
-                        v[(3 * i + j) * k + index[shifted]] = sign * coef.value
+                        v[(3 * i + j) * k + index[shifted]] = sign * coef
                 rows.append(v)
     return rows
 
@@ -106,9 +106,8 @@ def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
         for c in range(3):
             bcr = fac.B.entries[c][r]
             for mono in monos:
-                _, rem = divide(bcr * HomForm.monomial(f_one(p), mono), fac.f.form)
-                values = {e: c.value for e, c in rem.coeffs.items()}
-                columns.append([values.get(e, 0) for e in target])
+                _, rem = divide(bcr * HomForm.from_residues(m + 1, p, {mono: 1}), fac.f.form)
+                columns.append([rem.residues.get(e, 0) for e in target])
     return linalg.nullspace_mod([list(row) for row in zip(*columns)], p)
 
 
@@ -136,10 +135,10 @@ def ext_space(a, m: int) -> ExtSpace:
     reps = [sols[c - len(homs)] for c in pivots if c >= len(homs)]
     return ExtSpace(
         m=m,
-        solution_basis=[_unvectorize(v, m + 1, p) for v in sols],
-        homotopy_basis=[_unvectorize(v, m + 1, p) for v in homs],
+        solutions=sols,
+        homotopies=homs,
         quotient_dimension=len(pivots) - len(homs),
-        representatives=[_unvectorize(v, m + 1, p) for v in reps],
+        representatives=reps,
     )
 
 
@@ -161,8 +160,7 @@ def verify_moore_span(a) -> bool:
     """The m = -1 solution space equals span{M_{b,e0}, M_{b,e1}, M_{b,e2}}
     inside the 9-dimensional space of constant matrices."""
     p = a[0].p
-    space = ext_space(a, -1)
-    sols = [vectorize(s, 0) for s in space.solution_basis]
+    sols = ext_space(a, -1).solutions
     span = [vectorize(s, 0) for s in moore_span_basis(a)]
     return linalg.rank_mod(span, p) == 3 and linalg.same_span_mod(sols, span, p)
 
@@ -193,18 +191,13 @@ def moore_representative(a, C: FormMatrix):
         raise RepresentationError(
             f"no Moore representative: inconsistent system (residual rank defect {residual})"
         )
-    y = []
-    for i in range(3):
-        coeffs = {}
-        for k in range(3):
-            c = sol[3 * i + k]
-            if c:
-                exps = tuple(1 if t == k else 0 for t in range(3))
-                coeffs[exps] = FieldElement(c, p)
-        y.append(HomForm(1, p, coeffs))
+    y = tuple(
+        HomForm.from_residues(1, p, dict(zip(monomials(1), sol[3 * i : 3 * i + 3])))
+        for i in range(3)
+    )
     U = [sol[9 + 3 * r : 12 + 3 * r] for r in range(3)]
     V = [sol[18 + 3 * r : 21 + 3 * r] for r in range(3)]
-    return tuple(y), U, V
+    return y, U, V
 
 
 def _residual_norm(system, rhs, p) -> int:

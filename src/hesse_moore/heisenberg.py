@@ -306,8 +306,11 @@ def verify_restriction(n: int, d: int, j: int, zeta: FieldElement) -> bool:
     """chi_j of H_n pulled back along H_d -> H_n equals (n/d) * chi_{(j*n/d) mod d}.
 
     The homomorphism maps the normal form (r, s, t) of H_d to
-    (m^2 r, m s, m t) in H_n with m = n/d; requires gcd(d, m) = 1.
+    (m^2 r, m s, m t) in H_n with m = n/d; requires d >= 1 and
+    gcd(d, m) = 1.
     """
+    if d < 1:
+        raise ValueError(f"d must be a positive divisor of n, got d = {d}")
     if n % d != 0:
         raise ValueError("d must divide n")
     m = n // d

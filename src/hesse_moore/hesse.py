@@ -41,9 +41,8 @@ class HesseCurve:
         self.lam = lam
         self.p = p
         self._lam = lam.value
-        one = FieldElement(1, p)
-        self.form = HomForm(
-            3, p, {(3, 0, 0): one, (0, 3, 0): one, (0, 0, 3): one, (1, 1, 1): -lam}
+        self.form = HomForm.from_residues(
+            3, p, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -lam.value}
         )
         self._o = (0, 1, p - 1)
         self._points: list[ProjectivePoint] | None = None

@@ -103,7 +103,7 @@ class FormMatrix:
     @classmethod
     def from_scalars(cls, mat: list[list[int]], p: int) -> "FormMatrix":
         """Lift a scalar matrix of int residues to a matrix of degree-0 forms."""
-        return cls([[HomForm.constant(FieldElement(c, p)) for c in row] for row in mat])
+        return cls([[HomForm.from_residues(0, p, {(0, 0, 0): c}) for c in row] for row in mat])
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
@@ -146,9 +146,6 @@ class FormMatrix:
 
     def scale_form(self, g: HomForm) -> "FormMatrix":
         return FormMatrix([[g * e for e in row] for row in self.entries])
-
-    def transpose(self) -> "FormMatrix":
-        return FormMatrix([list(col) for col in zip(*self.entries)])
 
     def trace(self) -> HomForm:
         acc = self.entries[0][0]
@@ -219,39 +216,27 @@ def moore_adjugate(a) -> FormMatrix:
 
     Entry (i,j) is a[i+j-1]*a[i+j+1]*x[j-i]^2 - a[i+j]^2*x[j-i-1]*x[j-i+1].
     """
-    a = _as_triple(a)
-    p = a[0].p
-    x = coordinate_vars(p)
+    (v,), p = linalg.residues([_as_triple(a)])
     out = []
     for i in range(3):
         row = []
         for j in range(3):
-            sq = (x[(j - i) % 3] * x[(j - i) % 3]).scale(
-                a[(i + j - 1) % 3] * a[(i + j + 1) % 3]
-            )
-            cross = (x[(j - i - 1) % 3] * x[(j - i + 1) % 3]).scale(
-                a[(i + j) % 3] * a[(i + j) % 3]
-            )
-            row.append(sq - cross)
+            k = (j - i) % 3
+            square = tuple(2 * int(t == k) for t in range(3))
+            cross = tuple(int(t != k) for t in range(3))
+            terms = {square: v[(i + j - 1) % 3] * v[(i + j + 1) % 3], cross: -v[(i + j) % 3] ** 2}
+            row.append(HomForm.from_residues(2, p, terms))
         out.append(row)
     return FormMatrix(out)
 
 
 def moore_det(a) -> HomForm:
     """det M_{a,x} = a0*a1*a2*(x0^3+x1^3+x2^3) - (a0^3+a1^3+a2^3)*x0*x1*x2."""
-    a = _as_triple(a)
-    p = a[0].p
-    prod = a[0] * a[1] * a[2]
-    cubes = a[0] ** 3 + a[1] ** 3 + a[2] ** 3
-    return HomForm(
-        3,
-        p,
-        {
-            (3, 0, 0): prod,
-            (0, 3, 0): prod,
-            (0, 0, 3): prod,
-            (1, 1, 1): -cubes,
-        },
+    (v,), p = linalg.residues([_as_triple(a)])
+    prod = v[0] * v[1] * v[2]
+    cubes = v[0] ** 3 + v[1] ** 3 + v[2] ** 3
+    return HomForm.from_residues(
+        3, p, {(3, 0, 0): prod, (0, 3, 0): prod, (0, 0, 3): prod, (1, 1, 1): -cubes}
     )
 
 

@@ -1,10 +1,12 @@
 """Homogeneous trivariate polynomials over F_p.
 
-Forms are stored densely as a map from exponent triples (e0, e1, e2),
-with e0+e1+e2 equal to the degree, to nonzero field elements.  The
-degrees in play never exceed six, so nothing fancier is warranted.
-Sums, products and division accumulate plain int coefficients and
-wrap each output coefficient in a FieldElement once.
+A form stores its modulus once and its coefficients as a map from
+exponent triples (e0, e1, e2), with e0+e1+e2 equal to the degree, to
+nonzero int residues mod p.  The degrees in play never exceed six, so
+nothing fancier is warranted.  Sums, products and division work on the
+residues directly.  FieldElement appears only at the edge: the
+constructor HomForm(degree, p, {exps: FieldElement}), the ``coeffs``
+view and ``evaluate``; HomForm.from_residues is the int constructor.
 
 Monomial order is graded lex with x0 > x1 > x2; since all forms are
 homogeneous this is plain lex on the exponent triples.  Division by one
@@ -14,7 +16,7 @@ x0^3) therefore has a canonical remainder.
 
 from __future__ import annotations
 
-from .field import FieldElement, validate_modulus, zero as f_zero
+from .field import FieldElement, validate_modulus
 
 Exps = tuple[int, int, int]
 
@@ -33,10 +35,16 @@ def monomials(degree: int) -> list[Exps]:
     return out
 
 
-class HomForm:
-    """A homogeneous form in x0, x1, x2 of a fixed degree over F_p."""
+def _check_exponents(exps, degree: int) -> None:
+    if len(exps) != 3 or sum(exps) != degree or min(exps) < 0:
+        raise ValueError(f"exponents {exps} do not have degree {degree}")
 
-    __slots__ = ("degree", "p", "coeffs")
+
+class HomForm:
+    """A homogeneous form in x0, x1, x2 of a fixed degree over F_p, with
+    int residue coefficients."""
+
+    __slots__ = ("degree", "p", "residues")
 
     def __init__(self, degree: int, p: int, coeffs: dict[Exps, FieldElement] | None = None):
         validate_modulus(p)
@@ -44,38 +52,46 @@ class HomForm:
             raise ValueError("degree must be nonnegative")
         self.degree = degree
         self.p = p
-        self.coeffs: dict[Exps, FieldElement] = {}
+        self.residues: dict[Exps, int] = {}
         if coeffs:
             for exps, c in coeffs.items():
-                if sum(exps) != degree or len(exps) != 3 or min(exps) < 0:
-                    raise ValueError(f"exponents {exps} do not have degree {degree}")
+                _check_exponents(exps, degree)
                 if c.p != p:
                     raise ValueError("coefficient modulus mismatch")
                 if c.value != 0:
-                    self.coeffs[exps] = c
+                    self.residues[exps] = c.value
 
     @classmethod
     def zero(cls, degree: int, p: int) -> "HomForm":
         return cls(degree, p)
 
     @classmethod
-    def monomial(cls, c: FieldElement, exps: Exps) -> "HomForm":
-        return cls(sum(exps), c.p, {tuple(exps): c})
+    def from_residues(cls, degree: int, p: int, residues: dict[Exps, int]) -> "HomForm":
+        """The form with int coefficients, each reduced mod p and dropped
+        when zero; the exponents are the caller's and are trusted to have
+        the degree."""
+        validate_modulus(p)
+        form = cls.__new__(cls)
+        form.degree = degree
+        form.p = p
+        form.residues = {e: r for e, v in residues.items() if (r := v % p)}
+        return form
 
     @classmethod
     def variable(cls, i: int, p: int) -> "HomForm":
-        exps = tuple(1 if k == i else 0 for k in range(3))
-        return cls(1, p, {exps: FieldElement(1, p)})
+        return cls.from_residues(1, p, {tuple(int(k == i) for k in range(3)): 1})
 
-    @classmethod
-    def constant(cls, c: FieldElement) -> "HomForm":
-        return cls(0, c.p, {(0, 0, 0): c})
+    @property
+    def coeffs(self) -> dict[Exps, FieldElement]:
+        """The coefficients as FieldElements, built on each read."""
+        p = self.p
+        return {e: FieldElement(v, p) for e, v in self.residues.items()}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.residues
 
-    def coefficient(self, exps: Exps) -> FieldElement:
-        return self.coeffs.get(tuple(exps), f_zero(self.p))
+    def coefficient(self, exps: Exps) -> int:
+        return self.residues.get(tuple(exps), 0)
 
     def _check(self, other: "HomForm") -> None:
         if not isinstance(other, HomForm):
@@ -87,10 +103,10 @@ class HomForm:
         self._check(other)
         if other.degree != self.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        acc = {e: c.value for e, c in self.coeffs.items()}
-        for e, c in other.coeffs.items():
-            acc[e] = acc.get(e, 0) + sign * c.value
-        return _from_residues(self.degree, self.p, acc)
+        acc = dict(self.residues)
+        for e, v in other.residues.items():
+            acc[e] = acc.get(e, 0) + sign * v
+        return HomForm.from_residues(self.degree, self.p, acc)
 
     def __add__(self, other: "HomForm") -> "HomForm":
         return self._combine(other, 1)
@@ -99,7 +115,8 @@ class HomForm:
         return self._combine(other, -1)
 
     def __neg__(self) -> "HomForm":
-        return HomForm(self.degree, self.p, {e: -c for e, c in self.coeffs.items()})
+        negated = {e: -v for e, v in self.residues.items()}
+        return HomForm.from_residues(self.degree, self.p, negated)
 
     def __mul__(self, other: "HomForm") -> "HomForm":
         return sum_of_products([(self, other)])
@@ -107,51 +124,40 @@ class HomForm:
     def scale(self, c: FieldElement) -> "HomForm":
         if c.p != self.p:
             raise ValueError("modulus mismatch")
-        return HomForm(self.degree, self.p, {e: c * v for e, v in self.coeffs.items()})
+        s = c.value
+        scaled = {e: s * v for e, v in self.residues.items()}
+        return HomForm.from_residues(self.degree, self.p, scaled)
 
     def __eq__(self, other):
         if not isinstance(other, HomForm):
             return NotImplemented
         # zero forms of different declared degrees are still distinct values
-        return self.p == other.p and self.degree == other.degree and self.coeffs == other.coeffs
+        return (
+            self.p == other.p and self.degree == other.degree and self.residues == other.residues
+        )
 
     def __hash__(self):
-        return hash((self.degree, self.p, frozenset(self.coeffs.items())))
-
-    def partial(self, i: int) -> "HomForm":
-        """Formal partial derivative with respect to x_i."""
-        if i not in (0, 1, 2):
-            raise ValueError("variable index must be 0, 1 or 2")
-        out: dict[Exps, FieldElement] = {}
-        for exps, c in self.coeffs.items():
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            v = c * FieldElement(exps[i], self.p)
-            if v.value:
-                out[tuple(new)] = v
-        return HomForm(max(self.degree - 1, 0), self.p, out)
+        return hash((self.degree, self.p, frozenset(self.residues.items())))
 
     def evaluate(self, pt) -> FieldElement:
         """Substitute a triple of field elements for (x0, x1, x2)."""
-        total = f_zero(self.p)
-        for (e0, e1, e2), c in self.coeffs.items():
-            total = total + c * pt[0] ** e0 * pt[1] ** e1 * pt[2] ** e2
-        return total
-
-    def leading(self) -> tuple[Exps, FieldElement]:
-        exps = max(self.coeffs)
-        return exps, self.coeffs[exps]
+        p = self.p
+        if any(c.p != p for c in pt):
+            raise ValueError("modulus mismatch")
+        x, y, z = (c.value for c in pt)
+        total = sum(
+            v * pow(x, e0, p) * pow(y, e1, p) * pow(z, e2, p)
+            for (e0, e1, e2), v in self.residues.items()
+        )
+        return FieldElement(total, p)
 
     def serialize(self) -> str:
         """Canonical text form: 'c*x0^e0*x1^e1*x2^e2 + ...' in graded-lex order."""
-        if not self.coeffs:
+        if not self.residues:
             return "0"
         parts = []
-        for exps in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[exps]
-            factors = [str(c.value)]
+        for exps in sorted(self.residues, reverse=True):
+            factors = [str(self.residues[exps])]
             for i, e in enumerate(exps):
                 if e:
                     factors.append(f"x{i}^{e}")
@@ -160,40 +166,34 @@ class HomForm:
 
     @classmethod
     def parse(cls, text: str, degree: int, p: int) -> "HomForm":
-        """Inverse of serialize; the variables are x0, x1 and x2."""
+        """Inverse of serialize; the variables are x0, x1 and x2, and an
+        exponent, when a '^' is written, must follow it."""
         text = text.strip()
-        coeffs: dict[Exps, FieldElement] = {}
-        if text == "0":
-            return cls(degree, p)
-        for term in text.split("+"):
-            factors = term.strip().split("*")
-            c = FieldElement(int(factors[0]), p)
-            exps = [0, 0, 0]
-            for fac in factors[1:]:
-                var, _, e = fac.partition("^")
-                if var not in _VARIABLES:
-                    raise ValueError(f"unknown variable {var!r}: expected x0, x1 or x2")
-                exps[_VARIABLES.index(var)] += int(e) if e else 1
-            key = tuple(exps)
-            coeffs[key] = coeffs.get(key, f_zero(p)) + c
-        return cls(degree, p, {e: c for e, c in coeffs.items() if c.value})
+        acc: dict[Exps, int] = {}
+        if text != "0":
+            for term in text.split("+"):
+                factors = term.strip().split("*")
+                c = int(factors[0])
+                exps = [0, 0, 0]
+                for fac in factors[1:]:
+                    var, caret, e = fac.partition("^")
+                    if var not in _VARIABLES:
+                        raise ValueError(f"unknown variable {var!r}: expected x0, x1 or x2")
+                    if caret and not e:
+                        raise ValueError(f"empty exponent in {fac!r}")
+                    exps[_VARIABLES.index(var)] += int(e) if caret else 1
+                key = tuple(exps)
+                acc[key] = acc.get(key, 0) + c
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        # terms whose coefficients cancel mod p are dropped unchecked
+        form = cls.from_residues(degree, p, acc)
+        for exps in form.residues:
+            _check_exponents(exps, degree)
+        return form
 
     def __repr__(self):
         return f"HomForm({self.serialize()!r}, deg={self.degree}, p={self.p})"
-
-
-def _from_residues(degree: int, p: int, acc: dict[Exps, int]) -> HomForm:
-    """The form with int coefficients acc, each reduced and wrapped once;
-    the exponents are the caller's and are trusted to have the degree."""
-    form = HomForm.__new__(HomForm)
-    form.degree = degree
-    form.p = p
-    form.coeffs = {}
-    for exps, v in acc.items():
-        v %= p
-        if v:
-            form.coeffs[exps] = FieldElement(v, p)
-    return form
 
 
 def sum_of_products(pairs) -> HomForm:
@@ -209,13 +209,12 @@ def sum_of_products(pairs) -> HomForm:
             raise ValueError(f"degree mismatch: {degree} vs {f.degree + g.degree}")
         elif f.p != p:
             raise ValueError("modulus mismatch")
-        g_terms = [(e, c.value) for e, c in g.coeffs.items()]
-        for (a0, a1, a2), c in f.coeffs.items():
-            v = c.value
+        g_terms = g.residues.items()
+        for (a0, a1, a2), v in f.residues.items():
             for (b0, b1, b2), w in g_terms:
                 exps = (a0 + b0, a1 + b1, a2 + b2)
                 acc[exps] = acc.get(exps, 0) + v * w
-    return _from_residues(degree, p, acc)
+    return HomForm.from_residues(degree, p, acc)
 
 
 def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
@@ -229,10 +228,10 @@ def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
     if g.p != f.p:
         raise ValueError("modulus mismatch")
     p = g.p
-    lm, lc = f.leading()
-    lc_inv = pow(lc.value, p - 2, p)
-    tail = [(e, c.value) for e, c in f.coeffs.items() if e != lm]
-    work = {e: c.value for e, c in g.coeffs.items()}
+    lm = max(f.residues)
+    lc_inv = pow(f.residues[lm], p - 2, p)
+    tail = [(e, v) for e, v in f.residues.items() if e != lm]
+    work = dict(g.residues)
     q: dict[Exps, int] = {}
     r: dict[Exps, int] = {}
     # subtracting t*f from the current leading term only changes smaller
@@ -250,8 +249,7 @@ def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
         for (e0, e1, e2), v in tail:
             key = (diff[0] + e0, diff[1] + e1, diff[2] + e2)
             work[key] = work.get(key, 0) - t * v
-    return _from_residues(max(g.degree - f.degree, 0), p, q), _from_residues(g.degree, p, r)
-
-
-def divides(f: HomForm, g: HomForm) -> bool:
-    return divide(g, f)[1].is_zero()
+    return (
+        HomForm.from_residues(max(g.degree - f.degree, 0), p, q),
+        HomForm.from_residues(g.degree, p, r),
+    )

@@ -130,14 +130,15 @@ def divergence(y) -> FieldElement:
     """div of M_{b,y} for a vector y of three linear forms:
     d y0/d x0 + d y1/d x1 + d y2/d x2."""
     y = tuple(y)
-    total = None
+    p = y[0].p
+    total = 0
     for i, form in enumerate(y):
         if form.degree != 1:
             raise ValueError("divergence expects degree-1 forms")
-        exps = tuple(1 if k == i else 0 for k in range(3))
-        c = form.coefficient(exps)
-        total = c if total is None else total + c
-    return total
+        if form.p != p:
+            raise ValueError("modulus mismatch")
+        total += form.coefficient(tuple(int(k == i) for k in range(3)))
+    return FieldElement(total, p)
 
 
 @dataclass(frozen=True)

@@ -50,23 +50,15 @@ def smooth_lambdas(p: int, count: int | None = None) -> list[int]:
     return out if count is None else out[:count]
 
 
-def _random_triple(p: int, rng: random.Random, nonzero_product=False):
+def _random_triple(p: int, rng: random.Random):
     while True:
         a = tuple(FieldElement(rng.randrange(p), p) for _ in range(3))
-        if all(c.value == 0 for c in a):
-            continue
-        if nonzero_product and not (a[0] * a[1] * a[2]):
-            continue
-        return a
+        if any(c.value for c in a):
+            return a
 
 
 def _random_form(degree: int, p: int, rng: random.Random) -> HomForm:
-    coeffs = {}
-    for e in monomials(degree):
-        c = FieldElement(rng.randrange(p), p)
-        if c.value:
-            coeffs[e] = c
-    return HomForm(degree, p, coeffs)
+    return HomForm.from_residues(degree, p, {e: rng.randrange(p) for e in monomials(degree)})
 
 
 def _random_form_matrix(degree: int, p: int, rng: random.Random) -> FormMatrix:
@@ -431,15 +423,15 @@ def _divergence_kernel_matches_homotopy(a) -> bool:
     the homotopy subspace, as subspaces."""
     p = a[0].p
     space = ext_mod.ext_space(a, 0)
-    sol_vecs = [ext_mod.vectorize(C, 1) for C in space.solution_basis]
-    hom_vecs = [ext_mod.vectorize(C, 1) for C in space.homotopy_basis]
-    values = [ext_mod.divergence_class(a, C).value for C in space.solution_basis]
+    values = [
+        ext_mod.divergence_class(a, ext_mod.unvectorize(v, 1, p)).value for v in space.solutions
+    ]
     # kernel of the functional sum c_i * values_i on solution coordinates
     kernel_vecs = [
-        [sum(c * x for c, x in zip(coeffs, column)) % p for column in zip(*sol_vecs)]
+        [sum(c * x for c, x in zip(coeffs, column)) % p for column in zip(*space.solutions)]
         for coeffs in linalg.nullspace_mod([values], p)
     ]
-    return linalg.same_span_mod(kernel_vecs, hom_vecs, p)
+    return linalg.same_span_mod(kernel_vecs, space.homotopies, p)
 
 
 def check_ext_dimensions(rng: random.Random, primes=(7, 13), sample: int = 10,

@@ -146,6 +146,13 @@ def test_domain_error_exit_code(capsys):
     assert payload["status"] == "error"
     code, payload = run_json(capsys, "hesse", "points", "--p", "12", "--lambda", "1")
     assert code == 1
+    # d < 1 is rejected by name (d = -3 used to print "holds": true)
+    for d in ("0", "-3"):
+        code, payload = run_json(
+            capsys, "heis", "restrict", "--p", "13", "--n", "6", "--d", d, "--j", "1"
+        )
+        assert code == 1
+        assert payload["error"] == f"d must be a positive divisor of n, got d = {d}"
 
 
 def test_usage_error_exit_code(capsys):
@@ -165,6 +172,9 @@ def test_usage_error_exit_code(capsys):
         # only x0, x1, x2 are variables
         ("ulrich", "trace", "--p", "13", "--a", "1,2,3", "--deg", "1", "--C",
          json.dumps([["3*y0", "0", "0"], ["0", "1*z1", "0"], ["0", "0", "1*w2"]])),
+        # a written '^' needs an exponent
+        ("ulrich", "trace", "--p", "13", "--a", "1,2,3", "--deg", "1", "--C",
+         json.dumps([["1*x0^", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]])),
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)

@@ -8,6 +8,7 @@ from hesse_moore.ext import (
     moore_representative,
     moore_span_basis,
     unit_products,
+    unvectorize,
     vectorize,
     verify_moore_span,
 )
@@ -36,24 +37,23 @@ def test_solution_basis_satisfies_trace_condition():
     fac = moore_factorization(A_POINT)
     for m in (-1, 0):
         space = ext_space(A_POINT, m)
-        for C in space.solution_basis:
-            assert trace_criterion(fac, C)
+        assert space.solutions
+        for v in space.solutions:
+            assert trace_criterion(fac, unvectorize(v, m + 1, P))
 
 
 def test_homotopies_inside_solutions():
     space = ext_space(A_POINT, 0)
-    sols = [vectorize(C, 1) for C in space.solution_basis]
-    for h in space.homotopy_basis:
-        assert linalg.rank_mod(sols + [vectorize(h, 1)], P) == len(sols)
+    sols = space.solutions
+    for h in space.homotopies:
+        assert linalg.rank_mod(sols + [h], P) == len(sols)
 
 
 def test_homotopy_form():
     # each homotopy generator U*A - A*V is reproduced by the basis span
     fac = moore_factorization(A_POINT)
-    space = ext_space(A_POINT, 0)
-    hom = [vectorize(C, 1) for C in space.homotopy_basis]
-    z = HomForm.zero(0, P)
-    u = FormMatrix([[z, HomForm.constant(F(1)), z], [z, z, z], [z, z, z]])
+    hom = ext_space(A_POINT, 0).homotopies
+    u = FormMatrix.from_scalars([[0, 1, 0], [0, 0, 0], [0, 0, 0]], P)
     gen = u @ fac.A - fac.A @ u
     assert linalg.rank_mod(hom + [vectorize(gen, 1)], P) == len(hom)
 
@@ -100,8 +100,8 @@ def test_divergence_class_values():
     assert divergence_class(A_POINT, C.scale(F(5))) == F(5) * F(3)
     # homotopy elements map to zero
     space = ext_space(A_POINT, 0)
-    for h in space.homotopy_basis[:3]:
-        assert divergence_class(A_POINT, h).is_zero()
+    for h in space.homotopies[:3]:
+        assert divergence_class(A_POINT, unvectorize(h, 1, P)).is_zero()
 
 
 def test_divergence_class_rejects_non_solutions():
@@ -120,9 +120,8 @@ def test_divergence_class_rejects_non_solutions():
 def test_representatives_extend_homotopies():
     space = ext_space(A_POINT, 0)
     assert len(space.representatives) == space.quotient_dimension == 1
-    hom = [vectorize(C, 1) for C in space.homotopy_basis]
-    rep = vectorize(space.representatives[0], 1)
-    assert linalg.rank_mod(hom + [rep], P) == len(hom) + 1
+    hom = space.homotopies
+    assert linalg.rank_mod(hom + space.representatives, P) == len(hom) + 1
 
 
 def test_dimension_table_other_points():
@@ -140,14 +139,13 @@ def test_representatives_match_greedy_span_dim(p, m):
     # span dimension of the homotopies and the representatives before it
     a = tuple(FieldElement(v, p) for v in (1, 2, 3))
     space = ext_space(a, m)
-    working = [vectorize(C, m + 1) for C in space.homotopy_basis]
+    working = list(space.homotopies)
     reps = []
-    for C in space.solution_basis:
-        v = vectorize(C, m + 1)
+    for v in space.solutions:
         if linalg.rank_mod(working + [v], p) > linalg.rank_mod(working, p):
             working.append(v)
             reps.append(v)
-    assert [vectorize(C, m + 1) for C in space.representatives] == reps
+    assert space.representatives == reps
     assert space.quotient_dimension == len(reps)
 
 
@@ -155,7 +153,7 @@ def unit_matrix(r, c, mono, p):
     """The matrix with the monomial mono at (r, c) and zero forms elsewhere."""
     z = HomForm.zero(sum(mono), p)
     entries = [[z] * 3 for _ in range(3)]
-    entries[r][c] = HomForm.monomial(FieldElement(1, p), mono)
+    entries[r][c] = HomForm(sum(mono), p, {mono: FieldElement(1, p)})
     return FormMatrix(entries)
 
 
@@ -204,3 +202,23 @@ def test_left_kernel_solvability_matches_solve(deg, rng):
             assert by_kernel == (linalg.solve_mod(system, b, p) is not None)
             solvable += by_kernel
         assert solvable == len(rhs) - 20
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
+def test_unvectorize_inverts_vectorize(p, rng):
+    for deg in (0, 1, 2):
+        monos = monomials(deg)
+        for _ in range(5):
+            M = FormMatrix(
+                [
+                    [
+                        HomForm(deg, p, {e: FieldElement(rng.randrange(p), p) for e in monos})
+                        for _ in range(3)
+                    ]
+                    for _ in range(3)
+                ]
+            )
+            vec = vectorize(M, deg)
+            assert len(vec) == 9 * len(monos)
+            assert unvectorize(vec, deg, p) == M
+            assert vectorize(unvectorize(vec, deg, p), deg) == vec

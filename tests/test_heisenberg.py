@@ -321,6 +321,11 @@ class TestCharacters:
             verify_restriction(6, 4, 1, zeta6)  # 4 does not divide 6
         with pytest.raises(ValueError):
             verify_restriction(4, 2, 1, primitive_root_of_unity(P, 4))  # gcd(2,2) != 1
+        # H_d is empty for d < 1, so the loop used to pass vacuously (d < 0)
+        # or fail on n % 0 (d = 0)
+        for d in (0, -3):
+            with pytest.raises(ValueError, match=f"got d = {d}$"):
+                verify_restriction(6, d, 1, zeta6)
 
     def test_tensor_h3(self):
         assert verify_tensor_h3(primitive_root_of_unity(P, 3))
