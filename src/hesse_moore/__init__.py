@@ -15,7 +15,6 @@ from .moore import (
     moore_adjugate,
     moore_det,
     moore_scalar,
-    right_kernel_point,
 )
 from .hesse import (
     HesseCurve,
@@ -102,7 +101,6 @@ __all__ = [
     "primitive_root_of_unity",
     "rank2_ulrich",
     "recover_C",
-    "right_kernel_point",
     "schrodinger_character",
     "trace_criterion",
     "trace_invariants",

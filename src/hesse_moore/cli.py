@@ -171,10 +171,12 @@ def cmd_heis(args):
     if args.action == "equiv":
         a = _triple(args.a, p)
         a2 = _triple(args.a2, p)
+        same_curve = heis.on_same_curve(a, a2)
+        inv, inv2 = heis.trace_invariants(a), heis.trace_invariants(a2)
         return {
-            "equivalent": heis.are_equivalent(a, a2),
-            "invariants": list(heis.trace_invariants(a)),
-            "invariants2": list(heis.trace_invariants(a2)),
+            "equivalent": same_curve and inv == inv2,
+            "invariants": list(inv),
+            "invariants2": list(inv2),
             "orbit_size": len(heis.orbit(a)),
         }
     if args.action == "characters":

@@ -237,18 +237,18 @@ def trace_invariants(a) -> tuple[int, int, int]:
     return traces
 
 
+def on_same_curve(a, a2) -> bool:
+    """Whether the triples a and a2, both with nonzero coordinate
+    products, lie on the same smooth Hesse cubic."""
+    if not (a[0] * a[1] * a[2]) or not (a2[0] * a2[1] * a2[2]):
+        raise ValueError("equivalence test needs nonzero coordinate products")
+    return curve_through(ProjectivePoint(a)).lam == curve_through(ProjectivePoint(a2)).lam
+
+
 def are_equivalent(a, a2) -> bool:
     """Whether the Moore matrices of a and a2 are equivalent: both on the
     same smooth curve and with equal trace invariants."""
-    a = tuple(a)
-    a2 = tuple(a2)
-    if not (a[0] * a[1] * a[2]) or not (a2[0] * a2[1] * a2[2]):
-        raise ValueError("equivalence test needs nonzero coordinate products")
-    ca = curve_through(ProjectivePoint(a))
-    cb = curve_through(ProjectivePoint(a2))
-    if ca.lam != cb.lam:
-        return False
-    return trace_invariants(a) == trace_invariants(a2)
+    return on_same_curve(a, a2) and trace_invariants(a) == trace_invariants(a2)
 
 
 # -- Schroedinger characters -------------------------------------------

@@ -93,19 +93,26 @@ class HesseCurve:
         return pt.residues
 
     def enumerate_points(self) -> list[ProjectivePoint]:
-        """All of E(F_p) in the order of the normalized representatives
-        [0:0:1], [0:1:z], [1:y:z] of P^2, found with a table of cubes
-        ([0:0:1] is never on the curve)."""
+        """All of E(F_p) in the order [0:1:z], [1:y:z] of normalized
+        representatives, in O(p) from the lines through o: x0 = 0, where
+        z^3 = -1, and each x1 + x2 = t*x0, where a*y^2 - t*a*y + 1 + t^3 = 0
+        with a = 3t + lam (a = 0, the tangent at o, has no affine point).
+        Every point found is checked against f."""
         if self._points is None:
             p, lam = self.p, self._lam
-            cubes = [v * v * v % p for v in range(p)]
-            found = [(0, 1, z) for z, c in enumerate(cubes) if (1 + c) % p == 0]
-            for y in range(p):
-                base = 1 + cubes[y]
-                ly = lam * y % p
-                found.extend(
-                    (1, y, z) for z, c in enumerate(cubes) if (base + c - ly * z) % p == 0
-                )
+            sqrt = {r * r % p: r for r in range(p)}
+            affine = set()
+            for t in range(p):
+                a = (3 * t + lam) % p
+                s = sqrt.get(a * (t * t * a - 4 * (1 + t * t * t)) % p)
+                if a and s is not None:
+                    inv = pow(2 * a, p - 2, p)
+                    for y in ((t * a + s) * inv % p, (t * a - s) * inv % p):
+                        affine.add((1, y, (t - y) % p))
+            found = [(0, 1, z) for z in range(p) if (1 + z * z * z) % p == 0] + sorted(affine)
+            for v in found:
+                if not self._on_curve(v):
+                    raise AssertionError(f"enumerated [{v[0]}:{v[1]}:{v[2]}] is not on {self}")
             self._points = [self._point(v) for v in found]
         return list(self._points)
 

@@ -161,10 +161,6 @@ class FormMatrix:
             return NotImplemented
         return (self - other).is_zero()
 
-    def specialize(self, pt) -> list[list[FieldElement]]:
-        """Evaluate every entry at a scalar triple."""
-        return [[e.evaluate(pt) for e in row] for row in self.entries]
-
     def serialize(self) -> list[list[str]]:
         return [[e.serialize() for e in row] for row in self.entries]
 
@@ -287,8 +283,3 @@ def left_kernel_point(m: list[list[FieldElement]]) -> ProjectivePoint:
     """The projective point spanning {c : m @ c = 0} of a rank-2 matrix."""
     ints, p = linalg.residues(m)
     return ProjectivePoint.from_ints(left_kernel_mod(ints, p), p)
-
-
-def right_kernel_point(m: list[list[FieldElement]]) -> ProjectivePoint:
-    """The projective point spanning the left null space {d : d @ m = 0}."""
-    return left_kernel_point([list(col) for col in zip(*m)])

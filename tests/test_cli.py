@@ -228,6 +228,29 @@ def test_internal_assertion_exits_3(capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "13", "--a", "1,2,3", "--a2", "3,1,2"),
+        ("--p", "31", "--a", "1,2,3", "--a2", "1,1,26"),
+    ],
+)
+def test_heis_equiv_computes_each_triples_invariants_once(capsys, monkeypatch, argv):
+    from hesse_moore import heisenberg
+
+    calls = []
+    counted = heisenberg.trace_invariants
+
+    def counting(a):
+        calls.append(a)
+        return counted(a)
+
+    monkeypatch.setattr(heisenberg, "trace_invariants", counting)
+    code, _, _ = run(capsys, "heis", "equiv", *argv)
+    assert code == 0
+    assert len(calls) <= 2
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobenius"])

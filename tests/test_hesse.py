@@ -245,9 +245,93 @@ def test_off_curve_and_foreign_points_raise_the_same_errors():
 def test_point_counts_divisible_by_nine_in_hasse_window():
     # p = 1 (mod 3) makes E[3] rational, so 9 | #E(F_p)
     rng = random.Random(500)
-    primes = [p for p in range(7, 500, 6) if is_prime(p)]
+    primes = [p for p in range(7, 2000, 6) if is_prime(p)]
     for p in primes:
         curve = HesseCurve.from_lambda(rng.choice(smooth_lambdas(p)), p)
         n = len(curve.enumerate_points())
         lo, hi = curve.hasse_window()
         assert n % 9 == 0 and lo <= n <= hi, (p, curve.lam.value, n)
+
+
+def test_enumerate_points_near_ten_thousand():
+    p = 10009
+    curve = HesseCurve.from_lambda(random.Random(p).choice(smooth_lambdas(p)), p)
+    pts = curve.enumerate_points()
+    residues = [q.residues for q in pts]
+    assert len(set(residues)) == len(residues)
+    assert all(curve.contains(q) for q in pts)
+    lo, hi = curve.hasse_window()
+    assert len(pts) % 9 == 0 and lo <= len(pts) <= hi
+
+
+# -- the O(p) enumeration against the O(p^2) scan ---------------------------
+
+
+def cube_table_points(curve):
+    """E(F_p) as residue triples by testing every normalized
+    representative [0:1:z], [1:y:z] of P^2 against a table of cubes."""
+    p, lam = curve.p, curve.lam.value
+    cubes = [v * v * v % p for v in range(p)]
+    found = [(0, 1, z) for z, c in enumerate(cubes) if (1 + c) % p == 0]
+    for y in range(p):
+        base = 1 + cubes[y]
+        ly = lam * y % p
+        found.extend((1, y, z) for z, c in enumerate(cubes) if (base + c - ly * z) % p == 0)
+    return found
+
+
+def test_enumerate_points_matches_cube_table_scan():
+    primes = [p for p in range(7, 400, 6) if is_prime(p)]
+    for p in primes:
+        rng = random.Random(p)
+        for lam in rng.sample(smooth_lambdas(p), 2):
+            curve = HesseCurve.from_lambda(lam, p)
+            assert [q.residues for q in curve.enumerate_points()] == cube_table_points(curve)
+
+
+@pytest.mark.parametrize(
+    "p, lam, tangent_at_o, tangents",
+    [(13, 6, 11, [9]), (31, 1, 10, [16, 22, 25])],
+)
+def test_enumeration_branches_tangent_lines_through_o(p, lam, tangent_at_o, tangents):
+    # on the line x1 + x2 = t*x0, f(1, y, t - y) = a*y^2 - t*a*y + c with
+    # a = 3t + lam, c = 1 + t^3 and discriminant a*(t^2*a - 4c)
+    def a(t):
+        return (3 * t + lam) % p
+
+    def disc(t):
+        return a(t) * (t * t * a(t) - 4 * (1 + t ** 3)) % p
+
+    assert [t for t in range(p) if not a(t)] == [tangent_at_o]
+    assert [t for t in range(p) if a(t) and not disc(t)] == tangents
+    curve = HesseCurve.from_lambda(lam, p)
+    pts = curve.enumerate_points()
+    assert [q.residues for q in pts] == cube_table_points(curve)
+
+    def on_line(t):
+        return [q for q in pts if q.residues[0] == 1 and sum(q.residues[1:]) % p == t]
+
+    # a = 0: the tangent at the flex o meets E only at o
+    assert on_line(tangent_at_o) == []
+    # a zero discriminant: the line touches E at one point Q, and
+    # Q + Q + o collinear makes Q a point of order 2
+    for t in tangents:
+        (q,) = on_line(t)
+        assert q != curve.identity and curve.double(q) == curve.identity
+
+
+def test_group_law_axioms_sweep():
+    primes = [p for p in range(7, 300, 6) if is_prime(p)]
+    rng = random.Random(300)
+    for p in primes:
+        curve = HesseCurve.from_lambda(rng.choice(smooth_lambdas(p)), p)
+        pts = curve.enumerate_points()
+        a, b, c = (rng.choice(pts) for _ in range(3))
+        o = curve.identity
+        assert curve.add(a, o) == a and curve.add(o, a) == a
+        assert curve.add(a, curve.neg(a)) == o
+        assert curve.add(a, b) == curve.add(b, a)
+        assert curve.add(curve.add(a, b), c) == curve.add(a, curve.add(b, c))
+        two = curve.add(a, a)
+        assert curve.double(a) == two
+        assert curve.triple(a) == curve.add(two, a)
