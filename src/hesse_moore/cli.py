@@ -24,7 +24,7 @@ from . import ext as ext_mod
 from . import heisenberg as heis
 from . import ulrich as ulrich_mod
 from . import verify as verify_mod
-from .field import FieldElement, primitive_root_of_unity
+from .field import FieldElement, primitive_root_of_unity, residues
 from .hesse import HesseCurve, curve_through
 from .moore import (
     FormMatrix,
@@ -220,7 +220,7 @@ def cmd_ulrich(args):
             "B": blocks.factorization.B.serialize(),
             "certified": True,
             "divergence": blocks.divergence.value,
-            "extension_triple": [c.value for c in blocks.extension_triple],
+            "extension_triple": residues(blocks.extension_triple)[0],
             "f": blocks.factorization.f.form.serialize(),
         }
     fac = ulrich_mod.moore_factorization(a)
@@ -269,8 +269,7 @@ def cmd_ext(args):
         if args.C is None:
             raise UsageError("class needs --C")
         C = _parse_matrix(args.C, 1, p)
-        value = ext_mod.divergence_class(a, C)
-        return {"class": value.value}
+        return {"class": ext_mod.divergence_class(a, C)}
     raise UsageError(f"unknown ext action {args.action!r}")
 
 

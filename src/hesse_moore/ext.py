@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .field import FieldElement
+from .field import triple_residues
 from .hesse import extension_representative
 from .moore import FormMatrix, coordinate_vars, moore_scalar
 from .poly import HomForm, divide, monomials
@@ -145,21 +145,16 @@ def ext_space(a, m: int) -> ExtSpace:
 def moore_span_basis(a) -> list[FormMatrix]:
     """The constant Moore matrices M_{b,e_i} at the extension
     representative b of -2*a."""
-    a = tuple(a)
-    p = a[0].p
-    b = [c.value for c in extension_representative(a)]
-    basis = []
-    for i in range(3):
-        e = [0, 0, 0]
-        e[i] = 1
-        basis.append(FormMatrix.from_scalars(moore_scalar(b, e), p))
-    return basis
+    v, p = triple_residues(a)
+    b = extension_representative(v)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return [FormMatrix.from_scalars(moore_scalar(b, e), p) for e in units]
 
 
 def verify_moore_span(a) -> bool:
     """The m = -1 solution space equals span{M_{b,e0}, M_{b,e1}, M_{b,e2}}
     inside the 9-dimensional space of constant matrices."""
-    p = a[0].p
+    _, p = triple_residues(a)
     sols = ext_space(a, -1).solutions
     span = [vectorize(s, 0) for s in moore_span_basis(a)]
     return linalg.rank_mod(span, p) == 3 and linalg.same_span_mod(sols, span, p)
@@ -205,7 +200,7 @@ def _residual_norm(system, rhs, p) -> int:
     return len(linalg.rref_mod(columns + [rhs], p)) - len(linalg.rref_mod(columns, p))
 
 
-def divergence_class(a, C: FormMatrix) -> FieldElement:
+def divergence_class(a, C: FormMatrix) -> int:
     """The divergence of the Moore representative of C; zero exactly on
     the homotopy subspace."""
     if not trace_criterion(moore_factorization(a), C):

@@ -4,7 +4,9 @@ Every scalar carries its modulus; mixing moduli is a hard error rather
 than a coercion.  The congruence condition guarantees that F_p contains
 six distinct sixth roots of unity, which the rest of the library needs
 (cube roots for the Heisenberg action, sixth roots for the H_6
-characters).
+characters).  The rest of the library computes on int residues, and
+``residues`` (``triple_residues`` for a triple a) is the one conversion
+of a sequence of FieldElements to them.
 """
 
 from __future__ import annotations
@@ -104,6 +106,26 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return self.value == 0
+
+
+def residues(elements) -> tuple[list[int], int | None]:
+    """The int residues of a sequence of FieldElements and their common
+    modulus (None when it is empty); mixed moduli are a ValueError that
+    names both."""
+    elements = list(elements)
+    p = elements[0].p if elements else None
+    for x in elements:
+        if x.p != p:
+            raise ValueError(f"modulus mismatch: {p} vs {x.p}")
+    return [x.value for x in elements], p
+
+
+def triple_residues(a) -> tuple[list[int], int]:
+    """residues of a triple; any other length is a ValueError."""
+    values, p = residues(a)
+    if len(values) != 3:
+        raise ValueError(f"expected a triple, got {len(values)} elements")
+    return values, p
 
 
 def zero(p: int) -> FieldElement:

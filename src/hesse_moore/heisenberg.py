@@ -10,10 +10,11 @@ equivalence.
 
 Characters take values in F_p through a chosen root of unity zeta, so
 the whole computation stays in one exact arithmetic domain.  FieldElement
-appears only in the inputs (the triples a, zeta, mu); every matrix is
-rows of int residues mod p (each Heis_3 matrix is monomial and is built
-from its shift and diagonal), trace invariants and character values are
-int residues, and orbit builds its points from int triples.
+appears only in the inputs (zeta, mu and the triples a, which enter
+through field.triple_residues) and in the triple t_action returns; every
+matrix is rows of int residues mod p (each Heis_3 matrix is monomial and
+is built from its shift and diagonal), trace invariants and character
+values are int residues, and orbit builds its points from int triples.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
-from .field import FieldElement, primitive_root_of_unity
+from .field import FieldElement, primitive_root_of_unity, triple_residues
 from .hesse import curve_through
 from .moore import FormMatrix, ProjectivePoint, moore
 
@@ -136,10 +137,9 @@ def conjugation_identities(a) -> bool:
     """M_{T(a),x} = T * M_{a,x} * T and
     M_{Sigma(a),x} = Sigma^{-1} * M_{a,x} * Sigma, symbolically."""
     a = tuple(a)
-    p = a[0].p
     m = moore(a)
-    t = FormMatrix.from_scalars(t_matrix(p), p)
-    s = FormMatrix.from_scalars(sigma_matrix(p), p)
+    t = FormMatrix.from_scalars(t_matrix(m.p), m.p)
+    s = FormMatrix.from_scalars(sigma_matrix(m.p), m.p)
     s_inv = s @ s  # Sigma^3 = I
     if moore(t_action(a)) != t @ m @ t:
         return False
@@ -153,9 +153,9 @@ def sigma_action(a):
 
 def t_action(a):
     """T sends (a0, a1, a2) to (a0, w*a1, w^2*a2)."""
-    p = a[0].p
+    v, p = triple_residues(a)
     w = primitive_root_of_unity(p, 3).value
-    return tuple(FieldElement(v, p) for v in _t_mod([c.value for c in a], w, p))
+    return tuple(FieldElement(x, p) for x in _t_mod(v, w, p))
 
 
 def _t_mod(v, w: int, p: int) -> tuple[int, int, int]:
@@ -167,8 +167,7 @@ def orbit(a) -> set[ProjectivePoint]:
     """The projective Heis_3 orbit {T^i Sigma^j a}; 9 points when
     a0*a1*a2 != 0 and the Hesse curve through a is smooth (a vertex of
     a singular triangle, such as (1, 1, -2), has 3)."""
-    p = a[0].p
-    v = tuple(c.value for c in a)
+    v, p = triple_residues(a)
     if not any(v):
         raise ValueError("orbit of the zero triple")
     w = primitive_root_of_unity(p, 3).value
@@ -189,11 +188,7 @@ def n_matrices(a) -> tuple[list[list[int]], list[list[int]]]:
     """N_i = M_0^{-1} M_i for i = 1, 2, with M_0 = diag(a0, a2, a1) and
     M_i = d(Moore matrix)/dx_i: row r of N_i holds a[2r - i] / a[2r] in
     column r - i."""
-    return _n_matrices([c.value for c in a], a[0].p)
-
-
-def _n_matrices(v, p: int) -> tuple[list[list[int]], list[list[int]]]:
-    """n_matrices of the int residues v."""
+    v, p = triple_residues(a)
     prod = v[0] * v[1] * v[2] % p
     if not prod:
         raise ValueError("n_matrices needs a0*a1*a2 != 0")
@@ -212,9 +207,8 @@ def trace_invariants(a) -> tuple[int, int, int]:
     Computed from the matrices and cross-checked against the closed
     rational expressions; a mismatch is an internal error.
     """
-    p = a[0].p
-    v = [c.value for c in a]
-    n1, n2 = _n_matrices(v, p)
+    v, p = triple_residues(a)
+    n1, n2 = n_matrices(a)
 
     def mm(x, y):
         return linalg.mat_mul_mod(x, y, p)
@@ -240,9 +234,11 @@ def trace_invariants(a) -> tuple[int, int, int]:
 def on_same_curve(a, a2) -> bool:
     """Whether the triples a and a2, both with nonzero coordinate
     products, lie on the same smooth Hesse cubic."""
-    if not (a[0] * a[1] * a[2]) or not (a2[0] * a2[1] * a2[2]):
+    triples = [triple_residues(t) for t in (a, a2)]
+    if any(not v[0] * v[1] * v[2] % p for v, p in triples):
         raise ValueError("equivalence test needs nonzero coordinate products")
-    return curve_through(ProjectivePoint(a)).lam == curve_through(ProjectivePoint(a2)).lam
+    lam, lam2 = (curve_through(ProjectivePoint.from_ints(v, p)).lam for v, p in triples)
+    return lam == lam2
 
 
 def are_equivalent(a, a2) -> bool:

@@ -9,11 +9,12 @@ which makes subspace comparison a matter of comparing rref bases.
 
 ``mat_mul_mod`` multiplies int matrices (the Heisenberg commutator and
 trace invariants).  Only ``residues`` and ``rref`` touch FieldElement:
-they convert at the boundary.
+``residues`` is field.residues applied to the entries of a matrix.
 """
 
 from __future__ import annotations
 
+from . import field
 from .field import FieldElement
 
 Matrix = list[list[FieldElement]]
@@ -105,13 +106,10 @@ def same_span_mod(u: list[list[int]], v: list[list[int]], p: int) -> bool:
 
 
 def residues(a: Matrix) -> tuple[list[list[int]], int | None]:
-    """The entries of a as ints and their common modulus (None when a has
-    no entries); mixed moduli are a ValueError."""
-    moduli = {x.p for row in a for x in row}
-    if len(moduli) > 1:
-        low, high = sorted(moduli)[:2]
-        raise ValueError(f"modulus mismatch: {low} vs {high}")
-    return [[x.value for x in row] for row in a], (moduli.pop() if moduli else None)
+    """field.residues of the entries of a, as rows."""
+    flat, p = field.residues([x for row in a for x in row])
+    values = iter(flat)
+    return [[next(values) for _ in row] for row in a], p
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:

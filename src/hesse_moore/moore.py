@@ -5,18 +5,17 @@ mod 3.  Its determinant cuts out a Hesse cubic, its adjugate has a
 closed form, and at a rank-2 specialization the projective kernel point
 realizes the curve's group law (see the hesse module).
 
-A ProjectivePoint is a triple of normalized int residues; its ``coords``
-property is the one conversion to FieldElements, and
-ProjectivePoint(FieldElement triple) the one conversion back.
+A triple a of FieldElements enters through field.triple_residues, and
+the Moore matrix, its adjugate and determinant are built from the int
+residues.  A ProjectivePoint is a triple of normalized int residues; its
+``coords`` property is the one conversion back to FieldElements.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .field import FieldElement, validate_modulus
+from .field import FieldElement, triple_residues, validate_modulus
 from .poly import HomForm, sum_of_products
-
-Triple = tuple[FieldElement, FieldElement, FieldElement]
 
 
 class ProjectivePoint:
@@ -29,13 +28,8 @@ class ProjectivePoint:
     __slots__ = ("residues", "p")
 
     def __init__(self, coords):
-        coords = tuple(coords)
-        if len(coords) != 3:
-            raise ValueError("projective point needs 3 coordinates")
-        self.p = coords[0].p
-        if any(c.p != self.p for c in coords):
-            raise ValueError("modulus mismatch among coordinates")
-        self.residues = normalize_mod([c.value for c in coords], self.p)
+        values, self.p = triple_residues(coords)
+        self.residues = normalize_mod(values, self.p)
 
     @classmethod
     def from_ints(cls, values, p: int) -> "ProjectivePoint":
@@ -49,7 +43,7 @@ class ProjectivePoint:
         return pt
 
     @property
-    def coords(self) -> Triple:
+    def coords(self) -> tuple[FieldElement, FieldElement, FieldElement]:
         p = self.p
         return tuple(FieldElement(v, p) for v in self.residues)
 
@@ -172,24 +166,15 @@ def coordinate_vars(p: int):
     return tuple(HomForm.variable(i, p) for i in range(3))
 
 
-def _as_triple(a) -> Triple:
-    a = tuple(a)
-    if len(a) != 3:
-        raise ValueError("expected a triple")
-    return a
-
-
-def moore(a, variables=None) -> FormMatrix:
-    """The Moore matrix (a[i+j] * vars[i-j]), indices mod 3."""
-    a = _as_triple(a)
-    p = a[0].p
-    if all(c.value == 0 for c in a):
+def moore(a) -> FormMatrix:
+    """The Moore matrix (a[i+j] * x[i-j]), indices mod 3."""
+    v, p = triple_residues(a)
+    if not any(v):
         raise ValueError("Moore matrix of the zero triple")
-    if variables is None:
-        variables = coordinate_vars(p)
+    x = [tuple(int(t == k) for t in range(3)) for k in range(3)]  # exponents of x_k
     return FormMatrix(
         [
-            [variables[(i - j) % 3].scale(a[(i + j) % 3]) for j in range(3)]
+            [HomForm.from_residues(1, p, {x[(i - j) % 3]: v[(i + j) % 3]}) for j in range(3)]
             for i in range(3)
         ]
     )
@@ -198,8 +183,8 @@ def moore(a, variables=None) -> FormMatrix:
 def moore_scalar(a, b) -> list[list]:
     """The Moore matrix specialized at the scalar triple b, entry (i,j)
     a[i+j] * b[i-j]; the triples may be FieldElements or ints."""
-    a0, a1, a2 = _as_triple(a)
-    b0, b1, b2 = _as_triple(b)
+    a0, a1, a2 = a
+    b0, b1, b2 = b
     return [
         [a0 * b0, a1 * b2, a2 * b1],
         [a1 * b1, a2 * b0, a0 * b2],
@@ -212,7 +197,7 @@ def moore_adjugate(a) -> FormMatrix:
 
     Entry (i,j) is a[i+j-1]*a[i+j+1]*x[j-i]^2 - a[i+j]^2*x[j-i-1]*x[j-i+1].
     """
-    (v,), p = linalg.residues([_as_triple(a)])
+    v, p = triple_residues(a)
     out = []
     for i in range(3):
         row = []
@@ -228,7 +213,7 @@ def moore_adjugate(a) -> FormMatrix:
 
 def moore_det(a) -> HomForm:
     """det M_{a,x} = a0*a1*a2*(x0^3+x1^3+x2^3) - (a0^3+a1^3+a2^3)*x0*x1*x2."""
-    (v,), p = linalg.residues([_as_triple(a)])
+    v, p = triple_residues(a)
     prod = v[0] * v[1] * v[2]
     cubes = v[0] ** 3 + v[1] ** 3 + v[2] ** 3
     return HomForm.from_residues(

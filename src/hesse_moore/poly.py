@@ -5,8 +5,10 @@ exponent triples (e0, e1, e2), with e0+e1+e2 equal to the degree, to
 nonzero int residues mod p.  The degrees in play never exceed six, so
 nothing fancier is warranted.  Sums, products and division work on the
 residues directly.  FieldElement appears only at the edge: the
-constructor HomForm(degree, p, {exps: FieldElement}), the ``coeffs``
-view and ``evaluate``; HomForm.from_residues is the int constructor.
+coefficients of the constructor HomForm(degree, p, {exps: FieldElement})
+and the point of ``evaluate`` (whose value is an int) go through
+field.residues, ``scale`` takes one, and the ``coeffs`` view builds
+them; HomForm.from_residues is the int constructor.
 
 Monomial order is graded lex with x0 > x1 > x2; since all forms are
 homogeneous this is plain lex on the exponent triples.  Division by one
@@ -16,7 +18,7 @@ x0^3) therefore has a canonical remainder.
 
 from __future__ import annotations
 
-from .field import FieldElement, validate_modulus
+from .field import FieldElement, residues, triple_residues, validate_modulus
 
 Exps = tuple[int, int, int]
 
@@ -52,14 +54,13 @@ class HomForm:
             raise ValueError("degree must be nonnegative")
         self.degree = degree
         self.p = p
-        self.residues: dict[Exps, int] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                _check_exponents(exps, degree)
-                if c.p != p:
-                    raise ValueError("coefficient modulus mismatch")
-                if c.value != 0:
-                    self.residues[exps] = c.value
+        coeffs = coeffs or {}
+        for exps in coeffs:
+            _check_exponents(exps, degree)
+        values, q = residues(coeffs.values())
+        if q not in (None, p):
+            raise ValueError("coefficient modulus mismatch")
+        self.residues: dict[Exps, int] = {e: v for e, v in zip(coeffs, values) if v}
 
     @classmethod
     def zero(cls, degree: int, p: int) -> "HomForm":
@@ -139,17 +140,16 @@ class HomForm:
     def __hash__(self):
         return hash((self.degree, self.p, frozenset(self.residues.items())))
 
-    def evaluate(self, pt) -> FieldElement:
-        """Substitute a triple of field elements for (x0, x1, x2)."""
+    def evaluate(self, pt) -> int:
+        """The residue of the form at a triple of field elements."""
         p = self.p
-        if any(c.p != p for c in pt):
+        (x, y, z), q = triple_residues(pt)
+        if q != p:
             raise ValueError("modulus mismatch")
-        x, y, z = (c.value for c in pt)
-        total = sum(
+        return sum(
             v * pow(x, e0, p) * pow(y, e1, p) * pow(z, e2, p)
             for (e0, e1, e2), v in self.residues.items()
-        )
-        return FieldElement(total, p)
+        ) % p
 
     def serialize(self) -> str:
         """Canonical text form: 'c*x0^e0*x1^e1*x2^e2 + ...' in graded-lex order."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import FieldElement
+from .field import FieldElement, triple_residues
 from .hesse import HesseCurve, curve_through, extension_representative
 from .moore import FormMatrix, ProjectivePoint, coordinate_vars, moore, moore_adjugate
 from .poly import HomForm, divide
@@ -52,13 +52,13 @@ def moore_factorization(a) -> MatrixFactorization:
     f*I rather than det(M)*I = a0*a1*a2*f*I.
     """
     a = tuple(a)
-    prod = a[0] * a[1] * a[2]
+    v, p = triple_residues(a)
+    prod = v[0] * v[1] * v[2] % p
     if not prod:
         raise ValueError("moore factorization needs a0*a1*a2 != 0")
-    curve = curve_through(ProjectivePoint(a))  # rejects singular lambda
-    A = moore(a)
-    B = moore_adjugate(a).scale(prod.inv())
-    return MatrixFactorization(3, A, B, curve)
+    curve = curve_through(ProjectivePoint.from_ints(v, p))  # rejects singular lambda
+    B = moore_adjugate(a).scale_form(HomForm.from_residues(0, p, {(0, 0, 0): pow(prod, p - 2, p)}))
+    return MatrixFactorization(3, moore(a), B, curve)
 
 
 def _divide_matrix(m: FormMatrix, f: HomForm) -> FormMatrix:
@@ -126,9 +126,9 @@ def bcb_congruence(fac: MatrixFactorization, C: FormMatrix) -> bool:
     )
 
 
-def divergence(y) -> FieldElement:
+def divergence(y) -> int:
     """div of M_{b,y} for a vector y of three linear forms:
-    d y0/d x0 + d y1/d x1 + d y2/d x2."""
+    d y0/d x0 + d y1/d x1 + d y2/d x2, as a residue."""
     y = tuple(y)
     p = y[0].p
     total = 0
@@ -138,7 +138,7 @@ def divergence(y) -> FieldElement:
         if form.p != p:
             raise ValueError("modulus mismatch")
         total += form.coefficient(tuple(int(k == i) for k in range(3)))
-    return FieldElement(total, p)
+    return total % p
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,12 @@ def rank2_ulrich(a) -> Rank2Ulrich:
     extension is non-split."""
     fac = moore_factorization(a)
     b = extension_representative(tuple(a))
-    if all(c.value == 0 for c in b):
+    if not any(b):
         raise AssertionError("extension representative vanished on a smooth curve")
     C = moore(b)
     D = partner_D(fac, C)
     A2 = _block(fac.A, C)
     B2 = _block(fac.B, D)
     block_fac = MatrixFactorization(6, A2, B2, fac.f)
-    div = divergence(coordinate_vars(fac.f.p))
-    return Rank2Ulrich(block_fac, fac, C, D, b, div)
+    p = fac.f.p
+    return Rank2Ulrich(block_fac, fac, C, D, b, FieldElement(divergence(coordinate_vars(p)), p))

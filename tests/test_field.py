@@ -1,13 +1,19 @@
 import pytest
 
+from hesse_moore import heisenberg, linalg
 from hesse_moore.field import (
     FieldElement,
     is_prime,
     one,
     primitive_root_of_unity,
+    residues,
+    triple_residues,
     validate_modulus,
     zero,
 )
+from hesse_moore.ext import moore_span_basis
+from hesse_moore.moore import ProjectivePoint, moore, moore_adjugate, moore_det
+from hesse_moore.ulrich import moore_factorization, rank2_ulrich
 
 
 def test_is_prime_small():
@@ -95,3 +101,51 @@ def test_primitive_root_requires_divisibility():
         primitive_root_of_unity(13, 5)
     with pytest.raises(ValueError):
         primitive_root_of_unity(7, 4)
+
+
+def test_residues_is_the_one_conversion():
+    assert residues(FieldElement(v, 13) for v in (14, 2, -1)) == ([1, 2, 12], 13)
+    assert residues([]) == ([], None)
+    assert triple_residues([FieldElement(5, 7)] * 3) == ([5, 5, 5], 7)
+    mixed = [FieldElement(1, 7), FieldElement(2, 13)]
+    for convert in (residues, triple_residues, lambda m: linalg.residues([m[:1], m[1:]])):
+        with pytest.raises(ValueError, match="^modulus mismatch: 7 vs 13$"):
+            convert(mixed)
+    with pytest.raises(ValueError, match="^expected a triple, got 4 elements$"):
+        triple_residues([FieldElement(1, 7)] * 4)
+
+
+MIXED = (FieldElement(1, 7), FieldElement(2, 13), FieldElement(3, 13))
+PAIR = (FieldElement(2, 13), FieldElement(3, 13))
+GOOD = tuple(FieldElement(v, 13) for v in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        pytest.param(heisenberg.orbit, id="orbit"),
+        pytest.param(heisenberg.n_matrices, id="n_matrices"),
+        pytest.param(heisenberg.trace_invariants, id="trace_invariants"),
+        pytest.param(heisenberg.t_action, id="t_action"),
+        pytest.param(heisenberg.conjugation_identities, id="conjugation_identities"),
+        pytest.param(lambda a: heisenberg.are_equivalent(a, GOOD), id="are_equivalent"),
+        pytest.param(lambda a: heisenberg.are_equivalent(GOOD, a), id="are_equivalent_second"),
+        pytest.param(moore, id="moore"),
+        pytest.param(moore_adjugate, id="moore_adjugate"),
+        pytest.param(moore_det, id="moore_det"),
+        pytest.param(ProjectivePoint, id="ProjectivePoint"),
+        pytest.param(moore_factorization, id="moore_factorization"),
+        pytest.param(rank2_ulrich, id="rank2_ulrich"),
+        pytest.param(moore_span_basis, id="moore_span_basis"),
+        pytest.param(lambda a: moore_det(GOOD).evaluate(a), id="HomForm.evaluate"),
+    ],
+)
+def test_triple_functions_reject_mixed_moduli_and_pairs(fn):
+    """Every triple-taking function converts through triple_residues: a
+    triple over two fields is a ValueError naming both moduli (and not a
+    result mod the first coordinate's modulus), a 2-tuple a ValueError
+    (and not an IndexError)."""
+    with pytest.raises(ValueError, match="^modulus mismatch: 7 vs 13$"):
+        fn(MIXED)
+    with pytest.raises(ValueError, match="^expected a triple, got 2 elements$"):
+        fn(PAIR)

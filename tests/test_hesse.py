@@ -185,7 +185,7 @@ def scan_points(curve):
     out = []
     for rep in reps:
         coords = T(rep, p)
-        if curve.form.evaluate(coords).is_zero():
+        if curve.form.evaluate(coords) == 0:
             out.append(ProjectivePoint(coords))
     return out
 

@@ -69,7 +69,7 @@ def test_evaluate(rng):
     expected = zero(P)
     for e, c in f.coeffs.items():
         expected = expected + c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2]
-    assert f.evaluate(pt) == expected
+    assert f.evaluate(pt) == expected.value
 
 
 def test_serialize_parse_roundtrip(rng):

@@ -1,6 +1,6 @@
 import pytest
 
-from hesse_moore.field import FieldElement, zero
+from hesse_moore.field import FieldElement
 from hesse_moore.hesse import HesseCurve, curve_through, extension_representative, iota
 from hesse_moore.moore import (
     FormMatrix,
@@ -151,9 +151,9 @@ def test_bcb_congruence(fac, rng):
 
 def test_divergence_values():
     x = coordinate_vars(P)
-    assert divergence(x) == F(3)
-    assert divergence(iota(x)) == F(1)
-    assert divergence((x[1], x[2], x[0])) == zero(P)
+    assert divergence(x) == 3
+    assert divergence(iota(x)) == 1
+    assert divergence((x[1], x[2], x[0])) == 0
     with pytest.raises(ValueError):
         divergence((x[0] * x[0], x[1] * x[1], x[2] * x[2]))
 
