@@ -11,8 +11,14 @@ computed coefficientwise: matrices of forms are vectorized over the
 basis (entry row-major, monomials graded-lex) as rows of int residues,
 solution spaces come from null spaces, homotopy spaces from column
 spans, and subspace comparisons from canonical reduced echelon forms,
-all through the int kernel of the linalg module.  An ExtSpace keeps
-those int rows; unvectorize turns one back into a matrix of forms.
+all through the int kernel of the linalg module.  The trace condition
+is linear in C, so its constraint columns are sums of entries of one
+table of remainders mod f of the degree-(m+3) monomials
+(remainder_table), with no form products or divisions.  The
+representatives are the solutions whose reduction against an echelon
+basis, started from the homotopy rref rows, is nonzero.  An ExtSpace
+keeps those int rows; unvectorize turns one back into a matrix of
+forms.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from . import linalg
 from .field import triple_residues
 from .hesse import extension_representative
 from .moore import FormMatrix, coordinate_vars, moore_scalar
-from .poly import HomForm, divide, monomials
+from .poly import Exps, HomForm, monomials
 from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_criterion
 
 
@@ -53,9 +59,13 @@ def vectorize(mat: FormMatrix, degree: int) -> list[int]:
 
 def unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
     """The 3x3 matrix of degree-d forms with coordinates vec over F_p
-    (the inverse of vectorize)."""
+    (the inverse of vectorize); vec must have 9 * |S_d| entries."""
     monos = monomials(degree)
     k = len(monos)
+    if len(vec) != 9 * k:
+        raise ValueError(
+            f"a 3x3 matrix of degree-{degree} forms has {9 * k} coordinates, got {len(vec)}"
+        )
     return FormMatrix(
         [
             [
@@ -92,6 +102,31 @@ def unit_products(A: FormMatrix, degree: int, sign: int, on_left: bool) -> list[
     return rows
 
 
+def remainder_table(f: HomForm, degree: int) -> dict[Exps, dict[Exps, int]]:
+    """The remainder mod f of every monomial x^E of the given degree, as
+    int residues (divide(x^E, f)[1].residues).
+
+    One ascending sweep: a monomial divisible by the leading monomial of
+    f is its cofactor times minus the tail of f over the leading
+    coefficient, whose monomials are all smaller and so already reduced."""
+    p = f.p
+    lm = max(f.residues)
+    scale = -pow(f.residues[lm], p - 2, p)
+    tail = [(e, v * scale) for e, v in f.residues.items() if e != lm]
+    table: dict[Exps, dict[Exps, int]] = {}
+    for exps in reversed(monomials(degree)):
+        d0, d1, d2 = exps[0] - lm[0], exps[1] - lm[1], exps[2] - lm[2]
+        if min(d0, d1, d2) < 0:
+            table[exps] = {exps: 1}
+            continue
+        acc: dict[Exps, int] = {}
+        for (t0, t1, t2), v in tail:
+            for e, w in table[(d0 + t0, d1 + t1, d2 + t2)].items():
+                acc[e] = acc.get(e, 0) + v * w
+        table[exps] = {e: r for e, v in acc.items() if (r := v % p)}
+    return table
+
+
 def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
     """Null space of the trace condition on Mat_3(S_{m+1})."""
     p = fac.f.p
@@ -99,15 +134,21 @@ def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
     if not monos:
         return []
     # tr(B * E_rc * mu) = B[c][r] * mu; constraints are the coefficients of
-    # its remainder mod f over the degree-(m+3) monomials
+    # its remainder mod f over the degree-(m+3) monomials, which is linear:
+    # the sum of b_e * rem(x^(e + mu)) over the terms b_e x^e of B[c][r]
+    rem = remainder_table(fac.f.form, m + 3)
     target = [e for e in monomials(m + 3) if e[0] < 3]
+    index = {e: n for n, e in enumerate(target)}
     columns = []
     for r in range(3):
         for c in range(3):
-            bcr = fac.B.entries[c][r]
-            for mono in monos:
-                _, rem = divide(bcr * HomForm.from_residues(m + 1, p, {mono: 1}), fac.f.form)
-                columns.append([rem.residues.get(e, 0) for e in target])
+            terms = fac.B.entries[c][r].residues.items()
+            for mu in monos:
+                col = [0] * len(target)
+                for (e0, e1, e2), b in terms:
+                    for e, w in rem[(e0 + mu[0], e1 + mu[1], e2 + mu[2])].items():
+                        col[index[e]] += b * w
+                columns.append(col)
     return linalg.nullspace_mod([list(row) for row in zip(*columns)], p)
 
 
@@ -126,20 +167,42 @@ def ext_space(a, m: int) -> ExtSpace:
     p = fac.f.p
     sols = _solution_vectors(fac, m)
     homs = _homotopy_vectors(fac, m)
-    # representatives: taken greedily, a solution vector is one when it is
-    # outside the span of the homotopies and the solutions before it, that
-    # is when its column is a pivot column of the matrix with columns
-    # [homotopies; solutions]
-    joined = [list(col) for col in zip(*(homs + sols))]
-    pivots = linalg.rref_mod(joined, p)
-    reps = [sols[c - len(homs)] for c in pivots if c >= len(homs)]
+    reps = _representatives(homs, sols, p)
     return ExtSpace(
         m=m,
         solutions=sols,
         homotopies=homs,
-        quotient_dimension=len(pivots) - len(homs),
+        quotient_dimension=len(reps),
         representatives=reps,
     )
+
+
+def _representatives(homs: list[list[int]], sols: list[list[int]], p: int) -> list[list[int]]:
+    """The solutions taken greedily: one is a representative when it is
+    outside the span of the homotopies and the solutions before it, that
+    is when its reduction against an echelon basis of that span, started
+    from the homotopy rref rows, is nonzero.  Basis rows are kept as
+    (pivot column, nonzero entries) with a unit pivot."""
+    basis = []
+    for row in homs:
+        terms = [(j, x) for j, x in enumerate(row) if x]
+        basis.append((terms[0][0], terms))
+    reps = []
+    for v in sols:
+        w = list(v)
+        for pc, terms in basis:
+            factor = w[pc] % p
+            if factor:
+                for j, x in terms:
+                    w[j] -= factor * x
+        w = [x % p for x in w]
+        lead = next((j for j, x in enumerate(w) if x), None)
+        if lead is None:
+            continue
+        inv = pow(w[lead], p - 2, p)
+        basis.append((lead, [(j, x * inv % p) for j, x in enumerate(w) if x]))
+        reps.append(v)
+    return reps
 
 
 def moore_span_basis(a) -> list[FormMatrix]:

@@ -175,7 +175,8 @@ def rank2_ulrich(a) -> Rank2Ulrich:
     criterion), D its partner, and div(M_{b,x}) = 3 witnesses that the
     extension is non-split."""
     fac = moore_factorization(a)
-    b = extension_representative(tuple(a))
+    v, p = triple_residues(a)
+    b = tuple(FieldElement(x, p) for x in extension_representative(v))
     if not any(b):
         raise AssertionError("extension representative vanished on a smooth curve")
     C = moore(b)
@@ -183,5 +184,4 @@ def rank2_ulrich(a) -> Rank2Ulrich:
     A2 = _block(fac.A, C)
     B2 = _block(fac.B, D)
     block_fac = MatrixFactorization(6, A2, B2, fac.f)
-    p = fac.f.p
     return Rank2Ulrich(block_fac, fac, C, D, b, FieldElement(divergence(coordinate_vars(p)), p))

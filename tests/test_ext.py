@@ -1,21 +1,25 @@
+import random
+
 import pytest
 
 from hesse_moore import linalg
 from hesse_moore.ext import (
+    ExtSpace,
     RepresentationError,
     divergence_class,
     ext_space,
     moore_representative,
     moore_span_basis,
+    remainder_table,
     unit_products,
     unvectorize,
     vectorize,
     verify_moore_span,
 )
 from hesse_moore.field import FieldElement, zero
-from hesse_moore.hesse import extension_representative
+from hesse_moore.hesse import HesseCurve, extension_representative
 from hesse_moore.moore import FormMatrix, coordinate_vars, moore
-from hesse_moore.poly import HomForm, monomials
+from hesse_moore.poly import HomForm, divide, monomials
 from hesse_moore.ulrich import moore_factorization, trace_criterion
 
 P = 13
@@ -224,3 +228,103 @@ def test_unvectorize_inverts_vectorize(p, rng):
             assert len(vec) == 9 * len(monos)
             assert unvectorize(vec, deg, p) == M
             assert vectorize(unvectorize(vec, deg, p), deg) == vec
+
+
+@pytest.mark.parametrize("degree, length", [(1, 2), (1, 40), (1, 26), (1, 28), (0, 0), (2, 27)])
+def test_unvectorize_rejects_wrong_length(degree, length):
+    want = 9 * len(monomials(degree))
+    with pytest.raises(ValueError, match=f"has {want} coordinates, got {length}"):
+        unvectorize(list(range(1, length + 1)), degree, P)
+
+
+def monomial(exps, p):
+    return HomForm.from_residues(sum(exps), p, {exps: 1})
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
+def test_remainder_table_matches_divide(p):
+    rng = random.Random(3000 + p)
+    divisors = []
+    while len(divisors) < 2:
+        try:
+            divisors.append(HesseCurve.from_lambda(rng.randrange(p), p).form)
+        except ValueError:
+            pass  # singular lambda
+    # generic divisors too: leading coefficient other than 1, other degrees
+    for degree in (1, 2, 3):
+        g = HomForm.from_residues(degree, p, {e: rng.randrange(p) for e in monomials(degree)})
+        divisors.append(g if not g.is_zero() else HomForm.variable(2, p))
+    for f in divisors:
+        for degree in range(9):
+            table = remainder_table(f, degree)
+            assert list(table) == monomials(degree)[::-1]
+            for exps, rem in table.items():
+                assert rem == divide(monomial(exps, p), f)[1].residues
+
+
+def dense_rref(rows, p):
+    """Gauss-Jordan with full-width row updates, independent of linalg."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [(x - m[i][c] * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def reference_ext_space(a, m):
+    """The extension space computed the long way: one division by f per
+    constraint column, dense elimination, and representatives as the
+    pivot columns of the joined [homotopies; solutions] system."""
+    fac = moore_factorization(a)
+    p = fac.f.p
+    sols = []
+    if m + 1 >= 0:
+        target = [e for e in monomials(m + 3) if e[0] < 3]
+        columns = []
+        for r in range(3):
+            for c in range(3):
+                for mu in monomials(m + 1):
+                    _, rem = divide(fac.B.entries[c][r] * monomial(mu, p), fac.f.form)
+                    columns.append([rem.coefficient(e) for e in target])
+        red, pivots = dense_rref([list(row) for row in zip(*columns)], p)
+        for fc in (c for c in range(len(columns)) if c not in pivots):
+            v = [0] * len(columns)
+            v[fc] = 1
+            for r, pc in enumerate(pivots):
+                v[pc] = -red[r][fc] % p
+            sols.append(v)
+    homs = []
+    if m >= 0:
+        gens = unit_products(fac.A, m, 1, on_left=True) + unit_products(fac.A, m, -1, on_left=False)
+        red, pivots = dense_rref(gens, p)
+        homs = red[: len(pivots)]
+    _, pivots = dense_rref([list(col) for col in zip(*(homs + sols))], p)
+    reps = [sols[c - len(homs)] for c in pivots if c >= len(homs)]
+    return ExtSpace(m, sols, homs, len(reps), reps)
+
+
+@pytest.mark.parametrize("p", [13, 19, 31, 37])
+def test_ext_space_matches_reference_pipeline(p):
+    rng = random.Random(4000 + p)
+    points = []
+    while len(points) < 3:
+        a = tuple(FieldElement(rng.randrange(1, p), p) for _ in range(3))
+        try:
+            moore_factorization(a)
+        except ValueError:
+            continue  # singular curve through a
+        points.append(a)
+    for a in points:
+        for m in range(-2, 3):
+            assert ext_space(a, m) == reference_ext_space(a, m)

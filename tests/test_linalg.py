@@ -153,3 +153,73 @@ def test_mixed_moduli_raise():
     for fn in (linalg.rref, linalg.residues):
         with pytest.raises(ValueError, match="modulus mismatch"):
             fn(a)
+
+
+def sparse_rows(rows, cols, density, rng, p):
+    return [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("p", [7, 13, 37])
+def test_int_kernel_matches_reference_on_ext_shapes(p):
+    # the shapes the kernel meets in practice: sparse Ext systems (54x54 to
+    # 108x90 at a few percent nonzero), 3x3 rank-2 kernels, zero rows and
+    # single columns; the test above sweeps the primes
+    rng = random.Random(2000 + p)
+    cases = [
+        sparse_rows(rows, cols, density, rng, p)
+        for rows, cols, density in (
+            (54, 54, 0.03), (54, 54, 0.06), (54, 84, 0.03), (40, 30, 0.1), (30, 45, 0.3),
+        )
+    ]
+    for _ in range(10):
+        u, v = random_rows(1, 3, rng, p)[0], random_rows(1, 3, rng, p)[0]
+        s, t = rng.randrange(p), rng.randrange(p)
+        cases.append([u, v, [(s * x + t * y) % p for x, y in zip(u, v)]])  # rank <= 2
+    cases += [
+        [[0] * 5 for _ in range(4)],
+        [[0, 0, 0], [0, 2, 1], [0, 0, 0], [3, 0, 1]],
+        [[0], [0]],
+        [[5], [0], [p + 3]],
+        [[x] for x in random_rows(1, 6, rng, p)[0]],
+        [random_rows(1, 6, rng, p)[0]],
+    ]
+    for rows in cases:
+        a = [[FieldElement(x, p) for x in row] for row in rows]
+        want, want_pivots = reference_rref(a)
+        ints = [row[:] for row in rows]
+        assert linalg.rref_mod(ints, p) == want_pivots
+        assert ints == [[x.value for x in row] for row in want]
+        assert linalg.rank_mod(rows, p) == len(want_pivots)
+        for v in linalg.nullspace_mod([row[:] for row in rows], p):
+            assert not any(mat_vec_mod(rows, v, p))
+    assert linalg.rref_mod([], p) == []
+    assert linalg.rank_mod([], p) == 0
+
+
+def test_kernel_leaves_caller_rows_untouched(rng):
+    # a matrix holding the same row list object twice, entries unreduced:
+    # an in-place row update that reached a caller's list would change
+    # both of its rows
+    shared, other = [14, 2, 0, 26], [1, 0, 5, 3]
+    rows = [shared, other, shared, [0, 0, 0, 0]]
+    snapshot = [row[:] for row in rows]
+
+    m = list(rows)
+    assert linalg.rref_mod(m, P) == [0, 1]
+    assert m[0] is not shared and m[1] is not other
+    assert linalg.rank_mod(rows, P) == 2
+    assert linalg.solve_mod(rows, [1, 2, 1, 0], P) is not None
+    assert linalg.same_span_mod(rows, [other, shared], P)
+    assert linalg.nullspace_mod(list(rows), P)
+    assert rows == snapshot and rows[0] is shared and rows[2] is shared
+    assert shared == [14, 2, 0, 26] and other == [1, 0, 5, 3]
+    for _ in range(20):
+        dense = sparse_rows(8, 10, 0.3, rng, P)
+        rows = dense + [dense[1], dense[1]]
+        snapshot = [row[:] for row in rows]
+        linalg.rref_mod(list(rows), P)
+        linalg.rank_mod(rows, P)
+        linalg.solve_mod(rows, [1] * len(rows), P)
+        linalg.same_span_mod(rows, dense, P)
+        assert rows == snapshot
