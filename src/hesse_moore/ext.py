@@ -8,13 +8,13 @@ The degree-m extension space is the quotient
     {U*A - A*V : U, V in Mat_3(S_m)}
 
 computed coefficientwise: matrices of forms are vectorized over the
-basis (entry row-major, monomials graded-lex) as rows of int residues,
-solution spaces come from null spaces, homotopy spaces from column
-spans, and subspace comparisons from canonical reduced echelon forms,
-all through the int kernel of the linalg module.  The trace condition
-is linear in C, so its constraint columns are sums of entries of one
-table of remainders mod f of the degree-(m+3) monomials
-(remainder_table), with no form products or divisions.  The
+basis (entries row-major, monomials of the matrix's degree graded-lex)
+as rows of int residues, solution spaces come from null spaces,
+homotopy spaces from column spans, and subspace comparisons from
+canonical reduced echelon forms, all through the int linalg kernel.
+The trace condition is linear in C, so its constraint columns are sums
+of entries of one table of remainders mod f of the degree-(m+3)
+monomials (remainder_table), with no form products or divisions.  The
 representatives are the solutions whose reduction against an echelon
 basis, started from the homotopy rref rows, is nonzero.  An ExtSpace
 keeps those int rows; unvectorize turns one back into a matrix of
@@ -46,10 +46,10 @@ class ExtSpace:
     representatives: list[list[int]]
 
 
-def vectorize(mat: FormMatrix, degree: int) -> list[int]:
-    """Coordinates of a 3x3 matrix of degree-d forms as int residues:
-    entries row-major, monomials graded-lex."""
-    monos = monomials(degree)
+def vectorize(mat: FormMatrix) -> list[int]:
+    """Coordinates of a 3x3 matrix of forms as int residues: entries
+    row-major, monomials of the matrix's degree graded-lex."""
+    monos = monomials(mat.degree)
     out = []
     for row in mat.entries:
         for entry in row:
@@ -84,7 +84,7 @@ def unit_products(A: FormMatrix, degree: int, sign: int, on_left: bool) -> list[
     E_rc*mu @ A is row c of A times mu placed in row r, and A @ E_rc*mu
     is column r of A times mu placed in column c: shifted coefficients
     of A, with no form products."""
-    out_monos = monomials(degree + A.entries[0][0].degree)
+    out_monos = monomials(degree + A.degree)
     k = len(out_monos)
     index = {e: n for n, e in enumerate(out_monos)}
     rows = []
@@ -219,7 +219,7 @@ def verify_moore_span(a) -> bool:
     inside the 9-dimensional space of constant matrices."""
     _, p = triple_residues(a)
     sols = ext_space(a, -1).solutions
-    span = [vectorize(s, 0) for s in moore_span_basis(a)]
+    span = [vectorize(s) for s in moore_span_basis(a)]
     return linalg.rank_mod(span, p) == 3 and linalg.same_span_mod(sols, span, p)
 
 
@@ -230,7 +230,9 @@ class RepresentationError(ValueError):
 def moore_representative(a, C: FormMatrix):
     """Solve C = M_{b,y} + U*A - A*V for y (linear forms) and constant
     U, V (rows of int residues); existence is the content of the
-    divergence theorem."""
+    divergence theorem.  C must be a matrix of linear forms."""
+    if C.degree != 1:
+        raise ValueError(f"C must have linear entries, got degree {C.degree}")
     a = tuple(a)
     fac = moore_factorization(a)
     p = fac.f.p
@@ -238,11 +240,11 @@ def moore_representative(a, C: FormMatrix):
     # y unknowns: y_i = sum_k y_ik x_k contributes M_{b,e_i} * x_k; then
     # the U and V unknowns (constant matrices)
     basis_m = moore_span_basis(a)
-    columns = [vectorize(basis_m[i].scale_form(x[k]), 1) for i in range(3) for k in range(3)]
+    columns = [vectorize(basis_m[i].scale_form(x[k])) for i in range(3) for k in range(3)]
     columns += unit_products(fac.A, 0, 1, on_left=True)
     columns += unit_products(fac.A, 0, -1, on_left=False)
     system = [list(row) for row in zip(*columns)]
-    rhs = vectorize(C, 1)
+    rhs = vectorize(C)
     sol = linalg.solve_mod(system, rhs, p)
     if sol is None:
         residual = _residual_norm(system, rhs, p)
@@ -264,8 +266,8 @@ def _residual_norm(system, rhs, p) -> int:
 
 
 def divergence_class(a, C: FormMatrix) -> int:
-    """The divergence of the Moore representative of C; zero exactly on
-    the homotopy subspace."""
+    """The divergence of the Moore representative of a linear C; zero
+    exactly on the homotopy subspace."""
     if not trace_criterion(moore_factorization(a), C):
         raise RepresentationError(
             "C is not in the m = 0 solution space: tr(B*C) != 0 mod f"

@@ -261,7 +261,14 @@ class ClassFunction:
     def __call__(self, g: HeisenbergElement) -> int:
         return self.values[g]
 
+    def _check(self, other: "ClassFunction") -> None:
+        if other.p != self.p:
+            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
+        if other.n != self.n:
+            raise ValueError(f"group mismatch: H_{self.n} vs H_{other.n}")
+
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
+        self._check(other)
         p = self.p
         return ClassFunction(
             self.n, p, {g: v * other.values[g] % p for g, v in self.values.items()}
@@ -274,10 +281,11 @@ class ClassFunction:
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        return self.n == other.n and self.values == other.values
+        return self.n == other.n and self.p == other.p and self.values == other.values
 
     def inner_product(self, other: "ClassFunction") -> int:
         """(1/n^3) * sum_g self(g) * other(g^{-1}), in F_p."""
+        self._check(other)
         p = self.p
         total = sum(self.values[g] * other.values[g.inverse()] for g in hn_elements(self.n))
         return total * pow(self.n ** 3, -1, p) % p

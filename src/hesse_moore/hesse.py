@@ -66,8 +66,11 @@ class HesseCurve:
     def __repr__(self):
         return f"HesseCurve(lambda={self.lam.value}, p={self.p})"
 
-    def _point(self, v) -> ProjectivePoint:
-        return ProjectivePoint.from_ints(v, self.p)
+    def _point(self, v: Residues) -> ProjectivePoint:
+        """The point of a normalized residue triple, taken unchecked."""
+        pt = ProjectivePoint.__new__(ProjectivePoint)
+        pt.residues, pt.p = v, self.p
+        return pt
 
     # -- membership ---------------------------------------------------
 
@@ -145,7 +148,7 @@ class HesseCurve:
         return acc
 
     def neg(self, a: ProjectivePoint) -> ProjectivePoint:
-        return self._point(iota(self._require(a)))
+        return self._point(normalize_mod(iota(self._require(a)), self.p))
 
     def sub(self, b: ProjectivePoint, a: ProjectivePoint) -> ProjectivePoint:
         """b -_E a, as the kernel point of the Moore matrix of a at b."""
@@ -165,7 +168,7 @@ class HesseCurve:
         v = self._require(a)
         if not v[0] * v[1] * v[2]:
             return self.mul(3, a)
-        return self._point(tripling_representative(v))
+        return self._point(normalize_mod(tripling_representative(v), self.p))
 
     def mul(self, n: int, a: ProjectivePoint) -> ProjectivePoint:
         """n*a by double-and-add; negative n goes through neg."""
@@ -183,7 +186,7 @@ class HesseCurve:
         pts = set()
         for w in (1, omega, omega * omega):
             for v in ((1, -w, 0), (0, 1, -w), (-w, 0, 1)):
-                pts.add(self._point(v))
+                pts.add(self._point(normalize_mod(v, p)))
         return pts
 
     def torsion6(self) -> set[ProjectivePoint]:

@@ -8,10 +8,14 @@ realizes the curve's group law (see the hesse module).
 A triple a of FieldElements enters through field.triple_residues, and
 the Moore matrix, its adjugate and determinant are built from the int
 residues.  A ProjectivePoint is a triple of normalized int residues; its
-``coords`` property is the one conversion back to FieldElements.
+``coords`` property is the one conversion back to FieldElements.  A
+FormMatrix reads its size, modulus and degree off its own entries.
 """
 
 from __future__ import annotations
+
+import operator
+from itertools import chain
 
 from . import linalg
 from .field import FieldElement, triple_residues, validate_modulus
@@ -81,56 +85,54 @@ def normalize_mod(values, p: int) -> tuple[int, int, int]:
 
 
 class FormMatrix:
-    """A square matrix of homogeneous forms (sizes 3 and 6 in practice)."""
+    """A square n x n matrix of forms (n is 3 or 6 in practice) that all
+    share the modulus p and the degree; ``+`` and ``-`` need equal sizes,
+    and ``==`` is entry equality, so it is False across n, p or degree."""
 
-    __slots__ = ("n", "p", "entries")
+    __slots__ = ("n", "p", "degree", "entries")
 
     def __init__(self, entries):
         self.entries = [list(row) for row in entries]
         self.n = len(self.entries)
         if any(len(row) != self.n for row in self.entries):
             raise ValueError("matrix must be square")
-        self.p = self.entries[0][0].p
-        if any(e.p != self.p for row in self.entries for e in row):
-            raise ValueError("modulus mismatch among entries")
+        first = self.entries[0][0]
+        p, degree = first.p, first.degree
+        self.p, self.degree = p, degree
+        for e in chain.from_iterable(self.entries):
+            if e.p != p or e.degree != degree:
+                raise ValueError(f"mixed entries: degree {degree} mod {p} vs {e.degree} mod {e.p}")
 
     @classmethod
     def from_scalars(cls, mat: list[list[int]], p: int) -> "FormMatrix":
         """Lift a scalar matrix of int residues to a matrix of degree-0 forms."""
         return cls([[HomForm.from_residues(0, p, {(0, 0, 0): c}) for c in row] for row in mat])
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+    def _require_size(self, other: "FormMatrix") -> None:
+        if other.n != self.n:
+            raise ValueError(f"size mismatch: {self.n}x{self.n} vs {other.n}x{other.n}")
 
     def __matmul__(self, other: "FormMatrix") -> "FormMatrix":
-        if other.n != self.n:
-            raise ValueError("size mismatch")
-        n = self.n
+        self._require_size(other)
+        n, a, b = self.n, self.entries, other.entries
         return FormMatrix(
             [
-                [
-                    sum_of_products((self.entries[i][k], other.entries[k][j]) for k in range(n))
-                    for j in range(n)
-                ]
+                [sum_of_products((a[i][k], b[k][j]) for k in range(n)) for j in range(n)]
                 for i in range(n)
             ]
         )
 
-    def __add__(self, other: "FormMatrix") -> "FormMatrix":
+    def _combine(self, other: "FormMatrix", op) -> "FormMatrix":
+        self._require_size(other)
         return FormMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+            [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         )
 
+    def __add__(self, other: "FormMatrix") -> "FormMatrix":
+        return self._combine(other, operator.add)
+
     def __sub__(self, other: "FormMatrix") -> "FormMatrix":
-        return FormMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "FormMatrix":
         return FormMatrix([[-e for e in row] for row in self.entries])
@@ -142,10 +144,7 @@ class FormMatrix:
         return FormMatrix([[g * e for e in row] for row in self.entries])
 
     def trace(self) -> HomForm:
-        acc = self.entries[0][0]
-        for i in range(1, self.n):
-            acc = acc + self.entries[i][i]
-        return acc
+        return sum((self.entries[i][i] for i in range(1, self.n)), self.entries[0][0])
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -153,7 +152,7 @@ class FormMatrix:
     def __eq__(self, other):
         if not isinstance(other, FormMatrix):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.entries == other.entries
 
     def serialize(self) -> list[list[str]]:
         return [[e.serialize() for e in row] for row in self.entries]

@@ -4,7 +4,8 @@ The rank-1 factorization is the Moore matrix A together with its
 adjugate, scaled so that A*B = f*I exactly (the raw product is
 a0*a1*a2*f*I).  Extension data (C, D) satisfy A*D + C*B = 0 = D*A + B*C;
 the partner D is recovered from C by exact division of B*C*B by f, and
-existence is decided by the trace criterion tr(B*C) = 0 mod f.
+existence is decided by the trace criterion tr(B*C) = 0 mod f.  One
+certified entrywise quotient by f serves all four of these divisions.
 
 The f of a MatrixFactorization is the HesseCurve from curve_through;
 the products equal its form f.form times the identity.
@@ -24,25 +25,24 @@ class FactorizationError(ValueError):
     """No extension datum exists for the given matrix."""
 
 
-def _identity_form(n: int, f: HomForm) -> FormMatrix:
-    zero = HomForm.zero(f.degree, f.p)
-    return FormMatrix([[f if i == j else zero for j in range(n)] for i in range(n)])
-
-
 @dataclass(frozen=True)
 class MatrixFactorization:
     """A certified pair (A, B) with A*B = B*A = f*I; f is the curve, and
-    f.form the cubic."""
+    f.form the cubic; the size is that of A."""
 
-    size: int
     A: FormMatrix
     B: FormMatrix
     f: HesseCurve
 
     def __post_init__(self):
-        fid = _identity_form(self.size, self.f.form)
+        form, zero, n = self.f.form, HomForm.zero(3, self.f.p), self.size
+        fid = FormMatrix([[form if i == j else zero for j in range(n)] for i in range(n)])
         if self.A @ self.B != fid or self.B @ self.A != fid:
             raise ValueError("A*B = B*A = f*I fails; not a matrix factorization")
+
+    @property
+    def size(self) -> int:
+        return self.A.n
 
 
 def moore_factorization(a) -> MatrixFactorization:
@@ -57,20 +57,20 @@ def moore_factorization(a) -> MatrixFactorization:
     if not prod:
         raise ValueError("moore factorization needs a0*a1*a2 != 0")
     curve = curve_through(ProjectivePoint.from_ints(v, p))  # rejects singular lambda
-    B = moore_adjugate(a).scale_form(HomForm.from_residues(0, p, {(0, 0, 0): pow(prod, p - 2, p)}))
-    return MatrixFactorization(3, moore(a), B, curve)
+    B = moore_adjugate(a).scale(FieldElement(pow(prod, p - 2, p), p))
+    return MatrixFactorization(moore(a), B, curve)
 
 
-def _divide_matrix(m: FormMatrix, f: HomForm) -> FormMatrix:
-    """Entrywise exact quotient m / f; raises FactorizationError when any
-    entry is not divisible."""
+def _quotient(m: FormMatrix, f: HomForm) -> FormMatrix | None:
+    """Entrywise exact quotient m / f, or None as soon as an entry is not
+    divisible by f."""
     out = []
     for row in m.entries:
         qrow = []
         for entry in row:
             q, r = divide(entry, f)
             if not r.is_zero():
-                raise FactorizationError("no extension datum for this C: f does not divide B*C*B")
+                return None
             # certified: multiply back
             if q * f != entry:
                 raise AssertionError("division certificate failed")
@@ -81,8 +81,10 @@ def _divide_matrix(m: FormMatrix, f: HomForm) -> FormMatrix:
 
 def partner_D(fac: MatrixFactorization, C: FormMatrix) -> FormMatrix:
     """The unique D with f*D = -B*C*B; verifies A*D + C*B = 0 = D*A + B*C."""
-    bcb = fac.B @ C @ fac.B
-    D = -_divide_matrix(bcb, fac.f.form)
+    q = _quotient(fac.B @ C @ fac.B, fac.f.form)
+    if q is None:
+        raise FactorizationError("no extension datum for this C: f does not divide B*C*B")
+    D = -q
     if not (fac.A @ D + C @ fac.B).is_zero() or not (D @ fac.A + fac.B @ C).is_zero():
         raise AssertionError("partner matrix does not satisfy the extension identities")
     return D
@@ -90,11 +92,10 @@ def partner_D(fac: MatrixFactorization, C: FormMatrix) -> FormMatrix:
 
 def recover_C(fac: MatrixFactorization, D: FormMatrix) -> FormMatrix:
     """The unique C with f*C = -A*D*A (inverse of partner_D)."""
-    ada = fac.A @ D @ fac.A
-    try:
-        C = -_divide_matrix(ada, fac.f.form)
-    except FactorizationError:
+    q = _quotient(fac.A @ D @ fac.A, fac.f.form)
+    if q is None:
         raise FactorizationError("no C for this D: f does not divide A*D*A")
+    C = -q
     if not (fac.A @ D + C @ fac.B).is_zero() or not (D @ fac.A + fac.B @ C).is_zero():
         raise AssertionError("recovered matrix does not satisfy the extension identities")
     return C
@@ -108,22 +109,13 @@ def trace_criterion(fac: MatrixFactorization, C: FormMatrix) -> bool:
 
 def bcb_divisible(fac: MatrixFactorization, C: FormMatrix) -> bool:
     """Entrywise divisibility of B*C*B by f (the partner-existence test)."""
-    bcb = fac.B @ C @ fac.B
-    return all(
-        divide(entry, fac.f.form)[1].is_zero()
-        for row in bcb.entries
-        for entry in row
-    )
+    return _quotient(fac.B @ C @ fac.B, fac.f.form) is not None
 
 
 def bcb_congruence(fac: MatrixFactorization, C: FormMatrix) -> bool:
     """B*C*B = tr(B*C) * B mod f, entry by entry."""
     diff = fac.B @ C @ fac.B - fac.B.scale_form((fac.B @ C).trace())
-    return all(
-        divide(entry, fac.f.form)[1].is_zero()
-        for row in diff.entries
-        for entry in row
-    )
+    return _quotient(diff, fac.f.form) is not None
 
 
 def divergence(y) -> int:
@@ -154,18 +146,10 @@ class Rank2Ulrich:
 
 
 def _block(upper_left: FormMatrix, upper_right: FormMatrix) -> FormMatrix:
-    n = upper_left.n
-    # degree profile differs per block; zero forms carry the degree of the
-    # entry they replace in the lower-left block
-    deg = upper_left.entries[0][0].degree
-    p = upper_left.p
-    zero = HomForm.zero(deg, p)
-    out = []
-    for i in range(n):
-        out.append(list(upper_left.entries[i]) + list(upper_right.entries[i]))
-    for i in range(n):
-        out.append([zero] * n + list(upper_left.entries[i]))
-    return FormMatrix(out)
+    # the lower-left zero forms carry the degree of the blocks beside them
+    zero = HomForm.zero(upper_left.degree, upper_left.p)
+    top = [left + right for left, right in zip(upper_left.entries, upper_right.entries)]
+    return FormMatrix(top + [[zero] * upper_left.n + left for left in upper_left.entries])
 
 
 def rank2_ulrich(a) -> Rank2Ulrich:
@@ -183,5 +167,5 @@ def rank2_ulrich(a) -> Rank2Ulrich:
     D = partner_D(fac, C)
     A2 = _block(fac.A, C)
     B2 = _block(fac.B, D)
-    block_fac = MatrixFactorization(6, A2, B2, fac.f)
+    block_fac = MatrixFactorization(A2, B2, fac.f)
     return Rank2Ulrich(block_fac, fac, C, D, b, FieldElement(divergence(coordinate_vars(p)), p))

@@ -333,7 +333,7 @@ def check_partner_lemma(rng: random.Random, p: int = 13, samples: int = 100):
     for C in candidates:
         # whether some D (entry degree deg C + 1) solves A*D + C*B = 0,
         # and whether some D solves D*A + B*C = 0
-        deg = C.entries[0][0].degree + 1
+        deg = C.degree + 1
         if deg not in kernels:
             # the system's columns are the coordinates of A @ E (resp.
             # E @ A) for the unit matrices E of entry degree deg; a right
@@ -343,8 +343,8 @@ def check_partner_lemma(rng: random.Random, p: int = 13, samples: int = 100):
                 for on_left in (False, True)
             ]
         left, right = kernels[deg]
-        ca = _in_column_space(left, ext_mod.vectorize(-(C @ fac.B), deg + 1), p)
-        cb = _in_column_space(right, ext_mod.vectorize(-(fac.B @ C), deg + 1), p)
+        ca = _in_column_space(left, ext_mod.vectorize(-(C @ fac.B)), p)
+        cb = _in_column_space(right, ext_mod.vectorize(-(fac.B @ C)), p)
         cc = ulrich_mod.bcb_divisible(fac, C)
         if not (ca == cb == cc):
             mismatches += 1

@@ -59,12 +59,12 @@ def test_homotopy_form():
     hom = ext_space(A_POINT, 0).homotopies
     u = FormMatrix.from_scalars([[0, 1, 0], [0, 0, 0], [0, 0, 0]], P)
     gen = u @ fac.A - fac.A @ u
-    assert linalg.rank_mod(hom + [vectorize(gen, 1)], P) == len(hom)
+    assert linalg.rank_mod(hom + [vectorize(gen)], P) == len(hom)
 
 
 def test_moore_span():
     basis = moore_span_basis(A_POINT)
-    vecs = [vectorize(m, 0) for m in basis]
+    vecs = [vectorize(m) for m in basis]
     assert linalg.rank_mod(vecs, P) == 3
     assert verify_moore_span(A_POINT)
 
@@ -108,6 +108,17 @@ def test_divergence_class_values():
     space = ext_space(A_POINT, 0)
     for h in space.homotopies[:3]:
         assert divergence_class(A_POINT, unvectorize(h, 1, P)) == 0
+
+
+def test_divergence_class_rejects_non_linear_c():
+    # A*x0 passes the trace criterion (tr(B*A*x0) = 3*f*x0) but has
+    # quadratic entries, so it has no Moore representative M_{b,y} + U*A - A*V
+    fac = moore_factorization(A_POINT)
+    C = fac.A.scale_form(coordinate_vars(P)[0])
+    assert trace_criterion(fac, C)
+    for call in (divergence_class, moore_representative):
+        with pytest.raises(ValueError, match="C must have linear entries, got degree 2"):
+            call(A_POINT, C)
 
 
 def test_divergence_class_rejects_non_solutions():
@@ -173,7 +184,7 @@ def test_unit_products_match_form_products(p, deg):
         unit_matrix(r, c, mono, p) for r in range(3) for c in range(3) for mono in monomials(deg)
     ]
     for on_left in (True, False):
-        want = [vectorize(E @ A if on_left else A @ E, deg + 1) for E in units]
+        want = [vectorize(E @ A if on_left else A @ E) for E in units]
         assert unit_products(A, deg, 1, on_left) == want
         negated = [[-x % p for x in row] for row in unit_products(A, deg, -1, on_left)]
         assert negated == want
@@ -201,7 +212,7 @@ def test_left_kernel_solvability_matches_solve(deg, rng):
         if deg == 2:
             # the four constructed candidates of the check, all with partners
             for C in constructed:
-                rhs.append(vectorize(-(fac.B @ C if on_left else C @ fac.B), deg + 1))
+                rhs.append(vectorize(-(fac.B @ C if on_left else C @ fac.B)))
         solvable = 0
         for b in rhs:
             by_kernel = not any(sum(y * x for y, x in zip(row, b)) % p for row in kernel)
@@ -224,10 +235,10 @@ def test_unvectorize_inverts_vectorize(p, rng):
                     for _ in range(3)
                 ]
             )
-            vec = vectorize(M, deg)
+            vec = vectorize(M)
             assert len(vec) == 9 * len(monos)
             assert unvectorize(vec, deg, p) == M
-            assert vectorize(unvectorize(vec, deg, p), deg) == vec
+            assert vectorize(unvectorize(vec, deg, p)) == vec
 
 
 @pytest.mark.parametrize("degree, length", [(1, 2), (1, 40), (1, 26), (1, 28), (0, 0), (2, 27)])

@@ -303,6 +303,21 @@ class TestCharacters:
                 ip = chars[i].inner_product(chars[j])
                 assert ip == (1 if i == j else 0)
 
+    def test_class_functions_need_one_modulus_and_group(self):
+        # chi_0 of H_3 has the same values over F_7 and F_13
+        chi7, chi13 = (schrodinger_character(3, 0, primitive_root_of_unity(q, 3)) for q in (7, 13))
+        assert chi7.values == chi13.values
+        assert chi7 != chi13
+        assert chi13 == schrodinger_character(3, 0, primitive_root_of_unity(13, 3))
+        for op in (chi7.__mul__, chi7.inner_product):
+            with pytest.raises(ValueError, match="modulus mismatch: 7 vs 13"):
+                op(chi13)
+        chi6 = schrodinger_character(6, 0, primitive_root_of_unity(13, 6))
+        assert chi13 != chi6
+        for op in (chi13.__mul__, chi13.inner_product):
+            with pytest.raises(ValueError, match="group mismatch: H_3 vs H_6"):
+                op(chi6)
+
     def test_class_function_constant_on_conjugacy_classes(self):
         zeta = primitive_root_of_unity(P, 3)
         chi = schrodinger_character(3, 1, zeta)

@@ -335,3 +335,21 @@ def test_group_law_axioms_sweep():
         two = curve.add(a, a)
         assert curve.double(a) == two
         assert curve.triple(a) == curve.add(two, a)
+
+
+def test_group_law_results_are_normalized_points():
+    # results are built from residue triples without from_ints; each must
+    # equal the validated point of its own residues
+    rng = random.Random(11)
+    for p in (7, 13, 31, 37):
+        curve = HesseCurve.from_lambda(rng.choice(smooth_lambdas(p)), p)
+        pts = curve.enumerate_points()
+        results = [curve.identity, *pts, *curve.torsion3()]
+        for a in pts:
+            b = rng.choice(pts)
+            results += [curve.neg(a), curve.triple(a), curve.double(a), curve.add(a, b)]
+            results += [curve.sub(a, b), curve.mul(rng.randrange(-50, 50), a)]
+        for q in results:
+            assert q.p == p and isinstance(q.residues, tuple)
+            assert q.residues == ProjectivePoint.from_ints(q.residues, p).residues
+            assert all(0 <= v < p for v in q.residues)

@@ -130,6 +130,49 @@ def test_form_matrix_algebra():
     assert a.scale_form(x0).entries[0][0] == x0 * x0
 
 
+def test_form_matrix_size_is_not_truncated():
+    three = FormMatrix.from_scalars([[int(i == j) for j in range(3)] for i in range(3)], P)
+    two = FormMatrix.from_scalars([[1, 0], [0, 1]], P)
+    assert (three.n, two.n) == (3, 2)
+    assert three != two and two != three
+    for op in (three.__add__, three.__sub__, three.__matmul__):
+        with pytest.raises(ValueError, match="size mismatch: 3x3 vs 2x2"):
+            op(two)
+
+
+def test_form_matrix_equality_needs_modulus_and_degree():
+    a = moore(T((1, 2, 3)))
+    assert a != moore(tuple(FieldElement(v, 19) for v in (1, 2, 3)))
+    x0 = HomForm.variable(0, P)
+    assert a.scale_form(x0) != a
+    zero1, zero2 = (FormMatrix([[HomForm.zero(d, P)] * 3] * 3) for d in (1, 2))
+    assert zero1 != zero2
+    assert zero1 == a - a
+
+
+def test_form_matrix_degree():
+    a = moore(T((1, 2, 3)))
+    assert a.degree == 1
+    assert moore_adjugate(T((1, 2, 3))).degree == 2
+    assert a.scale_form(a.trace()).degree == 2
+    assert (a @ moore_adjugate(T((1, 2, 3)))).degree == 3
+    assert FormMatrix.from_scalars([[1]], P).degree == 0
+
+
+def test_form_matrix_rejects_mixed_entries():
+    x0 = HomForm.variable(0, P)
+    rows = [[x0, x0, x0] for _ in range(3)]
+    rows[2][1] = x0 * x0
+    with pytest.raises(ValueError, match="mixed entries: degree 1 mod 13 vs 2 mod 13"):
+        FormMatrix(rows)
+    rows[2][1] = HomForm.zero(0, P)
+    with pytest.raises(ValueError, match="mixed entries: degree 1 mod 13 vs 0 mod 13"):
+        FormMatrix(rows)
+    rows[2][1] = HomForm.variable(0, 19)
+    with pytest.raises(ValueError, match="mixed entries: degree 1 mod 13 vs 1 mod 19"):
+        FormMatrix(rows)
+
+
 def test_left_kernel_point():
     # on the curve through (1,2,3): kernel of M_{a,a} is the identity o
     a = T((1, 2, 3))

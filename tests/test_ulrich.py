@@ -57,7 +57,7 @@ def fac():
 
 def test_factorization_certified(fac):
     # the constructor already certifies A*B = B*A = f*I; spot-check f
-    assert fac.size == 3
+    assert fac.size == fac.A.n == 3
     assert fac.f.lam == F(6)
     assert fac.B == moore_adjugate(A_POINT).scale(F(6).inv())
 
@@ -81,7 +81,7 @@ def test_det_identity_is_the_factorization_curve(p, rng):
 
 def test_bad_factorization_rejected(fac):
     with pytest.raises(ValueError):
-        MatrixFactorization(3, fac.A, fac.B.scale(F(2)), fac.f)
+        MatrixFactorization(fac.A, fac.B.scale(F(2)), fac.f)
 
 
 def test_preconditions():
@@ -160,7 +160,7 @@ def test_divergence_values():
 
 def test_rank2_blocks():
     blocks = rank2_ulrich(A_POINT)
-    assert blocks.factorization.size == 6
+    assert blocks.factorization.size == blocks.factorization.A.n == 6
     assert blocks.divergence == F(3)
     assert tuple(c.value for c in blocks.extension_triple) == (6, 0, 8)
     # block structure: upper-left and lower-right are A, lower-left is 0
