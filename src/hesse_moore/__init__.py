@@ -10,7 +10,6 @@ from .moore import (
     FormMatrix,
     KernelError,
     ProjectivePoint,
-    left_kernel_point,
     moore,
     moore_adjugate,
     moore_det,
@@ -87,7 +86,6 @@ __all__ = [
     "hn_elements",
     "hn_identity",
     "iota",
-    "left_kernel_point",
     "monomials",
     "moore",
     "moore_adjugate",

@@ -24,12 +24,12 @@ from . import ext as ext_mod
 from . import heisenberg as heis
 from . import ulrich as ulrich_mod
 from . import verify as verify_mod
-from .field import FieldElement, primitive_root_of_unity, residues
+from .field import FieldElement, primitive_root_of_unity, residues, triple_residues
 from .hesse import HesseCurve, curve_through
 from .moore import (
     FormMatrix,
     ProjectivePoint,
-    left_kernel_point,
+    left_kernel_mod,
     moore,
     moore_adjugate,
     moore_det,
@@ -152,8 +152,8 @@ def cmd_moore(args):
         return {"adjugate": moore_adjugate(a).serialize()}
     if args.action == "kernel":
         x = _triple(args.x, args.p)
-        pt = left_kernel_point(moore_scalar(a, x))
-        return {"point": pt.as_ints()}
+        m = moore_scalar(triple_residues(a)[0], triple_residues(x)[0])
+        return {"point": list(left_kernel_mod(m, args.p))}
     raise UsageError(f"unknown moore action {args.action!r}")
 
 

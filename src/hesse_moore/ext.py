@@ -15,10 +15,12 @@ canonical reduced echelon forms, all through the int linalg kernel.
 The trace condition is linear in C, so its constraint columns are sums
 of entries of one table of remainders mod f of the degree-(m+3)
 monomials (remainder_table), with no form products or divisions.  The
-representatives are the solutions whose reduction against an echelon
-basis, started from the homotopy rref rows, is nonzero.  An ExtSpace
-keeps those int rows; unvectorize turns one back into a matrix of
-forms.
+homotopies span the E*A and A*E for the unit matrices E (unit_products,
+which rejects any A but 3x3).  The representatives are the solutions
+whose reduction against an echelon basis, started from the homotopy
+rref rows, is nonzero.  An ExtSpace keeps those int rows, and its
+quotient dimension is their number; unvectorize turns one back into a
+matrix of forms.
 """
 
 from __future__ import annotations
@@ -35,15 +37,18 @@ from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_
 
 @dataclass
 class ExtSpace:
-    """Solution and homotopy bases, the quotient dimension and the chosen
-    quotient representatives at shift m; each basis element is the int
-    coordinate row (see vectorize) of a matrix of degree-(m+1) forms."""
+    """Solution and homotopy bases and the chosen quotient representatives
+    at shift m; each basis element is the int coordinate row (see
+    vectorize) of a matrix of degree-(m+1) forms."""
 
     m: int
     solutions: list[list[int]]
     homotopies: list[list[int]]
-    quotient_dimension: int
     representatives: list[list[int]]
+
+    @property
+    def quotient_dimension(self) -> int:
+        return len(self.representatives)
 
 
 def vectorize(mat: FormMatrix) -> list[int]:
@@ -77,13 +82,15 @@ def unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
     )
 
 
-def unit_products(A: FormMatrix, degree: int, sign: int, on_left: bool) -> list[list[int]]:
-    """Coordinates of sign * E_rc*mu @ A (on_left) or sign * A @ E_rc*mu,
+def unit_products(A: FormMatrix, degree: int, on_left: bool) -> list[list[int]]:
+    """Coordinates of E_rc*mu @ A (on_left) or A @ E_rc*mu for a 3x3 A,
     for r, c row-major and mu over the degree-d monomials, as int rows.
 
     E_rc*mu @ A is row c of A times mu placed in row r, and A @ E_rc*mu
     is column r of A times mu placed in column c: shifted coefficients
     of A, with no form products."""
+    if A.n != 3:
+        raise ValueError(f"unit_products needs a 3x3 matrix, got {A.n}x{A.n}")
     out_monos = monomials(degree + A.degree)
     k = len(out_monos)
     index = {e: n for n, e in enumerate(out_monos)}
@@ -97,7 +104,7 @@ def unit_products(A: FormMatrix, degree: int, sign: int, on_left: bool) -> list[
                     i, j, a, b = (r, t, c, t) if on_left else (t, c, t, r)
                     for e, coef in A.entries[a][b].residues.items():
                         shifted = (e[0] + mu[0], e[1] + mu[1], e[2] + mu[2])
-                        v[(3 * i + j) * k + index[shifted]] = sign * coef
+                        v[(3 * i + j) * k + index[shifted]] = coef
                 rows.append(v)
     return rows
 
@@ -156,8 +163,8 @@ def _homotopy_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
     """Reduced basis of the span of {vec(U*A - A*V)} for U, V in Mat_3(S_m)."""
     if m < 0:
         return []
-    gens = unit_products(fac.A, m, 1, on_left=True)
-    gens += unit_products(fac.A, m, -1, on_left=False)
+    # the U*A - A*V span what the U*A and the A*V span
+    gens = unit_products(fac.A, m, on_left=True) + unit_products(fac.A, m, on_left=False)
     return gens[: len(linalg.rref_mod(gens, fac.f.p))]
 
 
@@ -167,14 +174,7 @@ def ext_space(a, m: int) -> ExtSpace:
     p = fac.f.p
     sols = _solution_vectors(fac, m)
     homs = _homotopy_vectors(fac, m)
-    reps = _representatives(homs, sols, p)
-    return ExtSpace(
-        m=m,
-        solutions=sols,
-        homotopies=homs,
-        quotient_dimension=len(reps),
-        representatives=reps,
-    )
+    return ExtSpace(m, sols, homs, _representatives(homs, sols, p))
 
 
 def _representatives(homs: list[list[int]], sols: list[list[int]], p: int) -> list[list[int]]:
@@ -230,7 +230,9 @@ class RepresentationError(ValueError):
 def moore_representative(a, C: FormMatrix):
     """Solve C = M_{b,y} + U*A - A*V for y (linear forms) and constant
     U, V (rows of int residues); existence is the content of the
-    divergence theorem.  C must be a matrix of linear forms."""
+    divergence theorem.  C must be a 3x3 matrix of linear forms."""
+    if C.n != 3:
+        raise ValueError(f"C must be 3x3, got {C.n}x{C.n}")
     if C.degree != 1:
         raise ValueError(f"C must have linear entries, got degree {C.degree}")
     a = tuple(a)
@@ -238,11 +240,11 @@ def moore_representative(a, C: FormMatrix):
     p = fac.f.p
     x = coordinate_vars(p)
     # y unknowns: y_i = sum_k y_ik x_k contributes M_{b,e_i} * x_k; then
-    # the U and V unknowns (constant matrices)
+    # the U and -V unknowns (constant matrices)
     basis_m = moore_span_basis(a)
     columns = [vectorize(basis_m[i].scale_form(x[k])) for i in range(3) for k in range(3)]
-    columns += unit_products(fac.A, 0, 1, on_left=True)
-    columns += unit_products(fac.A, 0, -1, on_left=False)
+    columns += unit_products(fac.A, 0, on_left=True)
+    columns += unit_products(fac.A, 0, on_left=False)
     system = [list(row) for row in zip(*columns)]
     rhs = vectorize(C)
     sol = linalg.solve_mod(system, rhs, p)
@@ -256,7 +258,7 @@ def moore_representative(a, C: FormMatrix):
         for i in range(3)
     )
     U = [sol[9 + 3 * r : 12 + 3 * r] for r in range(3)]
-    V = [sol[18 + 3 * r : 21 + 3 * r] for r in range(3)]
+    V = [[-x % p for x in sol[18 + 3 * r : 21 + 3 * r]] for r in range(3)]
     return y, U, V
 
 

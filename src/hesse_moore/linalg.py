@@ -11,8 +11,8 @@ halves the work on dense ones.  Reduced row echelon form is canonical,
 which makes subspace comparison a matter of comparing rref bases.
 
 ``mat_mul_mod`` multiplies int matrices (the Heisenberg commutator and
-trace invariants).  Only ``residues`` and ``rref`` touch FieldElement:
-``residues`` is field.residues applied to the entries of a matrix.
+trace invariants).  Only ``rref`` touches FieldElement: it reads the
+entries through field.residues and hands back FieldElement rows.
 """
 
 from __future__ import annotations
@@ -88,7 +88,10 @@ def nullspace_mod(m: list[list[int]], p: int) -> list[list[int]]:
 
 def solve_mod(m: list[list[int]], b: list[int], p: int) -> list[int] | None:
     """One solution of m @ x = b over F_p (free variables zero), or None
-    when the system is inconsistent; m is left untouched."""
+    when the system is inconsistent; m is left untouched.  b needs one
+    entry per row of m."""
+    if len(b) != len(m):
+        raise ValueError(f"{len(m)} equations but {len(b)} right-hand sides")
     cols = len(m[0]) if m else 0
     aug = [row + [bi] for row, bi in zip(m, b)]
     pivots = rref_mod(aug, p)
@@ -117,15 +120,10 @@ def same_span_mod(u: list[list[int]], v: list[list[int]], p: int) -> bool:
 # -- the FieldElement boundary ----------------------------------------------
 
 
-def residues(a: Matrix) -> tuple[list[list[int]], int | None]:
-    """field.residues of the entries of a, as rows."""
-    flat, p = field.residues([x for row in a for x in row])
-    values = iter(flat)
-    return [[next(values) for _ in row] for row in a], p
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns (input left untouched)."""
-    m, p = residues(a)
+    flat, p = field.residues([x for row in a for x in row])
+    values = iter(flat)
+    m = [[next(values) for _ in row] for row in a]
     pivots = rref_mod(m, p)
     return [[FieldElement(x, p) for x in row] for row in m], pivots

@@ -9,7 +9,8 @@ A triple a of FieldElements enters through field.triple_residues, and
 the Moore matrix, its adjugate and determinant are built from the int
 residues.  A ProjectivePoint is a triple of normalized int residues; its
 ``coords`` property is the one conversion back to FieldElements.  A
-FormMatrix reads its size, modulus and degree off its own entries.
+FormMatrix reads its size, modulus and degree off its own entries.  The
+kernel point of a rank-2 matrix of int residues is left_kernel_mod.
 """
 
 from __future__ import annotations
@@ -261,9 +262,3 @@ def left_kernel_mod(m: list[list[int]], p: int) -> tuple[int, int, int]:
                 return normalize_mod(col, p)
     rank = len(linalg.rref_mod([list(row) for row in m], p))
     raise KernelError(f"rank is {rank}, need exactly 2")
-
-
-def left_kernel_point(m: list[list[FieldElement]]) -> ProjectivePoint:
-    """The projective point spanning {c : m @ c = 0} of a rank-2 matrix."""
-    ints, p = linalg.residues(m)
-    return ProjectivePoint.from_ints(left_kernel_mod(ints, p), p)

@@ -91,7 +91,12 @@ def partner_D(fac: MatrixFactorization, C: FormMatrix) -> FormMatrix:
 
 
 def recover_C(fac: MatrixFactorization, D: FormMatrix) -> FormMatrix:
-    """The unique C with f*C = -A*D*A (inverse of partner_D)."""
+    """The unique C with f*C = -A*D*A (inverse of partner_D); C has the
+    degree of D minus 1, so a constant D has none."""
+    if D.degree < 1:
+        raise FactorizationError(
+            f"no C for this D: D has degree {D.degree}, so C would have degree {D.degree - 1}"
+        )
     q = _quotient(fac.A @ D @ fac.A, fac.f.form)
     if q is None:
         raise FactorizationError("no C for this D: f does not divide A*D*A")
@@ -122,6 +127,8 @@ def divergence(y) -> int:
     """div of M_{b,y} for a vector y of three linear forms:
     d y0/d x0 + d y1/d x1 + d y2/d x2, as a residue."""
     y = tuple(y)
+    if len(y) != 3:
+        raise ValueError(f"divergence expects three linear forms, got {len(y)}")
     p = y[0].p
     total = 0
     for i, form in enumerate(y):

@@ -2,11 +2,13 @@
 statement verified by enumeration, symbolic identity, or a seeded random
 sweep.
 
-Each check returns a CheckResult with a pass flag and a short detail
-string (counts of cases exercised); a check that exercises no case
-fails.  run_all executes all twelve; a prime filter reruns the five
-checks in _PRIME_FILTERED over the given prime only, and the other
-seven stay on the primes their statements name.
+Each check takes the seeded rng and returns a CheckResult with a pass
+flag and a short detail string (counts of cases exercised); a check
+that exercises no case fails.  Sample sizes and primes are fixed inside
+each check.  run_all executes all twelve; the five checks in
+_PRIME_FILTERED also take ``primes``, so a prime filter reruns them
+over the given prime only, and the other seven stay on the primes their
+statements name.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-def smooth_lambdas(p: int, count: int | None = None) -> list[int]:
-    """Smooth lambda values (lambda^3 != 27) in ascending order."""
-    out = [l for l in range(p) if pow(l, 3, p) != 27 % p]
-    return out if count is None else out[:count]
+def smooth_curves(p: int, count: int | None = None) -> list[HesseCurve]:
+    """The smooth curves of F_p (lambda^3 != 27), lambda ascending."""
+    lams = [l for l in range(p) if pow(l, 3, p) != 27 % p]
+    return [HesseCurve.from_lambda(l, p) for l in lams[:count]]
 
 
 def _random_triple(p: int, rng: random.Random):
@@ -57,14 +59,10 @@ def _random_triple(p: int, rng: random.Random):
             return a
 
 
-def _random_form(degree: int, p: int, rng: random.Random) -> HomForm:
-    return HomForm.from_residues(degree, p, {e: rng.randrange(p) for e in monomials(degree)})
-
-
 def _random_form_matrix(degree: int, p: int, rng: random.Random) -> FormMatrix:
-    return FormMatrix(
-        [[_random_form(degree, p, rng) for _ in range(3)] for _ in range(3)]
-    )
+    monos = monomials(degree)
+    rows = [[{e: rng.randrange(p) for e in monos} for _ in range(3)] for _ in range(3)]
+    return FormMatrix([[HomForm.from_residues(degree, p, c) for c in row] for row in rows])
 
 
 def _nontorsion_points(curve: HesseCurve) -> list[ProjectivePoint]:
@@ -72,31 +70,29 @@ def _nontorsion_points(curve: HesseCurve) -> list[ProjectivePoint]:
     return [a for a in curve.enumerate_points() if a.coordinate_product()]
 
 
-def _sample_nontorsion(p: int, count: int, rng: random.Random):
-    """Seeded sample of (curve, point) pairs with a0*a1*a2 != 0, spread
-    over the smooth curves of F_p that have non-torsion points."""
-    pool = []
-    for lam in smooth_lambdas(p):
-        curve = HesseCurve.from_lambda(lam, p)
-        pool.extend((curve, a) for a in _nontorsion_points(curve))
-    if len(pool) < count:
-        return pool
-    return rng.sample(pool, count)
-
-
-def _base_points(primes, sample: int, rng: random.Random):
-    """(p, a) for a seeded sample of `sample` non-torsion points a over
-    every prime (none over F_7: 9 | #E <= 13, so E(F_7) is the 9 flexes)."""
+def _base_points(primes, rng: random.Random) -> list[ProjectivePoint]:
+    """A seeded sample of 10 points with a0*a1*a2 != 0 over every prime,
+    drawn from the non-torsion points of all its smooth curves (none over
+    F_7: 9 | #E <= 13, so E(F_7) is the 9 flexes)."""
     points = []
     for p in primes:
-        points.extend((p, a) for _, a in _sample_nontorsion(p, sample, rng))
+        pool = [a for curve in smooth_curves(p) for a in _nontorsion_points(curve)]
+        points.extend(pool if len(pool) < 10 else rng.sample(pool, 10))
     return points
+
+
+def _nonvacuous(name: str, tested: int, bad: int, detail: str) -> CheckResult:
+    """The result of a check over base points; with none, it fails."""
+    if tested == 0:
+        detail = "vacuous: no non-torsion rational points over the selected primes"
+    return CheckResult(name, tested > 0 and bad == 0, detail)
 
 
 # -- 1. determinant identity -------------------------------------------
 
 
-def check_determinant_identity(rng: random.Random, p: int = 13, samples: int = 200):
+def check_determinant_identity(rng: random.Random):
+    p, samples = 13, 200
     failures = 0
     for _ in range(samples):
         a = _random_triple(p, rng)
@@ -129,12 +125,12 @@ def check_determinant_identity(rng: random.Random, p: int = 13, samples: int = 2
 # -- 2. rank lemma ------------------------------------------------------
 
 
-def check_rank_lemma(rng: random.Random, primes=(7, 13), curves_per_prime: int = 3):
+def check_rank_lemma(rng: random.Random, primes=(7, 13)):
     pairs = 0
     bad = 0
     for p in primes:
-        for lam in smooth_lambdas(p, curves_per_prime):
-            pts = HesseCurve.from_lambda(lam, p).enumerate_points()
+        for curve in smooth_curves(p, 3):
+            pts = curve.enumerate_points()
             for a in pts:
                 for b in pts:
                     pairs += 1
@@ -143,7 +139,7 @@ def check_rank_lemma(rng: random.Random, primes=(7, 13), curves_per_prime: int =
     return CheckResult(
         "rank lemma",
         bad == 0,
-        f"{pairs} point pairs on {len(primes) * curves_per_prime} curves, {bad} of rank != 2",
+        f"{pairs} point pairs on {len(primes) * 3} curves, {bad} of rank != 2",
     )
 
 
@@ -155,8 +151,7 @@ def check_group_law(rng: random.Random, primes=(7, 13)):
     bad = 0
     if 13 in primes:
         # identity / inverse / commutativity, exhaustive on E(F_13)
-        for lam in smooth_lambdas(13, 3):
-            curve = HesseCurve.from_lambda(lam, 13)
+        for curve in smooth_curves(13, 3):
             pts = curve.enumerate_points()
             o = curve.identity
             for a in pts:
@@ -170,8 +165,7 @@ def check_group_law(rng: random.Random, primes=(7, 13)):
                         bad += 1
     if 7 in primes:
         # associativity, exhaustive on E(F_7)
-        for lam in smooth_lambdas(7):
-            curve = HesseCurve.from_lambda(lam, 7)
+        for curve in smooth_curves(7):
             pts = curve.enumerate_points()
             for a in pts:
                 for b in pts:
@@ -182,8 +176,7 @@ def check_group_law(rng: random.Random, primes=(7, 13)):
                             bad += 1
     # closed doubling/tripling vs repeated Moore-kernel addition
     for p in primes:
-        for lam in smooth_lambdas(p, 3):
-            curve = HesseCurve.from_lambda(lam, p)
+        for curve in smooth_curves(p, 3):
             for a in curve.enumerate_points():
                 checks += 2
                 two = curve.add(a, a)
@@ -199,12 +192,11 @@ def check_group_law(rng: random.Random, primes=(7, 13)):
 # -- 4. torsion ----------------------------------------------------------
 
 
-def check_torsion(rng: random.Random, primes=(7, 13)):
+def check_torsion(rng: random.Random):
     details = []
     ok = True
-    for p in primes:
-        for lam in smooth_lambdas(p, 3):
-            curve = HesseCurve.from_lambda(lam, p)
+    for p in (7, 13):
+        for curve in smooth_curves(p, 3):
             t3 = curve.torsion3()
             on_curve = set(curve.enumerate_points())
             coord_zero = {a for a in on_curve if not a.coordinate_product()}
@@ -232,12 +224,12 @@ def check_torsion(rng: random.Random, primes=(7, 13)):
 # -- 5. Theorem A classification ----------------------------------------
 
 
-def check_equivalence_classification(rng: random.Random, p: int = 13):
+def check_equivalence_classification(rng: random.Random):
+    p = 13
     pairs = 0
     bad = 0
     orbits_ok = True
-    for lam in smooth_lambdas(p, 3):
-        curve = HesseCurve.from_lambda(lam, p)
+    for curve in smooth_curves(p, 3):
         pts = _nontorsion_points(curve)
         orbits = {a: heis.orbit(a.coords) for a in pts}
         triples = {a: curve.triple(a) for a in pts}
@@ -264,11 +256,11 @@ def check_equivalence_classification(rng: random.Random, p: int = 13):
 # -- 6. conjugation identities -------------------------------------------
 
 
-def check_conjugation_identities(rng: random.Random, primes=(7, 13), samples: int = 20):
+def check_conjugation_identities(rng: random.Random, primes=(7, 13)):
     total = 0
     bad = 0
     for p in primes:
-        for _ in range(samples):
+        for _ in range(20):
             a = _random_triple(p, rng)
             total += 1
             if not heis.conjugation_identities(a):
@@ -283,7 +275,8 @@ def check_conjugation_identities(rng: random.Random, primes=(7, 13), samples: in
 # -- 7. characters -------------------------------------------------------
 
 
-def check_characters(rng: random.Random, p: int = 13):
+def check_characters(rng: random.Random):
+    p = 13
     ok = True
     details = []
     for n in (3, 6):
@@ -314,35 +307,28 @@ def _in_column_space(left_kernel: list[list[int]], b: list[int], p: int) -> bool
     return not any(sum(y * x for y, x in zip(row, b)) % p for row in left_kernel)
 
 
-def check_partner_lemma(rng: random.Random, p: int = 13, samples: int = 100):
+def check_partner_lemma(rng: random.Random):
+    p = 13
     a = tuple(FieldElement(v, p) for v in (1, 2, 3))
     fac = ulrich_mod.moore_factorization(a)
     b = extension_representative(a)
-    # candidates: mostly random (divisibility almost surely fails), plus
-    # constructed ones where it holds, so both branches are exercised
-    candidates = [_random_form_matrix(1, p, rng) for _ in range(samples - 4)]
+    # linear candidates: mostly random (divisibility almost surely fails),
+    # plus constructed ones where it holds, so both branches are exercised
+    candidates = [_random_form_matrix(1, p, rng) for _ in range(96)]
     mb = moore(b)
-    candidates.append(fac.A)
-    candidates.append(mb)
-    candidates.append(mb.scale(FieldElement(5, p)))
-    candidates.append(fac.A + mb)
+    candidates += [fac.A, mb, mb.scale(FieldElement(5, p)), fac.A + mb]
+    # whether some quadratic D solves A*D + C*B = 0, and whether some D
+    # solves D*A + B*C = 0: the systems' columns are the coordinates of
+    # A @ E (resp. E @ A) for the quadratic unit matrices E, and a right
+    # side is solvable when every y with y @ system = 0 kills it
+    left, right = [
+        linalg.nullspace_mod(ext_mod.unit_products(fac.A, 2, on_left), p)
+        for on_left in (False, True)
+    ]
     mismatches = 0
     positive = 0
     broken = 0
-    kernels = {}
     for C in candidates:
-        # whether some D (entry degree deg C + 1) solves A*D + C*B = 0,
-        # and whether some D solves D*A + B*C = 0
-        deg = C.degree + 1
-        if deg not in kernels:
-            # the system's columns are the coordinates of A @ E (resp.
-            # E @ A) for the unit matrices E of entry degree deg; a right
-            # side is solvable when every y with y @ system = 0 kills it
-            kernels[deg] = [
-                linalg.nullspace_mod(ext_mod.unit_products(fac.A, deg, 1, on_left), p)
-                for on_left in (False, True)
-            ]
-        left, right = kernels[deg]
         ca = _in_column_space(left, ext_mod.vectorize(-(C @ fac.B)), p)
         cb = _in_column_space(right, ext_mod.vectorize(-(fac.B @ C)), p)
         cc = ulrich_mod.bcb_divisible(fac, C)
@@ -368,7 +354,8 @@ def check_partner_lemma(rng: random.Random, p: int = 13, samples: int = 100):
 # -- 9. trace lemma --------------------------------------------------------
 
 
-def check_trace_lemma(rng: random.Random, p: int = 13, samples: int = 100):
+def check_trace_lemma(rng: random.Random):
+    p, samples = 13, 100
     a = tuple(FieldElement(v, p) for v in (1, 2, 3))
     fac = ulrich_mod.moore_factorization(a)
     bad_congruence = 0
@@ -390,22 +377,21 @@ def check_trace_lemma(rng: random.Random, p: int = 13, samples: int = 100):
 # -- 10. rank-2 Ulrich blocks ----------------------------------------------
 
 
-def check_rank2_blocks(rng: random.Random, primes=(7, 13), sample: int = 10):
+def check_rank2_blocks(rng: random.Random, primes=(7, 13)):
     tested = 0
     bad = 0
-    for p, a in _base_points(primes, sample, rng):
+    for a in _base_points(primes, rng):
         tested += 1
         try:
             blocks = ulrich_mod.rank2_ulrich(a.coords)  # certifies 6x6 product
         except (ValueError, AssertionError):
             bad += 1
             continue
-        if blocks.divergence != FieldElement(3, p):
+        if blocks.divergence != FieldElement(3, a.p):
             bad += 1
-    detail = f"{tested} base points certified, {bad} failures"
-    if tested == 0:
-        detail = "vacuous: no non-torsion rational points over the selected primes"
-    return CheckResult("rank-2 Ulrich blocks", tested > 0 and bad == 0, detail)
+    return _nonvacuous(
+        "rank-2 Ulrich blocks", tested, bad, f"{tested} base points certified, {bad} failures"
+    )
 
 
 # -- 11. extension dimensions -----------------------------------------------
@@ -425,13 +411,12 @@ def _divergence_kernel_matches_homotopy(a) -> bool:
     return linalg.same_span_mod(kernel_vecs, space.homotopies, p)
 
 
-def check_ext_dimensions(rng: random.Random, primes=(7, 13), sample: int = 10,
-                         kernel_points: int = 2):
+def check_ext_dimensions(rng: random.Random, primes=(7, 13)):
     expected = {-2: 0, -1: 3, 0: 1, 1: 0}
     tested = 0
     bad = 0
     kernel_checked = 0
-    for _, a in _base_points(primes, sample, rng):
+    for a in _base_points(primes, rng):
         tested += 1
         dims = {m: ext_mod.ext_space(a.coords, m).quotient_dimension for m in expected}
         if dims != expected:
@@ -440,7 +425,7 @@ def check_ext_dimensions(rng: random.Random, primes=(7, 13), sample: int = 10,
         if not ext_mod.verify_moore_span(a.coords):
             bad += 1
             continue
-        if kernel_checked < kernel_points:
+        if kernel_checked < 2:
             kernel_checked += 1
             if not _divergence_kernel_matches_homotopy(a.coords):
                 bad += 1
@@ -448,20 +433,18 @@ def check_ext_dimensions(rng: random.Random, primes=(7, 13), sample: int = 10,
         f"{tested} base points with dims (0,3,1,0), Moore spans verified, "
         f"{kernel_checked} divergence kernels compared, {bad} failures"
     )
-    if tested == 0:
-        detail = "vacuous: no non-torsion rational points over the selected primes"
-    return CheckResult("extension dimensions", tested > 0 and bad == 0, detail)
+    return _nonvacuous("extension dimensions", tested, bad, detail)
 
 
 # -- 12. geometric interpretations -------------------------------------------
 
 
-def check_geometric_interpretations(rng: random.Random, p: int = 7):
-    curves = [HesseCurve.from_lambda(lam, p) for lam in smooth_lambdas(p)]
+def check_geometric_interpretations(rng: random.Random):
+    p = 7
     graphs = 0
     segres = 0
     bad = 0
-    for curve in curves:
+    for curve in smooth_curves(p):
         pts = curve.enumerate_points()
         for a in pts:
             graphs += 1

@@ -121,6 +121,17 @@ def test_divergence_class_rejects_non_linear_c():
             call(A_POINT, C)
 
 
+def test_rank2_blocks_are_rejected_where_3x3_is_read():
+    # the 6x6 rank-2 block would be read through its top-left 3x3 corner
+    from hesse_moore.ulrich import rank2_ulrich
+
+    A6 = rank2_ulrich(A_POINT).factorization.A
+    with pytest.raises(ValueError, match="needs a 3x3 matrix, got 6x6"):
+        unit_products(A6, 0, True)
+    with pytest.raises(ValueError, match="C must be 3x3, got 6x6"):
+        moore_representative(A_POINT, A6)
+
+
 def test_divergence_class_rejects_non_solutions():
     x = coordinate_vars(P)
     from hesse_moore.moore import FormMatrix
@@ -185,9 +196,7 @@ def test_unit_products_match_form_products(p, deg):
     ]
     for on_left in (True, False):
         want = [vectorize(E @ A if on_left else A @ E) for E in units]
-        assert unit_products(A, deg, 1, on_left) == want
-        negated = [[-x % p for x in row] for row in unit_products(A, deg, -1, on_left)]
-        assert negated == want
+        assert unit_products(A, deg, on_left) == want
 
 
 @pytest.mark.parametrize("deg", [1, 2])
@@ -200,9 +209,9 @@ def test_left_kernel_solvability_matches_solve(deg, rng):
     mb = moore(extension_representative(a))
     constructed = [fac.A, mb, mb.scale(FieldElement(5, p)), fac.A + mb]
     for on_left in (False, True):
-        gens = unit_products(fac.A, deg, 1, on_left)
+        gens = unit_products(fac.A, deg, on_left)
         system = [list(row) for row in zip(*gens)]
-        kernel = linalg.nullspace_mod(unit_products(fac.A, deg, 1, on_left), p)
+        kernel = linalg.nullspace_mod(unit_products(fac.A, deg, on_left), p)
         assert kernel
         rhs = [[rng.randrange(p) for _ in system] for _ in range(20)]
         # combinations of the generators lie in the column space
@@ -317,12 +326,13 @@ def reference_ext_space(a, m):
             sols.append(v)
     homs = []
     if m >= 0:
-        gens = unit_products(fac.A, m, 1, on_left=True) + unit_products(fac.A, m, -1, on_left=False)
+        minus_av = [[-x for x in row] for row in unit_products(fac.A, m, on_left=False)]
+        gens = unit_products(fac.A, m, on_left=True) + minus_av
         red, pivots = dense_rref(gens, p)
         homs = red[: len(pivots)]
     _, pivots = dense_rref([list(col) for col in zip(*(homs + sols))], p)
     reps = [sols[c - len(homs)] for c in pivots if c >= len(homs)]
-    return ExtSpace(m, sols, homs, len(reps), reps)
+    return ExtSpace(m, sols, homs, reps)
 
 
 @pytest.mark.parametrize("p", [13, 19, 31, 37])

@@ -108,7 +108,7 @@ def test_residues_is_the_one_conversion():
     assert residues([]) == ([], None)
     assert triple_residues([FieldElement(5, 7)] * 3) == ([5, 5, 5], 7)
     mixed = [FieldElement(1, 7), FieldElement(2, 13)]
-    for convert in (residues, triple_residues, lambda m: linalg.residues([m[:1], m[1:]])):
+    for convert in (residues, triple_residues, lambda m: linalg.rref([m[:1], m[1:]])):
         with pytest.raises(ValueError, match="^modulus mismatch: 7 vs 13$"):
             convert(mixed)
     with pytest.raises(ValueError, match="^expected a triple, got 4 elements$"):

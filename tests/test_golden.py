@@ -97,6 +97,7 @@ CASES = {
     "usage_bad_shift": ["ext", "dims", "--p", "13", "--a", "1,2,3", "--m=1,y"],
     "verify_all": ["verify", "all"],
     "verify_all_p13": ["verify", "all", "--p", "13"],
+    "verify_all_p19": ["verify", "all", "--p", "19"],
 }
 
 

@@ -80,6 +80,14 @@ def test_solve_inconsistent():
     assert a == [[1, 0], [1, 0]]  # left untouched
 
 
+def test_solve_rejects_a_right_side_of_another_length():
+    # zipping would drop the third equation and "solve" x = (1, 2)
+    with pytest.raises(ValueError, match="3 equations but 2 right-hand sides"):
+        linalg.solve_mod([[1, 0], [0, 1], [1, 1]], [1, 2], P)
+    with pytest.raises(ValueError, match="1 equations but 2 right-hand sides"):
+        linalg.solve_mod([[1, 0]], [1, 2], P)
+
+
 def test_span_predicates():
     u = [[1, 0, 1], [0, 1, 1]]
     v = [[1, 1, 2], [1, 12, 0]]
@@ -150,9 +158,8 @@ def test_int_kernel_matches_reference(p):
 
 def test_mixed_moduli_raise():
     a = [[FieldElement(1, 7), FieldElement(2, 7)], [FieldElement(3, 13), FieldElement(4, 13)]]
-    for fn in (linalg.rref, linalg.residues):
-        with pytest.raises(ValueError, match="modulus mismatch"):
-            fn(a)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        linalg.rref(a)
 
 
 def sparse_rows(rows, cols, density, rng, p):

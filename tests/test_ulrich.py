@@ -104,6 +104,15 @@ def test_partner_of_zero(fac):
     assert recover_C(fac, partner_D(fac, zero_mat)).is_zero()
 
 
+def test_constant_D_has_no_C(fac):
+    # A*D*A has degree 2 for a constant D, so f*C = -A*D*A has no solution
+    zero_D = FormMatrix.from_scalars([[0] * 3] * 3, P)
+    with pytest.raises(FactorizationError, match="D has degree 0, so C would have degree -1"):
+        recover_C(fac, zero_D)
+    with pytest.raises(FactorizationError, match="D has degree 0"):
+        recover_C(fac, FormMatrix.from_scalars([[1, 0, 0], [0, 1, 0], [0, 0, 1]], P))
+
+
 def test_extension_triple_has_partner(fac):
     C = moore(extension_representative(A_POINT))
     assert trace_criterion(fac, C)
@@ -156,6 +165,10 @@ def test_divergence_values():
     assert divergence((x[1], x[2], x[0])) == 0
     with pytest.raises(ValueError):
         divergence((x[0] * x[0], x[1] * x[1], x[2] * x[2]))
+    # the divergence of M_{b,y} needs exactly one linear form per variable
+    for y in (x[:2], x + (x[0],)):
+        with pytest.raises(ValueError, match=f"expects three linear forms, got {len(y)}"):
+            divergence(y)
 
 
 def test_rank2_blocks():
