@@ -4,7 +4,7 @@ law, Heisenberg equivalence invariants, Schroedinger characters, and
 rank-1/rank-2 Ulrich matrix factorizations with their graded extension
 spaces."""
 
-from .field import FieldElement, one, primitive_root_of_unity, validate_modulus, zero
+from .field import FieldElement, primitive_root_of_unity, validate_modulus
 from .poly import HomForm, divide, monomials
 from .moore import (
     FormMatrix,
@@ -93,7 +93,6 @@ __all__ = [
     "moore_factorization",
     "moore_representative",
     "moore_scalar",
-    "one",
     "orbit",
     "partner_D",
     "primitive_root_of_unity",
@@ -107,7 +106,6 @@ __all__ = [
     "verify_moore_span",
     "verify_restriction",
     "verify_tensor_h3",
-    "zero",
 ]
 
 __version__ = "0.1.0"

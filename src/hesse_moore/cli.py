@@ -184,18 +184,16 @@ def cmd_heis(args):
         zeta = primitive_root_of_unity(p, n)
         table = {}
         for j in range(n):
-            chi = heis.schrodinger_character(n, j, zeta)
+            chi = heis.schrodinger_character(n, j, zeta, p)
             table[str(j)] = {
                 f"{g.r},{g.s},{g.t}": chi(g) for g in heis.hn_elements(n)
             }
-        return {"n": n, "p": p, "zeta": zeta.value, "table": table}
+        return {"n": n, "p": p, "zeta": zeta, "table": table}
     if args.action == "restrict":
-        zeta = primitive_root_of_unity(p, args.n)
-        holds = heis.verify_restriction(args.n, args.d, args.j, zeta)
+        holds = heis.verify_restriction(args.n, args.d, args.j, p)
         return {"n": args.n, "d": args.d, "j": args.j, "holds": holds}
     if args.action == "tensor":
-        zeta = primitive_root_of_unity(p, 3)
-        return {"holds": heis.verify_tensor_h3(zeta), "p": p}
+        return {"holds": heis.verify_tensor_h3(p), "p": p}
     raise UsageError(f"unknown heis action {args.action!r}")
 
 

@@ -1,17 +1,20 @@
 """Exact arithmetic in a prime field F_p with p = 1 (mod 6).
 
-Every scalar carries its modulus; mixing moduli is a hard error rather
-than a coercion.  The congruence condition guarantees that F_p contains
-six distinct sixth roots of unity, which the rest of the library needs
-(cube roots for the Heisenberg action, sixth roots for the H_6
-characters).  The rest of the library computes on int residues, and
-``residues`` (``triple_residues`` for a triple a) is the one conversion
-of a sequence of FieldElements to them.
+The congruence condition guarantees that F_p contains six distinct
+sixth roots of unity, which the rest of the library needs (cube roots
+for the Heisenberg action, sixth roots for the H_6 characters);
+``primitive_root_of_unity`` hands them out as int residues.
+
+FieldElement is the public scalar: it carries its modulus, and mixing
+moduli is a hard error rather than a coercion.  The rest of the library
+computes on int residues, and ``residues`` (``triple_residues`` for a
+triple a) is the one conversion of a sequence of FieldElements to them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 
 def is_prime(n: int) -> bool:
@@ -76,19 +79,10 @@ class FieldElement:
     def __neg__(self):
         return FieldElement(-self.value, self.p)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        return FieldElement(pow(self.value, n, self.p), self.p)
-
     def inv(self) -> "FieldElement":
         if self.value == 0:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
         return FieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inv()
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -103,9 +97,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({self.value}, p={self.p})"
-
-    def is_zero(self) -> bool:
-        return self.value == 0
 
 
 def residues(elements) -> tuple[list[int], int | None]:
@@ -128,30 +119,22 @@ def triple_residues(a) -> tuple[list[int], int]:
     return values, p
 
 
-def zero(p: int) -> FieldElement:
-    return FieldElement(0, p)
-
-
-def one(p: int) -> FieldElement:
-    return FieldElement(1, p)
-
-
 @lru_cache(maxsize=None)
-def primitive_root_of_unity(p: int, n: int) -> FieldElement:
+def primitive_root_of_unity(p: int, n: int) -> int:
     """The smallest residue of multiplicative order exactly n in F_p.
 
     Requires n | p-1.  Deterministic, so all downstream constructions
-    (character tables, Heisenberg matrices) are reproducible.  Memoized
-    per (p, n); the shared result must not be mutated.
+    (character tables, Heisenberg matrices) are reproducible.  The first
+    g = z^((p-1)/n), z = 2, 3, ..., of exact order n (g^(n/q) != 1 for
+    each prime q | n) generates the roots of order n, the g^k with
+    gcd(k, n) = 1, so this costs O(n log p) rather than O(p).
     """
     validate_modulus(p)
     if n <= 0 or (p - 1) % n != 0:
         raise ValueError(f"{n} does not divide p-1 = {p - 1}")
-    if n == 1:
-        return one(p)
+    primes = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
     for z in range(2, p):
-        if pow(z, n, p) != 1:
-            continue
-        if all(pow(z, k, p) != 1 for k in range(1, n)):
-            return FieldElement(z, p)
+        g = pow(z, (p - 1) // n, p)
+        if all(pow(g, n // q, p) != 1 for q in primes):
+            return min(pow(g, k, p) for k in range(1, n + 1) if gcd(k, n) == 1)
     raise AssertionError(f"no element of order {n} in F_{p}")  # unreachable

@@ -8,13 +8,13 @@ shift) and T = diag(1, w, w^2), and the orbit of a triple a, together
 with three trace invariants, classifies Moore matrices up to
 equivalence.
 
-Characters take values in F_p through a chosen root of unity zeta, so
-the whole computation stays in one exact arithmetic domain.  FieldElement
-appears only in the inputs (zeta, mu and the triples a, which enter
-through field.triple_residues) and in the triple t_action returns; every
-matrix is rows of int residues mod p (each Heis_3 matrix is monomial and
-is built from its shift and diagonal), trace invariants and character
-values are int residues, and orbit builds its points from int triples.
+Characters take values in F_p through a root of unity zeta, so the
+whole computation stays in one exact arithmetic domain.  Every scalar is
+an int residue beside its modulus p: the roots of unity, zeta, mu, each
+matrix (rows of residues; a Heis_3 matrix is monomial, built from its
+shift and diagonal), the trace invariants and the character values.
+FieldElement appears only in the triples a, which enter through
+field.triple_residues, and in the triple t_action returns.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
-from .field import FieldElement, primitive_root_of_unity, triple_residues
+from .field import FieldElement, primitive_root_of_unity, triple_residues, validate_modulus
 from .hesse import curve_through
 from .moore import FormMatrix, ProjectivePoint, moore
 
@@ -91,18 +91,17 @@ def sigma_matrix(p: int) -> list[list[int]]:
 
 
 def t_matrix(p: int) -> list[list[int]]:
-    w = primitive_root_of_unity(p, 3).value
+    w = primitive_root_of_unity(p, 3)
     return _monomial_matrix(0, (1, w, w * w), p)
 
 
-def heis3_matrix(mu: FieldElement, i: int, j: int) -> list[list[int]]:
-    """The matrix mu * T^i * Sigma^j of Heis_3: mu * w^(i*r) at
+def heis3_matrix(mu: int, i: int, j: int, p: int) -> list[list[int]]:
+    """The matrix mu * T^i * Sigma^j of Heis_3 over F_p: mu * w^(i*r) at
     (r, r - j)."""
-    if not mu:
+    w = primitive_root_of_unity(p, 3)
+    if not mu % p:
         raise ValueError("mu must be nonzero")
-    p = mu.p
-    w = primitive_root_of_unity(p, 3).value
-    return _monomial_matrix(j, [mu.value * pow(w, i * r % 3, p) for r in range(3)], p)
+    return _monomial_matrix(j, [mu * pow(w, i * r % 3, p) for r in range(3)], p)
 
 
 def commutator_matrix(p: int) -> list[list[int]]:
@@ -128,7 +127,7 @@ def heis3_representation(g: HeisenbergElement, p: int) -> list[list[int]]:
     """
     if g.n != 3:
         raise ValueError("matrix realization is for H_3 only")
-    w = primitive_root_of_unity(p, 3).value
+    w = primitive_root_of_unity(p, 3)
     diag = [pow(w, (2 * g.r + g.t * (r - g.s)) % 3, p) for r in range(3)]
     return _monomial_matrix(g.s, diag, p)
 
@@ -154,7 +153,7 @@ def sigma_action(a):
 def t_action(a):
     """T sends (a0, a1, a2) to (a0, w*a1, w^2*a2)."""
     v, p = triple_residues(a)
-    w = primitive_root_of_unity(p, 3).value
+    w = primitive_root_of_unity(p, 3)
     return tuple(FieldElement(x, p) for x in _t_mod(v, w, p))
 
 
@@ -170,7 +169,7 @@ def orbit(a) -> set[ProjectivePoint]:
     v, p = triple_residues(a)
     if not any(v):
         raise ValueError("orbit of the zero triple")
-    w = primitive_root_of_unity(p, 3).value
+    w = primitive_root_of_unity(p, 3)
     out = set()
     for _ in range(3):
         cur = v
@@ -291,28 +290,30 @@ class ClassFunction:
         return total * pow(self.n ** 3, -1, p) % p
 
 
-def schrodinger_character(n: int, j: int, zeta: FieldElement) -> ClassFunction:
-    """chi_j of H_n: zero off the subgroup s = 0, j*t = 0, and n*zeta^(j*r)
-    on it."""
-    p, z = zeta.p, zeta.value
-    if pow(z, n, p) != 1 or any(pow(z, k, p) == 1 for k in range(1, n)):
+def schrodinger_character(n: int, j: int, zeta: int, p: int) -> ClassFunction:
+    """chi_j of H_n over F_p: zero off the subgroup s = 0, j*t = 0, and
+    n*zeta^(j*r) on it."""
+    validate_modulus(p)
+    if pow(zeta, n, p) != 1 or any(pow(zeta, k, p) == 1 for k in range(1, n)):
         raise ValueError("zeta must be a primitive n-th root of unity")
     values = {}
     for g in hn_elements(n):
         if g.s % n == 0 and (j * g.t) % n == 0:
-            values[g] = n * pow(z, (j * g.r) % n, p) % p
+            values[g] = n * pow(zeta, (j * g.r) % n, p) % p
         else:
             values[g] = 0
     return ClassFunction(n, p, values)
 
 
-def verify_restriction(n: int, d: int, j: int, zeta: FieldElement) -> bool:
-    """chi_j of H_n pulled back along H_d -> H_n equals (n/d) * chi_{(j*n/d) mod d}.
+def verify_restriction(n: int, d: int, j: int, p: int) -> bool:
+    """chi_j of H_n pulled back along H_d -> H_n equals (n/d) * chi_{(j*n/d) mod d},
+    over F_p with zeta the smallest root of unity of order n.
 
     The homomorphism maps the normal form (r, s, t) of H_d to
-    (m^2 r, m s, m t) in H_n with m = n/d; requires d >= 1 and
-    gcd(d, m) = 1.
+    (m^2 r, m s, m t) in H_n with m = n/d; requires n | p-1 (checked
+    first), d >= 1 and gcd(d, m) = 1.
     """
+    zeta = primitive_root_of_unity(p, n)
     if d < 1:
         raise ValueError(f"d must be a positive divisor of n, got d = {d}")
     if n % d != 0:
@@ -320,9 +321,8 @@ def verify_restriction(n: int, d: int, j: int, zeta: FieldElement) -> bool:
     m = n // d
     if gcd(d, m) != 1:
         raise ValueError("restriction needs gcd(d, n/d) = 1")
-    p = zeta.p
-    chi_n = schrodinger_character(n, j, zeta)
-    chi_d = schrodinger_character(d, (j * m) % d, zeta ** m) if d > 1 else None
+    chi_n = schrodinger_character(n, j, zeta, p)
+    chi_d = schrodinger_character(d, (j * m) % d, pow(zeta, m, p), p) if d > 1 else None
     for g in hn_elements(d):
         image = HeisenbergElement(n, (m * m * g.r) % n, (m * g.s) % n, (m * g.t) % n)
         # H_1 is trivial; chi = n at its element
@@ -362,20 +362,20 @@ def _tensor_scale(coeff, c: int, p: int):
     return [[[c * v % p for v in cell] for cell in row] for row in coeff]
 
 
-def verify_tensor_h3(zeta: FieldElement) -> bool:
-    """rho_1 (x) rho_1 of H_3 decomposes as three copies of rho_2.
+def verify_tensor_h3(p: int) -> bool:
+    """rho_1 (x) rho_1 of H_3 over F_p, with omega the smallest cube root
+    of unity, decomposes as three copies of rho_2.
 
     Checks the pointwise character identity chi_1^2 = 3*chi_2 on all 27
     elements, the tau'-eigenvalues (1, w^2, w) of the explicit basis
     f_0, f_1, f_2 for symbolic a, and that specializing a to the three
     standard basis vectors yields nine independent tensors.
     """
-    p = zeta.p
-    chi1 = schrodinger_character(3, 1, zeta)
-    chi2 = schrodinger_character(3, 2, zeta)
+    omega = primitive_root_of_unity(p, 3)
+    chi1 = schrodinger_character(3, 1, omega, p)
+    chi2 = schrodinger_character(3, 2, omega, p)
     if chi1 * chi1 != chi2.scale(3):
         return False
-    omega = zeta.value
     # f_0 = a0 x0 y0 + a1 x2 y1 + a2 x1 y2 and f_{-i} = sigma'^i(f_0)
     f0 = _tensor([(0, 0, 0), (2, 1, 1), (1, 2, 2)])
     f1 = _tensor_sigma(_tensor_sigma(f0))  # f_1 = sigma'^2 (f_0) = sigma'^{-1}(f_0)

@@ -7,8 +7,9 @@ doubling/tripling formulas are the fast path; the Moore kernel is the
 reference path, and any disagreement between them is a bug.
 
 HesseCurve is the library's one type for the cubic: it holds lam, the
-form f (the f of every MatrixFactorization) and the group law.  Inside
-it a point is its triple of normalized int residues mod p;
+form f (the f of every MatrixFactorization) and the group law.  It
+reads the residue of its FieldElement lam once; inside, lam is that int
+and a point is its triple of normalized int residues mod p.
 FieldElement and ProjectivePoint appear only in the arguments and
 results of the public methods.
 """
@@ -35,14 +36,13 @@ class HesseCurve:
     ``form`` is the cubic f itself as a HomForm."""
 
     def __init__(self, lam: FieldElement):
-        p = lam.p
-        if pow(lam.value, 3, p) == 27 % p:
-            raise ValueError(f"lambda = {lam.value} gives a singular cubic (lambda^3 = 27)")
+        p, self._lam = lam.p, lam.value
+        if pow(self._lam, 3, p) == 27 % p:
+            raise ValueError(f"lambda = {self._lam} gives a singular cubic (lambda^3 = 27)")
         self.lam = lam
         self.p = p
-        self._lam = lam.value
         self.form = HomForm.from_residues(
-            3, p, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -lam.value}
+            3, p, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -self._lam}
         )
         self._o = (0, 1, p - 1)
         self._points: list[ProjectivePoint] | None = None
@@ -64,7 +64,7 @@ class HesseCurve:
         return hash(("curve", self.lam))
 
     def __repr__(self):
-        return f"HesseCurve(lambda={self.lam.value}, p={self.p})"
+        return f"HesseCurve(lambda={self._lam}, p={self.p})"
 
     def _point(self, v: Residues) -> ProjectivePoint:
         """The point of a normalized residue triple, taken unchecked."""
@@ -182,7 +182,7 @@ class HesseCurve:
     def torsion3(self) -> set[ProjectivePoint]:
         """E[3]: the nine inflection points [1:-w:0], [0:1:-w], [-w:0:1]."""
         p = self.p
-        omega = primitive_root_of_unity(p, 3).value
+        omega = primitive_root_of_unity(p, 3)
         pts = set()
         for w in (1, omega, omega * omega):
             for v in ((1, -w, 0), (0, 1, -w), (-w, 0, 1)):
@@ -260,11 +260,8 @@ def doubling_representative(coords) -> tuple:
     (a0*(a2^3-a1^3), a2*(a1^3-a0^3), a1*(a0^3-a2^3)), from FieldElements
     or from int residues (then unreduced)."""
     a0, a1, a2 = coords
-    return (
-        a0 * (a2 ** 3 - a1 ** 3),
-        a2 * (a1 ** 3 - a0 ** 3),
-        a1 * (a0 ** 3 - a2 ** 3),
-    )
+    c0, c1, c2 = a0 * a0 * a0, a1 * a1 * a1, a2 * a2 * a2
+    return (a0 * (c2 - c1), a2 * (c1 - c0), a1 * (c0 - c2))
 
 
 def extension_representative(coords) -> tuple:
@@ -284,10 +281,10 @@ def tripling_representative(coords) -> tuple:
     prod = a0 * a1 * a2
     if not prod:
         raise ValueError("tripling formula needs a0*a1*a2 != 0")
-    c0, c1, c2 = a0 ** 3, a1 ** 3, a2 ** 3
+    c0, c1, c2 = a0 * a0 * a0, a1 * a1 * a1, a2 * a2 * a2
     s6 = c0 * c0 + c1 * c1 + c2 * c2
     cross = c0 * c1 + c1 * c2 + c0 * c2
-    p3 = prod ** 3
+    p3 = prod * prod * prod
     three_p3 = p3 + p3 + p3
     return (
         (s6 - cross) * prod,

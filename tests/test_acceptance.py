@@ -66,3 +66,12 @@ def test_prime_filter_tests_the_selected_prime():
     assert not [r.line() for r in results.values() if "vacuous" in r.detail]
     for name in ("rank-2 Ulrich blocks", "extension dimensions"):
         assert results[name].detail.startswith("10 base points"), results[name].line()
+
+
+def test_rank2_blocks_fail_without_divergence_three(monkeypatch, rng):
+    # the non-split witness is the divergence class of C, which a wrong
+    # class must fail (the divergence of x0, x1, x2 is 3 at every a)
+    monkeypatch.setattr(verify.ext_mod, "divergence_class", lambda a, C: 0)
+    result = verify.check_rank2_blocks(rng)
+    assert not result.passed
+    assert result.detail.endswith(" base points certified, 10 failures"), result.line()

@@ -153,6 +153,15 @@ def test_domain_error_exit_code(capsys):
         )
         assert code == 1
         assert payload["error"] == f"d must be a positive divisor of n, got d = {d}"
+    # n | p-1 (the root of unity of order n) is checked before d
+    code, out, _ = run(capsys, "heis", "restrict", "--p", "13", "--n", "5", "--d", "0", "--j", "1")
+    assert code == 1
+    assert out == '{"error":"5 does not divide p-1 = 12","status":"error"}\n'
+    code, payload = run_json(
+        capsys, "heis", "restrict", "--p", "13", "--n", "4", "--d", "2", "--j", "1"
+    )
+    assert code == 1
+    assert payload["error"] == "restriction needs gcd(d, n/d) = 1"
 
 
 def test_usage_error_exit_code(capsys):

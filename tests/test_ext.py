@@ -16,7 +16,7 @@ from hesse_moore.ext import (
     vectorize,
     verify_moore_span,
 )
-from hesse_moore.field import FieldElement, zero
+from hesse_moore.field import FieldElement
 from hesse_moore.hesse import HesseCurve, extension_representative
 from hesse_moore.moore import FormMatrix, coordinate_vars, moore
 from hesse_moore.poly import HomForm, divide, monomials

@@ -4,12 +4,10 @@ from hesse_moore import heisenberg, linalg
 from hesse_moore.field import (
     FieldElement,
     is_prime,
-    one,
     primitive_root_of_unity,
     residues,
     triple_residues,
     validate_modulus,
-    zero,
 )
 from hesse_moore.ext import moore_span_basis
 from hesse_moore.moore import ProjectivePoint, moore, moore_adjugate, moore_det
@@ -50,18 +48,9 @@ def test_inverses():
     p = 13
     for a in range(1, p):
         x = FieldElement(a, p)
-        assert (x * x.inv()) == one(p)
-        assert (one(p) / x) == x.inv()
+        assert (x * x.inv()) == FieldElement(1, p)
     with pytest.raises(ZeroDivisionError):
-        zero(p).inv()
-
-
-def test_pow_including_negative():
-    x = FieldElement(2, 13)
-    assert (x ** 6).value == 64 % 13
-    assert (x ** 0) == one(13)
-    assert (x ** -1) == x.inv()
-    assert (x ** -3) == (x ** 3).inv()
+        FieldElement(0, p).inv()
 
 
 def test_modulus_mismatch_is_error():
@@ -72,28 +61,61 @@ def test_modulus_mismatch_is_error():
 
 
 def test_bool_hash_repr():
-    assert not zero(13)
+    assert not FieldElement(0, 13)
     assert FieldElement(5, 13)
     assert FieldElement(5, 13) == FieldElement(18, 13)
     assert hash(FieldElement(5, 13)) == hash(FieldElement(18, 13))
     assert FieldElement(5, 13) != FieldElement(5, 7)
-    assert zero(13).is_zero()
 
 
 def test_primitive_roots_frozen():
-    # smallest residues of exact order n
-    assert primitive_root_of_unity(13, 3).value == 3
-    assert primitive_root_of_unity(13, 6).value == 4
-    assert primitive_root_of_unity(7, 3).value == 2
-    assert primitive_root_of_unity(13, 1) == one(13)
+    # smallest residues of exact order n, as ints
+    assert primitive_root_of_unity(13, 3) == 3
+    assert primitive_root_of_unity(13, 6) == 4
+    assert primitive_root_of_unity(7, 3) == 2
+    assert primitive_root_of_unity(13, 1) == 1
+    assert type(primitive_root_of_unity(13, 3)) is int
 
 
 @pytest.mark.parametrize("p,n", [(13, 3), (13, 6), (13, 4), (7, 3), (7, 6), (31, 6)])
 def test_primitive_root_has_exact_order(p, n):
     z = primitive_root_of_unity(p, n)
-    assert (z ** n) == one(p)
+    assert pow(z, n, p) == 1
     for k in range(1, n):
-        assert (z ** k) != one(p)
+        assert pow(z, k, p) != 1
+
+
+def scan_root_of_unity(p, n):
+    """The smallest residue of exact order n, by a linear scan."""
+    if n == 1:
+        return 1
+    for z in range(2, p):
+        if pow(z, n, p) == 1 and all(pow(z, k, p) != 1 for k in range(1, n)):
+            return z
+    raise AssertionError(f"no element of order {n} in F_{p}")
+
+
+def test_primitive_root_matches_scan():
+    pairs = 0
+    for p in range(7, 2000, 6):
+        if not is_prime(p):
+            continue
+        for n in range(1, p):
+            if (p - 1) % n == 0:
+                assert primitive_root_of_unity(p, n) == scan_root_of_unity(p, n), (p, n)
+                pairs += 1
+    assert pairs == 2309
+
+
+def test_primitive_root_at_large_p():
+    # 2^28 + 3 is prime and 1 mod 6; a scan up to the root takes seconds
+    p = 268435459
+    w = primitive_root_of_unity(p, 3)
+    assert pow(w, 3, p) == 1 and w != 1
+    assert w < p - 1 - w  # the other primitive cube root is w^2 = -1 - w
+    z = primitive_root_of_unity(p, 6)
+    assert pow(z, 6, p) == 1 and pow(z, 2, p) != 1 and pow(z, 3, p) != 1
+    assert z < p + 1 - z  # the other primitive sixth root is z^5 = 1 - z
 
 
 def test_primitive_root_requires_divisibility():

@@ -1,7 +1,7 @@
 import pytest
 
 from hesse_moore import linalg
-from hesse_moore.field import FieldElement, one, primitive_root_of_unity, zero
+from hesse_moore.field import FieldElement, primitive_root_of_unity
 from hesse_moore.heisenberg import (
     HeisenbergElement,
     are_equivalent,
@@ -80,23 +80,22 @@ def mm(a, b, p=P):
 def reference_generators(p):
     """Sigma, T and [Sigma, T] = Sigma T Sigma^2 T^2 written out and
     multiplied, independent of the closed forms."""
-    w = primitive_root_of_unity(p, 3).value
+    w = primitive_root_of_unity(p, 3)
     s = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     t = [[1, 0, 0], [0, w, 0], [0, 0, w * w % p]]
     c = mm(mm(s, t, p), mm(mm(s, s, p), mm(t, t, p), p), p)
     return s, t, c
 
 
-def reference_heis3_matrix(mu, i, j):
+def reference_heis3_matrix(mu, i, j, p):
     """mu * T^i * Sigma^j as a product of generator powers."""
-    p = mu.p
     s, t, _ = reference_generators(p)
     m = IDENTITY
     for _ in range(i % 3):
         m = mm(t, m, p)
     for _ in range(j % 3):
         m = mm(m, s, p)
-    return [[mu.value * x % p for x in row] for row in m]
+    return [[mu * x % p for x in row] for row in m]
 
 
 def reference_representation(g, p):
@@ -136,7 +135,7 @@ class TestMatrices:
 
     def test_commutation_relation(self):
         # Sigma T = w^2 T Sigma for the displayed matrices (and not w T Sigma)
-        w = primitive_root_of_unity(P, 3).value
+        w = primitive_root_of_unity(P, 3)
         s, t = sigma_matrix(P), t_matrix(P)
         st = mm(s, t)
         ts = mm(t, s)
@@ -144,7 +143,7 @@ class TestMatrices:
         assert st != [[w * x % P for x in row] for row in ts]
 
     def test_commutator_matrix_is_scalar(self):
-        w = primitive_root_of_unity(P, 3).value
+        w = primitive_root_of_unity(P, 3)
         expect = [[w * w % P if i == j else 0 for j in range(3)] for i in range(3)]
         assert commutator_matrix(P) == expect
 
@@ -157,25 +156,25 @@ class TestMatrices:
                 assert lhs == rhs
 
     def test_heis3_matrix(self):
-        assert heis3_matrix(one(P), 0, 0) == IDENTITY
-        assert heis3_matrix(one(P), 1, 0) == t_matrix(P)
-        assert heis3_matrix(one(P), 0, 1) == sigma_matrix(P)
-        scaled = heis3_matrix(F(5), 0, 0)
+        assert heis3_matrix(1, 0, 0, P) == IDENTITY
+        assert heis3_matrix(1, 1, 0, P) == t_matrix(P)
+        assert heis3_matrix(1, 0, 1, P) == sigma_matrix(P)
+        scaled = heis3_matrix(5, 0, 0, P)
         assert scaled[0][0] == 5
         with pytest.raises(ValueError):
-            heis3_matrix(zero(P), 1, 1)
+            heis3_matrix(0, 1, 1, P)
 
     @pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
     def test_closed_forms_match_generator_products(self, p):
         s, t, c = reference_generators(p)
         assert (sigma_matrix(p), t_matrix(p), commutator_matrix(p)) == (s, t, c)
-        w = primitive_root_of_unity(p, 3).value
+        w = primitive_root_of_unity(p, 3)
         assert mm(s, t, p) == [[w * w * x % p for x in row] for row in mm(t, s, p)]
         for mu in (1, 2, p - 1):
             for i in range(-1, 4):
                 for j in range(-1, 4):
-                    want = reference_heis3_matrix(FieldElement(mu, p), i, j)
-                    assert heis3_matrix(FieldElement(mu, p), i, j) == want
+                    want = reference_heis3_matrix(mu, i, j, p)
+                    assert heis3_matrix(mu, i, j, p) == want
         els = hn_elements(3)
         for g in els:
             assert heis3_representation(g, p) == reference_representation(g, p)
@@ -278,18 +277,18 @@ class TestInvariants:
 class TestCharacters:
     def test_character_values(self):
         zeta = primitive_root_of_unity(P, 3)
-        chi = schrodinger_character(3, 1, zeta)
+        chi = schrodinger_character(3, 1, zeta, P)
         assert chi(hn_identity(3)) == 3
         assert chi(HeisenbergElement(3, 0, 1, 0)) == 0  # s != 0
         assert chi(HeisenbergElement(3, 0, 0, 1)) == 0  # j*t != 0
-        assert chi(HeisenbergElement(3, 1, 0, 0)) == 3 * zeta.value % P
+        assert chi(HeisenbergElement(3, 1, 0, 0)) == 3 * zeta % P
         assert all(isinstance(v, int) and 0 <= v < P for v in chi.values.values())
 
     def test_bad_zeta_rejected(self):
         with pytest.raises(ValueError):
-            schrodinger_character(3, 1, one(P))
+            schrodinger_character(3, 1, 1, P)
         with pytest.raises(ValueError):
-            schrodinger_character(6, 1, primitive_root_of_unity(P, 3))
+            schrodinger_character(6, 1, primitive_root_of_unity(P, 3), P)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_orthogonality(self, n):
@@ -297,7 +296,7 @@ class TestCharacters:
 
         zeta = primitive_root_of_unity(P, n)
         units = [j for j in range(1, n) if math.gcd(j, n) == 1]
-        chars = {j: schrodinger_character(n, j, zeta) for j in units}
+        chars = {j: schrodinger_character(n, j, zeta, P) for j in units}
         for i in units:
             for j in units:
                 ip = chars[i].inner_product(chars[j])
@@ -305,14 +304,16 @@ class TestCharacters:
 
     def test_class_functions_need_one_modulus_and_group(self):
         # chi_0 of H_3 has the same values over F_7 and F_13
-        chi7, chi13 = (schrodinger_character(3, 0, primitive_root_of_unity(q, 3)) for q in (7, 13))
+        chi7, chi13 = (
+            schrodinger_character(3, 0, primitive_root_of_unity(q, 3), q) for q in (7, 13)
+        )
         assert chi7.values == chi13.values
         assert chi7 != chi13
-        assert chi13 == schrodinger_character(3, 0, primitive_root_of_unity(13, 3))
+        assert chi13 == schrodinger_character(3, 0, primitive_root_of_unity(13, 3), 13)
         for op in (chi7.__mul__, chi7.inner_product):
             with pytest.raises(ValueError, match="modulus mismatch: 7 vs 13"):
                 op(chi13)
-        chi6 = schrodinger_character(6, 0, primitive_root_of_unity(13, 6))
+        chi6 = schrodinger_character(6, 0, primitive_root_of_unity(13, 6), 13)
         assert chi13 != chi6
         for op in (chi13.__mul__, chi13.inner_product):
             with pytest.raises(ValueError, match="group mismatch: H_3 vs H_6"):
@@ -320,28 +321,26 @@ class TestCharacters:
 
     def test_class_function_constant_on_conjugacy_classes(self):
         zeta = primitive_root_of_unity(P, 3)
-        chi = schrodinger_character(3, 1, zeta)
+        chi = schrodinger_character(3, 1, zeta, P)
         for g in hn_elements(3):
             for h in hn_elements(3)[:9]:
                 assert chi(h * g * h.inverse()) == chi(g)
 
     @pytest.mark.parametrize("n,d,j", [(6, 3, 1), (6, 2, 1), (3, 3, 1), (3, 3, 2), (6, 6, 5)])
     def test_restriction(self, n, d, j):
-        zeta = primitive_root_of_unity(P, n)
-        assert verify_restriction(n, d, j, zeta)
+        assert verify_restriction(n, d, j, P)
 
     def test_restriction_preconditions(self):
-        zeta6 = primitive_root_of_unity(P, 6)
         with pytest.raises(ValueError):
-            verify_restriction(6, 4, 1, zeta6)  # 4 does not divide 6
+            verify_restriction(6, 4, 1, P)  # 4 does not divide 6
         with pytest.raises(ValueError):
-            verify_restriction(4, 2, 1, primitive_root_of_unity(P, 4))  # gcd(2,2) != 1
+            verify_restriction(4, 2, 1, P)  # gcd(2,2) != 1
         # H_d is empty for d < 1, so the loop used to pass vacuously (d < 0)
         # or fail on n % 0 (d = 0)
         for d in (0, -3):
             with pytest.raises(ValueError, match=f"got d = {d}$"):
-                verify_restriction(6, d, 1, zeta6)
+                verify_restriction(6, d, 1, P)
 
     def test_tensor_h3(self):
-        assert verify_tensor_h3(primitive_root_of_unity(P, 3))
-        assert verify_tensor_h3(primitive_root_of_unity(7, 3))
+        assert verify_tensor_h3(P)
+        assert verify_tensor_h3(7)
