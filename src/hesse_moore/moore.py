@@ -9,7 +9,8 @@ A triple a of FieldElements enters through field.triple_residues, and
 the Moore matrix, its adjugate and determinant are built from the int
 residues.  A ProjectivePoint is a triple of normalized int residues; its
 ``coords`` property is the one conversion back to FieldElements.  A
-FormMatrix reads its size, modulus and degree off its own entries.  The
+FormMatrix reads its size, modulus and degree off its own entries; its
+products, ``@`` included, are sums of products in one matmul_sum.  The
 kernel point of a rank-2 matrix of int residues is left_kernel_mod.
 """
 
@@ -20,7 +21,7 @@ from itertools import chain
 
 from . import linalg
 from .field import FieldElement, triple_residues, validate_modulus
-from .poly import HomForm, sum_of_products
+from .poly import HomForm, product_terms, sum_of_products
 
 
 class ProjectivePoint:
@@ -114,14 +115,7 @@ class FormMatrix:
             raise ValueError(f"size mismatch: {self.n}x{self.n} vs {other.n}x{other.n}")
 
     def __matmul__(self, other: "FormMatrix") -> "FormMatrix":
-        self._require_size(other)
-        n, a, b = self.n, self.entries, other.entries
-        return FormMatrix(
-            [
-                [sum_of_products((a[i][k], b[k][j]) for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        return matmul_sum([(self, other)])
 
     def _combine(self, other: "FormMatrix", op) -> "FormMatrix":
         self._require_size(other)
@@ -147,6 +141,12 @@ class FormMatrix:
     def trace(self) -> HomForm:
         return sum((self.entries[i][i] for i in range(1, self.n)), self.entries[0][0])
 
+    def product_trace(self, other: "FormMatrix") -> HomForm:
+        """tr(self @ other) from the n^2 entry products it needs."""
+        self._require_size(other)
+        a, b, n = self.entries, other.entries, self.n
+        return sum_of_products([(a[i][k], b[k][i]) for i in range(n) for k in range(n)])
+
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
@@ -160,6 +160,28 @@ class FormMatrix:
 
     def __repr__(self):
         return f"FormMatrix({self.n}x{self.n}, p={self.p})"
+
+
+def matmul_sum(pairs) -> FormMatrix:
+    """sum(X @ Y for X, Y in pairs), each entry summed in one int dict;
+    sizes, moduli and product degrees are checked once per call."""
+    pairs = list(pairs)
+    first, other = pairs[0]
+    n, p, degree = first.n, first.p, first.degree + other.degree
+    for X, Y in pairs:
+        first._require_size(X)
+        X._require_size(Y)
+        if X.p != p or Y.p != p:
+            raise ValueError("modulus mismatch")
+        if X.degree + Y.degree != degree:
+            raise ValueError(f"degree mismatch: {degree} vs {X.degree + Y.degree}")
+    mats = [(X.entries, Y.entries) for X, Y in pairs]
+    cells = product_terms(
+        [(a[i][k], b[k][j]) for a, b in mats for k in range(n)] for i in range(n) for j in range(n)
+    )
+    return FormMatrix(
+        [[HomForm.from_residues(degree, p, cells[i * n + j]) for j in range(n)] for i in range(n)]
+    )
 
 
 def coordinate_vars(p: int):

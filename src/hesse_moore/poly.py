@@ -13,7 +13,9 @@ them; HomForm.from_residues is the int constructor.
 Monomial order is graded lex with x0 > x1 > x2; since all forms are
 homogeneous this is plain lex on the exponent triples.  Division by one
 form (such as the Hesse cubic of the hesse module, leading monomial
-x0^3) therefore has a canonical remainder.
+x0^3) therefore has a canonical remainder: ``divide`` sweeps only the
+multiples of the leading monomial lm(f), descending, and the rest is r.
+``product_terms`` is the one product loop, for ``*`` and matrices alike.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ class HomForm:
 def sum_of_products(pairs) -> HomForm:
     """The form sum(f * g for f, g in pairs), accumulated in one int dict.
     Every product must have the same degree and modulus."""
-    acc: dict[Exps, int] = {}
+    pairs = list(pairs)
     degree = p = None
     for f, g in pairs:
         f._check(g)
@@ -209,12 +211,22 @@ def sum_of_products(pairs) -> HomForm:
             raise ValueError(f"degree mismatch: {degree} vs {f.degree + g.degree}")
         elif f.p != p:
             raise ValueError("modulus mismatch")
-        g_terms = g.residues.items()
-        for (a0, a1, a2), v in f.residues.items():
-            for (b0, b1, b2), w in g_terms:
-                exps = (a0 + b0, a1 + b1, a2 + b2)
-                acc[exps] = acc.get(exps, 0) + v * w
-    return HomForm.from_residues(degree, p, acc)
+    return HomForm.from_residues(degree, p, product_terms([pairs])[0])
+
+
+def product_terms(sums) -> list[dict[Exps, int]]:
+    """Per list of pairs (f, g) in sums, the raw coefficients of sum(f * g); unchecked."""
+    out = []
+    for pairs in sums:
+        acc: dict[Exps, int] = {}
+        for f, g in pairs:
+            g_terms = g.residues.items()
+            for (a0, a1, a2), v in f.residues.items():
+                for (b0, b1, b2), w in g_terms:
+                    exps = (a0 + b0, a1 + b1, a2 + b2)
+                    acc[exps] = acc.get(exps, 0) + v * w
+        out.append(acc)
+    return out
 
 
 def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
@@ -233,16 +245,11 @@ def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
     tail = [(e, v) for e, v in f.residues.items() if e != lm]
     work = dict(g.residues)
     q: dict[Exps, int] = {}
-    r: dict[Exps, int] = {}
-    # subtracting t*f from the current leading term only changes smaller
-    # monomials, so one sweep in descending order performs the division
-    for exps in monomials(g.degree):
-        c = work.get(exps, 0) % p
+    # subtracting t*f at a multiple diff + lm of lm only changes smaller
+    # monomials (lex is a monomial order), so one descending sweep divides
+    for diff in monomials(g.degree - f.degree):
+        c = work.pop((diff[0] + lm[0], diff[1] + lm[1], diff[2] + lm[2]), 0) % p
         if not c:
-            continue
-        diff = (exps[0] - lm[0], exps[1] - lm[1], exps[2] - lm[2])
-        if min(diff) < 0:
-            r[exps] = c
             continue
         t = c * lc_inv % p
         q[diff] = t
@@ -251,5 +258,5 @@ def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
             work[key] = work.get(key, 0) - t * v
     return (
         HomForm.from_residues(max(g.degree - f.degree, 0), p, q),
-        HomForm.from_residues(g.degree, p, r),
+        HomForm.from_residues(g.degree, p, work),
     )

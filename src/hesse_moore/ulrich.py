@@ -6,6 +6,8 @@ a0*a1*a2*f*I).  Extension data (C, D) satisfy A*D + C*B = 0 = D*A + B*C;
 the partner D is recovered from C by exact division of B*C*B by f, and
 existence is decided by the trace criterion tr(B*C) = 0 mod f.  One
 certified entrywise quotient by f serves all four of these divisions.
+An extension identity is one fused matmul_sum(...).is_zero(), or, when
+it shares B*C (A*D) with the quotient, a comparison with that product.
 
 The f of a MatrixFactorization is the HesseCurve from curve_through;
 the products equal its form f.form times the identity.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from .field import FieldElement, triple_residues
 from .hesse import HesseCurve, curve_through, extension_representative
-from .moore import FormMatrix, ProjectivePoint, coordinate_vars, moore, moore_adjugate
+from .moore import FormMatrix, ProjectivePoint, coordinate_vars, matmul_sum, moore, moore_adjugate
 from .poly import HomForm, divide
 
 
@@ -35,10 +37,11 @@ class MatrixFactorization:
     f: HesseCurve
 
     def __post_init__(self):
-        form, zero, n = self.f.form, HomForm.zero(3, self.f.p), self.size
-        fid = FormMatrix([[form if i == j else zero for j in range(n)] for i in range(n)])
-        if self.A @ self.B != fid or self.B @ self.A != fid:
-            raise ValueError("A*B = B*A = f*I fails; not a matrix factorization")
+        # f on the diagonal (which fixes degree and modulus), 0 elsewhere
+        for m in (self.A @ self.B, self.B @ self.A):
+            cells = ((i == j, e) for i, row in enumerate(m.entries) for j, e in enumerate(row))
+            if not all(e == self.f.form if diag else e.is_zero() for diag, e in cells):
+                raise ValueError("A*B = B*A = f*I fails; not a matrix factorization")
 
     @property
     def size(self) -> int:
@@ -81,11 +84,12 @@ def _quotient(m: FormMatrix, f: HomForm) -> FormMatrix | None:
 
 def partner_D(fac: MatrixFactorization, C: FormMatrix) -> FormMatrix:
     """The unique D with f*D = -B*C*B; verifies A*D + C*B = 0 = D*A + B*C."""
-    q = _quotient(fac.B @ C @ fac.B, fac.f.form)
+    BC = fac.B @ C
+    q = _quotient(BC @ fac.B, fac.f.form)
     if q is None:
         raise FactorizationError("no extension datum for this C: f does not divide B*C*B")
     D = -q
-    if not (fac.A @ D + C @ fac.B).is_zero() or not (D @ fac.A + fac.B @ C).is_zero():
+    if not matmul_sum([(fac.A, D), (C, fac.B)]).is_zero() or q @ fac.A != BC:
         raise AssertionError("partner matrix does not satisfy the extension identities")
     return D
 
@@ -97,18 +101,19 @@ def recover_C(fac: MatrixFactorization, D: FormMatrix) -> FormMatrix:
         raise FactorizationError(
             f"no C for this D: D has degree {D.degree}, so C would have degree {D.degree - 1}"
         )
-    q = _quotient(fac.A @ D @ fac.A, fac.f.form)
+    AD = fac.A @ D
+    q = _quotient(AD @ fac.A, fac.f.form)
     if q is None:
         raise FactorizationError("no C for this D: f does not divide A*D*A")
     C = -q
-    if not (fac.A @ D + C @ fac.B).is_zero() or not (D @ fac.A + fac.B @ C).is_zero():
+    if q @ fac.B != AD or not matmul_sum([(D, fac.A), (fac.B, C)]).is_zero():
         raise AssertionError("recovered matrix does not satisfy the extension identities")
     return C
 
 
 def trace_criterion(fac: MatrixFactorization, C: FormMatrix) -> bool:
     """tr(B*C) = 0 mod f, equivalent to f | B*C*B entrywise."""
-    _, r = divide((fac.B @ C).trace(), fac.f.form)
+    _, r = divide(fac.B.product_trace(C), fac.f.form)
     return r.is_zero()
 
 
@@ -119,7 +124,8 @@ def bcb_divisible(fac: MatrixFactorization, C: FormMatrix) -> bool:
 
 def bcb_congruence(fac: MatrixFactorization, C: FormMatrix) -> bool:
     """B*C*B = tr(B*C) * B mod f, entry by entry."""
-    diff = fac.B @ C @ fac.B - fac.B.scale_form((fac.B @ C).trace())
+    BC = fac.B @ C
+    diff = BC @ fac.B - fac.B.scale_form(BC.trace())
     return _quotient(diff, fac.f.form) is not None
 
 

@@ -25,6 +25,19 @@ def test_hesse_add(capsys):
     assert payload == {"point": [1, 2, 3], "status": "ok"}
 
 
+def test_ext_dims_at_a_61_bit_prime(capsys):
+    # 2^61 - 1: primality by Miller-Rabin, and ext costs no more than at small p
+    code, payload = run_json(
+        capsys, "ext", "dims", "--p", str(2**61 - 1), "--a", "1,2,3", "--m=-2,-1,0,1"
+    )
+    assert code == 0
+    assert payload == {"dims": {"-2": 0, "-1": 3, "0": 1, "1": 0}, "status": "ok"}
+    code, payload = run_json(
+        capsys, "ext", "dims", "--p", "3317044064679887385961981", "--a", "1,2,3", "--m=0"
+    )
+    assert code == 1 and payload["status"] == "error"
+
+
 def test_output_deterministic(capsys):
     args = ("hesse", "points", "--p", "7", "--lambda", "1")
     _, out1, _ = run(capsys, *args)

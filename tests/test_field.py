@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from hesse_moore import heisenberg, linalg
 from hesse_moore.field import (
     FieldElement,
+    PRIME_BOUND,
     is_prime,
     primitive_root_of_unity,
     residues,
@@ -20,6 +23,29 @@ def test_is_prime_small():
     assert not is_prime(1)
     assert not is_prime(0)
     assert not is_prime(-7)
+
+
+def test_is_prime_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial_division(n) for n in range(-3, 100_000))
+
+
+def test_is_prime_large():
+    # psi_12 is a strong pseudoprime to every prime base up to 37 (base 41
+    # exposes it), 3825123056546413051 to every prime base up to 31, and
+    # psi_13 to all 13 bases, so it must be refused, not answered
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+    validate_modulus(2**61 - 1)
+    assert PRIME_BOUND == 3317044064679887385961981
+    for n in (PRIME_BOUND, PRIME_BOUND + 6):
+        with pytest.raises(ValueError, match="certified only below"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="certified only below"):
+            validate_modulus(n)
 
 
 @pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])

@@ -9,12 +9,13 @@ from hesse_moore.moore import (
     adjugate_det,
     coordinate_vars,
     left_kernel_mod,
+    matmul_sum,
     moore,
     moore_adjugate,
     moore_det,
     moore_scalar,
 )
-from hesse_moore.poly import HomForm
+from hesse_moore.poly import HomForm, monomials, sum_of_products
 
 P = 13
 
@@ -137,6 +138,72 @@ def test_form_matrix_size_is_not_truncated():
     for op in (three.__add__, three.__sub__, three.__matmul__):
         with pytest.raises(ValueError, match="size mismatch: 3x3 vs 2x2"):
             op(two)
+
+
+def random_form_matrix(rng, n, degree, p):
+    """An n x n matrix of random forms; about a quarter of the entries,
+    and some coefficients of the rest, are zero."""
+    def entry():
+        if rng.random() < 0.25:
+            return HomForm.zero(degree, p)
+        return HomForm.from_residues(degree, p, {e: rng.randrange(p) for e in monomials(degree)})
+
+    return FormMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def entrywise_product_sum(pairs):
+    """sum(X @ Y) by its definition: entry (i, j) is one sum_of_products
+    over all pairs and all k of X[i][k] * Y[k][j]."""
+    n = pairs[0][0].n
+    return FormMatrix(
+        [
+            [
+                sum_of_products(
+                    [(X.entries[i][k], Y.entries[k][j]) for X, Y in pairs for k in range(n)]
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+@pytest.mark.parametrize("p", [13, 37])
+@pytest.mark.parametrize("n", [3, 6])
+def test_matmul_sum_matches_entrywise_definition(n, p, rng):
+    for _ in range(4):
+        for d1 in range(4):
+            for d2 in range(4 - d1):
+                X, Y, U, V = (random_form_matrix(rng, n, d, p) for d in (d1, d2, d2, d1))
+                assert X @ Y == entrywise_product_sum([(X, Y)]) == matmul_sum([(X, Y)])
+                assert matmul_sum([(X, Y), (U, V)]) == entrywise_product_sum([(X, Y), (U, V)])
+                assert matmul_sum([(X, Y), (U, V)]) == X @ Y + U @ V
+    zero = FormMatrix([[HomForm.zero(1, p)] * n] * n)
+    assert (zero @ zero).is_zero() and (zero @ zero).degree == 2
+
+
+def test_matmul_sum_keeps_the_mismatch_errors(rng):
+    a, b = random_form_matrix(rng, 3, 1, P), random_form_matrix(rng, 3, 2, P)
+    two = FormMatrix.from_scalars([[1, 0], [0, 1]], P)
+    other = random_form_matrix(rng, 3, 1, 19)
+    with pytest.raises(ValueError, match="^size mismatch: 3x3 vs 2x2$"):
+        matmul_sum([(a, two)])
+    with pytest.raises(ValueError, match="^size mismatch: 3x3 vs 2x2$"):
+        matmul_sum([(a, a), (two, two)])
+    with pytest.raises(ValueError, match="^modulus mismatch$"):
+        a @ other
+    with pytest.raises(ValueError, match="^modulus mismatch$"):
+        matmul_sum([(a, a), (other, other)])
+    with pytest.raises(ValueError, match="^degree mismatch: 2 vs 3$"):
+        matmul_sum([(a, a), (a, b)])
+
+
+def test_product_trace_is_the_trace_of_the_product(rng):
+    for n in (3, 6):
+        X, Y = random_form_matrix(rng, n, 2, P), random_form_matrix(rng, n, 1, P)
+        assert X.product_trace(Y) == (X @ Y).trace()
+    with pytest.raises(ValueError, match="^size mismatch: 3x3 vs 2x2$"):
+        moore(T((1, 2, 3))).product_trace(FormMatrix.from_scalars([[1, 0], [0, 1]], P))
 
 
 def test_form_matrix_equality_needs_modulus_and_degree():

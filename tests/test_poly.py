@@ -150,6 +150,59 @@ def test_division_matches_reference(p, rng):
             assert all(min(x - y for x, y in zip(e, lm)) < 0 for e in r.residues)
 
 
+def full_sweep_divide(g, f):
+    """The division as it was written before it swept only the multiples
+    of lm(f): every monomial of g's degree in descending order, each
+    either reduced or moved to the remainder."""
+    p = g.p
+    lm = max(f.residues)
+    lc_inv = pow(f.residues[lm], p - 2, p)
+    tail = [(e, v) for e, v in f.residues.items() if e != lm]
+    work = dict(g.residues)
+    q, r = {}, {}
+    for exps in monomials(g.degree):
+        c = work.get(exps, 0) % p
+        if not c:
+            continue
+        diff = tuple(x - y for x, y in zip(exps, lm))
+        if min(diff) < 0:
+            r[exps] = c
+            continue
+        t = c * lc_inv % p
+        q[diff] = t
+        for e, v in tail:
+            key = tuple(x + y for x, y in zip(diff, e))
+            work[key] = work.get(key, 0) - t * v
+    return (
+        HomForm.from_residues(max(g.degree - f.degree, 0), p, q),
+        HomForm.from_residues(g.degree, p, r),
+    )
+
+
+@pytest.mark.parametrize("p", [13, 37])
+def test_division_matches_full_sweep(p, rng):
+    # leading monomials other than powers of x0 among the fixed divisors
+    fixed = [
+        HomForm.parse("1*x1^2*x2 + 1*x2^3", 3, p),
+        HomForm.parse("2*x1*x2 + 3*x2^2", 2, p),
+        HomForm.parse("5*x2", 1, p),
+    ]
+    divisors = fixed + [random_form(d, rng, p) for d in (1, 2, 3) for _ in range(4)]
+    for f in (f for f in divisors if not f.is_zero()):
+        lm = max(f.residues)
+        for gdeg in range(9):
+            g = random_form(gdeg, rng, p)
+            q, r = divide(g, f)
+            assert (q, r) == full_sweep_divide(g, f)
+            if gdeg >= f.degree:
+                assert q * f + r == g
+                h = random_form(gdeg - f.degree, rng, p)
+                assert divide(h * f, f) == (h, HomForm.zero(gdeg, p))
+            else:
+                assert q.is_zero() and r == g
+            assert all(min(x - y for x, y in zip(e, lm)) < 0 for e in r.residues)
+
+
 def test_sum_of_products(rng):
     f, g, h, k = (random_form(d, rng) for d in (1, 2, 2, 1))
     assert sum_of_products([(f, g), (h, k)]) == f * g + h * k

@@ -1,5 +1,6 @@
 import pytest
 
+import hesse_moore.ulrich as ulrich_mod
 from hesse_moore.field import FieldElement
 from hesse_moore.hesse import HesseCurve, curve_through, extension_representative, iota
 from hesse_moore.moore import (
@@ -82,6 +83,24 @@ def test_det_identity_is_the_factorization_curve(p, rng):
 def test_bad_factorization_rejected(fac):
     with pytest.raises(ValueError):
         MatrixFactorization(fac.A, fac.B.scale(F(2)), fac.f)
+    # f on the diagonal is not enough: every other entry of A*B must vanish
+    f, zero = fac.f.form, HomForm.zero(3, P)
+    identity = FormMatrix.from_scalars([[int(i == j) for j in range(3)] for i in range(3)], P)
+    f_identity = [[f if i == j else zero for j in range(3)] for i in range(3)]
+    assert MatrixFactorization(identity, FormMatrix(f_identity), fac.f).size == 3
+    f_identity[0][1] = f
+    with pytest.raises(ValueError, match="not a matrix factorization"):
+        MatrixFactorization(identity, FormMatrix(f_identity), fac.f)
+
+
+def test_extension_identities_are_checked(fac, monkeypatch):
+    # the identities hold whenever A*B = B*A = f*I; a faulty fused product
+    # must still be caught, not returned as a partner
+    monkeypatch.setattr(ulrich_mod, "matmul_sum", lambda pairs: fac.A)
+    with pytest.raises(AssertionError, match="partner matrix does not satisfy"):
+        partner_D(fac, fac.A)
+    with pytest.raises(AssertionError, match="recovered matrix does not satisfy"):
+        recover_C(fac, -fac.B)
 
 
 def test_preconditions():
