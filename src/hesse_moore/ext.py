@@ -13,10 +13,11 @@ as rows of int residues, solution spaces come from null spaces,
 homotopy spaces from column spans, and subspace comparisons from
 canonical reduced echelon forms, all through the int linalg kernel.
 The trace condition is linear in C, so its constraint columns are sums
-of entries of one table of remainders mod f of the degree-(m+3)
-monomials (remainder_table), with no form products or divisions.  The
-homotopies span the E*A and A*E for the unit matrices E (unit_products,
-which rejects any A but 3x3).  The representatives are the solutions
+of rows of one table, by position, of remainders mod f of the
+degree-(m+3) monomials (remainder_table), with no form products or
+divisions.  The homotopies span the E*A and A*E for the unit matrices
+E (unit_products, which rejects any A but 3x3).  Positions of products
+come from poly's product_index.  The representatives are the solutions
 whose reduction against an echelon basis, started from the homotopy
 rref rows, is nonzero.  An ExtSpace keeps those int rows, and its
 quotient dimension is their number; unvectorize turns one back into a
@@ -31,7 +32,7 @@ from . import linalg
 from .field import triple_residues
 from .hesse import extension_representative
 from .moore import FormMatrix, coordinate_vars, moore_scalar
-from .poly import Exps, HomForm, monomials
+from .poly import HomForm, monomial_index, monomials, product_index
 from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_criterion
 
 
@@ -54,32 +55,23 @@ class ExtSpace:
 def vectorize(mat: FormMatrix) -> list[int]:
     """Coordinates of a 3x3 matrix of forms as int residues: entries
     row-major, monomials of the matrix's degree graded-lex."""
-    monos = monomials(mat.degree)
     out = []
     for row in mat.entries:
         for entry in row:
-            out += [entry.residues.get(e, 0) for e in monos]
+            out += entry.row()
     return out
 
 
 def unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
     """The 3x3 matrix of degree-d forms with coordinates vec over F_p
     (the inverse of vectorize); vec must have 9 * |S_d| entries."""
-    monos = monomials(degree)
-    k = len(monos)
+    k = len(monomials(degree))
     if len(vec) != 9 * k:
         raise ValueError(
             f"a 3x3 matrix of degree-{degree} forms has {9 * k} coordinates, got {len(vec)}"
         )
-    return FormMatrix(
-        [
-            [
-                HomForm.from_residues(degree, p, dict(zip(monos, vec[(3 * i + j) * k :])))
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-    )
+    forms = [HomForm.from_row(degree, p, vec[n * k : n * k + k]) for n in range(9)]
+    return FormMatrix([forms[3 * i : 3 * i + 3] for i in range(3)])
 
 
 def unit_products(A: FormMatrix, degree: int, on_left: bool) -> list[list[int]]:
@@ -91,72 +83,67 @@ def unit_products(A: FormMatrix, degree: int, on_left: bool) -> list[list[int]]:
     of A, with no form products."""
     if A.n != 3:
         raise ValueError(f"unit_products needs a 3x3 matrix, got {A.n}x{A.n}")
-    out_monos = monomials(degree + A.degree)
-    k = len(out_monos)
-    index = {e: n for n, e in enumerate(out_monos)}
+    k = len(monomial_index(degree + A.degree))
     rows = []
     for r in range(3):
         for c in range(3):
-            for mu in monomials(degree):
+            # row mu of the table places mu times each monomial of A's degree
+            for shifted in product_index(degree, A.degree):
                 v = [0] * (9 * k)
                 for t in range(3):
                     # product entry (i, j) gets mu * A[a][b]
                     i, j, a, b = (r, t, c, t) if on_left else (t, c, t, r)
-                    for e, coef in A.entries[a][b].residues.items():
-                        shifted = (e[0] + mu[0], e[1] + mu[1], e[2] + mu[2])
-                        v[(3 * i + j) * k + index[shifted]] = coef
+                    for e, coef in A.entries[a][b].terms:
+                        v[(3 * i + j) * k + shifted[e]] = coef
                 rows.append(v)
     return rows
 
 
-def remainder_table(f: HomForm, degree: int) -> dict[Exps, dict[Exps, int]]:
-    """The remainder mod f of every monomial x^E of the given degree, as
-    int residues (divide(x^E, f)[1].residues).
+def remainder_table(f: HomForm, degree: int) -> list[list[tuple[int, int]]]:
+    """Per position of monomials(degree), the remainder mod f of that
+    monomial x^E as terms (divide(x^E, f)[1].terms).
 
-    One ascending sweep: a monomial divisible by the leading monomial of
-    f is its cofactor times minus the tail of f over the leading
-    coefficient, whose monomials are all smaller and so already reduced."""
+    The multiples of the leading monomial of f are the rows of a product
+    table; one sweep up them reduces each to its cofactor times minus the
+    tail of f over the leading coefficient, whose monomials are smaller
+    and so already reduced.  Other monomials are their own remainder."""
     p = f.p
-    lm = max(f.residues)
-    scale = -pow(f.residues[lm], p - 2, p)
-    tail = [(e, v * scale) for e, v in f.residues.items() if e != lm]
-    table: dict[Exps, dict[Exps, int]] = {}
-    for exps in reversed(monomials(degree)):
-        d0, d1, d2 = exps[0] - lm[0], exps[1] - lm[1], exps[2] - lm[2]
-        if min(d0, d1, d2) < 0:
-            table[exps] = {exps: 1}
-            continue
-        acc: dict[Exps, int] = {}
-        for (t0, t1, t2), v in tail:
-            for e, w in table[(d0 + t0, d1 + t1, d2 + t2)].items():
-                acc[e] = acc.get(e, 0) + v * w
-        table[exps] = {e: r for e, v in acc.items() if (r := v % p)}
+    (lead, lc), *tail = f.terms
+    scale = -pow(lc, p - 2, p)
+    tail = [(j, v * scale) for j, v in tail]
+    size = len(monomial_index(degree))
+    table = [[(k, 1)] for k in range(size)]
+    for row in reversed(product_index(degree - f.degree, f.degree)):
+        acc = [0] * size
+        for j, v in tail:
+            for e, w in table[row[j]]:
+                acc[e] += v * w
+        table[row[lead]] = HomForm.from_row(degree, p, acc).terms
     return table
 
 
 def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
     """Null space of the trace condition on Mat_3(S_{m+1})."""
     p = fac.f.p
-    monos = monomials(m + 1)
-    if not monos:
+    if m + 1 < 0:
         return []
     # tr(B * E_rc * mu) = B[c][r] * mu; constraints are the coefficients of
     # its remainder mod f over the degree-(m+3) monomials, which is linear:
     # the sum of b_e * rem(x^(e + mu)) over the terms b_e x^e of B[c][r]
     rem = remainder_table(fac.f.form, m + 3)
-    target = [e for e in monomials(m + 3) if e[0] < 3]
-    index = {e: n for n, e in enumerate(target)}
+    shifted = product_index(fac.B.degree, m + 1)
     columns = []
     for r in range(3):
         for c in range(3):
-            terms = fac.B.entries[c][r].residues.items()
-            for mu in monos:
-                col = [0] * len(target)
-                for (e0, e1, e2), b in terms:
-                    for e, w in rem[(e0 + mu[0], e1 + mu[1], e2 + mu[2])].items():
-                        col[index[e]] += b * w
+            terms = fac.B.entries[c][r].terms
+            for mu in range(len(monomial_index(m + 1))):
+                col = [0] * len(rem)
+                for e, b in terms:
+                    for k, w in rem[shifted[e][mu]]:
+                        col[k] += b * w
                 columns.append(col)
-    return linalg.nullspace_mod([list(row) for row in zip(*columns)], p)
+    # the rows of the multiples of lm(f) are zero (no remainder has one)
+    return linalg.nullspace_mod([list(row) for row in zip(*columns) if any(row)], p)
 
 
 def _homotopy_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
@@ -253,10 +240,7 @@ def moore_representative(a, C: FormMatrix):
         raise RepresentationError(
             f"no Moore representative: inconsistent system (residual rank defect {residual})"
         )
-    y = tuple(
-        HomForm.from_residues(1, p, dict(zip(monomials(1), sol[3 * i : 3 * i + 3])))
-        for i in range(3)
-    )
+    y = tuple(HomForm.from_row(1, p, sol[3 * i : 3 * i + 3]) for i in range(3))
     U = [sol[9 + 3 * r : 12 + 3 * r] for r in range(3)]
     V = [[-x % p for x in sol[18 + 3 * r : 21 + 3 * r]] for r in range(3)]
     return y, U, V

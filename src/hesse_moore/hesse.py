@@ -17,6 +17,7 @@ results of the public methods.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .field import FieldElement, primitive_root_of_unity
 from .poly import HomForm
@@ -41,11 +42,15 @@ class HesseCurve:
             raise ValueError(f"lambda = {self._lam} gives a singular cubic (lambda^3 = 27)")
         self.lam = lam
         self.p = p
-        self.form = HomForm.from_residues(
-            3, p, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -self._lam}
-        )
         self._o = (0, 1, p - 1)
         self._points: list[ProjectivePoint] | None = None
+
+    @cached_property
+    def form(self) -> HomForm:
+        """The cubic f, built on first read: a point scan never needs it."""
+        return HomForm.from_residues(
+            3, self.p, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -self._lam}
+        )
 
     @classmethod
     def from_lambda(cls, lam_value: int, p: int) -> "HesseCurve":

@@ -10,8 +10,9 @@ the Moore matrix, its adjugate and determinant are built from the int
 residues.  A ProjectivePoint is a triple of normalized int residues; its
 ``coords`` property is the one conversion back to FieldElements.  A
 FormMatrix reads its size, modulus and degree off its own entries; its
-products, ``@`` included, are sums of products in one matmul_sum.  The
-kernel point of a rank-2 matrix of int residues is left_kernel_mod.
+products, ``@`` included, are sums of products in one matmul_sum, which
+hands the entries' terms and poly's product tables to product_terms.
+The kernel point of a rank-2 matrix of int residues is left_kernel_mod.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import chain
 
 from . import linalg
 from .field import FieldElement, triple_residues, validate_modulus
-from .poly import HomForm, product_terms, sum_of_products
+from .poly import HomForm, product_index, product_terms, sum_of_products
 
 
 class ProjectivePoint:
@@ -108,7 +109,7 @@ class FormMatrix:
     @classmethod
     def from_scalars(cls, mat: list[list[int]], p: int) -> "FormMatrix":
         """Lift a scalar matrix of int residues to a matrix of degree-0 forms."""
-        return cls([[HomForm.from_residues(0, p, {(0, 0, 0): c}) for c in row] for row in mat])
+        return cls([[HomForm.from_row(0, p, [c]) for c in row] for row in mat])
 
     def _require_size(self, other: "FormMatrix") -> None:
         if other.n != self.n:
@@ -163,9 +164,11 @@ class FormMatrix:
 
 
 def matmul_sum(pairs) -> FormMatrix:
-    """sum(X @ Y for X, Y in pairs), each entry summed in one int dict;
+    """sum(X @ Y for X, Y in pairs), each entry summed in one int list;
     sizes, moduli and product degrees are checked once per call."""
     pairs = list(pairs)
+    if not pairs:
+        raise ValueError("an empty sum of matrix products has no degree")
     first, other = pairs[0]
     n, p, degree = first.n, first.p, first.degree + other.degree
     for X, Y in pairs:
@@ -175,13 +178,18 @@ def matmul_sum(pairs) -> FormMatrix:
             raise ValueError("modulus mismatch")
         if X.degree + Y.degree != degree:
             raise ValueError(f"degree mismatch: {degree} vs {X.degree + Y.degree}")
-    mats = [(X.entries, Y.entries) for X, Y in pairs]
-    cells = product_terms(
-        [(a[i][k], b[k][j]) for a, b in mats for k in range(n)] for i in range(n) for j in range(n)
+    mats = [(product_index(X.degree, Y.degree), X.entries, Y.entries) for X, Y in pairs]
+    sums = (
+        [(t, a[i][k].terms, b[k][j].terms) for t, a, b in mats for k in range(n)]
+        for i in range(n)
+        for j in range(n)
     )
-    return FormMatrix(
-        [[HomForm.from_residues(degree, p, cells[i * n + j]) for j in range(n)] for i in range(n)]
-    )
+    cells = product_terms(degree, p, sums)
+    # the entries are square and uniform by the checks above: no re-check
+    out = FormMatrix.__new__(FormMatrix)
+    out.n, out.p, out.degree = n, p, degree
+    out.entries = [cells[i * n : i * n + n] for i in range(n)]
+    return out
 
 
 def coordinate_vars(p: int):

@@ -1,24 +1,28 @@
 """Homogeneous trivariate polynomials over F_p.
 
-A form stores its modulus once and its coefficients as a map from
-exponent triples (e0, e1, e2), with e0+e1+e2 equal to the degree, to
-nonzero int residues mod p.  The degrees in play never exceed six, so
-nothing fancier is warranted.  Sums, products and division work on the
-residues directly.  FieldElement appears only at the edge: the
-coefficients of the constructor HomForm(degree, p, {exps: FieldElement})
-and the point of ``evaluate`` (whose value is an int) go through
-field.residues, ``scale`` takes one, and the ``coeffs`` view builds
-them; HomForm.from_residues is the int constructor.
-
-Monomial order is graded lex with x0 > x1 > x2; since all forms are
-homogeneous this is plain lex on the exponent triples.  Division by one
-form (such as the Hesse cubic of the hesse module, leading monomial
-x0^3) therefore has a canonical remainder: ``divide`` sweeps only the
-multiples of the leading monomial lm(f), descending, and the rest is r.
-``product_terms`` is the one product loop, for ``*`` and matrices alike.
+Monomial order is graded lex with x0 > x1 > x2 (plain lex, as forms are
+homogeneous); a monomial's position is its index in monomials(degree).
+A form stores its modulus once and its ``terms``: the nonzero int
+residues as (position, residue) pairs, ascending, leading term first.
+``row()`` and ``HomForm.from_row`` are the dense coordinate row.
+Products never touch exponents: ``product_index(d1, d2)[i][j]``, one
+cached table per degree pair, is the position of monomial i of degree
+d1 times monomial j of degree d2, and ``product_terms``, the one product
+loop for ``*`` and matrices alike, accumulates through it into a list.
+``divide`` by one form (such as the Hesse cubic, leading monomial x0^3)
+sweeps the rows of one such table, the multiples of the leading monomial
+lm(f), descending; the rest is the canonical remainder r.
+FieldElement appears only at the edge: the coefficients of
+HomForm(degree, p, {exps: FieldElement}) and the point of ``evaluate``
+go through field.residues, ``scale`` takes one, and the ``coeffs`` view
+builds them.  ``from_residues`` is the int constructor keyed by
+exponents, and ``residues`` its view, built on each read.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from types import MappingProxyType
 
 from .field import FieldElement, residues, triple_residues, validate_modulus
 
@@ -28,15 +32,31 @@ _VARIABLES = ("x0", "x1", "x2")
 
 
 def monomials(degree: int) -> list[Exps]:
-    """All exponent triples of the given total degree, graded-lex descending."""
-    if degree < 0:
-        return []
-    out = [
+    """All exponent triples of the given total degree, graded-lex
+    descending; none for a negative degree."""
+    return [
         (e0, e1, degree - e0 - e1)
         for e0 in range(degree, -1, -1)
         for e1 in range(degree - e0, -1, -1)
     ]
-    return out
+
+
+@lru_cache(maxsize=None)
+def monomial_index(degree: int) -> MappingProxyType:
+    """The position of each exponent triple of the degree in
+    monomials(degree), read-only as every caller shares it."""
+    return MappingProxyType({e: i for i, e in enumerate(monomials(degree))})
+
+
+@lru_cache(maxsize=None)
+def product_index(d1: int, d2: int) -> tuple[tuple[int, ...], ...]:
+    """Entry [i][j] is the position in monomials(d1 + d2) of monomial i
+    of degree d1 times monomial j of degree d2."""
+    index = monomial_index(d1 + d2)
+    return tuple(
+        tuple(index[(a0 + b0, a1 + b1, a2 + b2)] for b0, b1, b2 in monomials(d2))
+        for a0, a1, a2 in monomials(d1)
+    )
 
 
 def _check_exponents(exps, degree: int) -> None:
@@ -46,52 +66,68 @@ def _check_exponents(exps, degree: int) -> None:
 
 class HomForm:
     """A homogeneous form in x0, x1, x2 of a fixed degree over F_p, with
-    int residue coefficients."""
+    its nonzero int residue coefficients as (position, residue) terms."""
 
-    __slots__ = ("degree", "p", "residues")
+    __slots__ = ("degree", "p", "terms")
 
     def __init__(self, degree: int, p: int, coeffs: dict[Exps, FieldElement] | None = None):
         validate_modulus(p)
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        self.degree = degree
-        self.p = p
         coeffs = coeffs or {}
         for exps in coeffs:
             _check_exponents(exps, degree)
         values, q = residues(coeffs.values())
         if q not in (None, p):
             raise ValueError("coefficient modulus mismatch")
-        self.residues: dict[Exps, int] = {e: v for e, v in zip(coeffs, values) if v}
+        self.degree, self.p = degree, p
+        self.terms = HomForm.from_residues(degree, p, dict(zip(coeffs, values))).terms
 
     @classmethod
     def zero(cls, degree: int, p: int) -> "HomForm":
         return cls(degree, p)
 
     @classmethod
+    def from_row(cls, degree: int, p: int, row) -> "HomForm":
+        """The form with coordinate row ``row`` over monomials(degree), its
+        ints reduced mod p; the length is the caller's and is trusted."""
+        validate_modulus(p)
+        return _form(degree, p, row)
+
+    @classmethod
     def from_residues(cls, degree: int, p: int, residues: dict[Exps, int]) -> "HomForm":
         """The form with int coefficients, each reduced mod p and dropped
         when zero; the exponents are the caller's and are trusted to have
         the degree."""
-        validate_modulus(p)
-        form = cls.__new__(cls)
-        form.degree = degree
-        form.p = p
-        form.residues = {e: r for e, v in residues.items() if (r := v % p)}
-        return form
+        index = monomial_index(degree)
+        row = [0] * len(index)
+        for e, v in residues.items():
+            row[index[e]] = v
+        return cls.from_row(degree, p, row)
 
     @classmethod
     def variable(cls, i: int, p: int) -> "HomForm":
         return cls.from_residues(1, p, {tuple(int(k == i) for k in range(3)): 1})
 
+    def row(self) -> list[int]:
+        """The coordinates over monomials(degree), zeros included."""
+        out = [0] * len(monomial_index(self.degree))
+        for i, v in self.terms:
+            out[i] = v
+        return out
+
+    @property
+    def residues(self) -> dict[Exps, int]:
+        """The nonzero coefficients keyed by exponent triple, built on each read."""
+        return {e: v for e, v in zip(monomials(self.degree), self.row()) if v}
+
     @property
     def coeffs(self) -> dict[Exps, FieldElement]:
         """The coefficients as FieldElements, built on each read."""
-        p = self.p
-        return {e: FieldElement(v, p) for e, v in self.residues.items()}
+        return {e: FieldElement(v, self.p) for e, v in self.residues.items()}
 
     def is_zero(self) -> bool:
-        return not self.residues
+        return not self.terms
 
     def coefficient(self, exps: Exps) -> int:
         return self.residues.get(tuple(exps), 0)
@@ -106,10 +142,10 @@ class HomForm:
         self._check(other)
         if other.degree != self.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        acc = dict(self.residues)
-        for e, v in other.residues.items():
-            acc[e] = acc.get(e, 0) + sign * v
-        return HomForm.from_residues(self.degree, self.p, acc)
+        row = self.row()
+        for i, v in other.terms:
+            row[i] += sign * v
+        return _form(self.degree, self.p, row)
 
     def __add__(self, other: "HomForm") -> "HomForm":
         return self._combine(other, 1)
@@ -118,8 +154,7 @@ class HomForm:
         return self._combine(other, -1)
 
     def __neg__(self) -> "HomForm":
-        negated = {e: -v for e, v in self.residues.items()}
-        return HomForm.from_residues(self.degree, self.p, negated)
+        return _form(self.degree, self.p, [-v for v in self.row()])
 
     def __mul__(self, other: "HomForm") -> "HomForm":
         return sum_of_products([(self, other)])
@@ -128,19 +163,16 @@ class HomForm:
         if c.p != self.p:
             raise ValueError("modulus mismatch")
         s = c.value
-        scaled = {e: s * v for e, v in self.residues.items()}
-        return HomForm.from_residues(self.degree, self.p, scaled)
+        return _form(self.degree, self.p, [s * v for v in self.row()])
 
     def __eq__(self, other):
         if not isinstance(other, HomForm):
             return NotImplemented
         # zero forms of different declared degrees are still distinct values
-        return (
-            self.p == other.p and self.degree == other.degree and self.residues == other.residues
-        )
+        return self.p == other.p and self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.degree, self.p, frozenset(self.residues.items())))
+        return hash((self.degree, self.p, tuple(self.terms)))
 
     def evaluate(self, pt) -> int:
         """The residue of the form at a triple of field elements."""
@@ -155,14 +187,12 @@ class HomForm:
 
     def serialize(self) -> str:
         """Canonical text form: 'c*x0^e0*x1^e1*x2^e2 + ...' in graded-lex order."""
-        if not self.residues:
+        if not self.terms:
             return "0"
+        monos = monomials(self.degree)
         parts = []
-        for exps in sorted(self.residues, reverse=True):
-            factors = [str(self.residues[exps])]
-            for i, e in enumerate(exps):
-                if e:
-                    factors.append(f"x{i}^{e}")
+        for i, v in self.terms:
+            factors = [str(v)] + [f"x{k}^{e}" for k, e in enumerate(monos[i]) if e]
             parts.append("*".join(factors))
         return " + ".join(parts)
 
@@ -188,18 +218,19 @@ class HomForm:
                 acc[key] = acc.get(key, 0) + c
         if degree < 0:
             raise ValueError("degree must be nonnegative")
+        validate_modulus(p)
         # terms whose coefficients cancel mod p are dropped unchecked
-        form = cls.from_residues(degree, p, acc)
-        for exps in form.residues:
+        acc = {e: v for e, v in acc.items() if v % p}
+        for exps in acc:
             _check_exponents(exps, degree)
-        return form
+        return cls.from_residues(degree, p, acc)
 
     def __repr__(self):
         return f"HomForm({self.serialize()!r}, deg={self.degree}, p={self.p})"
 
 
 def sum_of_products(pairs) -> HomForm:
-    """The form sum(f * g for f, g in pairs), accumulated in one int dict.
+    """The form sum(f * g for f, g in pairs), accumulated in one int list.
     Every product must have the same degree and modulus."""
     pairs = list(pairs)
     degree = p = None
@@ -211,22 +242,36 @@ def sum_of_products(pairs) -> HomForm:
             raise ValueError(f"degree mismatch: {degree} vs {f.degree + g.degree}")
         elif f.p != p:
             raise ValueError("modulus mismatch")
-    return HomForm.from_residues(degree, p, product_terms([pairs])[0])
+    if degree is None:
+        raise ValueError("an empty sum of products has no degree")
+    triples = [(product_index(f.degree, g.degree), f.terms, g.terms) for f, g in pairs]
+    return product_terms(degree, p, [triples])[0]
 
 
-def product_terms(sums) -> list[dict[Exps, int]]:
-    """Per list of pairs (f, g) in sums, the raw coefficients of sum(f * g); unchecked."""
+def product_terms(degree: int, p: int, sums) -> list[HomForm]:
+    """Per list of (product_index(deg f, deg g), f.terms, g.terms) triples
+    in sums, the form sum(f * g) of the degree over F_p, accumulated in
+    one int list over monomials(degree); unchecked."""
+    size = len(monomial_index(degree))
     out = []
-    for pairs in sums:
-        acc: dict[Exps, int] = {}
-        for f, g in pairs:
-            g_terms = g.residues.items()
-            for (a0, a1, a2), v in f.residues.items():
-                for (b0, b1, b2), w in g_terms:
-                    exps = (a0 + b0, a1 + b1, a2 + b2)
-                    acc[exps] = acc.get(exps, 0) + v * w
-        out.append(acc)
+    for triples in sums:
+        acc = [0] * size
+        for table, f_terms, g_terms in triples:
+            for i, v in f_terms:
+                row = table[i]
+                for j, w in g_terms:
+                    acc[row[j]] += v * w
+        out.append(_form(degree, p, acc))
     return out
+
+
+def _form(degree: int, p: int, row) -> HomForm:
+    """HomForm.from_row for a modulus read off a form, so already valid."""
+    form = HomForm.__new__(HomForm)
+    form.degree = degree
+    form.p = p
+    form.terms = [(i, r) for i, v in enumerate(row) if (r := v % p)]
+    return form
 
 
 def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
@@ -240,23 +285,21 @@ def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
     if g.p != f.p:
         raise ValueError("modulus mismatch")
     p = g.p
-    lm = max(f.residues)
-    lc_inv = pow(f.residues[lm], p - 2, p)
-    tail = [(e, v) for e, v in f.residues.items() if e != lm]
-    work = dict(g.residues)
-    q: dict[Exps, int] = {}
-    # subtracting t*f at a multiple diff + lm of lm only changes smaller
-    # monomials (lex is a monomial order), so one descending sweep divides
-    for diff in monomials(g.degree - f.degree):
-        c = work.pop((diff[0] + lm[0], diff[1] + lm[1], diff[2] + lm[2]), 0) % p
+    (lead, lc), *tail = f.terms
+    lc_inv = pow(lc, p - 2, p)
+    table = product_index(g.degree - f.degree, f.degree)
+    work = g.row()
+    q = [0] * len(table)
+    # row k of the table holds the multiples of monomial k of the quotient
+    # degree; subtracting t*f at row[lead] only changes smaller monomials
+    # (lex is a monomial order), so one descending sweep divides
+    for k, row in enumerate(table):
+        c = work[row[lead]] % p
         if not c:
             continue
         t = c * lc_inv % p
-        q[diff] = t
-        for (e0, e1, e2), v in tail:
-            key = (diff[0] + e0, diff[1] + e1, diff[2] + e2)
-            work[key] = work.get(key, 0) - t * v
-    return (
-        HomForm.from_residues(max(g.degree - f.degree, 0), p, q),
-        HomForm.from_residues(g.degree, p, work),
-    )
+        q[k] = t
+        work[row[lead]] = 0
+        for j, v in tail:
+            work[row[j]] -= t * v
+    return _form(max(g.degree - f.degree, 0), p, q), _form(g.degree, p, work)
