@@ -27,10 +27,8 @@ from .heisenberg import (
     ClassFunction,
     HeisenbergElement,
     are_equivalent,
-    conjugation_identities,
     heis3_matrix,
     hn_elements,
-    hn_identity,
     orbit,
     schrodinger_character,
     trace_invariants,
@@ -55,7 +53,6 @@ from .ext import (
     divergence_class,
     ext_space,
     moore_representative,
-    verify_moore_span,
 )
 
 __all__ = [
@@ -74,7 +71,6 @@ __all__ = [
     "RepresentationError",
     "are_equivalent",
     "bcb_congruence",
-    "conjugation_identities",
     "curve_through",
     "divergence",
     "divergence_class",
@@ -84,7 +80,6 @@ __all__ = [
     "extension_representative",
     "heis3_matrix",
     "hn_elements",
-    "hn_identity",
     "iota",
     "monomials",
     "moore",
@@ -103,7 +98,6 @@ __all__ = [
     "trace_invariants",
     "tripling_representative",
     "validate_modulus",
-    "verify_moore_span",
     "verify_restriction",
     "verify_tensor_h3",
 ]

@@ -136,7 +136,6 @@ def cmd_hesse(args):
         ]
         return {"count": len(pts), "points": _sorted_points(pts),
                 "primitive_count": len(primitive)}
-    raise UsageError(f"unknown hesse action {action!r}")
 
 
 # -- moore ---------------------------------------------------------------
@@ -154,7 +153,6 @@ def cmd_moore(args):
         x = _triple(args.x, args.p)
         m = moore_scalar(triple_residues(a)[0], triple_residues(x)[0])
         return {"point": list(left_kernel_mod(m, args.p))}
-    raise UsageError(f"unknown moore action {args.action!r}")
 
 
 # -- heis ----------------------------------------------------------------
@@ -194,7 +192,6 @@ def cmd_heis(args):
         return {"n": args.n, "d": args.d, "j": args.j, "holds": holds}
     if args.action == "tensor":
         return {"holds": heis.verify_tensor_h3(p), "p": p}
-    raise UsageError(f"unknown heis action {args.action!r}")
 
 
 # -- ulrich ---------------------------------------------------------------
@@ -234,7 +231,6 @@ def cmd_ulrich(args):
             "bcb_divisible": ulrich_mod.bcb_divisible(fac, C),
             "trace_criterion": ulrich_mod.trace_criterion(fac, C),
         }
-    raise UsageError(f"unknown ulrich action {args.action!r}")
 
 
 # -- ext ------------------------------------------------------------------
@@ -268,7 +264,6 @@ def cmd_ext(args):
             raise UsageError("class needs --C")
         C = _parse_matrix(args.C, 1, p)
         return {"class": ext_mod.divergence_class(a, C)}
-    raise UsageError(f"unknown ext action {args.action!r}")
 
 
 # -- verify ---------------------------------------------------------------

@@ -16,12 +16,13 @@ The trace condition is linear in C, so its constraint columns are sums
 of rows of one table, by position, of remainders mod f of the
 degree-(m+3) monomials (remainder_table), with no form products or
 divisions.  The homotopies span the E*A and A*E for the unit matrices
-E (unit_products, which rejects any A but 3x3).  Positions of products
-come from poly's product_index.  The representatives are the solutions
-whose reduction against an echelon basis, started from the homotopy
-rref rows, is nonzero.  An ExtSpace keeps those int rows, and its
-quotient dimension is their number; unvectorize turns one back into a
-matrix of forms.
+E, which unit_products returns as a pair of row lists (it rejects any
+A but 3x3).  Positions of products come from poly's product_index.
+The representatives are the solutions whose reduction against an
+echelon basis, started from the homotopy rref rows, is nonzero.  An
+ExtSpace keeps those int rows, and its quotient dimension is their
+number; unvectorize turns one back into a matrix of forms.  At m = -1
+the solutions are spanned by moore_span_basis, which verify checks.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
     return FormMatrix([forms[3 * i : 3 * i + 3] for i in range(3)])
 
 
-def unit_products(A: FormMatrix, degree: int, on_left: bool) -> list[list[int]]:
-    """Coordinates of E_rc*mu @ A (on_left) or A @ E_rc*mu for a 3x3 A,
+def unit_products(A: FormMatrix, degree: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Coordinates of the E_rc*mu @ A and of the A @ E_rc*mu for a 3x3 A,
     for r, c row-major and mu over the degree-d monomials, as int rows.
 
     E_rc*mu @ A is row c of A times mu placed in row r, and A @ E_rc*mu
@@ -84,19 +85,20 @@ def unit_products(A: FormMatrix, degree: int, on_left: bool) -> list[list[int]]:
     if A.n != 3:
         raise ValueError(f"unit_products needs a 3x3 matrix, got {A.n}x{A.n}")
     k = len(monomial_index(degree + A.degree))
-    rows = []
+    left, right = [], []
     for r in range(3):
         for c in range(3):
             # row mu of the table places mu times each monomial of A's degree
             for shifted in product_index(degree, A.degree):
-                v = [0] * (9 * k)
+                u, v = [0] * (9 * k), [0] * (9 * k)
                 for t in range(3):
-                    # product entry (i, j) gets mu * A[a][b]
-                    i, j, a, b = (r, t, c, t) if on_left else (t, c, t, r)
-                    for e, coef in A.entries[a][b].terms:
-                        v[(3 * i + j) * k + shifted[e]] = coef
-                rows.append(v)
-    return rows
+                    for e, coef in A.entries[c][t].terms:
+                        u[(3 * r + t) * k + shifted[e]] = coef
+                    for e, coef in A.entries[t][r].terms:
+                        v[(3 * t + c) * k + shifted[e]] = coef
+                left.append(u)
+                right.append(v)
+    return left, right
 
 
 def remainder_table(f: HomForm, degree: int) -> list[list[tuple[int, int]]]:
@@ -151,7 +153,8 @@ def _homotopy_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
     if m < 0:
         return []
     # the U*A - A*V span what the U*A and the A*V span
-    gens = unit_products(fac.A, m, on_left=True) + unit_products(fac.A, m, on_left=False)
+    left, right = unit_products(fac.A, m)
+    gens = left + right
     return gens[: len(linalg.rref_mod(gens, fac.f.p))]
 
 
@@ -201,15 +204,6 @@ def moore_span_basis(a) -> list[FormMatrix]:
     return [FormMatrix.from_scalars(moore_scalar(b, e), p) for e in units]
 
 
-def verify_moore_span(a) -> bool:
-    """The m = -1 solution space equals span{M_{b,e0}, M_{b,e1}, M_{b,e2}}
-    inside the 9-dimensional space of constant matrices."""
-    _, p = triple_residues(a)
-    sols = ext_space(a, -1).solutions
-    span = [vectorize(s) for s in moore_span_basis(a)]
-    return linalg.rank_mod(span, p) == 3 and linalg.same_span_mod(sols, span, p)
-
-
 class RepresentationError(ValueError):
     """No Moore-form representative exists for the given solution."""
 
@@ -230,25 +224,20 @@ def moore_representative(a, C: FormMatrix):
     # the U and -V unknowns (constant matrices)
     basis_m = moore_span_basis(a)
     columns = [vectorize(basis_m[i].scale_form(x[k])) for i in range(3) for k in range(3)]
-    columns += unit_products(fac.A, 0, on_left=True)
-    columns += unit_products(fac.A, 0, on_left=False)
+    left, right = unit_products(fac.A, 0)
+    columns += left + right
     system = [list(row) for row in zip(*columns)]
     rhs = vectorize(C)
     sol = linalg.solve_mod(system, rhs, p)
     if sol is None:
-        residual = _residual_norm(system, rhs, p)
+        defect = linalg.rank_mod(columns + [rhs], p) - linalg.rank_mod(columns, p)
         raise RepresentationError(
-            f"no Moore representative: inconsistent system (residual rank defect {residual})"
+            f"no Moore representative: inconsistent system (residual rank defect {defect})"
         )
     y = tuple(HomForm.from_row(1, p, sol[3 * i : 3 * i + 3]) for i in range(3))
     U = [sol[9 + 3 * r : 12 + 3 * r] for r in range(3)]
     V = [[-x % p for x in sol[18 + 3 * r : 21 + 3 * r]] for r in range(3)]
     return y, U, V
-
-
-def _residual_norm(system, rhs, p) -> int:
-    columns = [list(col) for col in zip(*system)]
-    return len(linalg.rref_mod(columns + [rhs], p)) - len(linalg.rref_mod(columns, p))
 
 
 def divergence_class(a, C: FormMatrix) -> int:

@@ -3,10 +3,10 @@ Schroedinger characters.
 
 H_n is presented by sigma, tau with central commutator c = [sigma, tau]
 of order n; every element has the unique normal form c^r sigma^s tau^t.
-For n = 3 the group acts on P^2 through the matrices Sigma (cyclic
-shift) and T = diag(1, w, w^2), and the orbit of a triple a, together
-with three trace invariants, classifies Moore matrices up to
-equivalence.
+For n = 3 the group acts on P^2 through Sigma = heis3_matrix(1, 0, 1, p)
+(cyclic shift) and T = heis3_matrix(1, 1, 0, p) = diag(1, w, w^2), and
+the orbit of a triple a, together with three trace invariants,
+classifies Moore matrices up to equivalence.
 
 Characters take values in F_p through a root of unity zeta, so the
 whole computation stays in one exact arithmetic domain.  Every scalar is
@@ -25,7 +25,7 @@ from math import gcd
 from . import linalg
 from .field import FieldElement, primitive_root_of_unity, triple_residues, validate_modulus
 from .hesse import curve_through
-from .moore import FormMatrix, ProjectivePoint, moore
+from .moore import ProjectivePoint
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,6 @@ class HeisenbergElement:
         return HeisenbergElement(self.n, -self.r - self.s * self.t, -self.s, -self.t)
 
 
-def hn_identity(n: int) -> HeisenbergElement:
-    return HeisenbergElement(n, 0, 0, 0)
-
-
 def hn_elements(n: int) -> list[HeisenbergElement]:
     return [
         HeisenbergElement(n, r, s, t)
@@ -86,15 +82,6 @@ def _monomial_matrix(shift: int, diag, p: int) -> list[list[int]]:
     return m
 
 
-def sigma_matrix(p: int) -> list[list[int]]:
-    return _monomial_matrix(1, (1, 1, 1), p)
-
-
-def t_matrix(p: int) -> list[list[int]]:
-    w = primitive_root_of_unity(p, 3)
-    return _monomial_matrix(0, (1, w, w * w), p)
-
-
 def heis3_matrix(mu: int, i: int, j: int, p: int) -> list[list[int]]:
     """The matrix mu * T^i * Sigma^j of Heis_3 over F_p: mu * w^(i*r) at
     (r, r - j)."""
@@ -102,19 +89,6 @@ def heis3_matrix(mu: int, i: int, j: int, p: int) -> list[list[int]]:
     if not mu % p:
         raise ValueError("mu must be nonzero")
     return _monomial_matrix(j, [mu * pow(w, i * r % 3, p) for r in range(3)], p)
-
-
-def commutator_matrix(p: int) -> list[list[int]]:
-    """[Sigma, T] = Sigma T Sigma^{-1} T^{-1} = w^2 * I.
-
-    Note the exponent: for the displayed matrices the commutation
-    relation is Sigma T = w^2 T Sigma, equivalently T Sigma = w Sigma T.
-    """
-    mm = linalg.mat_mul_mod
-    s, t = sigma_matrix(p), t_matrix(p)
-    s_inv = mm(s, s, p)  # Sigma^3 = I
-    t_inv = mm(t, t, p)
-    return mm(mm(s, t, p), mm(s_inv, t_inv, p), p)
 
 
 def heis3_representation(g: HeisenbergElement, p: int) -> list[list[int]]:
@@ -130,19 +104,6 @@ def heis3_representation(g: HeisenbergElement, p: int) -> list[list[int]]:
     w = primitive_root_of_unity(p, 3)
     diag = [pow(w, (2 * g.r + g.t * (r - g.s)) % 3, p) for r in range(3)]
     return _monomial_matrix(g.s, diag, p)
-
-
-def conjugation_identities(a) -> bool:
-    """M_{T(a),x} = T * M_{a,x} * T and
-    M_{Sigma(a),x} = Sigma^{-1} * M_{a,x} * Sigma, symbolically."""
-    a = tuple(a)
-    m = moore(a)
-    t = FormMatrix.from_scalars(t_matrix(m.p), m.p)
-    s = FormMatrix.from_scalars(sigma_matrix(m.p), m.p)
-    s_inv = s @ s  # Sigma^3 = I
-    if moore(t_action(a)) != t @ m @ t:
-        return False
-    return moore(sigma_action(a)) == s_inv @ m @ s
 
 
 def sigma_action(a):

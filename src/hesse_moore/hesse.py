@@ -96,9 +96,9 @@ class HesseCurve:
 
     def _require(self, pt: ProjectivePoint) -> Residues:
         """The residues of pt, after checking that pt lies on the curve."""
-        if not self.contains(pt):
-            raise ValueError(f"{pt} is not on {self}")
-        return pt.residues
+        if pt.p != self.p:
+            raise ValueError(f"modulus mismatch: {self.p} vs {pt.p}")
+        return self._check(pt.residues)
 
     def enumerate_points(self) -> list[ProjectivePoint]:
         """All of E(F_p) in the order [0:1:z], [1:y:z] of normalized

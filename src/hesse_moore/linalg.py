@@ -10,8 +10,8 @@ sparse systems of the ext module (a few percent nonzero) cheap and
 halves the work on dense ones.  Reduced row echelon form is canonical,
 which makes subspace comparison a matter of comparing rref bases.
 
-``mat_mul_mod`` multiplies int matrices (the Heisenberg commutator and
-trace invariants).  Only ``rref`` touches FieldElement: it reads the
+``mat_mul_mod`` multiplies int matrices (the Heisenberg trace
+invariants).  Only ``rref`` touches FieldElement: it reads the
 entries through field.residues and hands back FieldElement rows.
 """
 

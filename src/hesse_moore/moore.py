@@ -8,9 +8,11 @@ realizes the curve's group law (see the hesse module).
 A triple a of FieldElements enters through field.triple_residues, and
 the Moore matrix, its adjugate and determinant are built from the int
 residues.  A ProjectivePoint is a triple of normalized int residues; its
-``coords`` property is the one conversion back to FieldElements.  A
-FormMatrix reads its size, modulus and degree off its own entries; its
-products, ``@`` included, are sums of products in one matmul_sum, which
+``coords`` property is the one conversion back to FieldElements.
+FormMatrix(entries) checks that its entries are square and uniform and
+reads its size, modulus and degree off them; the builders here whose
+rows are so by construction use the one unchecked _form_matrix.
+Products, ``@`` included, are sums of products in one matmul_sum, which
 hands the entries' terms and poly's product tables to product_terms.
 The kernel point of a rank-2 matrix of int residues is left_kernel_mod.
 """
@@ -97,6 +99,8 @@ class FormMatrix:
     def __init__(self, entries):
         self.entries = [list(row) for row in entries]
         self.n = len(self.entries)
+        if not self.n:
+            raise ValueError("a matrix needs at least one row")
         if any(len(row) != self.n for row in self.entries):
             raise ValueError("matrix must be square")
         first = self.entries[0][0]
@@ -120,7 +124,7 @@ class FormMatrix:
 
     def _combine(self, other: "FormMatrix", op) -> "FormMatrix":
         self._require_size(other)
-        return FormMatrix(
+        return _form_matrix(
             [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         )
 
@@ -131,13 +135,13 @@ class FormMatrix:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> "FormMatrix":
-        return FormMatrix([[-e for e in row] for row in self.entries])
+        return _form_matrix([[-e for e in row] for row in self.entries])
 
     def scale(self, c: FieldElement) -> "FormMatrix":
-        return FormMatrix([[e.scale(c) for e in row] for row in self.entries])
+        return _form_matrix([[e.scale(c) for e in row] for row in self.entries])
 
     def scale_form(self, g: HomForm) -> "FormMatrix":
-        return FormMatrix([[g * e for e in row] for row in self.entries])
+        return _form_matrix([[g * e for e in row] for row in self.entries])
 
     def trace(self) -> HomForm:
         return sum((self.entries[i][i] for i in range(1, self.n)), self.entries[0][0])
@@ -185,10 +189,15 @@ def matmul_sum(pairs) -> FormMatrix:
         for j in range(n)
     )
     cells = product_terms(degree, p, sums)
-    # the entries are square and uniform by the checks above: no re-check
+    return _form_matrix([cells[i * n : i * n + n] for i in range(n)])
+
+
+def _form_matrix(entries: list[list[HomForm]]) -> FormMatrix:
+    """FormMatrix(entries), unchecked: for square rows built of uniform forms."""
     out = FormMatrix.__new__(FormMatrix)
-    out.n, out.p, out.degree = n, p, degree
-    out.entries = [cells[i * n : i * n + n] for i in range(n)]
+    first = entries[0][0]
+    out.n, out.p, out.degree = len(entries), first.p, first.degree
+    out.entries = entries
     return out
 
 
@@ -202,7 +211,7 @@ def moore(a) -> FormMatrix:
     if not any(v):
         raise ValueError("Moore matrix of the zero triple")
     x = [tuple(int(t == k) for t in range(3)) for k in range(3)]  # exponents of x_k
-    return FormMatrix(
+    return _form_matrix(
         [
             [HomForm.from_residues(1, p, {x[(i - j) % 3]: v[(i + j) % 3]}) for j in range(3)]
             for i in range(3)
@@ -238,7 +247,7 @@ def moore_adjugate(a) -> FormMatrix:
             terms = {square: v[(i + j - 1) % 3] * v[(i + j + 1) % 3], cross: -v[(i + j) % 3] ** 2}
             row.append(HomForm.from_residues(2, p, terms))
         out.append(row)
-    return FormMatrix(out)
+    return _form_matrix(out)
 
 
 def moore_det(a) -> HomForm:

@@ -90,8 +90,11 @@ class HomForm:
     @classmethod
     def from_row(cls, degree: int, p: int, row) -> "HomForm":
         """The form with coordinate row ``row`` over monomials(degree), its
-        ints reduced mod p; the length is the caller's and is trusted."""
+        ints reduced mod p."""
         validate_modulus(p)
+        size = len(monomial_index(degree))
+        if len(row) != size:
+            raise ValueError(f"a degree-{degree} form has {size} coordinates, got {len(row)}")
         return _form(degree, p, row)
 
     @classmethod
@@ -103,7 +106,8 @@ class HomForm:
         row = [0] * len(index)
         for e, v in residues.items():
             row[index[e]] = v
-        return cls.from_row(degree, p, row)
+        validate_modulus(p)
+        return _form(degree, p, row)
 
     @classmethod
     def variable(cls, i: int, p: int) -> "HomForm":

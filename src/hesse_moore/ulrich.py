@@ -148,7 +148,9 @@ def divergence(y) -> int:
 
 @dataclass(frozen=True)
 class Rank2Ulrich:
-    """The rank-2 block factorization ((A C; 0 A), (B D; 0 B)) of f."""
+    """The rank-2 block factorization ((A C; 0 A), (B D; 0 B)) of f.
+    ``divergence`` is div(M_{b,x}) = 3 by construction (C = M_{b,x}); the
+    non-split witness is ext.divergence_class of C, which verify checks."""
 
     factorization: MatrixFactorization
     base: MatrixFactorization

@@ -14,13 +14,13 @@ from hesse_moore.ext import (
     unit_products,
     unvectorize,
     vectorize,
-    verify_moore_span,
 )
 from hesse_moore.field import FieldElement
 from hesse_moore.hesse import HesseCurve, extension_representative
 from hesse_moore.moore import FormMatrix, coordinate_vars, moore
 from hesse_moore.poly import HomForm, divide, monomials
 from hesse_moore.ulrich import moore_factorization, trace_criterion
+from hesse_moore.verify import verify_moore_span
 
 P = 13
 
@@ -66,14 +66,14 @@ def test_moore_span():
     basis = moore_span_basis(A_POINT)
     vecs = [vectorize(m) for m in basis]
     assert linalg.rank_mod(vecs, P) == 3
-    assert verify_moore_span(A_POINT)
+    assert verify_moore_span(A_POINT, ext_space(A_POINT, -1).solutions)
 
 
 def test_moore_span_heisenberg_stable():
     from hesse_moore.heisenberg import sigma_action, t_action
 
-    assert verify_moore_span(sigma_action(A_POINT))
-    assert verify_moore_span(t_action(A_POINT))
+    for a in (sigma_action(A_POINT), t_action(A_POINT)):
+        assert verify_moore_span(a, ext_space(a, -1).solutions)
 
 
 def test_moore_representative_of_moore_matrix():
@@ -127,7 +127,7 @@ def test_rank2_blocks_are_rejected_where_3x3_is_read():
 
     A6 = rank2_ulrich(A_POINT).factorization.A
     with pytest.raises(ValueError, match="needs a 3x3 matrix, got 6x6"):
-        unit_products(A6, 0, True)
+        unit_products(A6, 0)
     with pytest.raises(ValueError, match="C must be 3x3, got 6x6"):
         moore_representative(A_POINT, A6)
 
@@ -157,7 +157,7 @@ def test_dimension_table_other_points():
         a = tuple(F(v) for v in vals)
         assert ext_space(a, -1).quotient_dimension == 3
         assert ext_space(a, 0).quotient_dimension == 1
-        assert verify_moore_span(a)
+        assert verify_moore_span(a, ext_space(a, -1).solutions)
 
 
 @pytest.mark.parametrize("p", [13, 19])
@@ -194,9 +194,9 @@ def test_unit_products_match_form_products(p, deg):
     units = [
         unit_matrix(r, c, mono, p) for r in range(3) for c in range(3) for mono in monomials(deg)
     ]
-    for on_left in (True, False):
-        want = [vectorize(E @ A if on_left else A @ E) for E in units]
-        assert unit_products(A, deg, on_left) == want
+    left = [vectorize(E @ A) for E in units]
+    right = [vectorize(A @ E) for E in units]
+    assert unit_products(A, deg) == (left, right)
 
 
 @pytest.mark.parametrize("deg", [1, 2])
@@ -208,10 +208,9 @@ def test_left_kernel_solvability_matches_solve(deg, rng):
     fac = moore_factorization(a)
     mb = moore(extension_representative(a))
     constructed = [fac.A, mb, mb.scale(FieldElement(5, p)), fac.A + mb]
-    for on_left in (False, True):
-        gens = unit_products(fac.A, deg, on_left)
+    for on_left, gens in zip((False, True), reversed(unit_products(fac.A, deg))):
         system = [list(row) for row in zip(*gens)]
-        kernel = linalg.nullspace_mod(unit_products(fac.A, deg, on_left), p)
+        kernel = linalg.nullspace_mod(gens, p)
         assert kernel
         rhs = [[rng.randrange(p) for _ in system] for _ in range(20)]
         # combinations of the generators lie in the column space
@@ -327,8 +326,8 @@ def reference_ext_space(a, m):
             sols.append(v)
     homs = []
     if m >= 0:
-        minus_av = [[-x for x in row] for row in unit_products(fac.A, m, on_left=False)]
-        gens = unit_products(fac.A, m, on_left=True) + minus_av
+        ua, av = unit_products(fac.A, m)
+        gens = ua + [[-x for x in row] for row in av]
         red, pivots = dense_rref(gens, p)
         homs = red[: len(pivots)]
     _, pivots = dense_rref([list(col) for col in zip(*(homs + sols))], p)

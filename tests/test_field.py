@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hesse_moore import heisenberg, linalg
+from hesse_moore import heisenberg, linalg, verify
 from hesse_moore.field import (
     FieldElement,
     PRIME_BOUND,
@@ -175,7 +175,7 @@ GOOD = tuple(FieldElement(v, 13) for v in (1, 2, 3))
         pytest.param(heisenberg.n_matrices, id="n_matrices"),
         pytest.param(heisenberg.trace_invariants, id="trace_invariants"),
         pytest.param(heisenberg.t_action, id="t_action"),
-        pytest.param(heisenberg.conjugation_identities, id="conjugation_identities"),
+        pytest.param(verify.conjugation_identities, id="conjugation_identities"),
         pytest.param(lambda a: heisenberg.are_equivalent(a, GOOD), id="are_equivalent"),
         pytest.param(lambda a: heisenberg.are_equivalent(GOOD, a), id="are_equivalent_second"),
         pytest.param(moore, id="moore"),

@@ -5,25 +5,21 @@ from hesse_moore.field import FieldElement, primitive_root_of_unity
 from hesse_moore.heisenberg import (
     HeisenbergElement,
     are_equivalent,
-    commutator_matrix,
-    conjugation_identities,
     heis3_matrix,
     heis3_representation,
     hn_elements,
-    hn_identity,
     n_matrices,
     orbit,
     schrodinger_character,
     sigma_action,
-    sigma_matrix,
     t_action,
-    t_matrix,
     trace_invariants,
     verify_restriction,
     verify_tensor_h3,
 )
 from hesse_moore.hesse import HesseCurve
 from hesse_moore.moore import ProjectivePoint
+from hesse_moore.verify import conjugation_identities
 
 P = 13
 
@@ -54,7 +50,7 @@ class TestNormalForm:
         assert (st.r - ts.r) % 3 == 1  # sigma tau = [sigma,tau] tau sigma
 
     def test_group_axioms_exhaustive_h3(self):
-        e = hn_identity(3)
+        e = HeisenbergElement(3, 0, 0, 0)
         els = hn_elements(3)
         for g in els:
             assert g * g.inverse() == e
@@ -122,21 +118,39 @@ def reference_n_matrices(a):
     )
 
 
+def heis_sigma(p):
+    return heis3_matrix(1, 0, 1, p)
+
+
+def heis_t(p):
+    return heis3_matrix(1, 1, 0, p)
+
+
+def heis_commutator(p):
+    """The matrix of [sigma, tau] as the product of the representations
+    of sigma, tau, sigma^-1 and tau^-1."""
+    sigma, tau = HeisenbergElement(3, 0, 1, 0), HeisenbergElement(3, 0, 0, 1)
+    m = IDENTITY
+    for g in (sigma, tau, sigma.inverse(), tau.inverse()):
+        m = mm(m, heis3_representation(g, p), p)
+    return m
+
+
 class TestMatrices:
     def test_t_matrix_frozen(self):
         # omega = 3 over F_13
-        assert t_matrix(P) == [[1, 0, 0], [0, 3, 0], [0, 0, 9]]
-        assert sigma_matrix(P) == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        assert heis_t(P) == [[1, 0, 0], [0, 3, 0], [0, 0, 9]]
+        assert heis_sigma(P) == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
 
     def test_orders(self):
-        s, t = sigma_matrix(P), t_matrix(P)
+        s, t = heis_sigma(P), heis_t(P)
         assert mm(s, mm(s, s)) == IDENTITY
         assert mm(t, mm(t, t)) == IDENTITY
 
     def test_commutation_relation(self):
         # Sigma T = w^2 T Sigma for the displayed matrices (and not w T Sigma)
         w = primitive_root_of_unity(P, 3)
-        s, t = sigma_matrix(P), t_matrix(P)
+        s, t = heis_sigma(P), heis_t(P)
         st = mm(s, t)
         ts = mm(t, s)
         assert st == [[w * w * x % P for x in row] for row in ts]
@@ -145,7 +159,8 @@ class TestMatrices:
     def test_commutator_matrix_is_scalar(self):
         w = primitive_root_of_unity(P, 3)
         expect = [[w * w % P if i == j else 0 for j in range(3)] for i in range(3)]
-        assert commutator_matrix(P) == expect
+        assert heis_commutator(P) == expect
+        assert heis3_representation(HeisenbergElement(3, 1, 0, 0), P) == expect
 
     def test_representation_is_homomorphism(self):
         els = hn_elements(3)
@@ -156,9 +171,10 @@ class TestMatrices:
                 assert lhs == rhs
 
     def test_heis3_matrix(self):
+        s, t, _ = reference_generators(P)
         assert heis3_matrix(1, 0, 0, P) == IDENTITY
-        assert heis3_matrix(1, 1, 0, P) == t_matrix(P)
-        assert heis3_matrix(1, 0, 1, P) == sigma_matrix(P)
+        assert heis3_matrix(1, 1, 0, P) == t
+        assert heis3_matrix(1, 0, 1, P) == s
         scaled = heis3_matrix(5, 0, 0, P)
         assert scaled[0][0] == 5
         with pytest.raises(ValueError):
@@ -167,7 +183,7 @@ class TestMatrices:
     @pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
     def test_closed_forms_match_generator_products(self, p):
         s, t, c = reference_generators(p)
-        assert (sigma_matrix(p), t_matrix(p), commutator_matrix(p)) == (s, t, c)
+        assert (heis_sigma(p), heis_t(p), heis_commutator(p)) == (s, t, c)
         w = primitive_root_of_unity(p, 3)
         assert mm(s, t, p) == [[w * w * x % p for x in row] for row in mm(t, s, p)]
         for mu in (1, 2, p - 1):
@@ -278,7 +294,7 @@ class TestCharacters:
     def test_character_values(self):
         zeta = primitive_root_of_unity(P, 3)
         chi = schrodinger_character(3, 1, zeta, P)
-        assert chi(hn_identity(3)) == 3
+        assert chi(HeisenbergElement(3, 0, 0, 0)) == 3
         assert chi(HeisenbergElement(3, 0, 1, 0)) == 0  # s != 0
         assert chi(HeisenbergElement(3, 0, 0, 1)) == 0  # j*t != 0
         assert chi(HeisenbergElement(3, 1, 0, 0)) == 3 * zeta % P

@@ -239,6 +239,24 @@ def test_form_matrix_rejects_mixed_entries():
         FormMatrix(rows)
 
 
+def test_form_matrix_needs_a_row():
+    with pytest.raises(ValueError, match="^a matrix needs at least one row$"):
+        FormMatrix([])
+
+
+def test_built_matrices_pass_the_checked_constructor():
+    # the builders skip FormMatrix's checks; each result must still be
+    # one that the checked constructor accepts with the same attributes
+    a = T((1, 2, 3))
+    m, adj = moore(a), moore_adjugate(a)
+    x0 = HomForm.variable(0, P)
+    for out in (m, adj, -m, m.scale(F(5)), m.scale_form(x0), m + m, m - m, m @ adj):
+        checked = FormMatrix(out.entries)
+        assert (out.n, out.p, out.degree, out.entries) == (
+            checked.n, checked.p, checked.degree, checked.entries
+        )
+
+
 def kernel_point(m, p=P):
     """The point spanning the left kernel of an int matrix."""
     return ProjectivePoint.from_ints(left_kernel_mod(m, p), p)

@@ -260,3 +260,11 @@ def test_from_residues_reduces_and_drops_zeros(p):
     assert HomForm.from_residues(1, p, {(1, 0, 0): p, (0, 1, 0): -2 * p}).is_zero()
     with pytest.raises(ValueError, match="not congruent"):
         HomForm.from_residues(0, p + 2, {(0, 0, 0): 1})
+
+
+def test_from_row_needs_one_coordinate_per_monomial():
+    # a linear form has three coordinates, so a fourth entry has no monomial
+    with pytest.raises(ValueError, match="^a degree-1 form has 3 coordinates, got 4$"):
+        HomForm.from_row(1, 13, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="^a degree-2 form has 6 coordinates, got 3$"):
+        HomForm.from_row(2, 13, [1, 2, 3])

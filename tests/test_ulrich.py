@@ -132,6 +132,14 @@ def test_constant_D_has_no_C(fac):
         recover_C(fac, FormMatrix.from_scalars([[1, 0, 0], [0, 1, 0], [0, 0, 1]], P))
 
 
+def test_linear_D_off_the_partners_has_no_C(fac):
+    # A*D*A for D = x0 * E_00 is x0 times a product of monomials: f cannot divide it
+    x0, z = HomForm.variable(0, P), HomForm.zero(1, P)
+    D = FormMatrix([[x0, z, z], [z, z, z], [z, z, z]])
+    with pytest.raises(FactorizationError, match="^no C for this D: f does not divide A\\*D\\*A$"):
+        recover_C(fac, D)
+
+
 def test_extension_triple_has_partner(fac):
     C = moore(extension_representative(A_POINT))
     assert trace_criterion(fac, C)
