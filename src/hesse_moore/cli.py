@@ -6,7 +6,9 @@ keys, compact separators); timing goes to standard error so it never
 perturbs the payload.  Exit codes: 0 ok, 1 domain error, 2 usage error
 (including a required option missing for the chosen action), 3 internal
 error (a failed cross-check, reported as {"error": ..., "status":
-"internal"}).  Any other exception is a bug and propagates.
+"internal"}).  Any other exception is a bug and propagates.  `verify
+all` exits 3 when a check raised ("raised <Type>: <text>"), else 1 when
+one failed.
 The environment variable HESSE_MOORE_SEED fixes the randomness source
 used by sampled checks in `verify all`.
 """
@@ -282,7 +284,8 @@ def cmd_verify(args):
         "passed": sum(r.passed for r in results),
         "seed": seed,
     }
-    return payload, all(r.passed for r in results)
+    raised = any(isinstance(r, verify_mod.CheckRaised) for r in results)
+    return payload, 3 if raised else int(not all(r.passed for r in results))
 
 
 # -- parser ----------------------------------------------------------------
@@ -385,15 +388,13 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "status": "internal"},
                          sort_keys=True, separators=(",", ":")))
         return 3
-    ok = True
-    if isinstance(out, tuple):
-        out, ok = out
+    out, code = out if isinstance(out, tuple) else (out, 0)
     payload = {"status": "ok"}
     payload.update(out)
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     elapsed_ms = (time.monotonic() - start) * 1000.0
     print(f"timing_ms={elapsed_ms:.1f}", file=sys.stderr)
-    return 0 if ok else 1
+    return code
 
 
 if __name__ == "__main__":

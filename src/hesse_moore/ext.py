@@ -18,11 +18,12 @@ degree-(m+3) monomials (remainder_table), with no form products or
 divisions.  The homotopies span the E*A and A*E for the unit matrices
 E, which unit_products returns as a pair of row lists (it rejects any
 A but 3x3).  Positions of products come from poly's product_index.
-The representatives are the solutions whose reduction against an
-echelon basis, started from the homotopy rref rows, is nonzero.  An
-ExtSpace keeps those int rows, and its quotient dimension is their
-number; unvectorize turns one back into a matrix of forms.  At m = -1
-the solutions are spanned by moore_span_basis, which verify checks.
+The representatives, the solutions taken greedily outside the span of
+the homotopies, are read off one rref_mod of the homotopies'
+coordinates in the solution basis.  An ExtSpace keeps those int rows,
+and its quotient dimension is their number; unvectorize turns one back
+into a matrix of forms.  At m = -1 the solutions are spanned by
+moore_span_basis, which verify checks.
 """
 
 from __future__ import annotations
@@ -159,40 +160,18 @@ def _homotopy_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
 
 
 def ext_space(a, m: int) -> ExtSpace:
-    """The extension space at shift m for the Moore factorization at a."""
+    """The extension space at shift m for the Moore factorization at a.
+    A homotopy's solution coordinates are its entries at the free columns,
+    each solution's last nonzero entry (nullspace_mod).  With W their span,
+    dim(W + <e_1..e_k>) = k + dim(W past k), so solution k is a
+    representative exactly when it is no pivot of W's columns last-first."""
     fac = moore_factorization(a)
-    p = fac.f.p
     sols = _solution_vectors(fac, m)
     homs = _homotopy_vectors(fac, m)
-    return ExtSpace(m, sols, homs, _representatives(homs, sols, p))
-
-
-def _representatives(homs: list[list[int]], sols: list[list[int]], p: int) -> list[list[int]]:
-    """The solutions taken greedily: one is a representative when it is
-    outside the span of the homotopies and the solutions before it, that
-    is when its reduction against an echelon basis of that span, started
-    from the homotopy rref rows, is nonzero.  Basis rows are kept as
-    (pivot column, nonzero entries) with a unit pivot."""
-    basis = []
-    for row in homs:
-        terms = [(j, x) for j, x in enumerate(row) if x]
-        basis.append((terms[0][0], terms))
-    reps = []
-    for v in sols:
-        w = list(v)
-        for pc, terms in basis:
-            factor = w[pc] % p
-            if factor:
-                for j, x in terms:
-                    w[j] -= factor * x
-        w = [x % p for x in w]
-        lead = next((j for j, x in enumerate(w) if x), None)
-        if lead is None:
-            continue
-        inv = pow(w[lead], p - 2, p)
-        basis.append((lead, [(j, x * inv % p) for j, x in enumerate(w) if x]))
-        reps.append(v)
-    return reps
+    free = [max(j for j, x in enumerate(v) if x) for v in reversed(sols)]
+    pivots = linalg.rref_mod([[h[c] for c in free] for h in homs], fac.f.p)
+    last = len(sols) - 1
+    return ExtSpace(m, sols, homs, [v for k, v in enumerate(sols) if last - k not in pivots])
 
 
 def moore_span_basis(a) -> list[FormMatrix]:

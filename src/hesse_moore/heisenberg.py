@@ -6,7 +6,8 @@ of order n; every element has the unique normal form c^r sigma^s tau^t.
 For n = 3 the group acts on P^2 through Sigma = heis3_matrix(1, 0, 1, p)
 (cyclic shift) and T = heis3_matrix(1, 1, 0, p) = diag(1, w, w^2), and
 the orbit of a triple a, together with three trace invariants,
-classifies Moore matrices up to equivalence.
+classifies Moore matrices up to equivalence.  On rho_1 (x) rho_1 it
+acts through the Kronecker squares of heis3_matrix's T and Sigma^2.
 
 Characters take values in F_p through a root of unity zeta, so the
 whole computation stays in one exact arithmetic domain.  Every scalar is
@@ -298,52 +299,43 @@ def verify_restriction(n: int, d: int, j: int, p: int) -> bool:
 
 def _tensor(cells):
     """The tensor with coefficient a_k on x_i y_j for each (i, j, k) in
-    cells: coeff[i][j] is a length-3 int vector over the symbolic a."""
-    coeff = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
+    cells, as a 9x3 int matrix: row 3i+j, column k (the symbolic a_k)."""
+    coeff = [[0, 0, 0] for _ in range(9)]
     for i, j, k in cells:
-        coeff[i][j][k] = 1
+        coeff[3 * i + j][k] = 1
     return coeff
 
 
-def _tensor_tau(coeff, omega: int, p: int):
-    """tau' = rho_1(tau) x rho_1(tau) scales the basis tensor x_i y_j by
-    omega^(i+j)."""
-    return [
-        [[pow(omega, (i + j) % 3, p) * c % p for c in coeff[i][j]] for j in range(3)]
-        for i in range(3)
-    ]
-
-
-def _tensor_sigma(coeff):
-    """sigma' = rho_1(sigma) x rho_1(sigma) sends x_i y_j to x_{i-1} y_{j-1}."""
-    return [[coeff[(i + 1) % 3][(j + 1) % 3] for j in range(3)] for i in range(3)]
-
-
-def _tensor_scale(coeff, c: int, p: int):
-    return [[[c * v % p for v in cell] for cell in row] for row in coeff]
+def _kron_square(m: list[list[int]], p: int) -> list[list[int]]:
+    """m (x) m for a 3x3 m, acting on the rows 3i+j of a tensor."""
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    return [[m[i][k] * m[j][l] % p for k, l in pairs] for i, j in pairs]
 
 
 def verify_tensor_h3(p: int) -> bool:
     """rho_1 (x) rho_1 of H_3 over F_p, with omega the smallest cube root
     of unity, decomposes as three copies of rho_2.
 
-    Checks the pointwise character identity chi_1^2 = 3*chi_2 on all 27
-    elements, the tau'-eigenvalues (1, w^2, w) of the explicit basis
-    f_0, f_1, f_2 for symbolic a, and that specializing a to the three
-    standard basis vectors yields nine independent tensors.
+    tau' = T (x) T, and sigma' = Sigma^2 (x) Sigma^2 sends x_i y_j to
+    x_{i-1} y_{j-1}.  Checks the pointwise character identity
+    chi_1^2 = 3*chi_2 on all 27 elements, the tau'-eigenvalues (1, w^2, w)
+    of the explicit basis f_0, f_1, f_2 for symbolic a, and that
+    specializing a to the three standard basis vectors yields nine
+    independent tensors.
     """
     omega = primitive_root_of_unity(p, 3)
     chi1 = schrodinger_character(3, 1, omega, p)
     chi2 = schrodinger_character(3, 2, omega, p)
     if chi1 * chi1 != chi2.scale(3):
         return False
+    tau, sigma = (_kron_square(heis3_matrix(1, i, j, p), p) for i, j in ((1, 0), (0, 2)))
     # f_0 = a0 x0 y0 + a1 x2 y1 + a2 x1 y2 and f_{-i} = sigma'^i(f_0)
     f0 = _tensor([(0, 0, 0), (2, 1, 1), (1, 2, 2)])
-    f1 = _tensor_sigma(_tensor_sigma(f0))  # f_1 = sigma'^2 (f_0) = sigma'^{-1}(f_0)
-    f2 = _tensor_sigma(f0)  # f_2 = sigma'(f_0)
+    f2 = linalg.mat_mul_mod(sigma, f0, p)  # f_2 = sigma'(f_0)
+    f1 = linalg.mat_mul_mod(sigma, f2, p)  # f_1 = sigma'^2 (f_0) = sigma'^{-1}(f_0)
     eigen = [1, omega * omega % p, omega]
     for f, ev in zip((f0, f1, f2), eigen):
-        if _tensor_tau(f, omega, p) != _tensor_scale(f, ev, p):
+        if linalg.mat_mul_mod(tau, f, p) != [[ev * c % p for c in row] for row in f]:
             return False
     # displayed formulas: f1 = a2 x2 y0 + a0 x1 y1 + a1 x0 y2,
     #                     f2 = a1 x1 y0 + a2 x0 y1 + a0 x2 y2
@@ -352,8 +344,5 @@ def verify_tensor_h3(p: int) -> bool:
     if [f1, f2] != [expected_f1, expected_f2]:
         return False
     # a = e_0, e_1, e_2 give three independent copies: nine independent tensors
-    vectors = []
-    for k in range(3):
-        for f in (f0, f1, f2):
-            vectors.append([f[i][j][k] for i in range(3) for j in range(3)])
+    vectors = [[row[k] for row in f] for k in range(3) for f in (f0, f1, f2)]
     return linalg.rank_mod(vectors, p) == 9

@@ -11,7 +11,8 @@ form f (the f of every MatrixFactorization) and the group law.  It
 reads the residue of its FieldElement lam once; inside, lam is that int
 and a point is its triple of normalized int residues mod p.
 FieldElement and ProjectivePoint appear only in the arguments and
-results of the public methods.
+results of the public methods.  The battery's own predicates on the
+curve live in verify.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 from .field import FieldElement, primitive_root_of_unity
 from .poly import HomForm
-from .moore import ProjectivePoint, adjugate_det, left_kernel_mod, moore_scalar, normalize_mod
+from .moore import ProjectivePoint, left_kernel_mod, moore_scalar, normalize_mod
 
 Residues = tuple[int, int, int]
 
@@ -214,40 +215,6 @@ class HesseCurve:
                 out.add(a)
         return out
 
-    # -- geometric interpretation checks -------------------------------
-
-    def translation_graph_check(self, a: ProjectivePoint) -> bool:
-        """The common zeroes of the three trilinear forms in E x E are
-        exactly the pairs (x, x -_E a), and the two Moore rewritings of
-        the forms agree symbolically."""
-        va = self._require(a)
-        if not _trilinear_rewriting_agree(va):
-            return False
-        p = self.p
-        points = [x.residues for x in self.enumerate_points()]
-        graph = {(x, self._sub(x, va)) for x in points}
-        for x in points:
-            for y in points:
-                vanishes = all(_trilinear_eval(va, k, x, y) % p == 0 for k in range(3))
-                if vanishes != ((x, y) in graph):
-                    return False
-        return True
-
-    def segre_check(self, a: ProjectivePoint, x: ProjectivePoint) -> bool:
-        """The specialized adjugate is the outer product
-        (x -_E a)^T * (-_E x -_E a), projectively."""
-        va = self._require(a)
-        vx = self._require(x)
-        p = self.p
-        adj, _ = adjugate_det(moore_scalar(va, vx))
-        adj = [[c % p for c in row] for row in adj]
-        if not any(c for row in adj for c in row):
-            raise ValueError("specialized adjugate is zero")
-        left = self._sub(vx, va)
-        right = self._sub(iota(vx), va)
-        outer = [[u * v % p for v in right] for u in left]
-        return _proportional(adj, outer, p)
-
 
 def curve_through(a: ProjectivePoint) -> HesseCurve:
     """The Hesse cubic through a, lam = (a0^3+a1^3+a2^3)/(a0*a1*a2)."""
@@ -296,32 +263,3 @@ def tripling_representative(coords) -> tuple:
         c0 * c0 * c1 + c1 * c1 * c2 + c2 * c2 * c0 - three_p3,
         c0 * c0 * c2 + c1 * c1 * c0 + c2 * c2 * c1 - three_p3,
     )
-
-
-def _trilinear_eval(a, k: int, x, y) -> int:
-    """f_k = sum_j a[k+j] * x[k-j] * y[j] (indices mod 3), on residues."""
-    return sum(a[(k + j) % 3] * x[(k - j) % 3] * y[j] for j in range(3))
-
-
-def _trilinear_rewriting_agree(a) -> bool:
-    """M_{a,x} y^T and M_{iota(a),y} x^T have identical coefficient
-    tensors, both equal to the trilinear forms f_k."""
-    ai = iota(a)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                lhs = a[(k + j) % 3] if i == (k - j) % 3 else 0
-                rhs = ai[(k + i) % 3] if j == (k - i) % 3 else 0
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def _proportional(m1, m2, p: int) -> bool:
-    """Projective equality of two nonzero matrices of residues mod p."""
-    u = [c for row in m1 for c in row]
-    v = [c for row in m2 for c in row]
-    k = next((i for i, c in enumerate(u) if c), None)
-    if k is None or not v[k]:
-        return False
-    return all((ui * v[k] - vi * u[k]) % p == 0 for ui, vi in zip(u, v))

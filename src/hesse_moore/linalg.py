@@ -2,17 +2,18 @@
 
 One Gauss-Jordan kernel, ``rref_mod``, works on lists of lists of plain
 int residues with the modulus passed once; ``nullspace_mod``,
-``solve_mod``, ``rank_mod`` and ``same_span_mod`` read their answers off
-it.  Sizes here are small (at most a few hundred rows), so plain
-elimination is all we need.  Its one refinement: a row update touches
-only the nonzero entries of the pivot row, in place, which makes the
-sparse systems of the ext module (a few percent nonzero) cheap and
-halves the work on dense ones.  Reduced row echelon form is canonical,
-which makes subspace comparison a matter of comparing rref bases.
+``solve_mod``, ``rank_mod``, ``same_span_mod`` and ext's quotient
+representatives read their answers off it.  Sizes here are small (at
+most a few hundred rows), so plain elimination is all we need.  Its one
+refinement: a row update touches only the nonzero entries of the pivot
+row, in place, which makes the sparse systems of the ext module (a few
+percent nonzero) cheap and halves the work on dense ones.  Reduced row
+echelon form is canonical, which makes subspace comparison a matter of
+comparing rref bases.
 
 ``mat_mul_mod`` multiplies int matrices (the Heisenberg trace
-invariants).  Only ``rref`` touches FieldElement: it reads the
-entries through field.residues and hands back FieldElement rows.
+invariants and tensor actions).  Only ``rref`` touches FieldElement,
+through field.residues in and FieldElement rows out.
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ def mat_mul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int
 
 def nullspace_mod(m: list[list[int]], p: int) -> list[list[int]]:
     """Basis of {v : m @ v = 0} over F_p, one vector per free column, for
-    a nonempty m (reduced in place)."""
+    a nonempty m (reduced in place), in free-column order.  Each is 1 at
+    its free column and 0 right of it and at the other free columns, so
+    a kernel vector's coordinates are its entries at the free columns."""
     cols = len(m[0])
     pivots = rref_mod(m, p)
     pivot_set = set(pivots)

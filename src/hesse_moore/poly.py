@@ -72,11 +72,7 @@ class HomForm:
 
     def __init__(self, degree: int, p: int, coeffs: dict[Exps, FieldElement] | None = None):
         validate_modulus(p)
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
         coeffs = coeffs or {}
-        for exps in coeffs:
-            _check_exponents(exps, degree)
         values, q = residues(coeffs.values())
         if q not in (None, p):
             raise ValueError("coefficient modulus mismatch")
@@ -92,6 +88,8 @@ class HomForm:
         """The form with coordinate row ``row`` over monomials(degree), its
         ints reduced mod p."""
         validate_modulus(p)
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
         size = len(monomial_index(degree))
         if len(row) != size:
             raise ValueError(f"a degree-{degree} form has {size} coordinates, got {len(row)}")
@@ -100,12 +98,17 @@ class HomForm:
     @classmethod
     def from_residues(cls, degree: int, p: int, residues: dict[Exps, int]) -> "HomForm":
         """The form with int coefficients, each reduced mod p and dropped
-        when zero; the exponents are the caller's and are trusted to have
-        the degree."""
+        when zero; exponents not of the degree are a ValueError."""
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
         index = monomial_index(degree)
         row = [0] * len(index)
-        for e, v in residues.items():
-            row[index[e]] = v
+        try:
+            for e, v in residues.items():
+                row[index[e]] = v
+        except KeyError:
+            _check_exponents(e, degree)
+            raise
         validate_modulus(p)
         return _form(degree, p, row)
 

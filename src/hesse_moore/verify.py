@@ -9,7 +9,8 @@ each check.  run_all executes all twelve; the five checks in
 _PRIME_FILTERED also take ``primes``, so a prime filter reruns them
 over the given prime only, and the other seven stay on the primes their
 statements name.  The predicates that only the battery uses live here:
-conjugation_identities and verify_moore_span.
+conjugation_identities, verify_moore_span, and translation_graph_check
+and segre_check on a curve's public group law.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from . import ext as ext_mod
 from . import heisenberg as heis
 from . import linalg
 from . import ulrich as ulrich_mod
-from .field import FieldElement, primitive_root_of_unity, triple_residues
-from .hesse import HesseCurve, extension_representative
+from .field import FieldElement, primitive_root_of_unity, triple_residues, validate_modulus
+from .hesse import HesseCurve, extension_representative, iota
 from .moore import (
     FormMatrix,
     ProjectivePoint,
@@ -416,10 +417,7 @@ def _divergence_kernel_matches_homotopy(a, space: ext_mod.ExtSpace) -> bool:
     _, p = triple_residues(a)
     values = [ext_mod.divergence_class(a, ext_mod.unvectorize(v, 1, p)) for v in space.solutions]
     # kernel of the functional sum c_i * values_i on solution coordinates
-    kernel_vecs = [
-        [sum(c * x for c, x in zip(coeffs, column)) % p for column in zip(*space.solutions)]
-        for coeffs in linalg.nullspace_mod([values], p)
-    ]
+    kernel_vecs = linalg.mat_mul_mod(linalg.nullspace_mod([values], p), space.solutions, p)
     return linalg.same_span_mod(kernel_vecs, space.homotopies, p)
 
 
@@ -451,6 +449,54 @@ def check_ext_dimensions(rng: random.Random, primes=(7, 13)):
 # -- 12. geometric interpretations -------------------------------------------
 
 
+def _trilinear_eval(a, k: int, x, y) -> int:
+    """f_k = sum_j a[k+j] * x[k-j] * y[j] (indices mod 3), on residues."""
+    return sum(a[(k + j) % 3] * x[(k - j) % 3] * y[j] for j in range(3))
+
+
+def _trilinear_rewriting_agree(a) -> bool:
+    """M_{a,x} y^T and M_{iota(a),y} x^T have identical coefficient
+    tensors, both equal to the trilinear forms f_k."""
+    ai = iota(a)
+    for k in range(3):
+        for i in range(3):
+            for j in range(3):
+                lhs = a[(k + j) % 3] if i == (k - j) % 3 else 0
+                rhs = ai[(k + i) % 3] if j == (k - i) % 3 else 0
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def translation_graph_check(curve: HesseCurve, a: ProjectivePoint) -> bool:
+    """The common zeroes of the three trilinear forms in E x E are
+    exactly the pairs (x, x -_E a), and the two Moore rewritings of
+    the forms agree symbolically."""
+    points = curve.enumerate_points()
+    graph = {(x.residues, curve.sub(x, a).residues) for x in points}
+    va, p = a.residues, curve.p
+    pts = [x.residues for x in points]
+    return _trilinear_rewriting_agree(va) and all(
+        all(_trilinear_eval(va, k, x, y) % p == 0 for k in range(3)) == ((x, y) in graph)
+        for x in pts
+        for y in pts
+    )
+
+
+def segre_check(curve: HesseCurve, a: ProjectivePoint, x: ProjectivePoint) -> bool:
+    """The specialized adjugate is the outer product
+    (x -_E a)^T * (-_E x -_E a), projectively: both are nonzero, so
+    together they have rank 1."""
+    left = curve.sub(x, a).residues
+    right = curve.sub(curve.neg(x), a).residues
+    p = curve.p
+    adj, _ = adjugate_det(moore_scalar(a.residues, x.residues))
+    adj = [c % p for row in adj for c in row]
+    if not any(adj):
+        raise ValueError("specialized adjugate is zero")
+    return linalg.rank_mod([adj, [u * v for u in left for v in right]], p) == 1
+
+
 def check_geometric_interpretations(rng: random.Random):
     p = 7
     graphs = 0
@@ -460,11 +506,11 @@ def check_geometric_interpretations(rng: random.Random):
         pts = curve.enumerate_points()
         for a in pts:
             graphs += 1
-            if not curve.translation_graph_check(a):
+            if not translation_graph_check(curve, a):
                 bad += 1
             for x in pts:
                 segres += 1
-                if not curve.segre_check(a, x):
+                if not segre_check(curve, a, x):
                     bad += 1
     return CheckResult(
         "geometric interpretations",
@@ -500,12 +546,22 @@ _PRIME_FILTERED = {
 }
 
 
+class CheckRaised(CheckResult):
+    """The failing result of a check that raised instead of returning."""
+
+
 def run_all(rng: random.Random, p: int | None = None) -> list[CheckResult]:
-    """Run the twelve checks; p restricts prime-parameterized sweeps."""
+    """Run the twelve checks; p, validated first, restricts
+    prime-parameterized sweeps.  A check that raises gives a CheckRaised
+    named after its function, and the remaining checks still run."""
+    if p is not None:
+        validate_modulus(p)
     results = []
     for check in ALL_CHECKS:
-        if p is not None and check in _PRIME_FILTERED:
-            results.append(check(rng, primes=(p,)))
-        else:
-            results.append(check(rng))
+        kwargs = {"primes": (p,)} if p is not None and check in _PRIME_FILTERED else {}
+        try:
+            results.append(check(rng, **kwargs))
+        except Exception as exc:
+            detail = f"raised {type(exc).__name__}: {exc}"
+            results.append(CheckRaised(check.__name__, False, detail))
     return results

@@ -1,8 +1,12 @@
+import importlib
 import json
+import sys
 
 import pytest
 
 from hesse_moore.cli import main
+from hesse_moore.moore import FormMatrix
+from hesse_moore.poly import HomForm
 
 
 def run(capsys, *argv):
@@ -277,3 +281,65 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobenius"])
     assert exc.value.code == 2
+
+
+def _patch_everywhere(monkeypatch, module, name, make_fault):
+    """Replace module.name by make_fault(original) in every hesse_moore
+    namespace that holds the original, as `from ... import` copies it."""
+    original = getattr(importlib.import_module(f"hesse_moore.{module}"), name)
+    fault = make_fault(original)
+    patched = []
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "hesse_moore" or mod_name.startswith("hesse_moore."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, fault)
+                    patched.append(mod_name)
+    return patched
+
+
+def _transposed(original):
+    return lambda a: FormMatrix([list(col) for col in zip(*original(a).entries)])
+
+
+def _zero_remainder(original):
+    def divide(g, f):
+        q, r = original(g, f)
+        return q, HomForm.zero(r.degree, r.p)
+
+    return divide
+
+
+@pytest.mark.parametrize(
+    "module, name, make_fault, raised",
+    [
+        ("moore", "moore_adjugate", _transposed,
+         "raised ValueError: A*B = B*A = f*I fails; not a matrix factorization"),
+        ("poly", "divide", _zero_remainder, "raised AssertionError: division certificate failed"),
+    ],
+)
+def test_verify_all_reports_a_raising_check_and_exits_3(
+    capsys, monkeypatch, module, name, make_fault, raised
+):
+    # a fault that makes a check raise is that check's failing result,
+    # named after its function, and the other checks still run
+    patched = _patch_everywhere(monkeypatch, module, name, make_fault)
+    assert {"hesse_moore", f"hesse_moore.{module}", "hesse_moore.ulrich"} <= set(patched)
+    code, payload = run_json(capsys, "verify", "all")
+    assert code == 3
+    assert len(payload["checks"]) == 12
+    assert payload["failed"] + payload["passed"] == 12
+    crashed = [c for c in payload["checks"] if c["detail"].startswith("raised ")]
+    assert {c["name"] for c in crashed} >= {"check_partner_lemma", "check_trace_lemma"}
+    assert all(c["detail"] == raised and not c["passed"] for c in crashed)
+
+
+@pytest.mark.parametrize("p, message", [
+    ("0", "modulus must be a prime > 3, got 0"),
+    ("11", "modulus 11 is not congruent to 1 mod 6"),
+    ("25", "modulus 25 is not prime"),
+])
+def test_verify_all_rejects_a_bad_prime_before_the_battery(capsys, p, message):
+    code, payload = run_json(capsys, "verify", "all", "--p", p)
+    assert code == 1
+    assert payload == {"error": message, "status": "error"}

@@ -47,10 +47,15 @@ def test_solution_basis_satisfies_trace_condition():
 
 
 def test_homotopies_inside_solutions():
-    space = ext_space(A_POINT, 0)
-    sols = space.solutions
-    for h in space.homotopies:
-        assert linalg.rank_mod(sols + [h], P) == len(sols)
+    # the representatives are read off the homotopies' solution
+    # coordinates, which needs every homotopy to be a solution
+    for p in (13, 19, 37, 2**61 - 1):
+        for m in (0, 1):
+            space = ext_space(tuple(FieldElement(v, p) for v in (1, 2, 3)), m)
+            sols = space.solutions
+            assert space.homotopies
+            for h in space.homotopies:
+                assert linalg.rank_mod(sols + [h], p) == len(sols)
 
 
 def test_homotopy_form():

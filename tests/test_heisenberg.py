@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from hesse_moore import linalg
@@ -20,6 +22,8 @@ from hesse_moore.heisenberg import (
 from hesse_moore.hesse import HesseCurve
 from hesse_moore.moore import ProjectivePoint
 from hesse_moore.verify import conjugation_identities
+
+heis_mod = importlib.import_module("hesse_moore.heisenberg")
 
 P = 13
 
@@ -360,3 +364,13 @@ class TestCharacters:
     def test_tensor_h3(self):
         assert verify_tensor_h3(P)
         assert verify_tensor_h3(7)
+
+    @pytest.mark.parametrize("wrong", [{(0, 2): (0, 1)}, {(1, 0): (2, 0)}])
+    def test_tensor_h3_fails_with_the_wrong_powers(self, monkeypatch, wrong):
+        # Sigma standing in for Sigma^2, or T^2 for T, breaks the check
+        right = heis_mod.heis3_matrix
+        monkeypatch.setattr(
+            heis_mod, "heis3_matrix", lambda mu, i, j, p: right(mu, *wrong.get((i, j), (i, j)), p)
+        )
+        for p in (7, P, 19, 2**61 - 1):
+            assert not verify_tensor_h3(p)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hesse_moore.field import FieldElement
@@ -268,3 +270,24 @@ def test_from_row_needs_one_coordinate_per_monomial():
         HomForm.from_row(1, 13, [1, 2, 3, 4])
     with pytest.raises(ValueError, match="^a degree-2 form has 6 coordinates, got 3$"):
         HomForm.from_row(2, 13, [1, 2, 3])
+
+
+def test_int_constructors_reject_a_negative_degree():
+    # the same text HomForm(-1, p) and HomForm.parse give
+    for call in (
+        lambda: HomForm.from_row(-1, 13, []),
+        lambda: HomForm.from_residues(-2, 13, {}),
+        lambda: HomForm(-1, 13),
+        lambda: HomForm.parse("0", -1, 13),
+    ):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            call()
+
+
+@pytest.mark.parametrize("exps", [(2, 0, 0), (1, 0), (2, -1, 0), (1, 0, 0, 0)])
+def test_from_residues_rejects_exponents_of_another_degree(exps):
+    message = rf"^exponents {re.escape(str(exps))} do not have degree 1$"
+    with pytest.raises(ValueError, match=message):
+        HomForm.from_residues(1, 13, {(0, 1, 0): 2, exps: 1})
+    with pytest.raises(ValueError, match=message):
+        HomForm(1, 13, {(0, 1, 0): F(2), exps: F(1)})
