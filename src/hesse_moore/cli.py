@@ -7,8 +7,8 @@ perturbs the payload.  Exit codes: 0 ok, 1 domain error, 2 usage error
 (including a required option missing for the chosen action), 3 internal
 error (a failed cross-check, reported as {"error": ..., "status":
 "internal"}).  Any other exception is a bug and propagates.  `verify
-all` exits 3 when a check raised ("raised <Type>: <text>"), else 1 when
-one failed.
+all` exits 3 with "status": "internal" when a check raised ("raised
+<Type>: <text>"), else 1 when one failed.  A closed stdout is no error.
 The environment variable HESSE_MOORE_SEED fixes the randomness source
 used by sampled checks in `verify all`.
 """
@@ -370,6 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError)
 
 
+def _emit(payload: dict) -> None:
+    """Print the canonical JSON line; a reader that closed stdout is no error."""
+    try:
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")), flush=True)
+    except BrokenPipeError:
+        # stdout goes to devnull, so the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -380,18 +389,14 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:
-        print(json.dumps({"error": str(exc), "status": "error"},
-                         sort_keys=True, separators=(",", ":")))
+        _emit({"error": str(exc), "status": "error"})
         return 1
     except AssertionError as exc:
         # an internal cross-check failed (e.g. the trace-invariant closed forms)
-        print(json.dumps({"error": str(exc), "status": "internal"},
-                         sort_keys=True, separators=(",", ":")))
+        _emit({"error": str(exc), "status": "internal"})
         return 3
     out, code = out if isinstance(out, tuple) else (out, 0)
-    payload = {"status": "ok"}
-    payload.update(out)
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    _emit({"status": "internal" if code == 3 else "ok", **out})
     elapsed_ms = (time.monotonic() - start) * 1000.0
     print(f"timing_ms={elapsed_ms:.1f}", file=sys.stderr)
     return code

@@ -23,7 +23,8 @@ the homotopies, are read off one rref_mod of the homotopies'
 coordinates in the solution basis.  An ExtSpace keeps those int rows,
 and its quotient dimension is their number; unvectorize turns one back
 into a matrix of forms.  At m = -1 the solutions are spanned by
-moore_span_basis, which verify checks.
+moore_span_basis, which verify checks; moore_representative places the
+entries of those M_{b,e_i} at each x_k, as unit_products places A's.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from . import linalg
 from .field import triple_residues
 from .hesse import extension_representative
-from .moore import FormMatrix, coordinate_vars, moore_scalar
+from .moore import FormMatrix, moore_scalar
 from .poly import HomForm, monomial_index, monomials, product_index
 from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_criterion
 
@@ -198,11 +199,10 @@ def moore_representative(a, C: FormMatrix):
     a = tuple(a)
     fac = moore_factorization(a)
     p = fac.f.p
-    x = coordinate_vars(p)
-    # y unknowns: y_i = sum_k y_ik x_k contributes M_{b,e_i} * x_k; then
-    # the U and -V unknowns (constant matrices)
-    basis_m = moore_span_basis(a)
-    columns = [vectorize(basis_m[i].scale_form(x[k])) for i in range(3) for k in range(3)]
+    # y unknowns: y_i = sum_k y_ik x_k contributes M_{b,e_i} * x_k, each entry
+    # of M_{b,e_i} at the monomial x_k; then the U and -V unknowns (constant)
+    consts = [vectorize(m) for m in moore_span_basis(a)]
+    columns = [[c if j == k else 0 for c in v for j in range(3)] for v in consts for k in range(3)]
     left, right = unit_products(fac.A, 0)
     columns += left + right
     system = [list(row) for row in zip(*columns)]

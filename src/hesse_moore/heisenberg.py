@@ -4,16 +4,16 @@ Schroedinger characters.
 H_n is presented by sigma, tau with central commutator c = [sigma, tau]
 of order n; every element has the unique normal form c^r sigma^s tau^t.
 For n = 3 the group acts on P^2 through Sigma = heis3_matrix(1, 0, 1, p)
-(cyclic shift) and T = heis3_matrix(1, 1, 0, p) = diag(1, w, w^2), and
-the orbit of a triple a, together with three trace invariants,
+(cyclic shift) and T = heis3_matrix(1, 1, 0, p) = diag(1, w, w^2); every
+Heis_3 matrix, heis3_representation's included, comes from heis3_matrix.
+The orbit of a triple a, together with three trace invariants,
 classifies Moore matrices up to equivalence.  On rho_1 (x) rho_1 it
 acts through the Kronecker squares of heis3_matrix's T and Sigma^2.
 
 Characters take values in F_p through a root of unity zeta, so the
 whole computation stays in one exact arithmetic domain.  Every scalar is
 an int residue beside its modulus p: the roots of unity, zeta, mu, each
-matrix (rows of residues; a Heis_3 matrix is monomial, built from its
-shift and diagonal), the trace invariants and the character values.
+matrix (rows of residues), the trace invariants and the character values.
 FieldElement appears only in the triples a, which enter through
 field.triple_residues, and in the triple t_action returns.
 """
@@ -71,8 +71,8 @@ def hn_elements(n: int) -> list[HeisenbergElement]:
 
 # -- the 3x3 matrix realization Heis_3 --------------------------------
 #
-# Every matrix of Heis_3 is monomial: a diagonal times a power of Sigma.
-# All of them are rows of int residues mod p.
+# Every matrix of Heis_3 is monomial, mu * T^i * Sigma^j, and comes from
+# heis3_matrix as rows of int residues mod p.
 
 
 def _monomial_matrix(shift: int, diag, p: int) -> list[list[int]]:
@@ -95,7 +95,7 @@ def heis3_matrix(mu: int, i: int, j: int, p: int) -> list[list[int]]:
 def heis3_representation(g: HeisenbergElement, p: int) -> list[list[int]]:
     """The matrix of [sigma,tau]^r sigma^s tau^t in Heis_3 over F_p,
     under sigma -> Sigma, tau -> T, [sigma,tau] -> w^2 * I: the entry
-    w^(2r + t(row - s)) at (row, row - s).
+    w^(2r + t(row - s)) at (row, row - s), so heis3_matrix(w^(2r - ts), t, s).
 
     A homomorphism: heis3_representation(g * h) equals the matrix
     product of the images (tested, not assumed).
@@ -103,8 +103,7 @@ def heis3_representation(g: HeisenbergElement, p: int) -> list[list[int]]:
     if g.n != 3:
         raise ValueError("matrix realization is for H_3 only")
     w = primitive_root_of_unity(p, 3)
-    diag = [pow(w, (2 * g.r + g.t * (r - g.s)) % 3, p) for r in range(3)]
-    return _monomial_matrix(g.s, diag, p)
+    return heis3_matrix(pow(w, (2 * g.r - g.t * g.s) % 3, p), g.t, g.s, p)
 
 
 def sigma_action(a):
@@ -284,12 +283,11 @@ def verify_restriction(n: int, d: int, j: int, p: int) -> bool:
     if gcd(d, m) != 1:
         raise ValueError("restriction needs gcd(d, n/d) = 1")
     chi_n = schrodinger_character(n, j, zeta, p)
-    chi_d = schrodinger_character(d, (j * m) % d, pow(zeta, m, p), p) if d > 1 else None
+    # for d = 1, zeta^n = 1 and chi_0 of the trivial H_1 is 1
+    chi_d = schrodinger_character(d, (j * m) % d, pow(zeta, m, p), p)
     for g in hn_elements(d):
         image = HeisenbergElement(n, (m * m * g.r) % n, (m * g.s) % n, (m * g.t) % n)
-        # H_1 is trivial; chi = n at its element
-        expected = m * chi_d(g) % p if chi_d is not None else n % p
-        if chi_n(image) != expected:
+        if chi_n(image) != m * chi_d(g) % p:
             return False
     return True
 

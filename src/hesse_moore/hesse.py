@@ -133,9 +133,6 @@ class HesseCurve:
 
     # -- group law ----------------------------------------------------
 
-    def _sub(self, b: Residues, a: Residues) -> Residues:
-        return left_kernel_mod(moore_scalar(a, b), self.p)
-
     def _add(self, x: Residues, a: Residues) -> Residues:
         return left_kernel_mod(moore_scalar(iota(a), x), self.p)
 
@@ -159,7 +156,7 @@ class HesseCurve:
     def sub(self, b: ProjectivePoint, a: ProjectivePoint) -> ProjectivePoint:
         """b -_E a, as the kernel point of the Moore matrix of a at b."""
         va = self._require(a)
-        return self._point(self._sub(self._require(b), va))
+        return self._point(left_kernel_mod(moore_scalar(va, self._require(b)), self.p))
 
     def add(self, x: ProjectivePoint, a: ProjectivePoint) -> ProjectivePoint:
         """x +_E a = kernel point of the Moore matrix of iota(a) at x."""

@@ -155,6 +155,11 @@ class FormMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
+    def is_scalar(self, g: HomForm) -> bool:
+        """Whether this is g*I: g on the diagonal, which fixes degree and modulus; 0 elsewhere."""
+        cells = ((i == j, e) for i, row in enumerate(self.entries) for j, e in enumerate(row))
+        return all(e == g if diag else e.is_zero() for diag, e in cells)
+
     def __eq__(self, other):
         if not isinstance(other, FormMatrix):
             return NotImplemented

@@ -223,14 +223,10 @@ class HomForm:
                     exps[_VARIABLES.index(var)] += int(e) if caret else 1
                 key = tuple(exps)
                 acc[key] = acc.get(key, 0) + c
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
         validate_modulus(p)
-        # terms whose coefficients cancel mod p are dropped unchecked
-        acc = {e: v for e, v in acc.items() if v % p}
-        for exps in acc:
-            _check_exponents(exps, degree)
-        return cls.from_residues(degree, p, acc)
+        # terms whose coefficients cancel mod p are dropped unchecked;
+        # from_residues checks the degree and the exponents of the rest
+        return cls.from_residues(degree, p, {e: v for e, v in acc.items() if v % p})
 
     def __repr__(self):
         return f"HomForm({self.serialize()!r}, deg={self.degree}, p={self.p})"

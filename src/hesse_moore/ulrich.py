@@ -37,10 +37,8 @@ class MatrixFactorization:
     f: HesseCurve
 
     def __post_init__(self):
-        # f on the diagonal (which fixes degree and modulus), 0 elsewhere
         for m in (self.A @ self.B, self.B @ self.A):
-            cells = ((i == j, e) for i, row in enumerate(m.entries) for j, e in enumerate(row))
-            if not all(e == self.f.form if diag else e.is_zero() for diag, e in cells):
+            if not m.is_scalar(self.f.form):
                 raise ValueError("A*B = B*A = f*I fails; not a matrix factorization")
 
     @property

@@ -68,6 +68,25 @@ def test_prime_filter_tests_the_selected_prime():
         assert results[name].detail.startswith("10 base points"), results[name].line()
 
 
+def test_prime_filter_reaches_exactly_the_checks_that_take_primes(monkeypatch):
+    # a check receives primes=(p,) when, and only when, its signature
+    # has that parameter
+    calls = []
+
+    def check_with_primes(rng, primes=(7, 13)):
+        calls.append(("with", primes))
+        return verify.CheckResult("with", True, "")
+
+    def check_without_primes(rng):
+        calls.append(("without", None))
+        return verify.CheckResult("without", True, "")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", [check_with_primes, check_without_primes])
+    assert [r.name for r in verify.run_all(random.Random(0), p=19)] == ["with", "without"]
+    verify.run_all(random.Random(0))
+    assert calls == [("with", (19,)), ("without", None), ("with", (7, 13)), ("without", None)]
+
+
 def test_rank2_blocks_fail_without_divergence_three(monkeypatch, rng):
     # the non-split witness is the divergence class of C, which a wrong
     # class must fail (the divergence of x0, x1, x2 is 3 at every a)

@@ -1,6 +1,8 @@
-import importlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +151,7 @@ def test_verify_all_p7(capsys):
     # base-point checks test nothing there: they fail instead of passing
     code, payload = run_json(capsys, "verify", "all", "--p", "7")
     assert code == 1
+    assert payload["status"] == "ok"  # failed checks, but none raised
     assert (payload["failed"], payload["passed"]) == (2, 10)
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["rank-2 Ulrich blocks", "extension dimensions"]
@@ -283,21 +286,6 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def _patch_everywhere(monkeypatch, module, name, make_fault):
-    """Replace module.name by make_fault(original) in every hesse_moore
-    namespace that holds the original, as `from ... import` copies it."""
-    original = getattr(importlib.import_module(f"hesse_moore.{module}"), name)
-    fault = make_fault(original)
-    patched = []
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "hesse_moore" or mod_name.startswith("hesse_moore."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, fault)
-                    patched.append(mod_name)
-    return patched
-
-
 def _transposed(original):
     return lambda a: FormMatrix([list(col) for col in zip(*original(a).entries)])
 
@@ -319,14 +307,15 @@ def _zero_remainder(original):
     ],
 )
 def test_verify_all_reports_a_raising_check_and_exits_3(
-    capsys, monkeypatch, module, name, make_fault, raised
+    capsys, patch_everywhere, module, name, make_fault, raised
 ):
     # a fault that makes a check raise is that check's failing result,
     # named after its function, and the other checks still run
-    patched = _patch_everywhere(monkeypatch, module, name, make_fault)
+    patched = patch_everywhere(module, name, make_fault)
     assert {"hesse_moore", f"hesse_moore.{module}", "hesse_moore.ulrich"} <= set(patched)
     code, payload = run_json(capsys, "verify", "all")
     assert code == 3
+    assert payload["status"] == "internal"
     assert len(payload["checks"]) == 12
     assert payload["failed"] + payload["passed"] == 12
     crashed = [c for c in payload["checks"] if c["detail"].startswith("raised ")]
@@ -343,3 +332,24 @@ def test_verify_all_rejects_a_bad_prime_before_the_battery(capsys, p, message):
     code, payload = run_json(capsys, "verify", "all", "--p", p)
     assert code == 1
     assert payload == {"error": message, "status": "error"}
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    ("hesse points --p 13 --lambda 6", 0),
+    ("hesse points --p 13 --lambda 3", 1),  # the domain-error payload
+    ("verify all --p 13", 0),
+])
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(argv, exit_code):
+    # the reader is gone before the command writes, as in `... | head -c 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hesse_moore.cli", *argv.split()],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == exit_code

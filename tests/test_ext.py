@@ -103,6 +103,21 @@ def test_moore_representative_of_moore_matrix():
     assert divergence(y) == 3
 
 
+@pytest.mark.parametrize("p", [13, 19, 37, 2**61 - 1])
+def test_moore_representative_rebuilds_random_solutions(p, rng):
+    # C = M_{b,y} + U*A - A*V, with M_{b,y} rebuilt by form products
+    a = tuple(FieldElement(v, p) for v in (1, 2, 3))
+    fac = moore_factorization(a)
+    sols = ext_space(a, 0).solutions
+    for _ in range(5):
+        coeffs = [rng.randrange(p) for _ in sols]
+        C = unvectorize(linalg.mat_mul_mod([coeffs], sols, p)[0], 1, p)
+        y, U, V = moore_representative(a, C)
+        m_by = [m.scale_form(y_k) for m, y_k in zip(moore_span_basis(a), y)]
+        u_mat, v_mat = FormMatrix.from_scalars(U, p), FormMatrix.from_scalars(V, p)
+        assert m_by[0] + m_by[1] + m_by[2] + u_mat @ fac.A - fac.A @ v_mat == C
+
+
 def test_divergence_class_values():
     b = extension_representative(A_POINT)
     C = moore(b)

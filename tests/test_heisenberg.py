@@ -184,7 +184,7 @@ class TestMatrices:
         with pytest.raises(ValueError):
             heis3_matrix(0, 1, 1, P)
 
-    @pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
+    @pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43, 2**61 - 1])
     def test_closed_forms_match_generator_products(self, p):
         s, t, c = reference_generators(p)
         assert (heis_sigma(p), heis_t(p), heis_commutator(p)) == (s, t, c)
@@ -349,6 +349,14 @@ class TestCharacters:
     @pytest.mark.parametrize("n,d,j", [(6, 3, 1), (6, 2, 1), (3, 3, 1), (3, 3, 2), (6, 6, 5)])
     def test_restriction(self, n, d, j):
         assert verify_restriction(n, d, j, P)
+
+    @pytest.mark.parametrize("p", [13, 2**61 - 1])
+    def test_restriction_to_the_trivial_group(self, p):
+        # H_1 -> H_n: chi_j of H_n at the identity is n, which the general
+        # rule gives as n * chi_0 of H_1
+        for n in (1, 2, 3, 6):
+            for j in range(-2, 7):
+                assert verify_restriction(n, 1, j, p)
 
     def test_restriction_preconditions(self):
         with pytest.raises(ValueError):

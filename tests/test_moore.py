@@ -120,6 +120,22 @@ def test_mul_by_adjugate_gives_det(rng):
         assert adj @ m == expect
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_is_scalar_is_g_times_identity(n):
+    f = moore_det(T((1, 2, 3)))
+    zero = HomForm.zero(3, P)
+
+    def matrix(cell):
+        return FormMatrix([[cell(i, j) for j in range(n)] for i in range(n)])
+
+    assert matrix(lambda i, j: f if i == j else zero).is_scalar(f)
+    # a wrong diagonal, in one cell or in all
+    assert not matrix(lambda i, j: f if i == j != n - 1 else zero).is_scalar(f)
+    assert not matrix(lambda i, j: f + f if i == j else zero).is_scalar(f)
+    # a nonzero entry off the diagonal
+    assert not matrix(lambda i, j: f if i == j or (i, j) == (0, n - 1) else zero).is_scalar(f)
+
+
 def test_form_matrix_algebra():
     a = moore(T((1, 2, 3)))
     assert a - a == a.scale(F(0))

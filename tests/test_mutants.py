@@ -1,0 +1,140 @@
+"""The fault table: each row injects one fault into the library and
+asserts that the battery check beside it catches it, by failing or by
+raising (mutation analysis: DeMillo, Lipton and Sayward, "Hints on test
+data selection", IEEE Computer 11(4), 1978).
+
+A fault replaces one name in every namespace that holds it, so that the
+`from ... import` copies see it too; a method is replaced on its class.
+The strict xfail rows are faults that no check catches yet.
+"""
+
+import dataclasses
+import importlib
+import random
+
+import pytest
+
+from hesse_moore import verify
+
+
+def _negated(original):
+    return lambda a: -original(a)
+
+
+def _wrong_01_entry(original):
+    def moore_scalar(a, b):
+        m = original(a, b)
+        m[0][1] = a[1] * b[1]
+        return m
+
+    return moore_scalar
+
+
+def _of_transpose(original):
+    return lambda m, p: original([list(col) for col in zip(*m)], p)
+
+
+def _missing_a_point(original):
+    return lambda curve: set(sorted(original(curve), key=repr)[1:])
+
+
+def _cut_to_3(original):
+    return lambda a: set(sorted(original(a), key=repr)[:3])
+
+
+def _twice(original):
+    return lambda a: original(original(a))
+
+
+def _doubled_j(original):
+    return lambda n, j, zeta, p: original(n, 2 * j, zeta, p)
+
+
+def _negated_at_degree_2(original):
+    return lambda fac, C: original(fac, C) != (C.degree == 2)
+
+
+def _missing_a_representative(original):
+    def ext_space(a, m):
+        space = original(a, m)
+        return dataclasses.replace(space, representatives=space.representatives[1:])
+
+    return ext_space
+
+
+def _swapped(original):
+    return lambda curve, b, a: original(curve, a, b)
+
+
+def _rotated(original):
+    def trace_invariants(a):
+        t = original(a)
+        return t[1:] + t[:1]
+
+    return trace_invariants
+
+
+def _constant(value):
+    def make_fault(original):
+        return lambda *args: value
+
+    make_fault.__name__ = f"returns {value}"
+    return make_fault
+
+
+CAUGHT = [
+    ("determinant_identity", "moore", "moore_det", _negated),
+    ("rank_lemma", "moore", "moore_scalar", _wrong_01_entry),
+    ("group_law", "moore", "left_kernel_mod", _of_transpose),
+    ("torsion", "hesse", "HesseCurve.torsion3", _missing_a_point),
+    ("equivalence_classification", "heisenberg", "orbit", _cut_to_3),
+    ("conjugation_identities", "heisenberg", "t_action", _twice),
+    ("characters", "heisenberg", "schrodinger_character", _doubled_j),
+    ("partner_lemma", "ulrich", "bcb_divisible", _constant(True)),
+    ("trace_lemma", "ulrich", "trace_criterion", _negated_at_degree_2),
+    ("rank2_blocks", "ext", "divergence_class", _constant(0)),
+    ("ext_dimensions", "ext", "ext_space", _missing_a_representative),
+    ("geometric_interpretations", "hesse", "HesseCurve.sub", _swapped),
+]
+
+NOT_YET_CAUGHT = [
+    ("equivalence_classification", "heisenberg", "are_equivalent", _constant(True)),
+    ("equivalence_classification", "heisenberg", "trace_invariants", _constant((0, 0, 0))),
+    ("equivalence_classification", "heisenberg", "trace_invariants", _rotated),
+    ("conjugation_identities", "verify", "conjugation_identities", _constant(True)),
+    ("ext_dimensions", "verify", "verify_moore_span", _constant(True)),
+]
+
+
+def _row_id(row):
+    check, module, name, make_fault = row
+    return f"{check}-{name}-{make_fault.__name__}"
+
+
+def test_every_check_has_a_caught_fault():
+    assert [f"check_{row[0]}" for row in CAUGHT] == [c.__name__ for c in verify.ALL_CHECKS]
+
+
+def _check_catches(monkeypatch, patch_everywhere, check, module, name, make_fault):
+    owner, _, method = name.rpartition(".")
+    if owner:
+        cls = getattr(importlib.import_module(f"hesse_moore.{module}"), owner)
+        monkeypatch.setattr(cls, method, make_fault(getattr(cls, method)))
+    else:
+        assert f"hesse_moore.{module}" in patch_everywhere(module, name, make_fault)
+    try:
+        result = getattr(verify, f"check_{check}")(random.Random(0))
+    except (ValueError, AssertionError):
+        return
+    assert not result.passed, result.line()
+
+
+@pytest.mark.parametrize("row", CAUGHT, ids=[_row_id(r) for r in CAUGHT])
+def test_fault_is_caught(monkeypatch, patch_everywhere, row):
+    _check_catches(monkeypatch, patch_everywhere, *row)
+
+
+@pytest.mark.xfail(strict=True, reason="the check cannot see this fault yet")
+@pytest.mark.parametrize("row", NOT_YET_CAUGHT, ids=[_row_id(r) for r in NOT_YET_CAUGHT])
+def test_fault_is_not_yet_caught(monkeypatch, patch_everywhere, row):
+    _check_catches(monkeypatch, patch_everywhere, *row)
