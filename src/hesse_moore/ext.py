@@ -24,7 +24,8 @@ coordinates in the solution basis.  An ExtSpace keeps those int rows,
 and its quotient dimension is their number; unvectorize turns one back
 into a matrix of forms.  At m = -1 the solutions are spanned by
 moore_span_basis, which verify checks; moore_representative places the
-entries of those M_{b,e_i} at each x_k, as unit_products places A's.
+entries of those M_{b,e_i} at each x_k, as unit_products places A's;
+divergence_class is the divergence of the y of that representative.
 """
 
 from __future__ import annotations
@@ -190,14 +191,16 @@ class RepresentationError(ValueError):
 
 def moore_representative(a, C: FormMatrix):
     """Solve C = M_{b,y} + U*A - A*V for y (linear forms) and constant
-    U, V (rows of int residues); existence is the content of the
-    divergence theorem.  C must be a 3x3 matrix of linear forms."""
+    U, V (rows of int residues); C, a 3x3 matrix of linear forms with
+    tr(B*C) = 0 mod f, has one by the divergence theorem."""
     if C.n != 3:
         raise ValueError(f"C must be 3x3, got {C.n}x{C.n}")
     if C.degree != 1:
         raise ValueError(f"C must have linear entries, got degree {C.degree}")
     a = tuple(a)
     fac = moore_factorization(a)
+    if not trace_criterion(fac, C):
+        raise RepresentationError("C is not in the m = 0 solution space: tr(B*C) != 0 mod f")
     p = fac.f.p
     # y unknowns: y_i = sum_k y_ik x_k contributes M_{b,e_i} * x_k, each entry
     # of M_{b,e_i} at the monomial x_k; then the U and -V unknowns (constant)
@@ -209,10 +212,7 @@ def moore_representative(a, C: FormMatrix):
     rhs = vectorize(C)
     sol = linalg.solve_mod(system, rhs, p)
     if sol is None:
-        defect = linalg.rank_mod(columns + [rhs], p) - linalg.rank_mod(columns, p)
-        raise RepresentationError(
-            f"no Moore representative: inconsistent system (residual rank defect {defect})"
-        )
+        raise AssertionError("no Moore representative for a solution C: divergence theorem fails")
     y = tuple(HomForm.from_row(1, p, sol[3 * i : 3 * i + 3]) for i in range(3))
     U = [sol[9 + 3 * r : 12 + 3 * r] for r in range(3)]
     V = [[-x % p for x in sol[18 + 3 * r : 21 + 3 * r]] for r in range(3)]
@@ -222,9 +222,4 @@ def moore_representative(a, C: FormMatrix):
 def divergence_class(a, C: FormMatrix) -> int:
     """The divergence of the Moore representative of a linear C; zero
     exactly on the homotopy subspace."""
-    if not trace_criterion(moore_factorization(a), C):
-        raise RepresentationError(
-            "C is not in the m = 0 solution space: tr(B*C) != 0 mod f"
-        )
-    y, _, _ = moore_representative(a, C)
-    return divergence(y)
+    return divergence(moore_representative(a, C)[0])

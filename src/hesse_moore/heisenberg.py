@@ -7,8 +7,9 @@ For n = 3 the group acts on P^2 through Sigma = heis3_matrix(1, 0, 1, p)
 (cyclic shift) and T = heis3_matrix(1, 1, 0, p) = diag(1, w, w^2); every
 Heis_3 matrix, heis3_representation's included, comes from heis3_matrix.
 The orbit of a triple a, together with three trace invariants,
-classifies Moore matrices up to equivalence.  On rho_1 (x) rho_1 it
-acts through the Kronecker squares of heis3_matrix's T and Sigma^2.
+classifies the Moore matrices on one curve (hesse's curve_through, which
+also rejects a zero coordinate) up to equivalence.  On rho_1 (x) rho_1
+it acts through the Kronecker squares of heis3_matrix's T and Sigma^2.
 
 Characters take values in F_p through a root of unity zeta, so the
 whole computation stays in one exact arithmetic domain.  Every scalar is
@@ -193,10 +194,8 @@ def trace_invariants(a) -> tuple[int, int, int]:
 
 def on_same_curve(a, a2) -> bool:
     """Whether the triples a and a2, both with nonzero coordinate
-    products, lie on the same smooth Hesse cubic."""
+    products (curve_through checks), lie on the same smooth Hesse cubic."""
     triples = [triple_residues(t) for t in (a, a2)]
-    if any(not v[0] * v[1] * v[2] % p for v, p in triples):
-        raise ValueError("equivalence test needs nonzero coordinate products")
     lam, lam2 = (curve_through(ProjectivePoint.from_ints(v, p)).lam for v, p in triples)
     return lam == lam2
 

@@ -3,14 +3,15 @@
 The rank-1 factorization is the Moore matrix A together with its
 adjugate, scaled so that A*B = f*I exactly (the raw product is
 a0*a1*a2*f*I).  Extension data (C, D) satisfy A*D + C*B = 0 = D*A + B*C;
-the partner D is recovered from C by exact division of B*C*B by f, and
+one solver, _partner, gives D = -B*C*B / f and C = -A*D*A / f, and
 existence is decided by the trace criterion tr(B*C) = 0 mod f.  One
 certified entrywise quotient by f serves all four of these divisions.
-An extension identity is one fused matmul_sum(...).is_zero(), or, when
-it shares B*C (A*D) with the quotient, a comparison with that product.
+_partner checks each identity as a fused matmul_sum(...).is_zero() or
+as a comparison with the product B*C (A*D) it shares with the quotient.
 
-The f of a MatrixFactorization is the HesseCurve from curve_through;
-the products equal its form f.form times the identity.
+The f of a MatrixFactorization is the HesseCurve from curve_through,
+the one check that a0*a1*a2 != 0; the products equal its form f.form
+times the identity.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class FactorizationError(ValueError):
 @dataclass(frozen=True)
 class MatrixFactorization:
     """A certified pair (A, B) with A*B = B*A = f*I; f is the curve, and
-    f.form the cubic; the size is that of A."""
+    f.form the cubic."""
 
     A: FormMatrix
     B: FormMatrix
@@ -41,10 +42,6 @@ class MatrixFactorization:
             if not m.is_scalar(self.f.form):
                 raise ValueError("A*B = B*A = f*I fails; not a matrix factorization")
 
-    @property
-    def size(self) -> int:
-        return self.A.n
-
 
 def moore_factorization(a) -> MatrixFactorization:
     """The rank-1 factorization (M_{a,x}, unit * adjugate) of f_lambda.
@@ -54,10 +51,8 @@ def moore_factorization(a) -> MatrixFactorization:
     """
     a = tuple(a)
     v, p = triple_residues(a)
+    curve = curve_through(ProjectivePoint.from_ints(v, p))  # a0*a1*a2 != 0, lambda smooth
     prod = v[0] * v[1] * v[2] % p
-    if not prod:
-        raise ValueError("moore factorization needs a0*a1*a2 != 0")
-    curve = curve_through(ProjectivePoint.from_ints(v, p))  # rejects singular lambda
     B = moore_adjugate(a).scale(FieldElement(pow(prod, p - 2, p), p))
     return MatrixFactorization(moore(a), B, curve)
 
@@ -80,16 +75,23 @@ def _quotient(m: FormMatrix, f: HomForm) -> FormMatrix | None:
     return FormMatrix(out)
 
 
+def _partner(X: FormMatrix, Y: FormMatrix, M: FormMatrix, f: HomForm, missing: str):
+    """N = -X*M*X / f, certified by q*Y = X*M (q = -N) and Y*N + M*X = 0;
+    FactorizationError(missing) when f does not divide X*M*X."""
+    XM = X @ M
+    q = _quotient(XM @ X, f)
+    if q is None:
+        raise FactorizationError(missing)
+    N = -q
+    if q @ Y != XM or not matmul_sum([(Y, N), (M, X)]).is_zero():
+        raise AssertionError("partner does not satisfy the extension identities")
+    return N
+
+
 def partner_D(fac: MatrixFactorization, C: FormMatrix) -> FormMatrix:
     """The unique D with f*D = -B*C*B; verifies A*D + C*B = 0 = D*A + B*C."""
-    BC = fac.B @ C
-    q = _quotient(BC @ fac.B, fac.f.form)
-    if q is None:
-        raise FactorizationError("no extension datum for this C: f does not divide B*C*B")
-    D = -q
-    if not matmul_sum([(fac.A, D), (C, fac.B)]).is_zero() or q @ fac.A != BC:
-        raise AssertionError("partner matrix does not satisfy the extension identities")
-    return D
+    missing = "no extension datum for this C: f does not divide B*C*B"
+    return _partner(fac.B, fac.A, C, fac.f.form, missing)
 
 
 def recover_C(fac: MatrixFactorization, D: FormMatrix) -> FormMatrix:
@@ -99,14 +101,7 @@ def recover_C(fac: MatrixFactorization, D: FormMatrix) -> FormMatrix:
         raise FactorizationError(
             f"no C for this D: D has degree {D.degree}, so C would have degree {D.degree - 1}"
         )
-    AD = fac.A @ D
-    q = _quotient(AD @ fac.A, fac.f.form)
-    if q is None:
-        raise FactorizationError("no C for this D: f does not divide A*D*A")
-    C = -q
-    if q @ fac.B != AD or not matmul_sum([(D, fac.A), (fac.B, C)]).is_zero():
-        raise AssertionError("recovered matrix does not satisfy the extension identities")
-    return C
+    return _partner(fac.A, fac.B, D, fac.f.form, "no C for this D: f does not divide A*D*A")
 
 
 def trace_criterion(fac: MatrixFactorization, C: FormMatrix) -> bool:

@@ -9,7 +9,8 @@ check.  run_all executes all twelve; a prime filter reruns over that prime
 only the checks whose signature has a ``primes`` parameter (five), and the
 others stay on the primes their statements name.  The predicates that only
 the battery uses live here: conjugation_identities, verify_moore_span, and
-translation_graph_check and segre_check on a curve's public group law.
+translation_graph_check and segre_check on a curve's public group law;
+translation_graph_check reads both Moore rewritings off moore_scalar.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from inspect import signature
+from itertools import product
 
 from . import ext as ext_mod
 from . import heisenberg as heis
@@ -187,38 +189,40 @@ def check_group_law(rng: random.Random, primes=(7, 13)):
 
 
 def check_torsion(rng: random.Random):
-    ok = True
+    failed = []
     for p in (7, 13):
         for curve in smooth_curves(p, 3):
             t3 = curve.torsion3()
             on_curve = set(curve.enumerate_points())
             coord_zero = {a for a in on_curve if not a.coordinate_product()}
             if len(t3) != 9 or not t3 <= on_curve or coord_zero != t3:
-                ok = False
+                failed.append(f"E[3] of {curve!r}")
             if curve.torsion6() != curve.torsion6_line_arrangement():
-                ok = False
+                failed.append(f"E[6] of {curve!r}")
     # a curve with fully rational 6-torsion: lambda = 1 over F_31
     curve = HesseCurve.from_lambda(1, 31)
     t6 = curve.torsion6()
     if t6 != curve.torsion6_line_arrangement():
-        ok = False
+        failed.append(f"E[6] of {curve!r}")
     primitive = [
         a
         for a in t6
         if curve.mul(2, a) != curve.identity
         and curve.mul(3, a) != curve.identity
     ]
+    detail = f"|E[6]| = {len(t6)}, {len(primitive)} primitive over F_31"
     if len(t6) != 36 or len(primitive) != 24:
-        ok = False
-    return CheckResult("torsion", ok, f"|E[6]| = {len(t6)}, {len(primitive)} primitive over F_31")
+        failed.append(detail)
+    return CheckResult("torsion", not failed, "failed: " + "; ".join(failed) if failed else detail)
 
 
 # -- 5. Theorem A classification ----------------------------------------
 
 
 def check_equivalence_classification(rng: random.Random):
-    p = 13
+    p = 19
     pairs = 0
+    inequivalent = 0
     bad = 0
     orbits_ok = True
     for curve in smooth_curves(p, 3):
@@ -233,6 +237,7 @@ def check_equivalence_classification(rng: random.Random):
                 pairs += 1
                 by_inv = invs[a] == invs[b]
                 by_orbit = b in orbits[a]
+                inequivalent += not by_orbit
                 by_triple = triples[a] == triples[b]
                 if not (by_inv == by_orbit == by_triple):
                     bad += 1
@@ -240,8 +245,9 @@ def check_equivalence_classification(rng: random.Random):
                     bad += 1
     return CheckResult(
         "equivalence classification",
-        bad == 0 and orbits_ok,
-        f"{pairs} pairs over F_{p}, {bad} criterion mismatches, orbits of 9: {orbits_ok}",
+        bad == 0 and orbits_ok and 0 < inequivalent < pairs,
+        f"{pairs} pairs over F_{p}, {inequivalent} inequivalent, {bad} criterion mismatches, "
+        f"orbits of 9: {orbits_ok}",
     )
 
 
@@ -280,7 +286,7 @@ def check_conjugation_identities(rng: random.Random, primes=(7, 13)):
 
 def check_characters(rng: random.Random):
     p = 13
-    ok = True
+    failed = []
     details = []
     for n in (3, 6):
         zeta = primitive_root_of_unity(p, n)
@@ -290,15 +296,16 @@ def check_characters(rng: random.Random):
             for j in units:
                 expect = 1 if i == j else 0
                 if chars[i].inner_product(chars[j]) != expect:
-                    ok = False
+                    failed.append(f"<chi_{i}, chi_{j}> of H_{n}")
         details.append(f"orthogonality n={n}")
     if not heis.verify_restriction(6, 3, 1, p):
-        ok = False
+        failed.append("restriction (6,3,1)")
     details.append("restriction (6,3,1)")
     if not heis.verify_tensor_h3(p):
-        ok = False
+        failed.append("tensor on H_3")
     details.append("tensor on H_3")
-    return CheckResult("characters", ok, ", ".join(details) + f" over F_{p}")
+    detail = "failed: " + ", ".join(failed) if failed else ", ".join(details)
+    return CheckResult("characters", not failed, detail + f" over F_{p}")
 
 
 # -- 8. partner lemma -----------------------------------------------------
@@ -452,16 +459,15 @@ def _trilinear_eval(a, k: int, x, y) -> int:
 
 def _trilinear_rewriting_agree(a) -> bool:
     """M_{a,x} y^T and M_{iota(a),y} x^T have identical coefficient
-    tensors, both equal to the trilinear forms f_k."""
-    ai = iota(a)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                lhs = a[(k + j) % 3] if i == (k - j) % 3 else 0
-                rhs = ai[(k + i) % 3] if j == (k - i) % 3 else 0
-                if lhs != rhs:
-                    return False
-    return True
+    tensors, read off moore_scalar at unit vectors, both equal to the
+    trilinear forms f_k."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    by_x = [moore_scalar(a, e) for e in units]
+    by_y = [moore_scalar(iota(a), e) for e in units]
+    return all(
+        by_x[i][k][j] == by_y[j][k][i] == _trilinear_eval(a, k, units[i], units[j])
+        for k, i, j in product(range(3), repeat=3)
+    )
 
 
 def translation_graph_check(curve: HesseCurve, a: ProjectivePoint) -> bool:

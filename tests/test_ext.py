@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hesse_moore import linalg
+from hesse_moore import ext, linalg
 from hesse_moore.ext import (
     ExtSpace,
     RepresentationError,
@@ -163,6 +163,28 @@ def test_divergence_class_rejects_non_solutions():
     assert not trace_criterion(fac, C)
     with pytest.raises(RepresentationError):
         divergence_class(A_POINT, C)
+
+
+def test_moore_representative_tests_the_trace_criterion():
+    # diag(x0, x1, x2) fails tr(B*C) = 0 mod f, so it is no solution to solve for
+    x = coordinate_vars(P)
+    z = HomForm.zero(1, P)
+    C = FormMatrix([[x[0], z, z], [z, x[1], z], [z, z, x[2]]])
+    with pytest.raises(RepresentationError, match=r"tr\(B\*C\) != 0 mod f"):
+        moore_representative(A_POINT, C)
+
+
+def test_divergence_class_builds_one_factorization(monkeypatch):
+    calls = []
+    counted = ext.moore_factorization
+
+    def counting(a):
+        calls.append(a)
+        return counted(a)
+
+    monkeypatch.setattr(ext, "moore_factorization", counting)
+    assert divergence_class(A_POINT, moore(extension_representative(A_POINT))) == 3
+    assert len(calls) == 1
 
 
 def test_representatives_extend_homotopies():

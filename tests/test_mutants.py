@@ -88,6 +88,8 @@ CAUGHT = [
     ("group_law", "moore", "left_kernel_mod", _of_transpose),
     ("torsion", "hesse", "HesseCurve.torsion3", _missing_a_point),
     ("equivalence_classification", "heisenberg", "orbit", _cut_to_3),
+    ("equivalence_classification", "heisenberg", "are_equivalent", _constant(True)),
+    ("equivalence_classification", "heisenberg", "trace_invariants", _constant((0, 0, 0))),
     ("conjugation_identities", "heisenberg", "t_action", _twice),
     ("characters", "heisenberg", "schrodinger_character", _doubled_j),
     ("partner_lemma", "ulrich", "bcb_divisible", _constant(True)),
@@ -98,8 +100,6 @@ CAUGHT = [
 ]
 
 NOT_YET_CAUGHT = [
-    ("equivalence_classification", "heisenberg", "are_equivalent", _constant(True)),
-    ("equivalence_classification", "heisenberg", "trace_invariants", _constant((0, 0, 0))),
     ("equivalence_classification", "heisenberg", "trace_invariants", _rotated),
     ("conjugation_identities", "verify", "conjugation_identities", _constant(True)),
     ("ext_dimensions", "verify", "verify_moore_span", _constant(True)),
@@ -111,8 +111,13 @@ def _row_id(row):
     return f"{check}-{name}-{make_fault.__name__}"
 
 
+# the checks whose failing detail names each part that failed
+NAMES_WHAT_FAILED = {"torsion", "characters"}
+
+
 def test_every_check_has_a_caught_fault():
-    assert [f"check_{row[0]}" for row in CAUGHT] == [c.__name__ for c in verify.ALL_CHECKS]
+    checks = dict.fromkeys(f"check_{row[0]}" for row in CAUGHT)
+    assert list(checks) == [c.__name__ for c in verify.ALL_CHECKS]
 
 
 def _check_catches(monkeypatch, patch_everywhere, check, module, name, make_fault):
@@ -125,16 +130,26 @@ def _check_catches(monkeypatch, patch_everywhere, check, module, name, make_faul
     try:
         result = getattr(verify, f"check_{check}")(random.Random(0))
     except (ValueError, AssertionError):
-        return
+        return None
     assert not result.passed, result.line()
+    return result
 
 
 @pytest.mark.parametrize("row", CAUGHT, ids=[_row_id(r) for r in CAUGHT])
 def test_fault_is_caught(monkeypatch, patch_everywhere, row):
-    _check_catches(monkeypatch, patch_everywhere, *row)
+    result = _check_catches(monkeypatch, patch_everywhere, *row)
+    if row[0] in NAMES_WHAT_FAILED:
+        assert result is not None and result.detail.startswith("failed: "), result
 
 
 @pytest.mark.xfail(strict=True, reason="the check cannot see this fault yet")
 @pytest.mark.parametrize("row", NOT_YET_CAUGHT, ids=[_row_id(r) for r in NOT_YET_CAUGHT])
 def test_fault_is_not_yet_caught(monkeypatch, patch_everywhere, row):
     _check_catches(monkeypatch, patch_everywhere, *row)
+
+
+def test_rewriting_check_reads_moore_scalar(patch_everywhere):
+    a = (1, 2, 3)
+    assert verify._trilinear_rewriting_agree(a)
+    patch_everywhere("moore", "moore_scalar", _wrong_01_entry)
+    assert not verify._trilinear_rewriting_agree(a)

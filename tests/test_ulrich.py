@@ -58,7 +58,7 @@ def fac():
 
 def test_factorization_certified(fac):
     # the constructor already certifies A*B = B*A = f*I; spot-check f
-    assert fac.size == fac.A.n == 3
+    assert fac.A.n == 3
     assert fac.f.lam == F(6)
     assert fac.B == moore_adjugate(A_POINT).scale(F(6).inv())
 
@@ -87,7 +87,7 @@ def test_bad_factorization_rejected(fac):
     f, zero = fac.f.form, HomForm.zero(3, P)
     identity = FormMatrix.from_scalars([[int(i == j) for j in range(3)] for i in range(3)], P)
     f_identity = [[f if i == j else zero for j in range(3)] for i in range(3)]
-    assert MatrixFactorization(identity, FormMatrix(f_identity), fac.f).size == 3
+    assert MatrixFactorization(identity, FormMatrix(f_identity), fac.f).A.n == 3
     f_identity[0][1] = f
     with pytest.raises(ValueError, match="not a matrix factorization"):
         MatrixFactorization(identity, FormMatrix(f_identity), fac.f)
@@ -97,9 +97,9 @@ def test_extension_identities_are_checked(fac, monkeypatch):
     # the identities hold whenever A*B = B*A = f*I; a faulty fused product
     # must still be caught, not returned as a partner
     monkeypatch.setattr(ulrich_mod, "matmul_sum", lambda pairs: fac.A)
-    with pytest.raises(AssertionError, match="partner matrix does not satisfy"):
+    with pytest.raises(AssertionError, match="partner does not satisfy"):
         partner_D(fac, fac.A)
-    with pytest.raises(AssertionError, match="recovered matrix does not satisfy"):
+    with pytest.raises(AssertionError, match="partner does not satisfy"):
         recover_C(fac, -fac.B)
 
 
@@ -200,7 +200,7 @@ def test_divergence_values():
 
 def test_rank2_blocks():
     blocks = rank2_ulrich(A_POINT)
-    assert blocks.factorization.size == blocks.factorization.A.n == 6
+    assert blocks.factorization.A.n == 6
     assert blocks.divergence == F(3)
     assert tuple(c.value for c in blocks.extension_triple) == (6, 0, 8)
     # block structure: upper-left and lower-right are A, lower-left is 0
