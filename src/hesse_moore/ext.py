@@ -22,10 +22,11 @@ The representatives, the solutions taken greedily outside the span of
 the homotopies, are read off one rref_mod of the homotopies'
 coordinates in the solution basis.  An ExtSpace keeps those int rows,
 and its quotient dimension is their number; unvectorize turns one back
-into a matrix of forms.  At m = -1 the solutions are spanned by
-moore_span_basis, which verify checks; moore_representative places the
-entries of those M_{b,e_i} at each x_k, as unit_products places A's;
-divergence_class is the divergence of the y of that representative.
+into a matrix of forms.  At m = -1 the solutions are spanned by the
+M_{b,e_i}, whose int rows moore_span_basis returns and verify checks;
+moore_representative places each entry of those rows at each x_k, as
+unit_products places A's; divergence_class is the divergence of the y
+of that representative.
 """
 
 from __future__ import annotations
@@ -176,13 +177,13 @@ def ext_space(a, m: int) -> ExtSpace:
     return ExtSpace(m, sols, homs, [v for k, v in enumerate(sols) if last - k not in pivots])
 
 
-def moore_span_basis(a) -> list[FormMatrix]:
-    """The constant Moore matrices M_{b,e_i} at the extension
-    representative b of -2*a."""
+def moore_span_basis(a) -> list[list[int]]:
+    """The coordinate rows (see vectorize) of the constant Moore matrices
+    M_{b,e_i} at the extension representative b of -2*a."""
     v, p = triple_residues(a)
     b = extension_representative(v)
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return [FormMatrix.from_scalars(moore_scalar(b, e), p) for e in units]
+    return [[c % p for row in moore_scalar(b, e) for c in row] for e in units]
 
 
 class RepresentationError(ValueError):
@@ -204,7 +205,7 @@ def moore_representative(a, C: FormMatrix):
     p = fac.f.p
     # y unknowns: y_i = sum_k y_ik x_k contributes M_{b,e_i} * x_k, each entry
     # of M_{b,e_i} at the monomial x_k; then the U and -V unknowns (constant)
-    consts = [vectorize(m) for m in moore_span_basis(a)]
+    consts = moore_span_basis(a)
     columns = [[c if j == k else 0 for c in v for j in range(3)] for v in consts for k in range(3)]
     left, right = unit_products(fac.A, 0)
     columns += left + right

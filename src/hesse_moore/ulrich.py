@@ -146,7 +146,6 @@ class Rank2Ulrich:
     non-split witness is ext.divergence_class of C, which verify checks."""
 
     factorization: MatrixFactorization
-    base: MatrixFactorization
     C: FormMatrix
     D: FormMatrix
     extension_triple: tuple
@@ -176,4 +175,4 @@ def rank2_ulrich(a) -> Rank2Ulrich:
     A2 = _block(fac.A, C)
     B2 = _block(fac.B, D)
     block_fac = MatrixFactorization(A2, B2, fac.f)
-    return Rank2Ulrich(block_fac, fac, C, D, b, FieldElement(divergence(coordinate_vars(p)), p))
+    return Rank2Ulrich(block_fac, C, D, b, FieldElement(divergence(coordinate_vars(p)), p))

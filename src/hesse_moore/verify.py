@@ -7,10 +7,11 @@ and a short detail string (counts of cases exercised); a check that
 exercises no case fails.  Sample sizes and primes are fixed inside each
 check.  run_all executes all twelve; a prime filter reruns over that prime
 only the checks whose signature has a ``primes`` parameter (five), and the
-others stay on the primes their statements name.  The predicates that only
-the battery uses live here: conjugation_identities, verify_moore_span, and
-translation_graph_check and segre_check on a curve's public group law;
-translation_graph_check reads both Moore rewritings off moore_scalar.
+others stay on the primes their statements name.  Each check states its
+identity in its own body, apart from two predicates on a curve's public
+group law that only the battery uses: segre_check, and
+translation_graph_check, which reads both Moore rewritings off
+moore_scalar.
 """
 
 from __future__ import annotations
@@ -254,30 +255,24 @@ def check_equivalence_classification(rng: random.Random):
 # -- 6. conjugation identities -------------------------------------------
 
 
-def conjugation_identities(a) -> bool:
+def check_conjugation_identities(rng: random.Random, primes=(7, 13)):
     """M_{T(a),x} = T * M_{a,x} * T and
     M_{Sigma(a),x} = Sigma^{-1} * M_{a,x} * Sigma, symbolically, for T and
     Sigma from heis3_matrix (Sigma^{-1} = Sigma^2)."""
-    a = tuple(a)
-    m = moore(a)
-    p = m.p
-    t, s = (FormMatrix.from_scalars(heis.heis3_matrix(1, i, j, p), p) for i, j in ((1, 0), (0, 1)))
-    return moore(heis.t_action(a)) == t @ m @ t and moore(heis.sigma_action(a)) == s @ s @ m @ s
-
-
-def check_conjugation_identities(rng: random.Random, primes=(7, 13)):
-    total = 0
-    bad = 0
+    samples, bad = 20, 0
     for p in primes:
-        for _ in range(20):
+        t = FormMatrix.from_scalars(heis.heis3_matrix(1, 1, 0, p), p)
+        s = FormMatrix.from_scalars(heis.heis3_matrix(1, 0, 1, p), p)
+        for _ in range(samples):
             a = _random_triple(p, rng)
-            total += 1
-            if not conjugation_identities(a):
+            m = moore(a)
+            t_ok = moore(heis.t_action(a)) == t @ m @ t
+            if not (t_ok and moore(heis.sigma_action(a)) == s @ s @ m @ s):
                 bad += 1
     return CheckResult(
         "conjugation identities",
         bad == 0,
-        f"{total} symbolic checks, {bad} failures",
+        f"{samples * len(primes)} symbolic checks, {bad} failures",
     )
 
 
@@ -405,15 +400,6 @@ def check_rank2_blocks(rng: random.Random, primes=(7, 13)):
 # -- 11. extension dimensions -----------------------------------------------
 
 
-def verify_moore_span(a, solutions: list[list[int]]) -> bool:
-    """The m = -1 solutions of the extension space at a equal
-    span{M_{b,e0}, M_{b,e1}, M_{b,e2}} inside the 9-dimensional space of
-    constant matrices."""
-    _, p = triple_residues(a)
-    span = [ext_mod.vectorize(s) for s in ext_mod.moore_span_basis(a)]
-    return linalg.rank_mod(span, p) == 3 and linalg.same_span_mod(solutions, span, p)
-
-
 def _divergence_kernel_matches_homotopy(a, space: ext_mod.ExtSpace) -> bool:
     """The kernel of divergence_class on the m = 0 solution space equals
     the homotopy subspace, as subspaces."""
@@ -435,7 +421,9 @@ def check_ext_dimensions(rng: random.Random, primes=(7, 13)):
         if {m: space.quotient_dimension for m, space in spaces.items()} != expected:
             bad += 1
             continue
-        if not verify_moore_span(a.coords, spaces[-1].solutions):
+        # no homotopies at m = -1, so dimension 3 is 3 independent solutions
+        span = ext_mod.moore_span_basis(a.coords)
+        if not linalg.same_span_mod(spaces[-1].solutions, span, a.p):
             bad += 1
             continue
         if kernel_checked < 2:

@@ -1,62 +1,20 @@
-"""Acceptance battery: one test per criterion, each delegating to the
-named check in hesse_moore.verify and printing its pass/fail line."""
+"""Acceptance battery: one test per check of hesse_moore.verify.ALL_CHECKS,
+each printing the check's pass/fail line."""
 
 import random
+
+import pytest
 
 from hesse_moore import verify
 
 
-def _assert(result):
+@pytest.mark.parametrize(
+    "check", verify.ALL_CHECKS, ids=[c.__name__.removeprefix("check_") for c in verify.ALL_CHECKS]
+)
+def test_check_passes(check, rng):
+    result = check(rng)
     print(result.line())
     assert result.passed, result.line()
-
-
-def test_criterion_01_determinant_identity(rng):
-    _assert(verify.check_determinant_identity(rng))
-
-
-def test_criterion_02_rank_lemma(rng):
-    _assert(verify.check_rank_lemma(rng))
-
-
-def test_criterion_03_group_law(rng):
-    _assert(verify.check_group_law(rng))
-
-
-def test_criterion_04_torsion(rng):
-    _assert(verify.check_torsion(rng))
-
-
-def test_criterion_05_equivalence_classification(rng):
-    _assert(verify.check_equivalence_classification(rng))
-
-
-def test_criterion_06_conjugation_identities(rng):
-    _assert(verify.check_conjugation_identities(rng))
-
-
-def test_criterion_07_characters(rng):
-    _assert(verify.check_characters(rng))
-
-
-def test_criterion_08_partner_lemma(rng):
-    _assert(verify.check_partner_lemma(rng))
-
-
-def test_criterion_09_trace_lemma(rng):
-    _assert(verify.check_trace_lemma(rng))
-
-
-def test_criterion_10_rank2_ulrich_blocks(rng):
-    _assert(verify.check_rank2_blocks(rng))
-
-
-def test_criterion_11_extension_dimensions(rng):
-    _assert(verify.check_ext_dimensions(rng))
-
-
-def test_criterion_12_geometric_interpretations(rng):
-    _assert(verify.check_geometric_interpretations(rng))
 
 
 def test_prime_filter_tests_the_selected_prime():

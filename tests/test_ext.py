@@ -20,7 +20,6 @@ from hesse_moore.hesse import HesseCurve, extension_representative
 from hesse_moore.moore import FormMatrix, coordinate_vars, moore
 from hesse_moore.poly import HomForm, divide, monomials
 from hesse_moore.ulrich import moore_factorization, trace_criterion
-from hesse_moore.verify import verify_moore_span
 
 P = 13
 
@@ -69,16 +68,19 @@ def test_homotopy_form():
 
 def test_moore_span():
     basis = moore_span_basis(A_POINT)
-    vecs = [vectorize(m) for m in basis]
-    assert linalg.rank_mod(vecs, P) == 3
-    assert verify_moore_span(A_POINT, ext_space(A_POINT, -1).solutions)
+    assert all(isinstance(c, int) and 0 <= c < P for row in basis for c in row)
+    # M_{b,x} = sum_k M_{b,e_k} * x_k
+    parts = [unvectorize(row, 0, P).scale_form(x) for row, x in zip(basis, coordinate_vars(P))]
+    assert parts[0] + parts[1] + parts[2] == moore(extension_representative(A_POINT))
+    assert linalg.rank_mod(basis, P) == 3
+    assert linalg.same_span_mod(ext_space(A_POINT, -1).solutions, basis, P)
 
 
 def test_moore_span_heisenberg_stable():
     from hesse_moore.heisenberg import sigma_action, t_action
 
     for a in (sigma_action(A_POINT), t_action(A_POINT)):
-        assert verify_moore_span(a, ext_space(a, -1).solutions)
+        assert linalg.same_span_mod(ext_space(a, -1).solutions, moore_span_basis(a), P)
 
 
 def test_moore_representative_of_moore_matrix():
@@ -90,32 +92,47 @@ def test_moore_representative_of_moore_matrix():
         assert len(mat) == 3
         assert all(len(row) == 3 and all(isinstance(x, int) and 0 <= x < P for x in row)
                    for row in mat)
-    # reconstruct: C = M_{b,y} + U*A - A*V, with M_{b,y} = sum_k M_{b,e_k} * y_k
-    # since the Moore matrix is linear in its variables
-    fac = moore_factorization(A_POINT)
-    u_mat = FormMatrix.from_scalars(U, P)
-    v_mat = FormMatrix.from_scalars(V, P)
-    m_by = [m.scale_form(y_k) for m, y_k in zip(moore_span_basis(A_POINT), y)]
-    rebuilt = m_by[0] + m_by[1] + m_by[2] + u_mat @ fac.A - fac.A @ v_mat
-    assert rebuilt == C
+    assert _rebuilt(A_POINT, y, U, V) == C
     from hesse_moore.ulrich import divergence
 
     assert divergence(y) == 3
 
 
+def _rebuilt(a, y, U, V) -> FormMatrix:
+    """M_{b,y} + U*A - A*V, with M_{b,y} = sum_k M_{b,e_k} * y_k by form
+    products, since the Moore matrix is linear in its variables."""
+    fac = moore_factorization(a)
+    p = fac.f.p
+    m_by = [unvectorize(row, 0, p).scale_form(y_k) for row, y_k in zip(moore_span_basis(a), y)]
+    u_mat, v_mat = FormMatrix.from_scalars(U, p), FormMatrix.from_scalars(V, p)
+    return m_by[0] + m_by[1] + m_by[2] + u_mat @ fac.A - fac.A @ v_mat
+
+
+def _random_solutions(a, count: int, rng) -> list[FormMatrix]:
+    """count random elements of the m = 0 solution space at a."""
+    p = a[0].p
+    sols = ext_space(a, 0).solutions
+    coeffs = [[rng.randrange(p) for _ in sols] for _ in range(count)]
+    return [unvectorize(v, 1, p) for v in linalg.mat_mul_mod(coeffs, sols, p)]
+
+
 @pytest.mark.parametrize("p", [13, 19, 37, 2**61 - 1])
 def test_moore_representative_rebuilds_random_solutions(p, rng):
-    # C = M_{b,y} + U*A - A*V, with M_{b,y} rebuilt by form products
     a = tuple(FieldElement(v, p) for v in (1, 2, 3))
-    fac = moore_factorization(a)
-    sols = ext_space(a, 0).solutions
-    for _ in range(5):
-        coeffs = [rng.randrange(p) for _ in sols]
-        C = unvectorize(linalg.mat_mul_mod([coeffs], sols, p)[0], 1, p)
+    for C in _random_solutions(a, 5, rng):
+        assert _rebuilt(a, *moore_representative(a, C)) == C
+
+
+def test_moore_representative_needs_v_at_some_points():
+    # at (1, 2, 3) the representative returned always has V = 0, so only
+    # a point like this one tests the sign and the reduction of V
+    a = tuple(FieldElement(v, 19) for v in (1, 12, 16))
+    nonzero_v = 0
+    for C in _random_solutions(a, 5, random.Random(5)):
         y, U, V = moore_representative(a, C)
-        m_by = [m.scale_form(y_k) for m, y_k in zip(moore_span_basis(a), y)]
-        u_mat, v_mat = FormMatrix.from_scalars(U, p), FormMatrix.from_scalars(V, p)
-        assert m_by[0] + m_by[1] + m_by[2] + u_mat @ fac.A - fac.A @ v_mat == C
+        assert _rebuilt(a, y, U, V) == C
+        nonzero_v += any(map(any, V))
+    assert nonzero_v
 
 
 def test_divergence_class_values():
@@ -199,7 +216,7 @@ def test_dimension_table_other_points():
         a = tuple(F(v) for v in vals)
         assert ext_space(a, -1).quotient_dimension == 3
         assert ext_space(a, 0).quotient_dimension == 1
-        assert verify_moore_span(a, ext_space(a, -1).solutions)
+        assert linalg.same_span_mod(ext_space(a, -1).solutions, moore_span_basis(a), P)
 
 
 @pytest.mark.parametrize("p", [13, 19])

@@ -21,7 +21,6 @@ from hesse_moore.heisenberg import (
 )
 from hesse_moore.hesse import HesseCurve
 from hesse_moore.moore import ProjectivePoint
-from hesse_moore.verify import conjugation_identities
 
 heis_mod = importlib.import_module("hesse_moore.heisenberg")
 
@@ -231,11 +230,6 @@ class TestActions:
         curve = HesseCurve.from_lambda(6, 13)
         for pt in orbit(T3((1, 2, 3))):
             assert curve.contains(pt)
-
-    def test_conjugation_identities_symbolic(self, rng):
-        for _ in range(10):
-            a = tuple(F(rng.randrange(1, P)) for _ in range(3))
-            assert conjugation_identities(a)
 
 
 class TestInvariants:

@@ -6,8 +6,13 @@ import re
 import pytest
 
 from hesse_moore import cli
-from hesse_moore.field import FieldElement
-from hesse_moore.heisenberg import HeisenbergElement, heis3_representation, orbit
+from hesse_moore.field import FieldElement, primitive_root_of_unity
+from hesse_moore.heisenberg import (
+    HeisenbergElement,
+    heis3_representation,
+    orbit,
+    schrodinger_character,
+)
 from hesse_moore.moore import FormMatrix, adjugate_det, coordinate_vars
 from hesse_moore.poly import HomForm, divide
 from hesse_moore.ulrich import divergence
@@ -25,6 +30,11 @@ ROWS = [
      "order parameter must be positive"),
     ("heis3-representation-n", lambda: heis3_representation(HeisenbergElement(6, 0, 0, 0), P),
      ValueError, "matrix realization is for H_3 only"),
+    ("root-of-unity-order", lambda: primitive_root_of_unity(P, 0), ValueError,
+     "0 does not divide p-1 = 12"),
+    # 2^3 = 8 mod 13: only the zeta^n = 1 clause rejects this zeta
+    ("character-zeta-order", lambda: schrodinger_character(3, 1, 2, P), ValueError,
+     "zeta must be a primitive n-th root of unity"),
     ("orbit-zero", lambda: orbit(tuple(FieldElement(0, P) for _ in range(3))), ValueError,
      "orbit of the zero triple"),
     ("form-matrix-square", lambda: FormMatrix([[X[0], X[1]]]), ValueError,

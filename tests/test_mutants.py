@@ -66,6 +66,18 @@ def _swapped(original):
     return lambda curve, b, a: original(curve, a, b)
 
 
+def _t_squared(original):
+    return lambda mu, i, j, p: original(mu, 2 * i, j, p)
+
+
+def _first_row_twice(original):
+    def moore_span_basis(a):
+        rows = original(a)
+        return rows[:1] + rows[:2]
+
+    return moore_span_basis
+
+
 def _rotated(original):
     def trace_invariants(a):
         t = original(a)
@@ -91,18 +103,18 @@ CAUGHT = [
     ("equivalence_classification", "heisenberg", "are_equivalent", _constant(True)),
     ("equivalence_classification", "heisenberg", "trace_invariants", _constant((0, 0, 0))),
     ("conjugation_identities", "heisenberg", "t_action", _twice),
+    ("conjugation_identities", "heisenberg", "heis3_matrix", _t_squared),
     ("characters", "heisenberg", "schrodinger_character", _doubled_j),
     ("partner_lemma", "ulrich", "bcb_divisible", _constant(True)),
     ("trace_lemma", "ulrich", "trace_criterion", _negated_at_degree_2),
     ("rank2_blocks", "ext", "divergence_class", _constant(0)),
     ("ext_dimensions", "ext", "ext_space", _missing_a_representative),
+    ("ext_dimensions", "ext", "moore_span_basis", _first_row_twice),
     ("geometric_interpretations", "hesse", "HesseCurve.sub", _swapped),
 ]
 
 NOT_YET_CAUGHT = [
     ("equivalence_classification", "heisenberg", "trace_invariants", _rotated),
-    ("conjugation_identities", "verify", "conjugation_identities", _constant(True)),
-    ("ext_dimensions", "verify", "verify_moore_span", _constant(True)),
 ]
 
 

@@ -205,7 +205,7 @@ def test_rank2_blocks():
     assert tuple(c.value for c in blocks.extension_triple) == (6, 0, 8)
     # block structure: upper-left and lower-right are A, lower-left is 0
     A2 = blocks.factorization.A
-    base = blocks.base.A
+    base = moore_factorization(A_POINT).A
     for i in range(3):
         for j in range(3):
             assert A2.entries[i][j] == base.entries[i][j]
