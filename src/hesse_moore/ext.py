@@ -20,8 +20,10 @@ E, which unit_products returns as a pair of row lists (it rejects any
 A but 3x3).  Positions of products come from poly's product_index.
 The representatives, the solutions taken greedily outside the span of
 the homotopies, are read off one rref_mod of the homotopies'
-coordinates in the solution basis.  An ExtSpace keeps those int rows,
-and its quotient dimension is their number; unvectorize turns one back
+coordinates in the solution basis, unless the homotopies are as many
+as the solutions (every m >= 1): then they fill the solution space,
+and there is none to choose.  An ExtSpace keeps those int rows, and
+its quotient dimension is their number; unvectorize turns one back
 into a matrix of forms.  At m = -1 the solutions are spanned by the
 M_{b,e_i}, whose int rows moore_span_basis returns and verify checks;
 moore_representative places each entry of those rows at each x_k, as
@@ -171,7 +173,10 @@ def ext_space(a, m: int) -> ExtSpace:
     fac = moore_factorization(a)
     sols = _solution_vectors(fac, m)
     homs = _homotopy_vectors(fac, m)
-    free = [max(j for j, x in enumerate(v) if x) for v in reversed(sols)]
+    if len(homs) == len(sols):
+        # the homotopies lie in the solution space, so they fill it
+        return ExtSpace(m, sols, homs, [])
+    free = [len(v) - 1 - v[::-1].index(1) for v in reversed(sols)]
     pivots = linalg.rref_mod([[h[c] for c in free] for h in homs], fac.f.p)
     last = len(sols) - 1
     return ExtSpace(m, sols, homs, [v for k, v in enumerate(sols) if last - k not in pivots])

@@ -7,8 +7,9 @@ realizes the curve's group law (see the hesse module).
 
 A triple a of FieldElements enters through field.triple_residues, and
 the Moore matrix, its adjugate and determinant are built from the int
-residues.  A ProjectivePoint is a triple of normalized int residues; its
-``coords`` property is the one conversion back to FieldElements.
+residues, the first two from coordinate rows (HomForm.from_row), each
+coefficient at its monomial's position.  A ProjectivePoint is a triple
+of normalized int residues; its ``coords`` property is the one conversion back to FieldElements.
 FormMatrix(entries) checks that its entries are square and uniform and
 reads its size, modulus and degree off them; the builders here whose
 rows are so by construction use the one unchecked _form_matrix.
@@ -20,7 +21,7 @@ The kernel point of a rank-2 matrix of int residues is left_kernel_mod.
 from __future__ import annotations
 
 import operator
-from itertools import chain
+from itertools import chain, product
 
 from . import linalg
 from .field import FieldElement, triple_residues, validate_modulus
@@ -215,13 +216,10 @@ def moore(a) -> FormMatrix:
     v, p = triple_residues(a)
     if not any(v):
         raise ValueError("Moore matrix of the zero triple")
-    x = [tuple(int(t == k) for t in range(3)) for k in range(3)]  # exponents of x_k
-    return _form_matrix(
-        [
-            [HomForm.from_residues(1, p, {x[(i - j) % 3]: v[(i + j) % 3]}) for j in range(3)]
-            for i in range(3)
-        ]
-    )
+    rows = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
+    for i, j in product(range(3), repeat=2):
+        rows[i][j][(i - j) % 3] = v[(i + j) % 3]  # x_k sits at position k
+    return _form_matrix([[HomForm.from_row(1, p, c) for c in row] for row in rows])
 
 
 def moore_scalar(a, b) -> list[list]:
@@ -236,23 +234,22 @@ def moore_scalar(a, b) -> list[list]:
     ]
 
 
+# the positions in monomials(2) of x_k^2 and of x_(k-1)*x_(k+1), for k = 0, 1, 2
+_SQUARE_CROSS = ((0, 4), (3, 2), (5, 1))
+
+
 def moore_adjugate(a) -> FormMatrix:
     """Closed-form adjugate of the Moore matrix.
 
     Entry (i,j) is a[i+j-1]*a[i+j+1]*x[j-i]^2 - a[i+j]^2*x[j-i-1]*x[j-i+1].
     """
     v, p = triple_residues(a)
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            k = (j - i) % 3
-            square = tuple(2 * int(t == k) for t in range(3))
-            cross = tuple(int(t != k) for t in range(3))
-            terms = {square: v[(i + j - 1) % 3] * v[(i + j + 1) % 3], cross: -v[(i + j) % 3] ** 2}
-            row.append(HomForm.from_residues(2, p, terms))
-        out.append(row)
-    return _form_matrix(out)
+    rows = [[[0] * 6 for _ in range(3)] for _ in range(3)]
+    for i, j in product(range(3), repeat=2):
+        square, cross = _SQUARE_CROSS[(j - i) % 3]
+        rows[i][j][square] = v[(i + j - 1) % 3] * v[(i + j + 1) % 3]
+        rows[i][j][cross] = -v[(i + j) % 3] ** 2
+    return _form_matrix([[HomForm.from_row(2, p, c) for c in row] for row in rows])
 
 
 def moore_det(a) -> HomForm:

@@ -14,9 +14,10 @@ sweeps the rows of one such table, the multiples of the leading monomial
 lm(f), descending; the rest is the canonical remainder r.
 FieldElement appears only at the edge: the coefficients of
 HomForm(degree, p, {exps: FieldElement}) and the point of ``evaluate``
-go through field.residues, ``scale`` takes one, and the ``coeffs`` view
-builds them.  ``from_residues`` is the int constructor keyed by
-exponents, and ``residues`` its view, built on each read.
+go through field.residues, ``scale`` takes one (and maps the terms,
+with no dense row), and the ``coeffs`` view builds them.
+``from_residues`` is the int constructor keyed by exponents, and
+``residues`` its view, built on each read.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class HomForm:
         return self._combine(other, -1)
 
     def __neg__(self) -> "HomForm":
-        return _form(self.degree, self.p, [-v for v in self.row()])
+        return _with_terms(self.degree, self.p, [(i, self.p - v) for i, v in self.terms])
 
     def __mul__(self, other: "HomForm") -> "HomForm":
         return sum_of_products([(self, other)])
@@ -169,8 +170,8 @@ class HomForm:
     def scale(self, c: FieldElement) -> "HomForm":
         if c.p != self.p:
             raise ValueError("modulus mismatch")
-        s = c.value
-        return _form(self.degree, self.p, [s * v for v in self.row()])
+        s, p = c.value, self.p
+        return _with_terms(self.degree, p, [(i, r) for i, v in self.terms if (r := s * v % p)])
 
     def __eq__(self, other):
         if not isinstance(other, HomForm):
@@ -270,10 +271,13 @@ def product_terms(degree: int, p: int, sums) -> list[HomForm]:
 
 def _form(degree: int, p: int, row) -> HomForm:
     """HomForm.from_row for a modulus read off a form, so already valid."""
+    return _with_terms(degree, p, [(i, r) for i, v in enumerate(row) if (r := v % p)])
+
+
+def _with_terms(degree: int, p: int, terms: list[tuple[int, int]]) -> HomForm:
+    """The form with these terms, unchecked: ascending positions, residues in [1, p)."""
     form = HomForm.__new__(HomForm)
-    form.degree = degree
-    form.p = p
-    form.terms = [(i, r) for i, v in enumerate(row) if (r := v % p)]
+    form.degree, form.p, form.terms = degree, p, terms
     return form
 
 

@@ -150,8 +150,15 @@ def test_int_kernel_matches_reference(p):
             assert linalg.rref_mod(ints, p) == want_pivots
             assert ints == [[x.value for x in row] for row in want]
             assert linalg.rank_mod(rows, p) == len(want_pivots)
-            for v in linalg.nullspace_mod([row[:] for row in rows], p):
+            basis = linalg.nullspace_mod([row[:] for row in rows], p)
+            # the shape ext relies on: each vector's last nonzero entry is
+            # a 1 at its free column, and 0 at the other free columns
+            free = [max(j for j, x in enumerate(v) if x) for v in basis]
+            assert free == sorted(set(free))
+            for v, fc in zip(basis, free):
                 assert not any(mat_vec_mod(rows, v, p))
+                assert v[fc] == 1
+                assert not any(v[g] for g in free if g != fc)
         assert linalg.rank_mod(low_rank, p) <= 3
         assert linalg.rank_mod(dependent, p) <= 4
 

@@ -1,3 +1,5 @@
+from itertools import chain, product
+
 import pytest
 
 from hesse_moore import linalg
@@ -33,6 +35,25 @@ def random_triple(rng, p=P):
         a = tuple(FieldElement(rng.randrange(p), p) for _ in range(3))
         if any(c.value for c in a):
             return a
+
+
+# all 342 nonzero triples over F_7: zero coordinates, and adjugate
+# coefficients that vanish mod 7, which random triples reach only by chance
+F7_TRIPLES = [
+    tuple(FieldElement(c, 7) for c in t) for t in product(range(7), repeat=3) if any(t)
+]
+
+
+def moore_from_exponents(a):
+    """The Moore matrix (a[i+j] * x[i-j]) built from exponent triples."""
+    p = a[0].p
+    x = [tuple(int(t == k) for t in range(3)) for k in range(3)]  # exponents of x_k
+    return FormMatrix(
+        [
+            [HomForm.from_residues(1, p, {x[(i - j) % 3]: a[(i + j) % 3].value}) for j in range(3)]
+            for i in range(3)
+        ]
+    )
 
 
 class TestProjectivePoint:
@@ -102,9 +123,10 @@ def test_det_matches_leibniz_oracle(rng):
 
 
 def test_adjugate_matches_cofactor_oracle(rng):
-    for _ in range(50):
-        a = random_triple(rng)
-        adj, _ = adjugate_det(moore(a).entries)
+    for a in [random_triple(rng) for _ in range(50)] + F7_TRIPLES:
+        m = moore(a)
+        assert m == moore_from_exponents(a)
+        adj, _ = adjugate_det(m.entries)
         assert moore_adjugate(a) == FormMatrix(adj)
 
 
@@ -260,6 +282,19 @@ def test_form_matrix_needs_a_row():
         FormMatrix([])
 
 
+def assert_checked(out):
+    """out is what the checked constructor builds from its entries, and
+    every entry's terms ascend strictly with residues in [1, p)."""
+    checked = FormMatrix(out.entries)
+    assert (out.n, out.p, out.degree, out.entries) == (
+        checked.n, checked.p, checked.degree, checked.entries
+    )
+    for e in chain.from_iterable(out.entries):
+        positions = [i for i, _ in e.terms]
+        assert positions == sorted(set(positions))
+        assert all(0 < v < out.p for _, v in e.terms)
+
+
 def test_built_matrices_pass_the_checked_constructor():
     # the builders skip FormMatrix's checks; each result must still be
     # one that the checked constructor accepts with the same attributes
@@ -267,10 +302,20 @@ def test_built_matrices_pass_the_checked_constructor():
     m, adj = moore(a), moore_adjugate(a)
     x0 = HomForm.variable(0, P)
     for out in (m, adj, -m, m.scale(F(5)), m.scale_form(x0), m + m, m - m, m @ adj):
-        checked = FormMatrix(out.entries)
-        assert (out.n, out.p, out.degree, out.entries) == (
-            checked.n, checked.p, checked.degree, checked.entries
-        )
+        assert_checked(out)
+    # scaling works on the terms; the dense coordinate row is its oracle
+    for a in F7_TRIPLES:
+        for built in (moore(a), moore_adjugate(a)):
+            assert_checked(built)
+            assert_checked(-built)
+            for c in (0, 1, 6):
+                scaled = built.scale(FieldElement(c, 7))
+                assert_checked(scaled)
+                assert scaled.entries == [
+                    [HomForm.from_row(e.degree, 7, [c * v for v in e.row()]) for e in row]
+                    for row in built.entries
+                ]
+            assert -built == built.scale(FieldElement(6, 7))
 
 
 def kernel_point(m, p=P):
