@@ -7,9 +7,11 @@ realizes the curve's group law (see the hesse module).
 
 A triple a of FieldElements enters through field.triple_residues, and
 the Moore matrix, its adjugate and determinant are built from the int
-residues, the first two from coordinate rows (HomForm.from_row), each
-coefficient at its monomial's position.  A ProjectivePoint is a triple
-of normalized int residues; its ``coords`` property is the one conversion back to FieldElements.
+residues, the first two from coordinate rows (HomForm.from_row) with
+each coefficient at its monomial's position, read once from poly's
+monomial_index.  A ProjectivePoint is a triple of normalized int
+residues; its ``coords`` property is the one conversion back to
+FieldElements.
 FormMatrix(entries) checks that its entries are square and uniform and
 reads its size, modulus and degree off them; the builders here whose
 rows are so by construction use the one unchecked _form_matrix.
@@ -25,7 +27,7 @@ from itertools import chain, product
 
 from . import linalg
 from .field import FieldElement, triple_residues, validate_modulus
-from .poly import HomForm, product_index, product_terms, sum_of_products
+from .poly import HomForm, monomial_index, product_index, product_terms, sum_of_products
 
 
 class ProjectivePoint:
@@ -211,6 +213,10 @@ def coordinate_vars(p: int):
     return tuple(HomForm.variable(i, p) for i in range(3))
 
 
+# the position in monomials(1) of x_k, for k = 0, 1, 2
+_VARIABLE = tuple(monomial_index(1)[tuple(int(t == k) for t in range(3))] for k in range(3))
+
+
 def moore(a) -> FormMatrix:
     """The Moore matrix (a[i+j] * x[i-j]), indices mod 3."""
     v, p = triple_residues(a)
@@ -218,7 +224,7 @@ def moore(a) -> FormMatrix:
         raise ValueError("Moore matrix of the zero triple")
     rows = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
     for i, j in product(range(3), repeat=2):
-        rows[i][j][(i - j) % 3] = v[(i + j) % 3]  # x_k sits at position k
+        rows[i][j][_VARIABLE[(i - j) % 3]] = v[(i + j) % 3]
     return _form_matrix([[HomForm.from_row(1, p, c) for c in row] for row in rows])
 
 
@@ -235,7 +241,11 @@ def moore_scalar(a, b) -> list[list]:
 
 
 # the positions in monomials(2) of x_k^2 and of x_(k-1)*x_(k+1), for k = 0, 1, 2
-_SQUARE_CROSS = ((0, 4), (3, 2), (5, 1))
+_SQUARE_CROSS = tuple(
+    (monomial_index(2)[tuple(2 * (t == k) for t in range(3))],
+     monomial_index(2)[tuple(int(t != k) for t in range(3))])
+    for k in range(3)
+)
 
 
 def moore_adjugate(a) -> FormMatrix:

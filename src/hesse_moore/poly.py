@@ -165,7 +165,10 @@ class HomForm:
         return _with_terms(self.degree, self.p, [(i, self.p - v) for i, v in self.terms])
 
     def __mul__(self, other: "HomForm") -> "HomForm":
-        return sum_of_products([(self, other)])
+        self._check(other)
+        table = product_index(self.degree, other.degree)
+        sums = [[(table, self.terms, other.terms)]]
+        return product_terms(self.degree + other.degree, self.p, sums)[0]
 
     def scale(self, c: FieldElement) -> "HomForm":
         if c.p != self.p:

@@ -5,9 +5,7 @@ adjugate, scaled so that A*B = f*I exactly (the raw product is
 a0*a1*a2*f*I).  Extension data (C, D) satisfy A*D + C*B = 0 = D*A + B*C;
 one solver, _partner, gives D = -B*C*B / f and C = -A*D*A / f, and
 existence is decided by the trace criterion tr(B*C) = 0 mod f.  One
-certified entrywise quotient by f serves all four of these divisions;
-each quotient is multiplied back by poly's product_terms and compared
-with its entry on the terms.
+certified entrywise quotient by f serves all four of these divisions.
 _partner checks each identity as a fused matmul_sum(...).is_zero() or
 as a comparison with the product B*C (A*D) it shares with the quotient.
 
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 from .field import FieldElement, triple_residues
 from .hesse import HesseCurve, curve_through, extension_representative
 from .moore import FormMatrix, ProjectivePoint, coordinate_vars, matmul_sum, moore, moore_adjugate
-from .poly import HomForm, divide, product_index, product_terms
+from .poly import HomForm, divide
 
 
 class FactorizationError(ValueError):
@@ -69,10 +67,8 @@ def _quotient(m: FormMatrix, f: HomForm) -> FormMatrix | None:
             q, r = divide(entry, f)
             if not r.is_zero():
                 return None
-            # certified: multiply back, compared on the terms
-            if q.degree + f.degree != entry.degree or product_terms(
-                entry.degree, f.p, [[(product_index(q.degree, f.degree), q.terms, f.terms)]]
-            )[0].terms != entry.terms:
+            # certified: multiply back
+            if q * f != entry:
                 raise AssertionError("division certificate failed")
             qrow.append(q)
         out.append(qrow)

@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a parent revision and a change.
 
-    python3 tools/bench_pairs.py --parent REV [--change REV] --seed N
-        [--pairs 10] [--seconds S] [--workload NAME ...]
+    python3 tools/bench_pairs.py --parent REV [--change REV] --seed N [--pairs 10]
 
 Each side's committed files are exported with ``git archive`` into its
 own directory under one temporary directory, removed afterwards, and
 ``bench/run.py --trace 0`` runs there, so each side runs the benchmark
-it commits, from a fresh copy; ``--change`` defaults to HEAD, ``--seconds`` to BENCHMARK.json's
-run length and the workloads to all of its workloads.  In pair i of a
+it commits, from a fresh copy.  ``--change`` defaults to HEAD; every
+workload of BENCHMARK.json runs at its run length.  In pair i of a
 workload the parent runs first when i is even, the change when i is odd.
 
 The JSON on stdout holds, per workload and end-to-end metric of
 BENCHMARK.json, each side's median, quartiles and range, the number of
 pairs the change won (a tie counts for neither side), the relative
 change of the medians, whether the change's median is within the
-metric's bound, and whether a gain is shown: the change wins at least
-nine tenths of the pairs and the medians differ, in its favour, by more
-than the distance between the parent's quartiles.  Progress goes to
-stderr.  Standard library only; nothing is written into the checkout.
+metric's bound, whether both sides' quartiles lie closer together than
+the bound (else the runs spread too widely to tell), and whether a gain
+is shown: the change wins at least nine tenths of the pairs, the medians
+differ, in its favour, by more than the distance between the parent's
+quartiles, and no larger share of the operations fails than at the
+parent.  Progress goes to stderr.  Standard library only; nothing is
+written into the checkout.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError(f"need two or more pairs, got {len(parent)} and {len(change)} runs")
     pairs = len(parent)
+    sides = {"parent": parent, "change": change}
+    attempted, failed = (
+        {side: sum(r[key] for r in runs) for side, runs in sides.items()}
+        for key in ("attempted", "failed")
+    )
+    # a gain does not count if a larger share of the operations fails
+    fail_share = {side: failed[side] / attempted[side] for side in sides}
     metrics = {}
     for spec in end_to_end:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
@@ -71,50 +80,49 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         # gap > 0 and wins count the change's side, whichever way is better
         gap = sign * (before["median"] - after["median"])
         wins = sum(sign * (a - b) > 0 for a, b in zip(old, new))
+        bound = spec["bound"] * before["median"]
         metrics[name] = {
             "unit": spec["unit"],
             "parent": before,
             "change": after,
             "pairs_won_by_change": wins,
             "change_vs_parent_median": after["median"] / before["median"] - 1,
-            "within_bound": -gap <= spec["bound"] * before["median"],
-            "gain": wins >= 0.9 * pairs and gap > before["q3"] - before["q1"],
+            "within_bound": -gap <= bound,
+            "spread_within_bound": max(s["q3"] - s["q1"] for s in (before, after)) <= bound,
+            "gain": (wins >= 0.9 * pairs and gap > before["q3"] - before["q1"]
+                     and fail_share["change"] <= fail_share["parent"]),
         }
     return {
         "pairs": pairs,
         "correct": all(run["correct"] for run in parent + change),
-        "attempted": {side: sum(r["attempted"] for r in runs)
-                      for side, runs in (("parent", parent), ("change", change))},
-        "failed": {side: sum(r["failed"] for r in runs)
-                   for side, runs in (("parent", parent), ("change", change))},
+        "attempted": attempted,
+        "failed": failed,
         "metrics": metrics,
     }
 
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent revision")
     parser.add_argument("--change", default="HEAD", help="the changed revision (HEAD)")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--workload", action="append", choices=names)
     args = parser.parse_args(argv)
 
+    seconds = spec["run_seconds"]
     out = {"parent": args.parent, "change": args.change, "seed": args.seed,
-           "seconds": args.seconds, "workloads": {}}
+           "seconds": seconds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         for side, tree in trees.items():
             tree.mkdir()
             export(getattr(args, side), tree)
-        for workload in args.workload or names:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    runs[side].append(run_once(trees[side], workload, args.seed, args.seconds))
+                    runs[side].append(run_once(trees[side], workload, args.seed, seconds))
                     wall = runs[side][-1]["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {i} {side}: wall_s {wall:.6f}", file=sys.stderr)
             summary = summarize(runs["parent"], runs["change"], spec["end_to_end"])
