@@ -46,8 +46,9 @@ def test_summary_counts_wins_and_applies_the_gain_rule():
     assert wall["pairs_won_by_change"] == 9
     assert wall["change_vs_parent_median"] == pytest.approx(12.5 / 14.5 - 1)
     assert wall["within_bound"] is True
-    # quartiles 4.5 apart against a bound of 0.25 * 14.5
-    assert wall["spread_within_bound"] is False
+    # quartiles 4.5 apart against a bound of 0.25 * 14.5, and the
+    # change's runs overlap the parent's
+    assert wall["unresolved"] is True
     # a gap of 2 against the parent's interquartile range of 4.5
     assert wall["gain"] is False
 
@@ -66,15 +67,18 @@ def test_summary_counts_wins_and_applies_the_gain_rule():
     assert out["metrics"]["throughput_ops_s"]["within_bound"] is False
     assert out["metrics"]["wall_s"]["pairs_won_by_change"] == 10
     assert out["metrics"]["wall_s"]["gain"] is True
-    assert out["metrics"]["throughput_ops_s"]["spread_within_bound"] is True
+    assert out["metrics"]["throughput_ops_s"]["unresolved"] is False
 
-    # the same wins are no gain when the change fails a larger share of its operations
+    # winning every pair is no gain when the change fails a larger share
+    # of its operations
     out = bench_pairs.summarize(
         [canned(w, 100.0) for w in parent_wall],
-        [canned(w - 6, 100.0, failed=int(i == 0)) for i, w in enumerate(parent_wall)],
+        [canned(w / 2, 100.0, failed=int(i == 0)) for i, w in enumerate(parent_wall)],
         END_TO_END,
     )
     assert out["failed"] == {"parent": 0, "change": 1}
+    # as wide a spread, but every run of the change is better
+    assert out["metrics"]["wall_s"]["unresolved"] is False
     assert out["metrics"]["wall_s"]["pairs_won_by_change"] == 10
     assert out["metrics"]["wall_s"]["gain"] is False
 

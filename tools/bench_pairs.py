@@ -14,13 +14,14 @@ The JSON on stdout holds, per workload and end-to-end metric of
 BENCHMARK.json, each side's median, quartiles and range, the number of
 pairs the change won (a tie counts for neither side), the relative
 change of the medians, whether the change's median is within the
-metric's bound, whether both sides' quartiles lie closer together than
-the bound (else the runs spread too widely to tell), and whether a gain
-is shown: the change wins at least nine tenths of the pairs, the medians
-differ, in its favour, by more than the distance between the parent's
-quartiles, and no larger share of the operations fails than at the
-parent.  Progress goes to stderr.  Standard library only; nothing is
-written into the checkout.
+metric's bound, whether it is unresolved (a side's quartiles lie
+further apart than the bound, and not every run of the change reads
+better than every run of the parent), and whether a gain is shown: the
+change wins at least nine tenths of the pairs, the medians differ, in
+its favour, by more than the distance between the parent's quartiles,
+and no larger share of the operations fails than at the parent.
+Progress goes to stderr.  Standard library only; nothing is written
+into the checkout.
 """
 
 from __future__ import annotations
@@ -88,7 +89,10 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
             "pairs_won_by_change": wins,
             "change_vs_parent_median": after["median"] / before["median"] - 1,
             "within_bound": -gap <= bound,
-            "spread_within_bound": max(s["q3"] - s["q1"] for s in (before, after)) <= bound,
+            # a spread wider than the bound cannot tell, unless every run
+            # of the change reads better than every run of the parent
+            "unresolved": (max(s["q3"] - s["q1"] for s in (before, after)) > bound
+                           and max(sign * b for b in new) >= min(sign * a for a in old)),
             "gain": (wins >= 0.9 * pairs and gap > before["q3"] - before["q1"]
                      and fail_share["change"] <= fail_share["parent"]),
         }
