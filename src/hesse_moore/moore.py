@@ -7,11 +7,9 @@ realizes the curve's group law (see the hesse module).
 
 A triple a of FieldElements enters through field.triple_residues, and
 the Moore matrix, its adjugate and determinant are built from the int
-residues, the first two from coordinate rows (HomForm.from_row) with
-each coefficient at its monomial's position, read once from poly's
-monomial_index.  A ProjectivePoint is a triple of normalized int
-residues; its ``coords`` property is the one conversion back to
-FieldElements.
+residues, the first two as coordinate rows (HomForm.from_row).  A
+ProjectivePoint is a triple of normalized int residues; its ``coords``
+property is the one conversion back to FieldElements.
 FormMatrix(entries) checks that its entries are square and uniform and
 reads its size, modulus and degree off them; the builders here whose
 rows are so by construction use the one unchecked _form_matrix.
@@ -213,8 +211,14 @@ def coordinate_vars(p: int):
     return tuple(HomForm.variable(i, p) for i in range(3))
 
 
-# the position in monomials(1) of x_k, for k = 0, 1, 2
-_VARIABLE = tuple(monomial_index(1)[tuple(int(t == k) for t in range(3))] for k in range(3))
+# the positions of x_k in monomials(1), and of x_k^2 and x_(k-1)*x_(k+1)
+# in monomials(2), for k = 0, 1, 2
+_X = [tuple(int(t == k) for t in range(3)) for k in range(3)]
+_VARIABLE = [monomial_index(1)[x] for x in _X]
+_SQUARE_CROSS = [
+    (monomial_index(2)[tuple(2 * t for t in x)], monomial_index(2)[tuple(1 - t for t in x)])
+    for x in _X
+]
 
 
 def moore(a) -> FormMatrix:
@@ -238,14 +242,6 @@ def moore_scalar(a, b) -> list[list]:
         [a1 * b1, a2 * b0, a0 * b2],
         [a2 * b2, a0 * b1, a1 * b0],
     ]
-
-
-# the positions in monomials(2) of x_k^2 and of x_(k-1)*x_(k+1), for k = 0, 1, 2
-_SQUARE_CROSS = tuple(
-    (monomial_index(2)[tuple(2 * (t == k) for t in range(3))],
-     monomial_index(2)[tuple(int(t != k) for t in range(3))])
-    for k in range(3)
-)
 
 
 def moore_adjugate(a) -> FormMatrix:

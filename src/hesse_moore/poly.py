@@ -166,9 +166,8 @@ class HomForm:
 
     def __mul__(self, other: "HomForm") -> "HomForm":
         self._check(other)
-        table = product_index(self.degree, other.degree)
-        sums = [[(table, self.terms, other.terms)]]
-        return product_terms(self.degree + other.degree, self.p, sums)[0]
+        pair = (product_index(self.degree, other.degree), self.terms, other.terms)
+        return product_terms(self.degree + other.degree, self.p, [[pair]])[0]
 
     def scale(self, c: FieldElement) -> "HomForm":
         if c.p != self.p:
