@@ -17,14 +17,14 @@ of rows of one table, by position, of remainders mod f of the
 degree-(m+3) monomials (remainder_table), with no form products or
 divisions.  The homotopies span the E*A and A*E for the unit matrices
 E, which unit_products returns as a pair of row lists (it rejects any
-A but 3x3).  Positions of products come from poly's product_index.
-The representatives, the solutions taken greedily outside the span of
-the homotopies, are read off one rref_mod of the homotopies'
-coordinates in the solution basis, unless the homotopies are as many
-as the solutions (every m >= 1): then they fill the solution space,
-and there is none to choose.  An ExtSpace keeps those int rows, and
-its quotient dimension is their number; unvectorize turns one back
-into a matrix of forms.  At m = -1 the solutions are spanned by the
+A but 3x3); these generators lie in the solution space.  Positions of
+products come from poly's product_index.  The representatives, the
+solutions taken greedily outside the span of the homotopies, are read
+off one rref_mod of the generators' coordinates in the solution basis,
+at every m.  An ExtSpace keeps those int rows and builds the reduced
+homotopy basis only when it is read; its quotient dimension is the
+number of representatives, and unvectorize turns a row back into a
+matrix of forms.  At m = -1 the solutions are spanned by the
 M_{b,e_i}, whose int rows moore_span_basis returns and verify checks;
 moore_representative places each entry of those rows at each x_k, as
 unit_products places A's; divergence_class is the divergence of the y
@@ -33,7 +33,7 @@ of that representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .field import triple_residues
@@ -45,14 +45,24 @@ from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_
 
 @dataclass
 class ExtSpace:
-    """Solution and homotopy bases and the chosen quotient representatives
-    at shift m; each basis element is the int coordinate row (see
-    vectorize) of a matrix of degree-(m+1) forms."""
+    """The solution basis, the chosen quotient representatives and the
+    homotopy generators over F_p at shift m; each is the int coordinate
+    row (see vectorize) of a matrix of degree-(m+1) forms.  homotopies,
+    the reduced basis of the generators' span, is built on first read."""
 
     m: int
     solutions: list[list[int]]
-    homotopies: list[list[int]]
     representatives: list[list[int]]
+    p: int
+    generators: list[list[int]]
+    _homotopies: list | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def homotopies(self) -> list[list[int]]:
+        if self._homotopies is None:
+            rows = list(self.generators)
+            self._homotopies = rows[: len(linalg.rref_mod(rows, self.p))]
+        return self._homotopies
 
     @property
     def quotient_dimension(self) -> int:
@@ -154,32 +164,22 @@ def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
     return linalg.nullspace_mod([list(row) for row in zip(*columns) if any(row)], p)
 
 
-def _homotopy_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
-    """Reduced basis of the span of {vec(U*A - A*V)} for U, V in Mat_3(S_m)."""
-    if m < 0:
-        return []
-    # the U*A - A*V span what the U*A and the A*V span
-    left, right = unit_products(fac.A, m)
-    gens = left + right
-    return gens[: len(linalg.rref_mod(gens, fac.f.p))]
-
-
 def ext_space(a, m: int) -> ExtSpace:
     """The extension space at shift m for the Moore factorization at a.
-    A homotopy's solution coordinates are its entries at the free columns,
-    each solution's last nonzero entry (nullspace_mod).  With W their span,
-    dim(W + <e_1..e_k>) = k + dim(W past k), so solution k is a
-    representative exactly when it is no pivot of W's columns last-first."""
+    A generator's solution coordinates are its entries at the free
+    columns, each solution's last nonzero entry (nullspace_mod).  With W
+    their span, dim(W + <e_1..e_k>) = k + dim(W past k), so solution k is
+    a representative exactly when it is no pivot of W's columns last-first."""
     fac = moore_factorization(a)
+    p = fac.f.p
     sols = _solution_vectors(fac, m)
-    homs = _homotopy_vectors(fac, m)
-    if len(homs) == len(sols):
-        # the homotopies lie in the solution space, so they fill it
-        return ExtSpace(m, sols, homs, [])
+    # the U*A - A*V span what the U*A and the A*V span
+    gens = [] if m < 0 else [g for side in unit_products(fac.A, m) for g in side]
     free = [len(v) - 1 - v[::-1].index(1) for v in reversed(sols)]
-    pivots = linalg.rref_mod([[h[c] for c in free] for h in homs], fac.f.p)
+    pivots = linalg.rref_mod([[g[c] for c in free] for g in gens], p)
     last = len(sols) - 1
-    return ExtSpace(m, sols, homs, [v for k, v in enumerate(sols) if last - k not in pivots])
+    reps = [v for k, v in enumerate(sols) if last - k not in pivots]
+    return ExtSpace(m, sols, reps, p, gens)
 
 
 def moore_span_basis(a) -> list[list[int]]:

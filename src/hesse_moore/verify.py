@@ -407,7 +407,7 @@ def _divergence_kernel_matches_homotopy(a, space: ext_mod.ExtSpace) -> bool:
     values = [ext_mod.divergence_class(a, ext_mod.unvectorize(v, 1, p)) for v in space.solutions]
     # kernel of the functional sum c_i * values_i on solution coordinates
     kernel_vecs = linalg.mat_mul_mod(linalg.nullspace_mod([values], p), space.solutions, p)
-    return linalg.same_span_mod(kernel_vecs, space.homotopies, p)
+    return linalg.same_span_mod(kernel_vecs, space.generators, p)
 
 
 def check_ext_dimensions(rng: random.Random, primes=(7, 13)):

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -84,3 +86,39 @@ def test_summary_counts_wins_and_applies_the_gain_rule():
 
     with pytest.raises(ValueError, match="need two or more pairs"):
         bench_pairs.summarize(parent[:3], change[:2], END_TO_END)
+
+
+def canned_stderr(p50_kind, ext0, partner):
+    summary = {
+        "workload": "factorization", "passes": 30, "requests_per_pass": 40,
+        "p50_kind": p50_kind, "share_below_p50_kind": 0.45,
+        "kinds_ms": {"ext0": ext0, "partner": partner},
+    }
+    return "a warning line first\n" + json.dumps(summary) + "\n"
+
+
+def test_run_once_keeps_the_stderr_summary_and_medians_each_kind(monkeypatch, tmp_path):
+    # kinds_ms holds [min, median, max] per request kind
+    stderrs = iter([
+        canned_stderr("ext0", [0.28, 0.30, 0.40], [0.2, 0.41, 0.5]),
+        canned_stderr("partner", [0.32, 0.34, 0.44], [0.2, 0.40, 0.5]),
+        canned_stderr("ext0", [0.30, 0.32, 0.42], [0.2, 0.43, 0.5]),
+    ])
+    argvs = []
+
+    def fake_run(argv, cwd, **kwargs):
+        argvs.append(argv)
+        stdout = "progress\n" + json.dumps(canned(1.0, 40.0)) + "\n"
+        return subprocess.CompletedProcess(argv, 0, stdout, next(stderrs))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    runs = [bench_pairs.run_once(tmp_path, "factorization", 23, 30) for _ in range(3)]
+    assert argvs[0][1:] == ["bench/run.py", "--workload", "factorization", "--seed", "23",
+                            "--seconds", "30", "--trace", "0"]
+    assert all(result == canned(1.0, 40.0) for result, _ in runs)
+    assert runs[1][1]["kinds_ms"]["ext0"] == [0.32, 0.34, 0.44]
+    kinds = bench_pairs.kind_medians([summary for _, summary in runs])
+    assert kinds == {
+        "p50_kind": ["ext0", "partner", "ext0"],
+        "median_ms": {"ext0": 0.32, "partner": 0.41},
+    }

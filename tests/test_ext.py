@@ -4,7 +4,6 @@ import pytest
 
 from hesse_moore import ext, linalg
 from hesse_moore.ext import (
-    ExtSpace,
     RepresentationError,
     divergence_class,
     ext_space,
@@ -46,15 +45,40 @@ def test_solution_basis_satisfies_trace_condition():
 
 
 def test_homotopies_inside_solutions():
-    # the representatives are read off the homotopies' solution
-    # coordinates, which needs every homotopy to be a solution
+    # the representatives are read off the generators' solution
+    # coordinates, which needs every generator to be a solution
     for p in (13, 19, 37, 2**61 - 1):
         for m in (0, 1):
             space = ext_space(tuple(FieldElement(v, p) for v in (1, 2, 3)), m)
             sols = space.solutions
-            assert space.homotopies
-            for h in space.homotopies:
+            assert space.homotopies and space.generators
+            for h in space.homotopies + space.generators:
                 assert linalg.rank_mod(sols + [h], p) == len(sols)
+
+
+def test_ext_space_eliminations(monkeypatch):
+    # the quotient costs the nullspace and one elimination of the
+    # generators' coordinates; the reduced homotopy basis costs one
+    # more, on its first read only
+    calls = []
+    counted = linalg.rref_mod
+
+    def counting(m, p):
+        calls.append(len(m))
+        return counted(m, p)
+
+    monkeypatch.setattr(linalg, "rref_mod", counting)
+    ext_space(A_POINT, 0)
+    assert len(calls) == 2
+    for m in range(-2, 3):
+        calls.clear()
+        space = ext_space(A_POINT, m)
+        assert len(calls) <= 2
+        calls.clear()
+        homs = space.homotopies
+        assert len(calls) == 1
+        assert space.homotopies is homs
+        assert len(calls) == 1
 
 
 def test_homotopy_form():
@@ -362,9 +386,10 @@ def dense_rref(rows, p):
 
 
 def reference_ext_space(a, m):
-    """The extension space computed the long way: one division by f per
-    constraint column, dense elimination, and representatives as the
-    pivot columns of the joined [homotopies; solutions] system."""
+    """(m, solutions, homotopies, representatives) of the extension space
+    computed the long way: one division by f per constraint column, dense
+    elimination, and representatives as the pivot columns of the joined
+    [homotopies; solutions] system."""
     fac = moore_factorization(a)
     p = fac.f.p
     sols = []
@@ -391,7 +416,7 @@ def reference_ext_space(a, m):
         homs = red[: len(pivots)]
     _, pivots = dense_rref([list(col) for col in zip(*(homs + sols))], p)
     reps = [sols[c - len(homs)] for c in pivots if c >= len(homs)]
-    return ExtSpace(m, sols, homs, reps)
+    return m, sols, homs, reps
 
 
 @pytest.mark.parametrize("p", [13, 19, 31, 37])
@@ -407,4 +432,10 @@ def test_ext_space_matches_reference_pipeline(p):
         points.append(a)
     for a in points:
         for m in range(-2, 3):
-            assert ext_space(a, m) == reference_ext_space(a, m)
+            want = reference_ext_space(a, m)
+            early, late = ext_space(a, m), ext_space(a, m)
+            # the homotopies read before, and after, the quotient dimension
+            early_homs = early.homotopies
+            assert early.quotient_dimension == late.quotient_dimension == len(want[3])
+            for space, homs in ((early, early_homs), (late, late.homotopies)):
+                assert (space.m, space.solutions, homs, space.representatives) == want

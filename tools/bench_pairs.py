@@ -20,6 +20,9 @@ better than every run of the parent), and whether a gain is shown: the
 change wins at least nine tenths of the pairs, the medians differ, in
 its favour, by more than the distance between the parent's quartiles,
 and no larger share of the operations fails than at the parent.
+Under "kinds", each side lists the p50_kind of each of its runs and, per
+request kind, the median over its runs of that kind's median latency,
+from the summary line bench/run.py prints last on stderr.
 Progress goes to stderr.  Standard library only; nothing is written
 into the checkout.
 """
@@ -45,13 +48,25 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One untraced benchmark run in the checkout tree: the result JSON
-    that bench/run.py prints last."""
+    that bench/run.py prints last on stdout, and its request-kind
+    summary, the line it prints last on stderr (p50_kind, and kinds_ms
+    as [min, median, max] per request kind)."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1]), json.loads(done.stderr.splitlines()[-1])
+
+
+def kind_medians(summaries: list[dict]) -> dict:
+    """Each run's p50_kind, and per request kind the median over the runs
+    of that kind's median latency, from the runs' stderr summaries."""
+    kinds = summaries[0]["kinds_ms"]
+    return {
+        "p50_kind": [s["p50_kind"] for s in summaries],
+        "median_ms": {k: statistics.median(s["kinds_ms"][k][1] for s in summaries) for k in kinds},
+    }
 
 
 def spread(values: list[float]) -> dict:
@@ -124,12 +139,16 @@ def main(argv=None) -> int:
             export(getattr(args, side), tree)
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}
+            kinds = {"parent": [], "change": []}
             for i in range(args.pairs):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    runs[side].append(run_once(trees[side], workload, args.seed, seconds))
-                    wall = runs[side][-1]["metrics"]["wall_s"]["value"]
+                    result, summary = run_once(trees[side], workload, args.seed, seconds)
+                    runs[side].append(result)
+                    kinds[side].append(summary)
+                    wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {i} {side}: wall_s {wall:.6f}", file=sys.stderr)
             summary = summarize(runs["parent"], runs["change"], spec["end_to_end"])
+            summary["kinds"] = {side: kind_medians(kinds[side]) for side in kinds}
             out["workloads"][workload] = summary
     print(json.dumps(out, indent=1))
     return 0
