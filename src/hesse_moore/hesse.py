@@ -9,7 +9,10 @@ reference path, and any disagreement between them is a bug.
 HesseCurve is the library's one type for the cubic: it holds lam, the
 form f (the f of every MatrixFactorization) and the group law.  It
 reads the residue of its FieldElement lam once; inside, lam is that int
-and a point is its triple of normalized int residues mod p.
+and a point is its triple of normalized int residues mod p.  Scalar
+multiplication is a signed-digit (NAF) double-and-add whose summands
+and accumulator stay reduced but unnormalized, since membership and
+the kernel's rank test are homogeneous; it normalizes once, at the end.
 FieldElement and ProjectivePoint appear only in the arguments and
 results of the public methods.  The battery's own predicates on the
 curve live in verify.
@@ -22,7 +25,7 @@ from functools import cached_property
 
 from .field import FieldElement, primitive_root_of_unity
 from .poly import HomForm
-from .moore import ProjectivePoint, left_kernel_mod, moore_scalar, normalize_mod
+from .moore import ProjectivePoint, kernel_column_mod, left_kernel_mod, moore_scalar, normalize_mod
 
 Residues = tuple[int, int, int]
 
@@ -85,9 +88,11 @@ class HesseCurve:
         return (x * x * x + y * y * y + z * z * z - self._lam * x * y * z) % self.p == 0
 
     def _check(self, v: Residues) -> Residues:
-        """v, after checking that it lies on the curve."""
+        """v, after checking that it lies on the curve; the error names
+        the normalized point."""
         if not self._on_curve(v):
-            raise ValueError(f"[{v[0]}:{v[1]}:{v[2]}] is not on {self}")
+            x, y, z = normalize_mod(v, self.p)
+            raise ValueError(f"[{x}:{y}:{z}] is not on {self}")
         return v
 
     def contains(self, pt: ProjectivePoint) -> bool:
@@ -133,22 +138,24 @@ class HesseCurve:
 
     # -- group law ----------------------------------------------------
 
-    def _add(self, x: Residues, a: Residues) -> Residues:
-        return left_kernel_mod(moore_scalar(iota(a), x), self.p)
-
-    def _double(self, a: Residues) -> Residues:
-        return normalize_mod(doubling_representative(a), self.p)
-
     def _mul(self, n: int, a: Residues) -> Residues:
-        """n*a for n >= 0 by double-and-add; every summand is checked."""
+        """n*a for n >= 0 by signed-digit (NAF) double-and-add: a digit +1
+        adds the summand through the Moore kernel of its iota, as add does,
+        and a digit -1 subtracts it through its own, as sub does.  Every
+        summand is checked before it is doubled or added, and the
+        accumulator before each kernel addition."""
+        p = self.p
         acc = self._o
         while n:
-            self._check(a)
+            d0, d1, d2 = doubling_representative(self._check(a))
             if n & 1:
-                acc = self._add(self._check(acc), a)
-            a = self._double(a)
+                digit = 2 - (n & 3)
+                n -= digit
+                m = moore_scalar(iota(a) if digit > 0 else a, self._check(acc))
+                acc = kernel_column_mod(m, p)
+            a = d0 % p, d1 % p, d2 % p
             n >>= 1
-        return acc
+        return normalize_mod(acc, p)
 
     def neg(self, a: ProjectivePoint) -> ProjectivePoint:
         return self._point(normalize_mod(iota(self._require(a)), self.p))
@@ -161,23 +168,24 @@ class HesseCurve:
     def add(self, x: ProjectivePoint, a: ProjectivePoint) -> ProjectivePoint:
         """x +_E a = kernel point of the Moore matrix of iota(a) at x."""
         va = self._require(a)
-        return self._point(self._add(self._require(x), va))
+        return self._point(left_kernel_mod(moore_scalar(iota(va), self._require(x)), self.p))
 
     def double(self, a: ProjectivePoint) -> ProjectivePoint:
-        return self._point(self._double(self._require(a)))
+        return self._point(normalize_mod(doubling_representative(self._require(a)), self.p))
 
     def triple(self, a: ProjectivePoint) -> ProjectivePoint:
-        """3*a by the closed formula when a0*a1*a2 != 0, else double-and-add."""
+        """3*a by the closed formula when a0*a1*a2 != 0, else by the ladder
+        (the signed digits of 3 are 4 - 1)."""
         v = self._require(a)
         if not v[0] * v[1] * v[2]:
-            return self.mul(3, a)
+            return self._point(self._mul(3, v))
         return self._point(normalize_mod(tripling_representative(v), self.p))
 
     def mul(self, n: int, a: ProjectivePoint) -> ProjectivePoint:
-        """n*a by double-and-add; negative n goes through neg."""
+        """n*a by the signed-digit ladder; a negative n multiplies iota(a)."""
         v = self._require(a)
         if n < 0:
-            return self.mul(-n, self.neg(a))
+            n, v = -n, iota(v)
         return self._point(self._mul(n, v))
 
     # -- torsion ------------------------------------------------------

@@ -15,7 +15,8 @@ reads its size, modulus and degree off them; the builders here whose
 rows are so by construction use the one unchecked _form_matrix.
 Products, ``@`` included, are sums of products in one matmul_sum, which
 hands the entries' terms and poly's product tables to product_terms.
-The kernel point of a rank-2 matrix of int residues is left_kernel_mod.
+The kernel of a rank-2 matrix of int residues is kernel_column_mod, an
+adjugate column; left_kernel_mod is that column normalized.
 """
 
 from __future__ import annotations
@@ -292,9 +293,9 @@ class KernelError(ValueError):
     """The matrix does not have a one-dimensional null space."""
 
 
-def left_kernel_mod(m: list[list[int]], p: int) -> tuple[int, int, int]:
-    """The normalized residues spanning {c : m @ c = 0 mod p} of a rank-2
-    int matrix.
+def kernel_column_mod(m: list[list[int]], p: int) -> tuple[int, int, int]:
+    """A nonzero column of residues spanning {c : m @ c = 0 mod p} of a
+    rank-2 int matrix, unnormalized.
 
     Read off as the first nonzero column of the adjugate (the columns of
     the adjugate span the null space when rank is 2).  The rank is 2
@@ -306,6 +307,12 @@ def left_kernel_mod(m: list[list[int]], p: int) -> tuple[int, int, int]:
         for j in range(3):
             col = (adj[0][j] % p, adj[1][j] % p, adj[2][j] % p)
             if any(col):
-                return normalize_mod(col, p)
+                return col
     rank = len(linalg.rref_mod([list(row) for row in m], p))
     raise KernelError(f"rank is {rank}, need exactly 2")
+
+
+def left_kernel_mod(m: list[list[int]], p: int) -> tuple[int, int, int]:
+    """The normalized residues spanning {c : m @ c = 0 mod p} of a rank-2
+    int matrix: kernel_column_mod, normalized."""
+    return normalize_mod(kernel_column_mod(m, p), p)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hesse_moore import linalg
+from hesse_moore import hesse, linalg
 from hesse_moore.field import FieldElement, is_prime
 from hesse_moore.hesse import (
     HesseCurve,
@@ -134,6 +134,90 @@ def test_mul_small_multiples():
     assert curve.mul(0, a) == o
     # order of the group is 18 here
     assert curve.mul(18, a) == o
+
+
+P61 = 2**61 - 1
+
+
+def ladder_multipliers(order, rng):
+    """The n whose signed digits the ladder tests: small n, runs of ones
+    and zeros (2^k - 1 and 2^k + 1), the group order and its neighbours,
+    and three random 60-bit n; each with its negative."""
+    ns = [0, 1, 2, 3, 7]
+    ns += [2**k + s for k in (4, 8, 59) for s in (-1, 1)]
+    ns += [order - 1, order, order + 1]
+    ns += [rng.getrandbits(60) | (1 << 59) for _ in range(3)]
+    return ns + [-n for n in ns if n]
+
+
+@pytest.mark.parametrize("p", [13, 19, 37])
+def test_mul_equals_repeated_kernel_addition_on_every_point(p):
+    rng = random.Random(2400 + p)
+    for lam in rng.sample(smooth_lambdas(p), 2):
+        curve = HesseCurve.from_lambda(lam, p)
+        pts = curve.enumerate_points()
+        ns = ladder_multipliers(len(pts), rng)
+        assert curve.torsion3() <= set(pts)  # the flexes are among them
+        for a in pts:
+            multiples = [curve.identity]
+            for _ in range(len(pts) - 1):
+                multiples.append(curve.add(multiples[-1], a))
+            for n in ns:
+                assert curve.mul(n, a) == multiples[n % len(pts)], (lam, a, n)
+
+
+def test_mul_is_linear_at_the_61_bit_prime():
+    a = pt([1, 2, 3], P61)
+    curve = curve_through(a)
+    rng = random.Random(61)
+    for _ in range(3):
+        n, m = (rng.getrandbits(60) | (1 << 59) for _ in range(2))
+        na, ma = curve.mul(n, a), curve.mul(m, a)
+        assert curve.add(na, ma) == curve.mul(n + m, a)
+        assert curve.mul(n, ma) == curve.mul(n * m, a)
+        assert curve.mul(-n, a) == curve.neg(na)
+
+
+def test_mul_checks_every_doubled_summand(monkeypatch):
+    curve = HesseCurve.from_lambda(6, 13)
+    original = hesse.doubling_representative
+    calls = []
+
+    def off_curve_fifth(coords):
+        d = original(coords)
+        if len(calls) == 4:
+            d = (d[0] + 1, d[1], d[2])
+        calls.append(d)
+        return d
+
+    monkeypatch.setattr(hesse, "doubling_representative", off_curve_fifth)
+    with pytest.raises(ValueError) as caught:
+        curve.mul(2**40 + 1, pt([1, 2, 3]))
+    bad = ProjectivePoint.from_ints(calls[4], 13)
+    assert not curve.contains(bad)
+    assert str(caught.value) == f"{bad} is not on HesseCurve(lambda=6, p=13)"
+    assert len(calls) == 5  # raised before doubling the bad summand
+
+
+def test_mul_checks_the_accumulator_before_each_addition(monkeypatch):
+    curve = HesseCurve.from_lambda(6, 13)
+    original = hesse.kernel_column_mod
+    sums = []
+
+    def off_curve_first(m, p):
+        col = original(m, p)
+        if not sums:
+            col = (col[0] + 1, col[1], col[2])
+        sums.append(col)
+        return col
+
+    monkeypatch.setattr(hesse, "kernel_column_mod", off_curve_first)
+    with pytest.raises(ValueError) as caught:
+        curve.mul(5, pt([1, 2, 3]))
+    bad = ProjectivePoint.from_ints(sums[0], 13)
+    assert not curve.contains(bad)
+    assert str(caught.value) == f"{bad} is not on HesseCurve(lambda=6, p=13)"
+    assert len(sums) == 1
 
 
 def test_torsion3():

@@ -86,6 +86,10 @@ def _rotated(original):
     return trace_invariants
 
 
+def _one_more(original):
+    return lambda curve, n, a: original(curve, n + 1, a)
+
+
 def _constant(value):
     def make_fault(original):
         return lambda *args: value
@@ -99,6 +103,7 @@ CAUGHT = [
     ("rank_lemma", "moore", "moore_scalar", _wrong_01_entry),
     ("group_law", "moore", "left_kernel_mod", _of_transpose),
     ("torsion", "hesse", "HesseCurve.torsion3", _missing_a_point),
+    ("torsion", "hesse", "HesseCurve._mul", _one_more),
     ("equivalence_classification", "heisenberg", "orbit", _cut_to_3),
     ("equivalence_classification", "heisenberg", "are_equivalent", _constant(True)),
     ("equivalence_classification", "heisenberg", "trace_invariants", _constant((0, 0, 0))),
