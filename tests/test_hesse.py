@@ -136,9 +136,6 @@ def test_mul_small_multiples():
     assert curve.mul(18, a) == o
 
 
-P61 = 2**61 - 1
-
-
 def ladder_multipliers(order, rng):
     """The n whose signed digits the ladder tests: small n, runs of ones
     and zeros (2^k - 1 and 2^k + 1), the group order and its neighbours,
@@ -167,7 +164,7 @@ def test_mul_equals_repeated_kernel_addition_on_every_point(p):
 
 
 def test_mul_is_linear_at_the_61_bit_prime():
-    a = pt([1, 2, 3], P61)
+    a = pt([1, 2, 3], 2**61 - 1)
     curve = curve_through(a)
     rng = random.Random(61)
     for _ in range(3):
