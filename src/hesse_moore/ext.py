@@ -16,19 +16,19 @@ The trace condition is linear in C, so its constraint columns are sums
 of rows of one table, by position, of remainders mod f of the
 degree-(m+3) monomials (remainder_table), with no form products or
 divisions.  The homotopies span the E*A and A*E for the unit matrices
-E, which unit_products returns as a pair of row lists (it rejects any
-A but 3x3); these generators lie in the solution space.  Positions of
-products come from poly's product_index.  The representatives, the
-solutions taken greedily outside the span of the homotopies, are read
-off one rref_mod of the generators' coordinates in the solution basis,
-at every m.  An ExtSpace keeps those int rows and builds the reduced
-homotopy basis only when it is read; its quotient dimension is the
-number of representatives, and unvectorize turns a row back into a
-matrix of forms.  At m = -1 the solutions are spanned by the
-M_{b,e_i}, whose int rows moore_span_basis returns and verify checks;
-moore_representative places each entry of those rows at each x_k, as
-unit_products places A's; divergence_class is the divergence of the y
-of that representative.
+E, which unit_products returns as a pair of row lists, none at m < 0
+(it rejects any A but 3x3); these generators lie in the solution space.
+Positions of products come from poly's product_index.  The
+representatives, the solutions taken greedily outside the span of the
+homotopies, are read off one rref_mod of the generators' coordinates in
+the solution basis, by one path at every m.  An ExtSpace keeps those int
+rows and builds the reduced homotopy basis only when it is read; its
+quotient dimension is the number of representatives, and unvectorize
+turns a row back into a matrix of forms.  At m = -1 the solutions are
+spanned by the M_{b,e_i}, whose int rows moore_span_basis returns and
+verify checks; moore_representative places each entry of those rows at
+each x_k, as unit_products places A's; divergence_class is the
+divergence of the y of that representative.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def remainder_table(f: HomForm, degree: int) -> list[list[tuple[int, int]]]:
     and so already reduced.  Other monomials are their own remainder."""
     p = f.p
     (lead, lc), *tail = f.terms
-    scale = -pow(lc, p - 2, p)
+    scale = -pow(lc, -1, p)
     tail = [(j, v * scale) for j, v in tail]
     size = len(monomial_index(degree))
     table = [[(k, 1)] for k in range(size)]
@@ -174,7 +174,7 @@ def ext_space(a, m: int) -> ExtSpace:
     p = fac.f.p
     sols = _solution_vectors(fac, m)
     # the U*A - A*V span what the U*A and the A*V span
-    gens = [] if m < 0 else [g for side in unit_products(fac.A, m) for g in side]
+    gens = [g for side in unit_products(fac.A, m) for g in side]
     free = [len(v) - 1 - v[::-1].index(1) for v in reversed(sols)]
     pivots = linalg.rref_mod([[g[c] for c in free] for g in gens], p)
     last = len(sols) - 1

@@ -100,7 +100,7 @@ class FieldElement:
     def inv(self) -> "FieldElement":
         if self.value == 0:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return FieldElement(pow(self.value, self.p - 2, self.p), self.p)
+        return FieldElement(pow(self.value, -1, self.p), self.p)
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):

@@ -153,7 +153,7 @@ def n_matrices(a) -> tuple[list[list[int]], list[list[int]]]:
     prod = v[0] * v[1] * v[2] % p
     if not prod:
         raise ValueError("n_matrices needs a0*a1*a2 != 0")
-    inv = pow(prod, p - 2, p)
+    inv = pow(prod, -1, p)
     # 1/a[k] is the product of the other two coordinates over a0*a1*a2
     recip = [v[1] * v[2] * inv % p, v[0] * v[2] * inv % p, v[0] * v[1] * inv % p]
     return tuple(
@@ -181,7 +181,7 @@ def trace_invariants(a) -> tuple[int, int, int]:
     n1sq_n2sq = mm(mm(n1, n1), mm(n2, n2))
     traces = (trace(mm(n12, n12)), trace(n1sq_n2sq), trace(mm(n12, n1sq_n2sq)))
     c0, c1, c2 = (pow(x, 3, p) for x in v)
-    inv = pow(v[0] * v[1] * v[2], p - 2, p)
+    inv = pow(v[0] * v[1] * v[2], -1, p)
     closed = (
         (c0 * c0 + c1 * c1 + c2 * c2) * inv * inv % p,
         (c0 * c1 + c0 * c2 + c1 * c2) * inv * inv % p,

@@ -120,7 +120,7 @@ class HesseCurve:
                 a = (3 * t + lam) % p
                 s = sqrt.get(a * (t * t * a - 4 * (1 + t * t * t)) % p)
                 if a and s is not None:
-                    inv = pow(2 * a, p - 2, p)
+                    inv = pow(2 * a, -1, p)
                     for y in ((t * a + s) * inv % p, (t * a - s) * inv % p):
                         affine.add((1, y, (t - y) % p))
             found = [(0, 1, z) for z in range(p) if (1 + z * z * z) % p == 0] + sorted(affine)
@@ -229,7 +229,7 @@ def curve_through(a: ProjectivePoint) -> HesseCurve:
     if not prod:
         raise ValueError("point has a zero coordinate; lambda is undefined")
     cubes = x * x * x + y * y * y + z * z * z
-    return HesseCurve(FieldElement(cubes * pow(prod, p - 2, p), p))
+    return HesseCurve(FieldElement(cubes * pow(prod, -1, p), p))
 
 
 def doubling_representative(coords) -> tuple:

@@ -11,9 +11,10 @@ percent nonzero) cheap and halves the work on dense ones.  Reduced row
 echelon form is canonical, which makes subspace comparison a matter of
 comparing rref bases.
 
-``mat_mul_mod`` multiplies int matrices (the Heisenberg trace
-invariants and tensor actions).  Only ``rref`` touches FieldElement,
-through field.residues in and FieldElement rows out.
+A pivot is inverted by the built-in pow(x, -1, p), the one inverse
+idiom of the package.  ``mat_mul_mod`` multiplies int matrices (the
+Heisenberg trace invariants and tensor actions).  Only ``rref`` touches
+FieldElement, through field.residues in and FieldElement rows out.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def rref_mod(m: list[list[int]], p: int) -> list[int]:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         prow = m[r]
-        inv = pow(prow[c], p - 2, p)
+        inv = pow(prow[c], -1, p)
         # rows r.. vanish left of column c, so the pivot row's nonzero
         # entries are all a row update needs to touch
         terms = [(j, prow[j] * inv % p) for j in range(c, cols) if prow[j]]

@@ -13,8 +13,8 @@ property is the one conversion back to FieldElements.
 FormMatrix(entries) checks that its entries are square and uniform and
 reads its size, modulus and degree off them; the builders here whose
 rows are so by construction use the one unchecked _form_matrix.
-Products, ``@`` included, are sums of products in one matmul_sum, which
-hands the entries' terms and poly's product tables to product_terms.
+Products (matmul_sum, ``@``) and product_trace check sizes and moduli
+once and hand the entries' terms and product tables to product_terms.
 The kernel of a rank-2 matrix of int residues is kernel_column_mod, an
 adjugate column; left_kernel_mod is that column normalized.
 """
@@ -26,7 +26,7 @@ from itertools import chain, product
 
 from . import linalg
 from .field import FieldElement, triple_residues, validate_modulus
-from .poly import HomForm, monomial_index, product_index, product_terms, sum_of_products
+from .poly import HomForm, monomial_index, product_index, product_terms
 
 
 class ProjectivePoint:
@@ -87,7 +87,7 @@ def normalize_mod(values, p: int) -> tuple[int, int, int]:
         raise ValueError("(0,0,0) is not a projective point")
     if lead == 1:
         return x, y, z
-    inv = pow(lead, p - 2, p)
+    inv = pow(lead, -1, p)
     return x * inv % p, y * inv % p, z * inv % p
 
 
@@ -117,15 +117,17 @@ class FormMatrix:
         """Lift a scalar matrix of int residues to a matrix of degree-0 forms."""
         return cls([[HomForm.from_row(0, p, [c]) for c in row] for row in mat])
 
-    def _require_size(self, other: "FormMatrix") -> None:
+    def _require_match(self, other: "FormMatrix") -> None:
         if other.n != self.n:
             raise ValueError(f"size mismatch: {self.n}x{self.n} vs {other.n}x{other.n}")
+        if other.p != self.p:
+            raise ValueError("modulus mismatch")
 
     def __matmul__(self, other: "FormMatrix") -> "FormMatrix":
         return matmul_sum([(self, other)])
 
     def _combine(self, other: "FormMatrix", op) -> "FormMatrix":
-        self._require_size(other)
+        self._require_match(other)
         return _form_matrix(
             [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         )
@@ -149,10 +151,12 @@ class FormMatrix:
         return sum((self.entries[i][i] for i in range(1, self.n)), self.entries[0][0])
 
     def product_trace(self, other: "FormMatrix") -> HomForm:
-        """tr(self @ other) from the n^2 entry products it needs."""
-        self._require_size(other)
+        """tr(self @ other): its n^2 entry products, summed in one int list."""
+        self._require_match(other)
         a, b, n = self.entries, other.entries, self.n
-        return sum_of_products([(a[i][k], b[k][i]) for i in range(n) for k in range(n)])
+        table = product_index(self.degree, other.degree)
+        triples = [(table, a[i][k].terms, b[k][i].terms) for i in range(n) for k in range(n)]
+        return product_terms(self.degree + other.degree, self.p, [triples])[0]
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -183,10 +187,8 @@ def matmul_sum(pairs) -> FormMatrix:
     first, other = pairs[0]
     n, p, degree = first.n, first.p, first.degree + other.degree
     for X, Y in pairs:
-        first._require_size(X)
-        X._require_size(Y)
-        if X.p != p or Y.p != p:
-            raise ValueError("modulus mismatch")
+        first._require_match(X)
+        X._require_match(Y)
         if X.degree + Y.degree != degree:
             raise ValueError(f"degree mismatch: {degree} vs {X.degree + Y.degree}")
     mats = [(product_index(X.degree, Y.degree), X.entries, Y.entries) for X, Y in pairs]

@@ -7,8 +7,8 @@ residues as (position, residue) pairs, ascending, leading term first.
 ``row()`` and ``HomForm.from_row`` are the dense coordinate row.
 Products never touch exponents: ``product_index(d1, d2)[i][j]``, one
 cached table per degree pair, is the position of monomial i of degree
-d1 times monomial j of degree d2, and ``product_terms``, the one product
-loop for ``*`` and matrices alike, accumulates through it into a list.
+d1 times monomial j of degree d2; ``product_terms``, the one unchecked
+product loop, serves the checked ``*`` and moore's matrix products.
 ``divide`` by one form (such as the Hesse cubic, leading monomial x0^3)
 sweeps the rows of one such table, the multiples of the leading monomial
 lm(f), descending; the rest is the canonical remainder r.
@@ -235,25 +235,6 @@ class HomForm:
         return f"HomForm({self.serialize()!r}, deg={self.degree}, p={self.p})"
 
 
-def sum_of_products(pairs) -> HomForm:
-    """The form sum(f * g for f, g in pairs), accumulated in one int list.
-    Every product must have the same degree and modulus."""
-    pairs = list(pairs)
-    degree = p = None
-    for f, g in pairs:
-        f._check(g)
-        if degree is None:
-            degree, p = f.degree + g.degree, f.p
-        elif f.degree + g.degree != degree:
-            raise ValueError(f"degree mismatch: {degree} vs {f.degree + g.degree}")
-        elif f.p != p:
-            raise ValueError("modulus mismatch")
-    if degree is None:
-        raise ValueError("an empty sum of products has no degree")
-    triples = [(product_index(f.degree, g.degree), f.terms, g.terms) for f, g in pairs]
-    return product_terms(degree, p, [triples])[0]
-
-
 def product_terms(degree: int, p: int, sums) -> list[HomForm]:
     """Per list of (product_index(deg f, deg g), f.terms, g.terms) triples
     in sums, the form sum(f * g) of the degree over F_p, accumulated in
@@ -295,7 +276,7 @@ def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
         raise ValueError("modulus mismatch")
     p = g.p
     (lead, lc), *tail = f.terms
-    lc_inv = pow(lc, p - 2, p)
+    lc_inv = pow(lc, -1, p)
     table = product_index(g.degree - f.degree, f.degree)
     work = g.row()
     q = [0] * len(table)

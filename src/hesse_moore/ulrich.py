@@ -53,7 +53,7 @@ def moore_factorization(a) -> MatrixFactorization:
     v, p = triple_residues(a)
     curve = curve_through(ProjectivePoint.from_ints(v, p))  # a0*a1*a2 != 0, lambda smooth
     prod = v[0] * v[1] * v[2] % p
-    B = moore_adjugate(a).scale(FieldElement(pow(prod, p - 2, p), p))
+    B = moore_adjugate(a).scale(FieldElement(pow(prod, -1, p), p))
     return MatrixFactorization(moore(a), B, curve)
 
 

@@ -1,5 +1,5 @@
 """Every input check of the package raises its own error: one row per
-check, each a call that reaches it, the exception type and its text."""
+check, each a call that reaches it, the exception type and its whole text."""
 
 import re
 
@@ -10,22 +10,33 @@ from hesse_moore.field import FieldElement, primitive_root_of_unity
 from hesse_moore.heisenberg import (
     HeisenbergElement,
     heis3_representation,
+    n_matrices,
     orbit,
     schrodinger_character,
+    trace_invariants,
 )
-from hesse_moore.moore import FormMatrix, adjugate_det, coordinate_vars
+from hesse_moore.hesse import curve_through
+from hesse_moore.moore import (
+    FormMatrix,
+    ProjectivePoint,
+    adjugate_det,
+    coordinate_vars,
+    normalize_mod,
+)
 from hesse_moore.poly import HomForm, divide
-from hesse_moore.ulrich import divergence
+from hesse_moore.ulrich import divergence, moore_factorization
 
 P = 13
 X = coordinate_vars(P)
 X7 = coordinate_vars(7)
+ZERO_COORDINATE = tuple(FieldElement(v, P) for v in (0, 1, 12))
 
 ROWS = [
     ("cli-triple-count", lambda: cli._triple("1,2", P), cli.UsageError,
      "expected three comma-separated residues, got '1,2'"),
     ("cli-matrix-json", lambda: cli._parse_matrix("[", 1, P), cli.UsageError,
-     "matrix must be JSON (3x3 array of form strings)"),
+     "matrix must be JSON (3x3 array of form strings): "
+     "Expecting value: line 1 column 2 (char 1)"),
     ("heisenberg-order", lambda: HeisenbergElement(0, 0, 0, 0), ValueError,
      "order parameter must be positive"),
     ("heis3-representation-n", lambda: heis3_representation(HeisenbergElement(6, 0, 0, 0), P),
@@ -51,6 +62,23 @@ ROWS = [
     ("divide-modulus", lambda: divide(X[0], X7[0]), ValueError, "modulus mismatch"),
     ("divergence-modulus", lambda: divergence((X[0], X[1], X7[2])), ValueError,
      "modulus mismatch"),
+    # each of these guards a modular inverse; without its guard the call
+    # would raise pow's own "base is not invertible for the given modulus"
+    ("field-inv", lambda: FieldElement(0, P).inv(), ZeroDivisionError, "0 has no inverse in F_13"),
+    ("normalize-zero", lambda: normalize_mod((0, 0, 0), P), ValueError,
+     "(0,0,0) is not a projective point"),
+    ("point-zero", lambda: ProjectivePoint.from_ints((0, 0, 0), P), ValueError,
+     "(0,0,0) is not a projective point"),
+    ("curve-through-zero", lambda: curve_through(ProjectivePoint(ZERO_COORDINATE)), ValueError,
+     "point has a zero coordinate; lambda is undefined"),
+    ("factorization-zero", lambda: moore_factorization(ZERO_COORDINATE), ValueError,
+     "point has a zero coordinate; lambda is undefined"),
+    ("n-matrices-zero", lambda: n_matrices(ZERO_COORDINATE), ValueError,
+     "n_matrices needs a0*a1*a2 != 0"),
+    ("trace-invariants-zero", lambda: trace_invariants(ZERO_COORDINATE), ValueError,
+     "n_matrices needs a0*a1*a2 != 0"),
+    ("divide-zero", lambda: divide(X[0], HomForm.zero(1, P)), ZeroDivisionError,
+     "division by the zero form"),
 ]
 
 
@@ -58,5 +86,6 @@ ROWS = [
     "call, exception, message", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS]
 )
 def test_input_check_raises(call, exception, message):
-    with pytest.raises(exception, match=re.escape(message)):
+    with pytest.raises(exception, match=f"^{re.escape(message)}$"):
         call()
+

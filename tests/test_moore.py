@@ -17,7 +17,7 @@ from hesse_moore.moore import (
     moore_det,
     moore_scalar,
 )
-from hesse_moore.poly import HomForm, monomials, sum_of_products
+from hesse_moore.poly import HomForm, monomials
 
 P = 13
 
@@ -190,20 +190,15 @@ def random_form_matrix(rng, n, degree, p):
 
 
 def entrywise_product_sum(pairs):
-    """sum(X @ Y) by its definition: entry (i, j) is one sum_of_products
-    over all pairs and all k of X[i][k] * Y[k][j]."""
+    """sum(X @ Y) by its definition: entry (i, j) is the sum over all
+    pairs and all k of the form products X[i][k] * Y[k][j]."""
     n = pairs[0][0].n
-    return FormMatrix(
-        [
-            [
-                sum_of_products(
-                    [(X.entries[i][k], Y.entries[k][j]) for X, Y in pairs for k in range(n)]
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+
+    def entry(i, j):
+        products = [X.entries[i][k] * Y.entries[k][j] for X, Y in pairs for k in range(n)]
+        return sum(products[1:], products[0])
+
+    return FormMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("p", [13, 37])

@@ -4,7 +4,8 @@ import pytest
 
 from hesse_moore.field import FieldElement
 from hesse_moore.hesse import HesseCurve
-from hesse_moore.poly import HomForm, divide, monomials, sum_of_products
+from hesse_moore.moore import FormMatrix
+from hesse_moore.poly import HomForm, divide, monomials
 
 P = 13
 PRIMES = [7, 13, 19, 31, 37, 43]
@@ -206,12 +207,18 @@ def test_division_matches_full_sweep(p, rng):
 
 
 def test_sum_of_products(rng):
-    f, g, h, k = (random_form(d, rng) for d in (1, 2, 2, 1))
-    assert sum_of_products([(f, g), (h, k)]) == f * g + h * k
-    with pytest.raises(ValueError, match="degree mismatch"):
-        sum_of_products([(f, g), (h, h)])
-    with pytest.raises(ValueError, match="modulus mismatch"):
-        sum_of_products([(f, g), (random_form(1, rng, 7), random_form(2, rng, 7))])
+    """product_trace is the sum of the entry products X[i][k] * Y[k][i]."""
+
+    def matrix(n, degree, p=P):
+        return FormMatrix([[random_form(degree, rng, p) for _ in range(n)] for _ in range(n)])
+
+    X, Y = matrix(3, 1), matrix(3, 2)
+    products = [X.entries[i][k] * Y.entries[k][i] for i in range(3) for k in range(3)]
+    assert X.product_trace(Y) == sum(products[1:], products[0])
+    with pytest.raises(ValueError, match="^size mismatch: 3x3 vs 2x2$"):
+        X.product_trace(matrix(2, 2))
+    with pytest.raises(ValueError, match="^modulus mismatch$"):
+        X.product_trace(matrix(3, 2, 7))
 
 
 def test_divides(rng):

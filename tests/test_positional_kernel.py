@@ -10,7 +10,7 @@ import random
 import pytest
 
 from hesse_moore.moore import FormMatrix, matmul_sum
-from hesse_moore.poly import HomForm, divide, monomials, product_index, sum_of_products
+from hesse_moore.poly import HomForm, divide, monomials, product_index
 
 # 2^61 - 1 makes every coefficient product exceed 64 bits
 PRIMES = [7, 13, 37, 2**61 - 1]
@@ -83,19 +83,21 @@ def test_product_index_is_the_position_of_the_exponent_sum():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_sum_of_products_matches_reference(p):
+    """product_trace, the sum of the n^2 entry products of tr(X @ Y), and
+    a single form product, for n = 3 and n = 6."""
     rng = random.Random(5000 + p % 1000)
-    for _ in range(40):
-        degree = rng.randrange(7)
-        pairs = []
-        for _ in range(rng.randrange(1, 4)):
+    for n in (3, 6):
+        for _ in range(12):
+            degree = rng.randrange(7)
             d1 = rng.randrange(degree + 1)
-            pairs.append((random_form(d1, rng, p), random_form(degree - d1, rng, p)))
-        got = sum_of_products(pairs)
-        assert got.degree == degree and got.p == p
-        assert got.residues == reference_products(pairs, p)
-        assert_canonical(got)
-        f, g = pairs[0]
-        assert (f * g).residues == reference_products([(f, g)], p)
+            X, Y = random_matrix(n, d1, rng, p), random_matrix(n, degree - d1, rng, p)
+            got = X.product_trace(Y)
+            assert got.degree == degree and got.p == p
+            pairs = [(X.entries[i][k], Y.entries[k][i]) for i in range(n) for k in range(n)]
+            assert got.residues == reference_products(pairs, p)
+            assert_canonical(got)
+            f, g = pairs[0]
+            assert (f * g).residues == reference_products([(f, g)], p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -143,11 +145,6 @@ def test_row_and_from_row_are_inverse(rng):
             assert row == [f.coefficient(e) for e in monomials(degree)]
             assert HomForm.from_row(degree, p, row) == f
             assert HomForm.from_row(degree, p, [v - p for v in row]) == f
-
-
-def test_empty_sums_have_no_degree():
-    with pytest.raises(ValueError, match="empty sum of products has no degree"):
-        sum_of_products([])
 
 
 def test_empty_matrix_sums_have_no_degree():
