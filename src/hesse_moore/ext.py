@@ -14,8 +14,8 @@ homotopy spaces from column spans, and subspace comparisons from
 canonical reduced echelon forms, all through the int linalg kernel.
 The trace condition is linear in C, so its constraint columns are sums
 of rows of one table, by position, of remainders mod f of the
-degree-(m+3) monomials (remainder_table), with no form products or
-divisions.  The homotopies span the E*A and A*E for the unit matrices
+degree-(m+3) monomials (poly's remainder_table), with no form products
+or divisions.  The homotopies span the E*A and A*E for the unit matrices
 E, which unit_products returns as a pair of row lists, none at m < 0
 (it rejects any A but 3x3); these generators lie in the solution space.
 Positions of products come from poly's product_index.  The
@@ -39,7 +39,7 @@ from . import linalg
 from .field import triple_residues
 from .hesse import extension_representative
 from .moore import FormMatrix, moore_scalar
-from .poly import HomForm, monomial_index, monomials, product_index
+from .poly import HomForm, monomial_index, monomials, product_index, remainder_table
 from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_criterion
 
 
@@ -115,29 +115,6 @@ def unit_products(A: FormMatrix, degree: int) -> tuple[list[list[int]], list[lis
                 left.append(u)
                 right.append(v)
     return left, right
-
-
-def remainder_table(f: HomForm, degree: int) -> list[list[tuple[int, int]]]:
-    """Per position of monomials(degree), the remainder mod f of that
-    monomial x^E as terms (divide(x^E, f)[1].terms).
-
-    The multiples of the leading monomial of f are the rows of a product
-    table; one sweep up them reduces each to its cofactor times minus the
-    tail of f over the leading coefficient, whose monomials are smaller
-    and so already reduced.  Other monomials are their own remainder."""
-    p = f.p
-    (lead, lc), *tail = f.terms
-    scale = -pow(lc, -1, p)
-    tail = [(j, v * scale) for j, v in tail]
-    size = len(monomial_index(degree))
-    table = [[(k, 1)] for k in range(size)]
-    for row in reversed(product_index(degree - f.degree, f.degree)):
-        acc = [0] * size
-        for j, v in tail:
-            for e, w in table[row[j]]:
-                acc[e] += v * w
-        table[row[lead]] = HomForm.from_row(degree, p, acc).terms
-    return table
 
 
 def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:

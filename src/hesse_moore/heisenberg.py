@@ -27,7 +27,7 @@ from math import gcd
 from . import linalg
 from .field import FieldElement, primitive_root_of_unity, triple_residues, validate_modulus
 from .hesse import curve_through
-from .moore import ProjectivePoint
+from .moore import ProjectivePoint, moore_scalar
 
 
 @dataclass(frozen=True)
@@ -146,19 +146,18 @@ def orbit(a) -> set[ProjectivePoint]:
 
 
 def n_matrices(a) -> tuple[list[list[int]], list[list[int]]]:
-    """N_i = M_0^{-1} M_i for i = 1, 2, with M_0 = diag(a0, a2, a1) and
-    M_i = d(Moore matrix)/dx_i: row r of N_i holds a[2r - i] / a[2r] in
-    column r - i."""
+    """N_i = M_0^{-1} M_i for i = 1, 2, with M_i = d(Moore matrix)/dx_i,
+    the Moore matrix at the unit triple e_i (moore_scalar); M_0 is
+    diagonal, so N_i is M_i with row r over M_0[r][r]."""
     v, p = triple_residues(a)
-    prod = v[0] * v[1] * v[2] % p
-    if not prod:
+    prod = v[0] * v[1] * v[2]
+    if not prod % p:
         raise ValueError("n_matrices needs a0*a1*a2 != 0")
     inv = pow(prod, -1, p)
-    # 1/a[k] is the product of the other two coordinates over a0*a1*a2
-    recip = [v[1] * v[2] * inv % p, v[0] * v[2] * inv % p, v[0] * v[1] * inv % p]
+    m0, m1, m2 = (moore_scalar(v, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    # 1/M_0[r][r] is the product of the other two coordinates over a0*a1*a2
     return tuple(
-        _monomial_matrix(i, [v[(2 * r - i) % 3] * recip[2 * r % 3] for r in range(3)], p)
-        for i in (1, 2)
+        [[prod // m0[r][r] * inv * x % p for x in m[r]] for r in range(3)] for m in (m1, m2)
     )
 
 

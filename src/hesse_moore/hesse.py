@@ -87,12 +87,12 @@ class HesseCurve:
         x, y, z = v
         return (x * x * x + y * y * y + z * z * z - self._lam * x * y * z) % self.p == 0
 
-    def _check(self, v: Residues) -> Residues:
-        """v, after checking that it lies on the curve; the error names
-        the normalized point."""
+    def _check(self, v: Residues, error: type[Exception] = AssertionError) -> Residues:
+        """v, after checking that it lies on the curve; the error, internal
+        unless the caller gave v, names the normalized point."""
         if not self._on_curve(v):
             x, y, z = normalize_mod(v, self.p)
-            raise ValueError(f"[{x}:{y}:{z}] is not on {self}")
+            raise error(f"[{x}:{y}:{z}] is not on {self}")
         return v
 
     def contains(self, pt: ProjectivePoint) -> bool:
@@ -104,7 +104,7 @@ class HesseCurve:
         """The residues of pt, after checking that pt lies on the curve."""
         if pt.p != self.p:
             raise ValueError(f"modulus mismatch: {self.p} vs {pt.p}")
-        return self._check(pt.residues)
+        return self._check(pt.residues, ValueError)
 
     def enumerate_points(self) -> list[ProjectivePoint]:
         """All of E(F_p) in the order [0:1:z], [1:y:z] of normalized

@@ -10,8 +10,8 @@ cached table per degree pair, is the position of monomial i of degree
 d1 times monomial j of degree d2; ``product_terms``, the one unchecked
 product loop, serves the checked ``*`` and moore's matrix products.
 ``divide`` by one form (such as the Hesse cubic, leading monomial x0^3)
-sweeps the rows of one such table, the multiples of the leading monomial
-lm(f), descending; the rest is the canonical remainder r.
+sweeps the rows of one such table, the multiples of lm(f), descending;
+the rest is the remainder r, which remainder_table gives per monomial.
 FieldElement appears only at the edge: the coefficients of
 HomForm(degree, p, {exps: FieldElement}) and the point of ``evaluate``
 go through field.residues, ``scale`` takes one (and maps the terms,
@@ -293,3 +293,26 @@ def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
         for j, v in tail:
             work[row[j]] -= t * v
     return _form(max(g.degree - f.degree, 0), p, q), _form(g.degree, p, work)
+
+
+def remainder_table(f: HomForm, degree: int) -> list[list[tuple[int, int]]]:
+    """Per position of monomials(degree), the remainder mod f of that
+    monomial x^E as terms (divide(x^E, f)[1].terms).
+
+    The multiples of the leading monomial of f are the rows of a product
+    table; one sweep up them reduces each to its cofactor times minus the
+    tail of f over the leading coefficient, whose monomials are smaller
+    and so already reduced.  Other monomials are their own remainder."""
+    p = f.p
+    (lead, lc), *tail = f.terms
+    scale = -pow(lc, -1, p)
+    tail = [(j, v * scale) for j, v in tail]
+    size = len(monomial_index(degree))
+    table = [[(k, 1)] for k in range(size)]
+    for row in reversed(product_index(degree - f.degree, f.degree)):
+        acc = [0] * size
+        for j, v in tail:
+            for e, w in table[row[j]]:
+                acc[e] += v * w
+        table[row[lead]] = HomForm.from_row(degree, p, acc).terms
+    return table

@@ -43,6 +43,15 @@ class MatrixFactorization:
                 raise ValueError("A*B = B*A = f*I fails; not a matrix factorization")
 
 
+def _certified(A: FormMatrix, B: FormMatrix, f: HesseCurve) -> MatrixFactorization:
+    """MatrixFactorization(A, B, f) of matrices built here: a failed
+    certificate is an internal error, not a bad input."""
+    try:
+        return MatrixFactorization(A, B, f)
+    except ValueError as exc:
+        raise AssertionError(str(exc)) from exc
+
+
 def moore_factorization(a) -> MatrixFactorization:
     """The rank-1 factorization (M_{a,x}, unit * adjugate) of f_lambda.
 
@@ -54,7 +63,7 @@ def moore_factorization(a) -> MatrixFactorization:
     curve = curve_through(ProjectivePoint.from_ints(v, p))  # a0*a1*a2 != 0, lambda smooth
     prod = v[0] * v[1] * v[2] % p
     B = moore_adjugate(a).scale(FieldElement(pow(prod, -1, p), p))
-    return MatrixFactorization(moore(a), B, curve)
+    return _certified(moore(a), B, curve)
 
 
 def _quotient(m: FormMatrix, f: HomForm) -> FormMatrix | None:
@@ -174,5 +183,5 @@ def rank2_ulrich(a) -> Rank2Ulrich:
     D = partner_D(fac, C)
     A2 = _block(fac.A, C)
     B2 = _block(fac.B, D)
-    block_fac = MatrixFactorization(A2, B2, fac.f)
+    block_fac = _certified(A2, B2, fac.f)
     return Rank2Ulrich(block_fac, C, D, b, FieldElement(divergence(coordinate_vars(p)), p))

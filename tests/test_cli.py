@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -302,7 +304,7 @@ def _zero_remainder(original):
     "module, name, make_fault, raised",
     [
         ("moore", "moore_adjugate", _transposed,
-         "raised ValueError: A*B = B*A = f*I fails; not a matrix factorization"),
+         "raised AssertionError: A*B = B*A = f*I fails; not a matrix factorization"),
         ("poly", "divide", _zero_remainder, "raised AssertionError: division certificate failed"),
     ],
 )
@@ -323,6 +325,58 @@ def test_verify_all_reports_a_raising_check_and_exits_3(
     assert all(c["detail"] == raised and not c["passed"] for c in crashed)
 
 
+def _negated_partner(original):
+    return lambda fac, C: -original(fac, C)
+
+
+def _off_curve_at(call, original):
+    """original, with the first coordinate of its call-th result moved by 1."""
+    results = []
+
+    def fault(*args):
+        out = original(*args)
+        results.append(out)
+        return (out[0] + 1, *out[1:]) if len(results) == call else out
+
+    return fault
+
+
+_NOT_A_FACTORIZATION = re.escape("A*B = B*A = f*I fails; not a matrix factorization")
+_OFF_CURVE = r"\[\d+:\d+:\d+\] is not on HesseCurve\(lambda=6, p=13\)"
+_MUL_13 = "hesse mul --p 13 --lambda 6"
+
+
+@pytest.mark.parametrize("module, name, make_fault, argv, exit_code, error", [
+    # the library's own certificate or ladder check fails: internal
+    ("moore", "moore_adjugate", _transposed, "ulrich rank1 --p 13 --a 1,2,3", 3,
+     _NOT_A_FACTORIZATION),
+    ("moore", "moore_adjugate", _transposed, "ulrich rank2 --p 13 --a 1,2,3", 3,
+     _NOT_A_FACTORIZATION),
+    ("moore", "moore_adjugate", _transposed, "ext dims --p 13 --a 1,2,3", 3,
+     _NOT_A_FACTORIZATION),
+    # the 6x6 block certificate of rank2_ulrich
+    ("ulrich", "partner_D", _negated_partner, "ulrich rank2 --p 13 --a 1,2,3", 3,
+     _NOT_A_FACTORIZATION),
+    # the ladder's fifth doubled summand, then its first sum
+    ("hesse", "doubling_representative", partial(_off_curve_at, 5),
+     f"{_MUL_13} --a 1,2,3 --n 987654321", 3, _OFF_CURVE),
+    ("hesse", "kernel_column_mod", partial(_off_curve_at, 1), f"{_MUL_13} --a 1,2,3 --n 5", 3,
+     _OFF_CURVE),
+    # the caller's point is off the curve: a domain error
+    (None, None, None, f"{_MUL_13} --a 1,1,2 --n 5", 1,
+     r"\[1:1:2\] is not on HesseCurve\(lambda=6, p=13\)"),
+], ids=["rank1", "rank2", "ext-dims", "rank2-blocks", "mul-summand", "mul-sum", "mul-caller-point"])
+def test_a_failed_check_exits_by_whose_input_failed(
+    capsys, patch_everywhere, module, name, make_fault, argv, exit_code, error
+):
+    if module:
+        patch_everywhere(module, name, make_fault)
+    code, payload = run_json(capsys, *argv.split())
+    assert code == exit_code
+    assert payload["status"] == {1: "error", 3: "internal"}[exit_code]
+    assert re.fullmatch(error, payload["error"]), payload
+
+
 @pytest.mark.parametrize("p, message", [
     ("0", "modulus must be a prime > 3, got 0"),
     ("11", "modulus 11 is not congruent to 1 mod 6"),
@@ -338,18 +392,27 @@ def test_verify_all_rejects_a_bad_prime_before_the_battery(capsys, p, message):
     ("hesse points --p 13 --lambda 6", 0),
     ("hesse points --p 13 --lambda 3", 1),  # the domain-error payload
     ("verify all --p 13", 0),
+    (f"ext basis --p {2**61 - 1} --a 1,2,3 --m=2 | head -c 100", 0),
 ])
 def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(argv, exit_code):
-    # the reader is gone before the command writes, as in `... | head -c 0`
+    # the reader takes the `head -c` bytes and closes, as head does; without
+    # `| head -c` it is gone before the command writes, as `head -c 0` is
+    argv, _, take = argv.partition(" | head -c ")
+    take = int(take or 0)
     read_end, write_end = os.pipe()
-    os.close(read_end)
+    if not take:
+        os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hesse_moore.cli", *argv.split()],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        proc = subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "hesse_moore.cli", *argv.split()],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
         )
     finally:
         os.close(write_end)
-    assert b"Traceback" not in proc.stderr
+    if take:
+        with open(read_end, "rb") as reader:
+            assert len(reader.read(take)) == take
+    _, stderr = proc.communicate(timeout=60)
+    assert b"Traceback" not in stderr
     assert proc.returncode == exit_code

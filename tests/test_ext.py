@@ -9,7 +9,6 @@ from hesse_moore.ext import (
     ext_space,
     moore_representative,
     moore_span_basis,
-    remainder_table,
     unit_products,
     unvectorize,
     vectorize,
@@ -17,7 +16,7 @@ from hesse_moore.ext import (
 from hesse_moore.field import FieldElement
 from hesse_moore.hesse import HesseCurve, extension_representative
 from hesse_moore.moore import FormMatrix, coordinate_vars, moore
-from hesse_moore.poly import HomForm, divide, monomials
+from hesse_moore.poly import HomForm, divide, monomials, remainder_table
 from hesse_moore.ulrich import moore_factorization, trace_criterion
 
 P = 13

@@ -38,6 +38,27 @@ _C_DEG2 = json.dumps(
     ]
 )
 
+# the 61-bit prime 2^61 - 1, where every coefficient product passes 64 bits
+P61 = str(2**61 - 1)
+# the extension_triple b of `ulrich rank2 --a 1,2,3` at P61, and the
+# `moore build` matrices of b and of 1,2,3 (A itself), as P61_RELATIONS checks
+_B_61 = "19,2305843009213693899,21"
+_C_B_61 = json.dumps(
+    [
+        ["19*x0^1", "2305843009213693899*x2^1", "21*x1^1"],
+        ["2305843009213693899*x1^1", "21*x0^1", "19*x2^1"],
+        ["21*x2^1", "19*x1^1", "2305843009213693899*x0^1"],
+    ]
+)
+_C_A_61 = json.dumps(
+    [["1*x0^1", "2*x2^1", "3*x1^1"], ["2*x1^1", "3*x0^1", "1*x2^1"], ["3*x2^1", "1*x1^1", "2*x0^1"]]
+)
+# two 60-bit multipliers, and n1*a and n2*a for a = (1, 2, 3) on lambda = 6 at P61
+_N1, _N2 = 987654321098765432, 1111111111111111111
+_N1_A_61 = "1,210710311622262108,536973606339821022"
+_N2_A_61 = "1,1681076866150016863,1600476436907755062"
+_MUL_61 = ["hesse", "mul", "--p", P61, "--lambda", "6", "--a", "1,2,3", "--n"]
+
 CASES = {
     "hesse_points_p7": ["hesse", "points", "--p", "7", "--lambda", "1"],
     "hesse_points_p13": ["hesse", "points", "--p", "13", "--lambda", "6"],
@@ -95,6 +116,23 @@ CASES = {
     ],
     "usage_bad_form_cell": ["ulrich", "trace", "--p", "13", "--a", "1,2,3", "--C", _C_NO_COEFF],
     "usage_bad_shift": ["ext", "dims", "--p", "13", "--a", "1,2,3", "--m=1,y"],
+    "ext_dims_61bit": ["ext", "dims", "--p", P61, "--a", "1,2,3", "--m=-2,-1,0,1,2"],
+    "ext_basis_m0_61bit": ["ext", "basis", "--p", P61, "--a", "1,2,3", "--m=0"],
+    "ext_basis_m1_61bit": ["ext", "basis", "--p", P61, "--a", "1,2,3", "--m=1"],
+    "ext_basis_m2_61bit": ["ext", "basis", "--p", P61, "--a", "1,2,3", "--m=2"],
+    "ulrich_rank2_61bit": ["ulrich", "rank2", "--p", P61, "--a", "1,2,3"],
+    "moore_build_b_61bit": ["moore", "build", "--p", P61, "--a", _B_61],
+    "moore_build_61bit": ["moore", "build", "--p", P61, "--a", "1,2,3"],
+    "ext_class_b_61bit": ["ext", "class", "--p", P61, "--a", "1,2,3", "--C", _C_B_61],
+    "ext_class_a_61bit": ["ext", "class", "--p", P61, "--a", "1,2,3", "--C", _C_A_61],
+    "hesse_mul_n1_61bit": _MUL_61 + [str(_N1)],
+    "hesse_mul_n2_61bit": _MUL_61 + [str(_N2)],
+    "hesse_mul_n12_61bit": _MUL_61 + [str(_N1 + _N2)],
+    "hesse_add_61bit": [
+        "hesse", "add", "--p", P61, "--lambda", "6", "--x", _N1_A_61, "--a", _N2_A_61,
+    ],
+    "heis_tensor_61bit": ["heis", "tensor", "--p", P61],
+    "heis_restrict_61bit": ["heis", "restrict", "--p", P61, "--n", "6", "--d", "3", "--j", "1"],
     "verify_all": ["verify", "all"],
     "verify_all_p13": ["verify", "all", "--p", "13"],
     "verify_all_p19": ["verify", "all", "--p", "19"],
@@ -124,6 +162,79 @@ def test_golden(name, monkeypatch):
 
 def test_no_stale_golden_files():
     assert {p.stem for p in GOLDEN.glob("*.json")} == set(CASES)
+
+
+def _payload(name):
+    """The stdout JSON that golden `name` pins."""
+    return json.loads(json.loads((GOLDEN / f"{name}.json").read_text())["stdout"])
+
+
+def _option(name, flag):
+    argv = CASES[name]
+    return argv[argv.index(flag) + 1]
+
+
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+def _basis_sizes(name):
+    out = _payload(name)
+    return [out["quotient_dimension"], len(out["homotopies"]), len(out["solutions"])]
+
+
+# what the 61-bit goldens only imply, stated: each row reads (got, want) off
+# the pinned payloads and argv, compared as JSON text so that true is not 1
+P61_RELATIONS = {
+    "ext dims 0, 3, 1, 0, 0": lambda: (
+        _payload("ext_dims_61bit")["dims"], {"-2": 0, "-1": 3, "0": 1, "1": 0, "2": 0}
+    ),
+    "ext basis m=0 (quotient, homotopies, solutions)": lambda: (
+        _basis_sizes("ext_basis_m0_61bit"), [1, 17, 18]
+    ),
+    "ext basis m=1 (quotient, homotopies, solutions)": lambda: (
+        _basis_sizes("ext_basis_m1_61bit"), [0, 42, 42]
+    ),
+    "ext basis m=2 (quotient, homotopies, solutions)": lambda: (
+        _basis_sizes("ext_basis_m2_61bit"), [0, 75, 75]
+    ),
+    "rank2 certified with divergence 3": lambda: (
+        [_payload("ulrich_rank2_61bit")[key] for key in ("certified", "divergence")], [True, 3]
+    ),
+    "b is the rank2 extension_triple": lambda: (
+        _option("moore_build_b_61bit", "--a"),
+        _csv(_payload("ulrich_rank2_61bit")["extension_triple"]),
+    ),
+    "class 3 of the moore build of b": lambda: (
+        [json.loads(_option("ext_class_b_61bit", "--C")), _payload("ext_class_b_61bit")["class"]],
+        [_payload("moore_build_b_61bit")["matrix"], 3],
+    ),
+    "class 0 of the moore build of a, A itself": lambda: (
+        [json.loads(_option("ext_class_a_61bit", "--C")), _payload("ext_class_a_61bit")["class"]],
+        [_payload("moore_build_61bit")["matrix"], 0],
+    ),
+    "n1*a + n2*a = (n1+n2)*a": lambda: (
+        [_option("hesse_add_61bit", "--x"), _option("hesse_add_61bit", "--a"),
+         _payload("hesse_add_61bit")["point"]],
+        [_csv(_payload("hesse_mul_n1_61bit")["point"]),
+         _csv(_payload("hesse_mul_n2_61bit")["point"]),
+         _payload("hesse_mul_n12_61bit")["point"]],
+    ),
+    "n1 + n2 is the third multiplier": lambda: (
+        _payload("hesse_mul_n12_61bit")["n"],
+        _payload("hesse_mul_n1_61bit")["n"] + _payload("hesse_mul_n2_61bit")["n"],
+    ),
+    "heis tensor holds": lambda: (_payload("heis_tensor_61bit")["holds"], True),
+    "heis restrict --n 6 --d 3 --j 1 holds": lambda: (
+        _payload("heis_restrict_61bit")["holds"], True
+    ),
+}
+
+
+@pytest.mark.parametrize("relation", list(P61_RELATIONS))
+def test_61bit_relation(relation):
+    got, want = P61_RELATIONS[relation]()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 if __name__ == "__main__":

@@ -188,7 +188,7 @@ def test_mul_checks_every_doubled_summand(monkeypatch):
         return d
 
     monkeypatch.setattr(hesse, "doubling_representative", off_curve_fifth)
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(AssertionError) as caught:
         curve.mul(2**40 + 1, pt([1, 2, 3]))
     bad = ProjectivePoint.from_ints(calls[4], 13)
     assert not curve.contains(bad)
@@ -209,7 +209,7 @@ def test_mul_checks_the_accumulator_before_each_addition(monkeypatch):
         return col
 
     monkeypatch.setattr(hesse, "kernel_column_mod", off_curve_first)
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(AssertionError) as caught:
         curve.mul(5, pt([1, 2, 3]))
     bad = ProjectivePoint.from_ints(sums[0], 13)
     assert not curve.contains(bad)
