@@ -2,8 +2,10 @@
 
 Each tests/golden/<name>.json records the argv, exit code and stdout of
 one ``cli.main`` call run in-process with HESSE_MOORE_SEED=0.  Stderr
-(timings, argparse usage text) is not recorded.  After an intended
-change of output, regenerate the files with
+(timings, argparse usage text) is not recorded.  test_61bit_relation
+states what the runs at p = 2^61 - 1 only imply together: the dimensions,
+the certificate, the Ext classes and the scalar-multiplication sum rule.
+After an intended change of output, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
