@@ -82,13 +82,7 @@ def vectorize(mat: FormMatrix) -> list[int]:
 def unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
     """The 3x3 matrix of degree-d forms with coordinates vec over F_p
     (the inverse of vectorize); vec must have 9 * |S_d| entries."""
-    k = len(monomials(degree))
-    if len(vec) != 9 * k:
-        raise ValueError(
-            f"a 3x3 matrix of degree-{degree} forms has {9 * k} coordinates, got {len(vec)}"
-        )
-    forms = [HomForm.from_row(degree, p, vec[n * k : n * k + k]) for n in range(9)]
-    return FormMatrix([forms[3 * i : 3 * i + 3] for i in range(3)])
+    return FormMatrix.from_row(3, degree, p, vec)
 
 
 def unit_products(A: FormMatrix, degree: int) -> tuple[list[list[int]], list[list[int]]]:

@@ -7,14 +7,16 @@ realizes the curve's group law (see the hesse module).
 
 A triple a of FieldElements enters through field.triple_residues, and
 the Moore matrix, its adjugate and determinant are built from the int
-residues, the first two as coordinate rows (HomForm.from_row).  A
-ProjectivePoint is a triple of normalized int residues; its ``coords``
-property is the one conversion back to FieldElements.
+residues, the first two as one coordinate row each (FormMatrix.from_row,
+in ext.vectorize's layout).  A ProjectivePoint is a triple of normalized
+int residues; its ``coords`` property is the one conversion back to
+FieldElements.
 FormMatrix(entries) checks that its entries are square and uniform and
 reads its size, modulus and degree off them; the builders here whose
 rows are so by construction use the one unchecked _form_matrix.
-Products (matmul_sum, ``@``) and product_trace check sizes and moduli
-once and hand the entries' terms and product tables to product_terms.
+Products check sizes and moduli once and run poly's product_terms into
+one flat int row: matmul_sum (``@``) splits it into a matrix, while
+product_row and is_scalar_product compare it reduced and build no form.
 The kernel of a rank-2 matrix of int residues is kernel_column_mod, an
 adjugate column; left_kernel_mod is that column normalized.
 """
@@ -26,7 +28,7 @@ from itertools import chain, product
 
 from . import linalg
 from .field import FieldElement, triple_residues, validate_modulus
-from .poly import HomForm, monomial_index, product_index, product_terms
+from .poly import HomForm, monomial_index, product_terms, split_row
 
 
 class ProjectivePoint:
@@ -113,6 +115,18 @@ class FormMatrix:
                 raise ValueError(f"mixed entries: degree {degree} mod {p} vs {e.degree} mod {e.p}")
 
     @classmethod
+    def from_row(cls, n: int, degree: int, p: int, row) -> "FormMatrix":
+        """The n x n matrix of degree-d forms over F_p with coordinate row
+        ``row`` (ints reduced mod p): cells row-major, each over
+        monomials(degree), as ext.vectorize lays them out."""
+        size = n * n * len(monomial_index(degree))
+        if len(row) != size:
+            what = f"a {n}x{n} matrix of degree-{degree} forms"
+            raise ValueError(f"{what} has {size} coordinates, got {len(row)}")
+        forms = split_row(degree, p, row)
+        return _form_matrix([forms[i * n : i * n + n] for i in range(n)])
+
+    @classmethod
     def from_scalars(cls, mat: list[list[int]], p: int) -> "FormMatrix":
         """Lift a scalar matrix of int residues to a matrix of degree-0 forms."""
         return cls([[HomForm.from_row(0, p, [c]) for c in row] for row in mat])
@@ -151,20 +165,15 @@ class FormMatrix:
         return sum((self.entries[i][i] for i in range(1, self.n)), self.entries[0][0])
 
     def product_trace(self, other: "FormMatrix") -> HomForm:
-        """tr(self @ other): its n^2 entry products, summed in one int list."""
+        """tr(self @ other): the 1 x n^2 row of self's entries times the
+        n^2 x 1 column of other's, transposed, in one product."""
         self._require_match(other)
-        a, b, n = self.entries, other.entries, self.n
-        table = product_index(self.degree, other.degree)
-        triples = [(table, a[i][k].terms, b[k][i].terms) for i in range(n) for k in range(n)]
-        return product_terms(self.degree + other.degree, self.p, [triples])[0]
+        row, column = [list(chain(*self.entries))], [[e] for e in chain(*zip(*other.entries))]
+        flat = product_terms([(row, column)])
+        return HomForm.from_row(self.degree + other.degree, self.p, flat)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def is_scalar(self, g: HomForm) -> bool:
-        """Whether this is g*I: g on the diagonal, which fixes degree and modulus; 0 elsewhere."""
-        cells = ((i == j, e) for i, row in enumerate(self.entries) for j, e in enumerate(row))
-        return all(e == g if diag else e.is_zero() for diag, e in cells)
 
     def __eq__(self, other):
         if not isinstance(other, FormMatrix):
@@ -178,27 +187,45 @@ class FormMatrix:
         return f"FormMatrix({self.n}x{self.n}, p={self.p})"
 
 
-def matmul_sum(pairs) -> FormMatrix:
-    """sum(X @ Y for X, Y in pairs), each entry summed in one int list;
-    sizes, moduli and product degrees are checked once per call."""
+def _product(pairs) -> tuple[FormMatrix, int, list[int]]:
+    """The first X, the degree and the unreduced coordinate row of
+    sum(X @ Y for X, Y in pairs); sizes, moduli and product degrees are
+    checked once per call."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("an empty sum of matrix products has no degree")
     first, other = pairs[0]
-    n, p, degree = first.n, first.p, first.degree + other.degree
+    degree = first.degree + other.degree
     for X, Y in pairs:
         first._require_match(X)
         X._require_match(Y)
         if X.degree + Y.degree != degree:
             raise ValueError(f"degree mismatch: {degree} vs {X.degree + Y.degree}")
-    mats = [(product_index(X.degree, Y.degree), X.entries, Y.entries) for X, Y in pairs]
-    sums = (
-        [(t, a[i][k].terms, b[k][j].terms) for t, a, b in mats for k in range(n)]
-        for i in range(n)
-        for j in range(n)
-    )
-    cells = product_terms(degree, p, sums)
-    return _form_matrix([cells[i * n : i * n + n] for i in range(n)])
+    return first, degree, product_terms([(X.entries, Y.entries) for X, Y in pairs])
+
+
+def matmul_sum(pairs) -> FormMatrix:
+    """sum(X @ Y for X, Y in pairs), every cell summed in one int row."""
+    first, degree, flat = _product(pairs)
+    return FormMatrix.from_row(first.n, degree, first.p, flat)
+
+
+def product_row(pairs) -> list[int]:
+    """The coordinate row (as ext.vectorize lays it out) of
+    sum(X @ Y for X, Y in pairs), reduced mod p; it builds no form."""
+    first, _, flat = _product(pairs)
+    return list(map(first.p.__rmod__, flat))
+
+
+def is_scalar_product(pairs, g: HomForm) -> bool:
+    """Whether sum(X @ Y for X, Y in pairs) is g*I: its reduced row
+    against g's row in each diagonal cell and zeros elsewhere, every
+    coefficient, with no form built; False at another degree or modulus."""
+    first, degree, flat = _product(pairs)
+    n, diagonal = first.n, g.row()
+    zero = [0] * len(diagonal)
+    target = [c for cell in range(n * n) for c in (zero if cell % (n + 1) else diagonal)]
+    return (g.degree, g.p) == (degree, first.p) and list(map(g.p.__rmod__, flat)) == target
 
 
 def _form_matrix(entries: list[list[HomForm]]) -> FormMatrix:
@@ -229,10 +256,10 @@ def moore(a) -> FormMatrix:
     v, p = triple_residues(a)
     if not any(v):
         raise ValueError("Moore matrix of the zero triple")
-    rows = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
+    row = [0] * 27
     for i, j in product(range(3), repeat=2):
-        rows[i][j][_VARIABLE[(i - j) % 3]] = v[(i + j) % 3]
-    return _form_matrix([[HomForm.from_row(1, p, c) for c in row] for row in rows])
+        row[9 * i + 3 * j + _VARIABLE[(i - j) % 3]] = v[(i + j) % 3]
+    return FormMatrix.from_row(3, 1, p, row)
 
 
 def moore_scalar(a, b) -> list[list]:
@@ -253,12 +280,12 @@ def moore_adjugate(a) -> FormMatrix:
     Entry (i,j) is a[i+j-1]*a[i+j+1]*x[j-i]^2 - a[i+j]^2*x[j-i-1]*x[j-i+1].
     """
     v, p = triple_residues(a)
-    rows = [[[0] * 6 for _ in range(3)] for _ in range(3)]
+    row = [0] * 54
     for i, j in product(range(3), repeat=2):
         square, cross = _SQUARE_CROSS[(j - i) % 3]
-        rows[i][j][square] = v[(i + j - 1) % 3] * v[(i + j + 1) % 3]
-        rows[i][j][cross] = -v[(i + j) % 3] ** 2
-    return _form_matrix([[HomForm.from_row(2, p, c) for c in row] for row in rows])
+        row[18 * i + 6 * j + square] = v[(i + j - 1) % 3] * v[(i + j + 1) % 3]
+        row[18 * i + 6 * j + cross] = -v[(i + j) % 3] ** 2
+    return FormMatrix.from_row(3, 2, p, row)
 
 
 def moore_det(a) -> HomForm:

@@ -7,11 +7,12 @@ residues as (position, residue) pairs, ascending, leading term first.
 ``row()`` and ``HomForm.from_row`` are the dense coordinate row.
 Products never touch exponents: ``product_index(d1, d2)[i][j]``, one
 cached table per degree pair, is the position of monomial i of degree
-d1 times monomial j of degree d2; ``product_terms``, the one unchecked
-product loop, serves the checked ``*`` and moore's matrix products.
+d1 times monomial j of degree d2; ``product_terms``, the one product
+loop, sums grids of forms into one flat int row for ``*`` and moore.
 ``divide`` by one form (such as the Hesse cubic, leading monomial x0^3)
-sweeps the rows of one such table, the multiples of lm(f), descending;
-the rest is the remainder r, which remainder_table gives per monomial.
+sweeps a row (divide_row) by the rows of one such table, the multiples
+of lm(f), descending; the rest is the remainder r, which
+remainder_table gives per monomial.
 FieldElement appears only at the edge: the coefficients of
 HomForm(degree, p, {exps: FieldElement}) and the point of ``evaluate``
 go through field.residues, ``scale`` takes one (and maps the terms,
@@ -166,8 +167,7 @@ class HomForm:
 
     def __mul__(self, other: "HomForm") -> "HomForm":
         self._check(other)
-        pair = (product_index(self.degree, other.degree), self.terms, other.terms)
-        return product_terms(self.degree + other.degree, self.p, [[pair]])[0]
+        return _form(self.degree + other.degree, self.p, product_terms([([[self]], [[other]])]))
 
     def scale(self, c: FieldElement) -> "HomForm":
         if c.p != self.p:
@@ -235,21 +235,42 @@ class HomForm:
         return f"HomForm({self.serialize()!r}, deg={self.degree}, p={self.p})"
 
 
-def product_terms(degree: int, p: int, sums) -> list[HomForm]:
-    """Per list of (product_index(deg f, deg g), f.terms, g.terms) triples
-    in sums, the form sum(f * g) of the degree over F_p, accumulated in
-    one int list over monomials(degree); unchecked."""
+def product_terms(products) -> list[int]:
+    """The unreduced coordinate row of sum(X @ Y) over the grids of forms
+    (X, Y) in products, r x m and m x c, of one product degree: cells
+    row-major, each over its monomials, as ext.vectorize lays them out.
+    Each term of X is read once per k; when Y has fewer terms, the
+    transposed grids run instead, on the transposed product table."""
+    X, Y = products[0]
+    size = len(monomial_index(X[0][0].degree + Y[0][0].degree))
+    stride = len(Y[0]) * size
+    acc = [0] * (len(X) * stride)
+    for X, Y in products:
+        row_step, cell_step = stride, size
+        if sum(len(x.terms) for r in X for x in r) > sum(len(y.terms) for r in Y for y in r):
+            X, Y = list(zip(*Y)), list(zip(*X))
+            row_step, cell_step = size, stride
+        table = product_index(X[0][0].degree, Y[0][0].degree)
+        for base, x_row in zip(range(0, len(acc), row_step), X):
+            for x, y_row in zip(x_row, Y):
+                for i, v in x.terms:
+                    positions = table[i]
+                    at = base
+                    for y in y_row:
+                        for j, w in y.terms:
+                            acc[at + positions[j]] += v * w
+                        at += cell_step
+    return acc
+
+
+def split_row(degree: int, p: int, row) -> list[HomForm]:
+    """The forms whose coordinate rows over monomials(degree), their
+    ints reduced mod p, follow one another in row."""
+    validate_modulus(p)
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     size = len(monomial_index(degree))
-    out = []
-    for triples in sums:
-        acc = [0] * size
-        for table, f_terms, g_terms in triples:
-            for i, v in f_terms:
-                row = table[i]
-                for j, w in g_terms:
-                    acc[row[j]] += v * w
-        out.append(_form(degree, p, acc))
-    return out
+    return [_form(degree, p, row[s : s + size]) for s in range(0, len(row), size)]
 
 
 def _form(degree: int, p: int, row) -> HomForm:
@@ -274,25 +295,32 @@ def divide(g: HomForm, f: HomForm) -> tuple[HomForm, HomForm]:
         raise ZeroDivisionError("division by the zero form")
     if g.p != f.p:
         raise ValueError("modulus mismatch")
-    p = g.p
+    q, r = divide_row(g.row(), g.degree, f)
+    return _form(max(g.degree - f.degree, 0), g.p, q), _form(g.degree, g.p, r)
+
+
+def divide_row(row: list[int], degree: int, f: HomForm) -> tuple[list[int], list[int]]:
+    """divide for the degree-d form with unreduced coordinate row
+    ``row`` by a nonzero f: the rows of q and of r, which is ``row``
+    itself, swept in place and left unreduced."""
+    p = f.p
     (lead, lc), *tail = f.terms
     lc_inv = pow(lc, -1, p)
-    table = product_index(g.degree - f.degree, f.degree)
-    work = g.row()
+    table = product_index(degree - f.degree, f.degree)
     q = [0] * len(table)
     # row k of the table holds the multiples of monomial k of the quotient
-    # degree; subtracting t*f at row[lead] only changes smaller monomials
-    # (lex is a monomial order), so one descending sweep divides
-    for k, row in enumerate(table):
-        c = work[row[lead]] % p
+    # degree; subtracting t*f at positions[lead] only changes smaller
+    # monomials (lex is a monomial order), so one descending sweep divides
+    for k, positions in enumerate(table):
+        c = row[positions[lead]] % p
         if not c:
             continue
         t = c * lc_inv % p
         q[k] = t
-        work[row[lead]] = 0
+        row[positions[lead]] = 0
         for j, v in tail:
-            work[row[j]] -= t * v
-    return _form(max(g.degree - f.degree, 0), p, q), _form(g.degree, p, work)
+            row[positions[j]] -= t * v
+    return q, row
 
 
 def remainder_table(f: HomForm, degree: int) -> list[list[tuple[int, int]]]:

@@ -5,13 +5,12 @@ adjugate, scaled so that A*B = f*I exactly (the raw product is
 a0*a1*a2*f*I).  Extension data (C, D) satisfy A*D + C*B = 0 = D*A + B*C;
 one solver, _partner, gives D = -B*C*B / f and C = -A*D*A / f, and
 existence is decided by the trace criterion tr(B*C) = 0 mod f.  One
-certified entrywise quotient by f serves all four of these divisions.
-_partner checks each identity as a fused matmul_sum(...).is_zero() or
-as a comparison with the product B*C (A*D) it shares with the quotient.
+certified entrywise quotient by f, off the product's flat row, serves
+all four of these divisions.  Each certificate (A*B = B*A = f*I, q*f,
+q*Y = X*M, Y*N + M*X = 0) compares reduced rows and builds no form.
 
 The f of a MatrixFactorization is the HesseCurve from curve_through,
-the one check that a0*a1*a2 != 0; the products equal its form f.form
-times the identity.
+the one check that a0*a1*a2 != 0.
 """
 
 from __future__ import annotations
@@ -20,8 +19,16 @@ from dataclasses import dataclass
 
 from .field import FieldElement, triple_residues
 from .hesse import HesseCurve, curve_through, extension_representative
-from .moore import FormMatrix, ProjectivePoint, coordinate_vars, matmul_sum, moore, moore_adjugate
-from .poly import HomForm, divide
+from .moore import (
+    FormMatrix,
+    ProjectivePoint,
+    coordinate_vars,
+    is_scalar_product,
+    moore,
+    moore_adjugate,
+    product_row,
+)
+from .poly import HomForm, divide, divide_row, monomial_index, product_terms
 
 
 class FactorizationError(ValueError):
@@ -38,8 +45,8 @@ class MatrixFactorization:
     f: HesseCurve
 
     def __post_init__(self):
-        for m in (self.A @ self.B, self.B @ self.A):
-            if not m.is_scalar(self.f.form):
+        for pair in ((self.A, self.B), (self.B, self.A)):
+            if not is_scalar_product([pair], self.f.form):
                 raise ValueError("A*B = B*A = f*I fails; not a matrix factorization")
 
 
@@ -66,33 +73,39 @@ def moore_factorization(a) -> MatrixFactorization:
     return _certified(moore(a), B, curve)
 
 
-def _quotient(m: FormMatrix, f: HomForm) -> FormMatrix | None:
-    """Entrywise exact quotient m / f, or None as soon as an entry is not
-    divisible by f."""
-    out = []
-    for row in m.entries:
-        qrow = []
-        for entry in row:
-            q, r = divide(entry, f)
-            if not r.is_zero():
-                return None
-            # certified: multiply back
-            if q * f != entry:
-                raise AssertionError("division certificate failed")
-            qrow.append(q)
-        out.append(qrow)
-    return FormMatrix(out)
+def _quotient(pairs, f: HomForm) -> FormMatrix | None:
+    """The entrywise exact quotient of sum(X @ Y for X, Y in pairs) by
+    f, divided straight off the product's row, or None as soon as an
+    entry is not divisible by f."""
+    row = product_row(pairs)
+    X, Y = pairs[0]
+    degree, p = X.degree + Y.degree, f.p
+    size = len(monomial_index(degree))
+    quotient = []
+    for start in range(0, len(row), size):
+        q, r = divide_row(row[start : start + size], degree, f)
+        if any(map(p.__rmod__, r)):
+            return None
+        quotient += q
+    Q = FormMatrix.from_row(X.n, degree - f.degree, p, quotient)
+    # certified: multiply back, every cell of Q times f against its entry
+    back = product_terms([([[e] for row in Q.entries for e in row], [[f]])])
+    if list(map(p.__rmod__, back)) != row:
+        raise AssertionError("division certificate failed")
+    return Q
 
 
 def _partner(X: FormMatrix, Y: FormMatrix, M: FormMatrix, f: HomForm, missing: str):
-    """N = -X*M*X / f, certified by q*Y = X*M (q = -N) and Y*N + M*X = 0;
-    FactorizationError(missing) when f does not divide X*M*X."""
-    XM = X @ M
-    q = _quotient(XM @ X, f)
+    """N = -X*M*X / f, certified by q*Y = X*M (q = -N) and Y*N + M*X = 0,
+    each a comparison of reduced product rows; FactorizationError(missing)
+    when f does not divide X*M*X."""
+    XM_row = product_row([(X, M)])
+    XM = FormMatrix.from_row(X.n, X.degree + M.degree, X.p, XM_row)
+    q = _quotient([(XM, X)], f)
     if q is None:
         raise FactorizationError(missing)
     N = -q
-    if q @ Y != XM or not matmul_sum([(Y, N), (M, X)]).is_zero():
+    if product_row([(q, Y)]) != XM_row or any(product_row([(Y, N), (M, X)])):
         raise AssertionError("partner does not satisfy the extension identities")
     return N
 
@@ -121,14 +134,15 @@ def trace_criterion(fac: MatrixFactorization, C: FormMatrix) -> bool:
 
 def bcb_divisible(fac: MatrixFactorization, C: FormMatrix) -> bool:
     """Entrywise divisibility of B*C*B by f (the partner-existence test)."""
-    return _quotient(fac.B @ C @ fac.B, fac.f.form) is not None
+    return _quotient([(fac.B @ C, fac.B)], fac.f.form) is not None
 
 
 def bcb_congruence(fac: MatrixFactorization, C: FormMatrix) -> bool:
     """B*C*B = tr(B*C) * B mod f, entry by entry."""
     BC = fac.B @ C
-    diff = BC @ fac.B - fac.B.scale_form(BC.trace())
-    return _quotient(diff, fac.f.form) is not None
+    identity = FormMatrix.from_scalars([[int(i == j) for j in range(3)] for i in range(3)], fac.f.p)
+    minus_trace = identity.scale_form(-BC.trace())
+    return _quotient([(BC, fac.B), (minus_trace, fac.B)], fac.f.form) is not None
 
 
 def divergence(y) -> int:

@@ -32,6 +32,7 @@ from .moore import (
     FormMatrix,
     ProjectivePoint,
     adjugate_det,
+    is_scalar_product,
     moore,
     moore_adjugate,
     moore_det,
@@ -110,7 +111,7 @@ def check_determinant_identity(rng: random.Random):
         if adj != FormMatrix(cofactors):
             failures += 1
             continue
-        if not (m @ adj).is_scalar(closed) or not (adj @ m).is_scalar(closed):
+        if not (is_scalar_product([(m, adj)], closed) and is_scalar_product([(adj, m)], closed)):
             failures += 1
     return CheckResult(
         "determinant identity",

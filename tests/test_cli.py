@@ -10,7 +10,7 @@ import pytest
 
 from hesse_moore.cli import main
 from hesse_moore.moore import FormMatrix
-from hesse_moore.poly import HomForm
+from hesse_moore.poly import monomials
 
 
 def run(capsys, *argv):
@@ -293,11 +293,26 @@ def _transposed(original):
 
 
 def _zero_remainder(original):
-    def divide(g, f):
-        q, r = original(g, f)
-        return q, HomForm.zero(r.degree, r.p)
+    def divide_row(row, degree, f):
+        q, r = original(row, degree, f)
+        return q, [0] * len(r)
 
-    return divide
+    return divide_row
+
+
+def _last_term_dropped(original):
+    """original, with the last nonzero coordinate of each product cell zeroed."""
+    def product_terms(products):
+        flat = original(products)
+        X, Y = products[0]
+        size = len(monomials(X[0][0].degree + Y[0][0].degree))
+        for cell in range(0, len(flat), size):
+            last = [i for i in range(cell, cell + size) if flat[i]]
+            if last:
+                flat[last[-1]] = 0
+        return flat
+
+    return product_terms
 
 
 @pytest.mark.parametrize(
@@ -305,7 +320,10 @@ def _zero_remainder(original):
     [
         ("moore", "moore_adjugate", _transposed,
          "raised AssertionError: A*B = B*A = f*I fails; not a matrix factorization"),
-        ("poly", "divide", _zero_remainder, "raised AssertionError: division certificate failed"),
+        ("poly", "divide_row", _zero_remainder,
+         "raised AssertionError: division certificate failed"),
+        ("poly", "product_terms", _last_term_dropped,
+         "raised AssertionError: A*B = B*A = f*I fails; not a matrix factorization"),
     ],
 )
 def test_verify_all_reports_a_raising_check_and_exits_3(
@@ -314,7 +332,7 @@ def test_verify_all_reports_a_raising_check_and_exits_3(
     # a fault that makes a check raise is that check's failing result,
     # named after its function, and the other checks still run
     patched = patch_everywhere(module, name, make_fault)
-    assert {"hesse_moore", f"hesse_moore.{module}", "hesse_moore.ulrich"} <= set(patched)
+    assert {f"hesse_moore.{module}", "hesse_moore.ulrich"} <= set(patched)
     code, payload = run_json(capsys, "verify", "all")
     assert code == 3
     assert payload["status"] == "internal"
@@ -393,6 +411,8 @@ def test_verify_all_rejects_a_bad_prime_before_the_battery(capsys, p, message):
     ("hesse points --p 13 --lambda 3", 1),  # the domain-error payload
     ("verify all --p 13", 0),
     (f"ext basis --p {2**61 - 1} --a 1,2,3 --m=2 | head -c 100", 0),
+    # 80,971 bytes, more than a 64 KiB pipe holds: the write itself breaks
+    ("hesse points --p 6007 --lambda 6 | head -c 100", 0),
 ])
 def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(argv, exit_code):
     # the reader takes the `head -c` bytes and closes, as head does; without

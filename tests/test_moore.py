@@ -3,6 +3,7 @@ from itertools import chain, product
 import pytest
 
 from hesse_moore import linalg
+import hesse_moore.poly as poly
 from hesse_moore.field import FieldElement
 from hesse_moore.moore import (
     FormMatrix,
@@ -10,12 +11,14 @@ from hesse_moore.moore import (
     ProjectivePoint,
     adjugate_det,
     coordinate_vars,
+    is_scalar_product,
     left_kernel_mod,
     matmul_sum,
     moore,
     moore_adjugate,
     moore_det,
     moore_scalar,
+    product_row,
 )
 from hesse_moore.poly import HomForm, monomials
 
@@ -144,18 +147,34 @@ def test_mul_by_adjugate_gives_det(rng):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_is_scalar_is_g_times_identity(n):
+    # is_scalar_product compares the product's reduced row, cell by cell;
+    # each matrix is multiplied by the identity, on either side
     f = moore_det(T((1, 2, 3)))
     zero = HomForm.zero(3, P)
+    identity = FormMatrix.from_scalars([[int(i == j) for j in range(n)] for i in range(n)], P)
 
-    def matrix(cell):
-        return FormMatrix([[cell(i, j) for j in range(n)] for i in range(n)])
+    def is_scalar(cell, g=f):
+        m = FormMatrix([[cell(i, j) for j in range(n)] for i in range(n)])
+        left, right = is_scalar_product([(m, identity)], g), is_scalar_product([(identity, m)], g)
+        assert left == right
+        return left
 
-    assert matrix(lambda i, j: f if i == j else zero).is_scalar(f)
+    def scalar(i, j):
+        return f if i == j else zero
+
+    assert is_scalar(scalar)
     # a wrong diagonal, in one cell or in all
-    assert not matrix(lambda i, j: f if i == j != n - 1 else zero).is_scalar(f)
-    assert not matrix(lambda i, j: f + f if i == j else zero).is_scalar(f)
+    assert not is_scalar(lambda i, j: f if i == j != n - 1 else zero)
+    assert not is_scalar(lambda i, j: f + f if i == j else zero)
     # a nonzero entry off the diagonal
-    assert not matrix(lambda i, j: f if i == j or (i, j) == (0, n - 1) else zero).is_scalar(f)
+    assert not is_scalar(lambda i, j: f if i == j or (i, j) == (0, n - 1) else zero)
+    # one residue changed, in each cell in turn
+    bump = HomForm.from_residues(3, P, {(0, 1, 2): 1})
+    for cell in product(range(n), repeat=2):
+        assert not is_scalar(lambda i, j: scalar(i, j) + (bump if (i, j) == cell else zero))
+    # g at another degree, or with the same residues over another prime
+    assert not is_scalar(scalar, f * HomForm.variable(0, P))
+    assert not is_scalar(scalar, HomForm.from_residues(3, 19, f.residues))
 
 
 def test_form_matrix_algebra():
@@ -201,18 +220,48 @@ def entrywise_product_sum(pairs):
     return FormMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
 
 
-@pytest.mark.parametrize("p", [13, 37])
+# 2^61 - 1: the cells sum products of residues that exceed 64 bits
+@pytest.mark.parametrize("p", [13, 37, 2**61 - 1])
 @pytest.mark.parametrize("n", [3, 6])
 def test_matmul_sum_matches_entrywise_definition(n, p, rng):
     for _ in range(4):
         for d1 in range(4):
             for d2 in range(4 - d1):
-                X, Y, U, V = (random_form_matrix(rng, n, d, p) for d in (d1, d2, d2, d1))
+                degrees = (d1, d2, d2, d1, d1, d2)
+                X, Y, U, V, W, Z = (random_form_matrix(rng, n, d, p) for d in degrees)
                 assert X @ Y == entrywise_product_sum([(X, Y)]) == matmul_sum([(X, Y)])
                 assert matmul_sum([(X, Y), (U, V)]) == entrywise_product_sum([(X, Y), (U, V)])
                 assert matmul_sum([(X, Y), (U, V)]) == X @ Y + U @ V
+                # the flat row, reduced, is the sum's coordinates, cell by cell
+                three = [(X, Y), (U, V), (W, Z)]
+                want = entrywise_product_sum(three)
+                assert matmul_sum(three) == want
+                assert product_row(three) == [c for e in chain(*want.entries) for c in e.row()]
     zero = FormMatrix([[HomForm.zero(1, p)] * n] * n)
     assert (zero @ zero).is_zero() and (zero @ zero).degree == 2
+
+
+@pytest.mark.parametrize("p", [13, 2**61 - 1])
+@pytest.mark.parametrize("n", [3, 6])
+def test_flat_product_runs_both_loop_orders(n, p, rng, monkeypatch):
+    # one-term entries against dense ones, on either side: the grid with
+    # fewer terms runs outside, so the second product reads the
+    # transposed table product_index(1, d), not product_index(d, 1)
+    tables = []
+    counted = poly.product_index
+    monkeypatch.setattr(poly, "product_index", lambda *ds: tables.append(ds) or counted(*ds))
+    ones = FormMatrix([[HomForm.variable((i + j) % 3, p) for j in range(n)] for i in range(n)])
+    for d in range(1, 4):
+        dense = FormMatrix(
+            [[HomForm.from_residues(d, p, {e: rng.randrange(1, p) for e in monomials(d)})
+              for _ in range(n)] for _ in range(n)]
+        )
+        for pairs in ([(ones, dense)], [(dense, ones)], [(ones, dense), (dense, ones)]):
+            tables.clear()
+            want = entrywise_product_sum(pairs)
+            tables.clear()
+            assert matmul_sum(pairs) == want
+            assert set(tables) == {(1, d)}
 
 
 def test_matmul_sum_keeps_the_mismatch_errors(rng):

@@ -1,5 +1,6 @@
 import pytest
 
+import hesse_moore.poly as poly
 import hesse_moore.ulrich as ulrich_mod
 from hesse_moore.field import FieldElement
 from hesse_moore.hesse import HesseCurve, curve_through, extension_representative, iota
@@ -7,6 +8,7 @@ from hesse_moore.moore import (
     FormMatrix,
     ProjectivePoint,
     coordinate_vars,
+    is_scalar_product,
     moore,
     moore_adjugate,
     moore_det,
@@ -95,12 +97,39 @@ def test_bad_factorization_rejected(fac):
 
 def test_extension_identities_are_checked(fac, monkeypatch):
     # the identities hold whenever A*B = B*A = f*I; a faulty fused product
-    # must still be caught, not returned as a partner
-    monkeypatch.setattr(ulrich_mod, "matmul_sum", lambda pairs: fac.A)
+    # Y*N + M*X, here one that drops M*X, must still be caught, not
+    # returned as a partner
+    product_row = ulrich_mod.product_row
+    monkeypatch.setattr(ulrich_mod, "product_row", lambda pairs: product_row(pairs[:1]))
     with pytest.raises(AssertionError, match="partner does not satisfy"):
         partner_D(fac, fac.A)
     with pytest.raises(AssertionError, match="partner does not satisfy"):
         recover_C(fac, -fac.B)
+
+
+def test_forms_built(fac, monkeypatch):
+    # every form goes through poly._with_terms once.  A factorization
+    # builds its 27 entries and the cubic, a partner X*M, the quotient q
+    # and N = -q; the certificates compare int rows and build none
+    built = []
+    with_terms = poly._with_terms
+    monkeypatch.setattr(poly, "_with_terms", lambda *args: built.append(1) or with_terms(*args))
+
+    def count(call):
+        built.clear()
+        out = call()
+        return len(built), out
+
+    assert count(lambda: moore_factorization(A_POINT))[0] == 27 + 1
+    assert count(lambda: partner_D(fac, fac.A))[0] == 3 * 9
+    # and a rank-2 block: C, two zero forms, the coordinate variables
+    built_rank2, blocks = count(lambda: rank2_ulrich(A_POINT))
+    assert built_rank2 == 28 + 9 + 27 + 2 + 3
+    for certified in (fac, blocks.factorization):
+        assert count(lambda: MatrixFactorization(certified.A, certified.B, certified.f))[0] == 0
+        AB, BA = [(certified.A, certified.B)], [(certified.B, certified.A)]
+        form = certified.f.form
+        assert count(lambda: is_scalar_product(AB, form) and is_scalar_product(BA, form)) == (0, True)
 
 
 def test_preconditions():
