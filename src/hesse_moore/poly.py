@@ -89,13 +89,11 @@ class HomForm:
     def from_row(cls, degree: int, p: int, row) -> "HomForm":
         """The form with coordinate row ``row`` over monomials(degree), its
         ints reduced mod p."""
-        validate_modulus(p)
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
+        forms = split_row(degree, p, row)
         size = len(monomial_index(degree))
         if len(row) != size:
             raise ValueError(f"a degree-{degree} form has {size} coordinates, got {len(row)}")
-        return _form(degree, p, row)
+        return forms[0]
 
     @classmethod
     def from_residues(cls, degree: int, p: int, residues: dict[Exps, int]) -> "HomForm":

@@ -105,6 +105,23 @@ def test_extension_identities_are_checked(fac, monkeypatch):
         partner_D(fac, fac.A)
     with pytest.raises(AssertionError, match="partner does not satisfy"):
         recover_C(fac, -fac.B)
+    # and a faulty q*Y, the third single product of a solve (after X*M
+    # and X*M*X)
+    calls = []
+
+    def third_product_moved(pairs):
+        row = product_row(pairs)
+        if len(pairs) > 1:
+            return row
+        calls.append(pairs)
+        return [row[0] + 1, *row[1:]] if len(calls) == 3 else row
+
+    monkeypatch.setattr(ulrich_mod, "product_row", third_product_moved)
+    for solve in (lambda: partner_D(fac, fac.A), lambda: recover_C(fac, -fac.B)):
+        calls.clear()
+        with pytest.raises(AssertionError, match="partner does not satisfy"):
+            solve()
+        assert len(calls) == 3
 
 
 def test_forms_built(fac, monkeypatch):
