@@ -39,7 +39,7 @@ from . import linalg
 from .field import triple_residues
 from .hesse import extension_representative
 from .moore import FormMatrix, moore_scalar
-from .poly import HomForm, monomial_index, monomials, product_index, remainder_table
+from .poly import HomForm, monomial_index, product_index, remainder_table
 from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_criterion
 
 

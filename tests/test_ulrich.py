@@ -144,9 +144,9 @@ def test_forms_built(fac, monkeypatch):
     assert built_rank2 == 28 + 9 + 27 + 2 + 3
     for certified in (fac, blocks.factorization):
         assert count(lambda: MatrixFactorization(certified.A, certified.B, certified.f))[0] == 0
-        AB, BA = [(certified.A, certified.B)], [(certified.B, certified.A)]
-        form = certified.f.form
-        assert count(lambda: is_scalar_product(AB, form) and is_scalar_product(BA, form)) == (0, True)
+        A, B, form = certified.A, certified.B, certified.f.form
+        assert count(lambda: is_scalar_product([(A, B)], form)) == (0, True)
+        assert count(lambda: is_scalar_product([(B, A)], form)) == (0, True)
 
 
 def test_preconditions():
