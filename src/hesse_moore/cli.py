@@ -252,7 +252,7 @@ def cmd_ext(args):
         space = ext_mod.ext_space(a, m)
 
         def serialized(vecs):
-            return [ext_mod.unvectorize(v, m + 1, p).serialize() for v in vecs]
+            return [FormMatrix.from_row(3, m + 1, p, v).serialize() for v in vecs]
 
         return {
             "homotopies": serialized(space.homotopies),

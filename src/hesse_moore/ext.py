@@ -7,10 +7,9 @@ The degree-m extension space is the quotient
     ---------------------------------------------
     {U*A - A*V : U, V in Mat_3(S_m)}
 
-computed coefficientwise: matrices of forms are vectorized over the
-basis (entries row-major, monomials of the matrix's degree graded-lex)
-as rows of int residues, solution spaces come from null spaces,
-homotopy spaces from column spans, and subspace comparisons from
+computed coefficientwise: matrices of forms are their coordinate rows
+of int residues (FormMatrix.row()), solution spaces come from null
+spaces, homotopy spaces from column spans, and subspace comparisons from
 canonical reduced echelon forms, all through the int linalg kernel.
 The trace condition is linear in C, so its constraint columns are sums
 of rows of one table, by position, of remainders mod f of the
@@ -23,17 +22,17 @@ representatives, the solutions taken greedily outside the span of the
 homotopies, are read off one rref_mod of the generators' coordinates in
 the solution basis, by one path at every m.  An ExtSpace keeps those int
 rows and builds the reduced homotopy basis only when it is read; its
-quotient dimension is the number of representatives, and unvectorize
-turns a row back into a matrix of forms.  At m = -1 the solutions are
-spanned by the M_{b,e_i}, whose int rows moore_span_basis returns and
-verify checks; moore_representative places each entry of those rows at
-each x_k, as unit_products places A's; divergence_class is the
-divergence of the y of that representative.
+quotient dimension is the number of representatives.  At m = -1 the
+solutions are spanned by the M_{b,e_i}, whose int rows moore_span_basis
+returns and verify checks; moore_representative places each entry of
+those rows at each x_k, as unit_products places A's; divergence_class
+is the divergence of the y of that representative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .field import triple_residues
@@ -47,7 +46,7 @@ from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_
 class ExtSpace:
     """The solution basis, the chosen quotient representatives and the
     homotopy generators over F_p at shift m; each is the int coordinate
-    row (see vectorize) of a matrix of degree-(m+1) forms.  homotopies,
+    row (FormMatrix.row()) of a matrix of degree-(m+1) forms.  homotopies,
     the reduced basis of the generators' span, is built on first read."""
 
     m: int
@@ -55,34 +54,15 @@ class ExtSpace:
     representatives: list[list[int]]
     p: int
     generators: list[list[int]]
-    _homotopies: list | None = field(default=None, init=False, compare=False, repr=False)
 
-    @property
+    @cached_property
     def homotopies(self) -> list[list[int]]:
-        if self._homotopies is None:
-            rows = list(self.generators)
-            self._homotopies = rows[: len(linalg.rref_mod(rows, self.p))]
-        return self._homotopies
+        rows = list(self.generators)
+        return rows[: len(linalg.rref_mod(rows, self.p))]
 
     @property
     def quotient_dimension(self) -> int:
         return len(self.representatives)
-
-
-def vectorize(mat: FormMatrix) -> list[int]:
-    """Coordinates of a 3x3 matrix of forms as int residues: entries
-    row-major, monomials of the matrix's degree graded-lex."""
-    out = []
-    for row in mat.entries:
-        for entry in row:
-            out += entry.row()
-    return out
-
-
-def unvectorize(vec: list[int], degree: int, p: int) -> FormMatrix:
-    """The 3x3 matrix of degree-d forms with coordinates vec over F_p
-    (the inverse of vectorize); vec must have 9 * |S_d| entries."""
-    return FormMatrix.from_row(3, degree, p, vec)
 
 
 def unit_products(A: FormMatrix, degree: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -154,7 +134,7 @@ def ext_space(a, m: int) -> ExtSpace:
 
 
 def moore_span_basis(a) -> list[list[int]]:
-    """The coordinate rows (see vectorize) of the constant Moore matrices
+    """The coordinate rows (FormMatrix.row()) of the constant Moore matrices
     M_{b,e_i} at the extension representative b of -2*a."""
     v, p = triple_residues(a)
     b = extension_representative(v)
@@ -186,7 +166,7 @@ def moore_representative(a, C: FormMatrix):
     left, right = unit_products(fac.A, 0)
     columns += left + right
     system = [list(row) for row in zip(*columns)]
-    rhs = vectorize(C)
+    rhs = C.row()
     sol = linalg.solve_mod(system, rhs, p)
     if sol is None:
         raise AssertionError("no Moore representative for a solution C: divergence theorem fails")

@@ -7,16 +7,18 @@ realizes the curve's group law (see the hesse module).
 
 A triple a of FieldElements enters through field.triple_residues, and
 the Moore matrix, its adjugate and determinant are built from the int
-residues, the first two as one coordinate row each (FormMatrix.from_row,
-in ext.vectorize's layout).  A ProjectivePoint is a triple of normalized
-int residues; its ``coords`` property is the one conversion back to
-FieldElements.
-FormMatrix(entries) checks that its entries are square and uniform and
-reads its size, modulus and degree off them; the builders here whose
-rows are so by construction use the one unchecked _form_matrix.
-Products check sizes and moduli once and run poly's product_terms into
-one flat int row: matmul_sum (``@``) splits it into a matrix, while
-product_row and is_scalar_product compare it reduced and build no form.
+residues, the first two as one coordinate row each.  A ProjectivePoint
+is a triple of normalized int residues; its ``coords`` property is the
+one conversion back to FieldElements.
+FormMatrix owns the coordinate row of a matrix of forms: ``row()`` lays
+the cells out row-major, each over monomials(degree), and ``from_row``
+inverts it.  FormMatrix(entries) checks that its entries are square and
+uniform and reads its size, modulus and degree off them; the builders
+here whose rows are so by construction use the one unchecked
+_form_matrix.  product_row, the one sum of products, checks sizes and
+moduli once and runs poly's product_terms into that row, reduced: ``@``
+splits it into a matrix, while is_scalar_product compares it and builds
+no form.
 The kernel of a rank-2 matrix of int residues is kernel_column_mod, an
 adjugate column; left_kernel_mod is that column normalized.
 """
@@ -117,8 +119,9 @@ class FormMatrix:
     @classmethod
     def from_row(cls, n: int, degree: int, p: int, row) -> "FormMatrix":
         """The n x n matrix of degree-d forms over F_p with coordinate row
-        ``row`` (ints reduced mod p): cells row-major, each over
-        monomials(degree), as ext.vectorize lays them out."""
+        ``row`` (ints reduced mod p), as row() lays it out."""
+        if n < 1:
+            raise ValueError("a matrix needs at least one row")
         size = n * n * len(monomial_index(degree))
         if len(row) != size:
             what = f"a {n}x{n} matrix of degree-{degree} forms"
@@ -137,8 +140,14 @@ class FormMatrix:
         if other.p != self.p:
             raise ValueError("modulus mismatch")
 
+    def row(self) -> list[int]:
+        """The coordinates as int residues: cells row-major, each over
+        monomials(degree); from_row inverts it."""
+        return [c for row in self.entries for e in row for c in e.row()]
+
     def __matmul__(self, other: "FormMatrix") -> "FormMatrix":
-        return matmul_sum([(self, other)])
+        row = product_row([(self, other)])
+        return FormMatrix.from_row(self.n, self.degree + other.degree, self.p, row)
 
     def _combine(self, other: "FormMatrix", op) -> "FormMatrix":
         self._require_match(other)
@@ -187,10 +196,10 @@ class FormMatrix:
         return f"FormMatrix({self.n}x{self.n}, p={self.p})"
 
 
-def _product(pairs) -> tuple[FormMatrix, int, list[int]]:
-    """The first X, the degree and the unreduced coordinate row of
-    sum(X @ Y for X, Y in pairs); sizes, moduli and product degrees are
-    checked once per call."""
+def product_row(pairs) -> list[int]:
+    """The coordinate row (see FormMatrix.row) of sum(X @ Y for X, Y in
+    pairs), reduced mod p, with no form built; sizes, moduli and product
+    degrees are checked once per call."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("an empty sum of matrix products has no degree")
@@ -201,31 +210,20 @@ def _product(pairs) -> tuple[FormMatrix, int, list[int]]:
         X._require_match(Y)
         if X.degree + Y.degree != degree:
             raise ValueError(f"degree mismatch: {degree} vs {X.degree + Y.degree}")
-    return first, degree, product_terms([(X.entries, Y.entries) for X, Y in pairs])
-
-
-def matmul_sum(pairs) -> FormMatrix:
-    """sum(X @ Y for X, Y in pairs), every cell summed in one int row."""
-    first, degree, flat = _product(pairs)
-    return FormMatrix.from_row(first.n, degree, first.p, flat)
-
-
-def product_row(pairs) -> list[int]:
-    """The coordinate row (as ext.vectorize lays it out) of
-    sum(X @ Y for X, Y in pairs), reduced mod p; it builds no form."""
-    first, _, flat = _product(pairs)
+    flat = product_terms([(X.entries, Y.entries) for X, Y in pairs])
     return list(map(first.p.__rmod__, flat))
 
 
 def is_scalar_product(pairs, g: HomForm) -> bool:
-    """Whether sum(X @ Y for X, Y in pairs) is g*I: its reduced row
+    """Whether sum(X @ Y for X, Y in pairs) is g*I: its product_row
     against g's row in each diagonal cell and zeros elsewhere, every
     coefficient, with no form built; False at another degree or modulus."""
-    first, degree, flat = _product(pairs)
-    n, diagonal = first.n, g.row()
+    row = product_row(pairs)
+    X, Y = pairs[0]
+    n, diagonal = X.n, g.row()
     zero = [0] * len(diagonal)
     target = [c for cell in range(n * n) for c in (zero if cell % (n + 1) else diagonal)]
-    return (g.degree, g.p) == (degree, first.p) and list(map(g.p.__rmod__, flat)) == target
+    return (g.degree, g.p) == (X.degree + Y.degree, X.p) and row == target
 
 
 def _form_matrix(entries: list[list[HomForm]]) -> FormMatrix:

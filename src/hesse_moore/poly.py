@@ -8,7 +8,8 @@ residues as (position, residue) pairs, ascending, leading term first.
 Products never touch exponents: ``product_index(d1, d2)[i][j]``, one
 cached table per degree pair, is the position of monomial i of degree
 d1 times monomial j of degree d2; ``product_terms``, the one product
-loop, sums grids of forms into one flat int row for ``*`` and moore.
+loop, sums grids of forms into one flat int row for ``*`` and moore,
+laid out as moore's FormMatrix.row(), which owns that layout.
 ``divide`` by one form (such as the Hesse cubic, leading monomial x0^3)
 sweeps a row (divide_row) by the rows of one such table, the multiples
 of lm(f), descending; the rest is the remainder r, which
@@ -89,11 +90,10 @@ class HomForm:
     def from_row(cls, degree: int, p: int, row) -> "HomForm":
         """The form with coordinate row ``row`` over monomials(degree), its
         ints reduced mod p."""
-        forms = split_row(degree, p, row)
         size = len(monomial_index(degree))
         if len(row) != size:
             raise ValueError(f"a degree-{degree} form has {size} coordinates, got {len(row)}")
-        return forms[0]
+        return split_row(degree, p, row)[0]
 
     @classmethod
     def from_residues(cls, degree: int, p: int, residues: dict[Exps, int]) -> "HomForm":
@@ -236,20 +236,15 @@ class HomForm:
 def product_terms(products) -> list[int]:
     """The unreduced coordinate row of sum(X @ Y) over the grids of forms
     (X, Y) in products, r x m and m x c, of one product degree: cells
-    row-major, each over its monomials, as ext.vectorize lays them out.
-    Each term of X is read once per k; when Y has fewer terms, the
-    transposed grids run instead, on the transposed product table."""
+    row-major, each over its monomials, as FormMatrix.row() lays them
+    out.  Each term of X is read once per k."""
     X, Y = products[0]
     size = len(monomial_index(X[0][0].degree + Y[0][0].degree))
     stride = len(Y[0]) * size
     acc = [0] * (len(X) * stride)
     for X, Y in products:
-        row_step, cell_step = stride, size
-        if sum(len(x.terms) for r in X for x in r) > sum(len(y.terms) for r in Y for y in r):
-            X, Y = list(zip(*Y)), list(zip(*X))
-            row_step, cell_step = size, stride
         table = product_index(X[0][0].degree, Y[0][0].degree)
-        for base, x_row in zip(range(0, len(acc), row_step), X):
+        for base, x_row in zip(range(0, len(acc), stride), X):
             for x, y_row in zip(x_row, Y):
                 for i, v in x.terms:
                     positions = table[i]
@@ -257,7 +252,7 @@ def product_terms(products) -> list[int]:
                     for y in y_row:
                         for j, w in y.terms:
                             acc[at + positions[j]] += v * w
-                        at += cell_step
+                        at += size
     return acc
 
 

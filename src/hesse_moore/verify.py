@@ -67,7 +67,7 @@ def _random_triple(p: int, rng: random.Random):
 
 def _random_form_matrix(degree: int, p: int, rng: random.Random) -> FormMatrix:
     k = len(monomials(degree))
-    return ext_mod.unvectorize([rng.randrange(p) for _ in range(9 * k)], degree, p)
+    return FormMatrix.from_row(3, degree, p, [rng.randrange(p) for _ in range(9 * k)])
 
 
 def _nontorsion_points(curve: HesseCurve) -> list[ProjectivePoint]:
@@ -333,8 +333,8 @@ def check_partner_lemma(rng: random.Random):
     positive = 0
     broken = 0
     for C in candidates:
-        ca = _in_column_space(left, ext_mod.vectorize(-(C @ fac.B)), p)
-        cb = _in_column_space(right, ext_mod.vectorize(-(fac.B @ C)), p)
+        ca = _in_column_space(left, (-(C @ fac.B)).row(), p)
+        cb = _in_column_space(right, (-(fac.B @ C)).row(), p)
         cc = ulrich_mod.bcb_divisible(fac, C)
         if not (ca == cb == cc):
             mismatches += 1
@@ -405,7 +405,7 @@ def _divergence_kernel_matches_homotopy(a, space: ext_mod.ExtSpace) -> bool:
     """The kernel of divergence_class on the m = 0 solution space equals
     the homotopy subspace, as subspaces."""
     _, p = triple_residues(a)
-    values = [ext_mod.divergence_class(a, ext_mod.unvectorize(v, 1, p)) for v in space.solutions]
+    values = [ext_mod.divergence_class(a, FormMatrix.from_row(3, 1, p, v)) for v in space.solutions]
     # kernel of the functional sum c_i * values_i on solution coordinates
     kernel_vecs = linalg.mat_mul_mod(linalg.nullspace_mod([values], p), space.solutions, p)
     return linalg.same_span_mod(kernel_vecs, space.generators, p)

@@ -34,16 +34,16 @@ def test_hesse_add(capsys):
 
 
 def test_ext_dims_at_a_61_bit_prime(capsys):
-    # 2^61 - 1: primality by Miller-Rabin, and ext costs no more than at small p
-    code, payload = run_json(
-        capsys, "ext", "dims", "--p", str(2**61 - 1), "--a", "1,2,3", "--m=-2,-1,0,1"
-    )
-    assert code == 0
-    assert payload == {"dims": {"-2": 0, "-1": 3, "0": 1, "1": 0}, "status": "ok"}
-    code, payload = run_json(
-        capsys, "ext", "dims", "--p", "3317044064679887385961981", "--a", "1,2,3", "--m=0"
-    )
-    assert code == 1 and payload["status"] == "error"
+    # the dims at 2^61 - 1 are the ext_dims_61bit golden; past the
+    # Miller-Rabin bound psi_13 a modulus is refused, and psi_12, a strong
+    # pseudoprime to the 12 bases up to 37, is caught as composite
+    for modulus, message in (
+        ("3317044064679887385961981", "certified only below"),
+        ("318665857834031151167461", "is not prime"),
+    ):
+        code, payload = run_json(capsys, "ext", "dims", "--p", modulus, "--a", "1,2,3", "--m=0")
+        assert code == 1 and payload["status"] == "error"
+        assert message in payload["error"]
 
 
 def test_output_deterministic(capsys):

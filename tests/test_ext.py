@@ -10,8 +10,6 @@ from hesse_moore.ext import (
     moore_representative,
     moore_span_basis,
     unit_products,
-    unvectorize,
-    vectorize,
 )
 from hesse_moore.field import FieldElement
 from hesse_moore.hesse import HesseCurve, extension_representative
@@ -40,7 +38,7 @@ def test_solution_basis_satisfies_trace_condition():
         space = ext_space(A_POINT, m)
         assert space.solutions
         for v in space.solutions:
-            assert trace_criterion(fac, unvectorize(v, m + 1, P))
+            assert trace_criterion(fac, FormMatrix.from_row(3, m + 1, P, v))
 
 
 def test_homotopies_inside_solutions():
@@ -86,14 +84,15 @@ def test_homotopy_form():
     hom = ext_space(A_POINT, 0).homotopies
     u = FormMatrix.from_scalars([[0, 1, 0], [0, 0, 0], [0, 0, 0]], P)
     gen = u @ fac.A - fac.A @ u
-    assert linalg.rank_mod(hom + [vectorize(gen)], P) == len(hom)
+    assert linalg.rank_mod(hom + [gen.row()], P) == len(hom)
 
 
 def test_moore_span():
     basis = moore_span_basis(A_POINT)
     assert all(isinstance(c, int) and 0 <= c < P for row in basis for c in row)
     # M_{b,x} = sum_k M_{b,e_k} * x_k
-    parts = [unvectorize(row, 0, P).scale_form(x) for row, x in zip(basis, coordinate_vars(P))]
+    units = [FormMatrix.from_row(3, 0, P, row) for row in basis]
+    parts = [u.scale_form(x) for u, x in zip(units, coordinate_vars(P))]
     assert parts[0] + parts[1] + parts[2] == moore(extension_representative(A_POINT))
     assert linalg.rank_mod(basis, P) == 3
     assert linalg.same_span_mod(ext_space(A_POINT, -1).solutions, basis, P)
@@ -126,7 +125,8 @@ def _rebuilt(a, y, U, V) -> FormMatrix:
     products, since the Moore matrix is linear in its variables."""
     fac = moore_factorization(a)
     p = fac.f.p
-    m_by = [unvectorize(row, 0, p).scale_form(y_k) for row, y_k in zip(moore_span_basis(a), y)]
+    units = [FormMatrix.from_row(3, 0, p, row) for row in moore_span_basis(a)]
+    m_by = [u.scale_form(y_k) for u, y_k in zip(units, y)]
     u_mat, v_mat = FormMatrix.from_scalars(U, p), FormMatrix.from_scalars(V, p)
     return m_by[0] + m_by[1] + m_by[2] + u_mat @ fac.A - fac.A @ v_mat
 
@@ -136,7 +136,7 @@ def _random_solutions(a, count: int, rng) -> list[FormMatrix]:
     p = a[0].p
     sols = ext_space(a, 0).solutions
     coeffs = [[rng.randrange(p) for _ in sols] for _ in range(count)]
-    return [unvectorize(v, 1, p) for v in linalg.mat_mul_mod(coeffs, sols, p)]
+    return [FormMatrix.from_row(3, 1, p, v) for v in linalg.mat_mul_mod(coeffs, sols, p)]
 
 
 @pytest.mark.parametrize("p", [13, 19, 37, 2**61 - 1])
@@ -167,7 +167,7 @@ def test_divergence_class_values():
     # homotopy elements map to zero
     space = ext_space(A_POINT, 0)
     for h in space.homotopies[:3]:
-        assert divergence_class(A_POINT, unvectorize(h, 1, P)) == 0
+        assert divergence_class(A_POINT, FormMatrix.from_row(3, 1, P, h)) == 0
 
 
 def test_divergence_class_rejects_non_linear_c():
@@ -276,8 +276,8 @@ def test_unit_products_match_form_products(p, deg):
     units = [
         unit_matrix(r, c, mono, p) for r in range(3) for c in range(3) for mono in monomials(deg)
     ]
-    left = [vectorize(E @ A) for E in units]
-    right = [vectorize(A @ E) for E in units]
+    left = [(E @ A).row() for E in units]
+    right = [(A @ E).row() for E in units]
     assert unit_products(A, deg) == (left, right)
 
 
@@ -302,7 +302,7 @@ def test_left_kernel_solvability_matches_solve(deg, rng):
         if deg == 2:
             # the four constructed candidates of the check, all with partners
             for C in constructed:
-                rhs.append(vectorize(-(fac.B @ C if on_left else C @ fac.B)))
+                rhs.append((-(fac.B @ C if on_left else C @ fac.B)).row())
         solvable = 0
         for b in rhs:
             by_kernel = not any(sum(y * x for y, x in zip(row, b)) % p for row in kernel)
@@ -325,17 +325,17 @@ def test_unvectorize_inverts_vectorize(p, rng):
                     for _ in range(3)
                 ]
             )
-            vec = vectorize(M)
+            vec = M.row()
             assert len(vec) == 9 * len(monos)
-            assert unvectorize(vec, deg, p) == M
-            assert vectorize(unvectorize(vec, deg, p)) == vec
+            assert FormMatrix.from_row(3, deg, p, vec) == M
+            assert FormMatrix.from_row(3, deg, p, vec).row() == vec
 
 
 @pytest.mark.parametrize("degree, length", [(1, 2), (1, 40), (1, 26), (1, 28), (0, 0), (2, 27)])
 def test_unvectorize_rejects_wrong_length(degree, length):
     want = 9 * len(monomials(degree))
     with pytest.raises(ValueError, match=f"has {want} coordinates, got {length}"):
-        unvectorize(list(range(1, length + 1)), degree, P)
+        FormMatrix.from_row(3, degree, P, list(range(1, length + 1)))
 
 
 def monomial(exps, p):

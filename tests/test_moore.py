@@ -1,9 +1,9 @@
+import sys
 from itertools import chain, product
 
 import pytest
 
 from hesse_moore import linalg
-import hesse_moore.poly as poly
 from hesse_moore.field import FieldElement
 from hesse_moore.moore import (
     FormMatrix,
@@ -13,7 +13,6 @@ from hesse_moore.moore import (
     coordinate_vars,
     is_scalar_product,
     left_kernel_mod,
-    matmul_sum,
     moore,
     moore_adjugate,
     moore_det,
@@ -229,39 +228,18 @@ def test_matmul_sum_matches_entrywise_definition(n, p, rng):
             for d2 in range(4 - d1):
                 degrees = (d1, d2, d2, d1, d1, d2)
                 X, Y, U, V, W, Z = (random_form_matrix(rng, n, d, p) for d in degrees)
-                assert X @ Y == entrywise_product_sum([(X, Y)]) == matmul_sum([(X, Y)])
-                assert matmul_sum([(X, Y), (U, V)]) == entrywise_product_sum([(X, Y), (U, V)])
-                assert matmul_sum([(X, Y), (U, V)]) == X @ Y + U @ V
+                one = entrywise_product_sum([(X, Y)])
+                assert X @ Y == one and product_row([(X, Y)]) == one.row()
+                two = product_row([(X, Y), (U, V)])
+                assert two == entrywise_product_sum([(X, Y), (U, V)]).row()
+                assert two == (X @ Y + U @ V).row()
                 # the flat row, reduced, is the sum's coordinates, cell by cell
                 three = [(X, Y), (U, V), (W, Z)]
                 want = entrywise_product_sum(three)
-                assert matmul_sum(three) == want
+                assert FormMatrix.from_row(n, d1 + d2, p, product_row(three)) == want
                 assert product_row(three) == [c for e in chain(*want.entries) for c in e.row()]
     zero = FormMatrix([[HomForm.zero(1, p)] * n] * n)
     assert (zero @ zero).is_zero() and (zero @ zero).degree == 2
-
-
-@pytest.mark.parametrize("p", [13, 2**61 - 1])
-@pytest.mark.parametrize("n", [3, 6])
-def test_flat_product_runs_both_loop_orders(n, p, rng, monkeypatch):
-    # one-term entries against dense ones, on either side: the grid with
-    # fewer terms runs outside, so the second product reads the
-    # transposed table product_index(1, d), not product_index(d, 1)
-    tables = []
-    counted = poly.product_index
-    monkeypatch.setattr(poly, "product_index", lambda *ds: tables.append(ds) or counted(*ds))
-    ones = FormMatrix([[HomForm.variable((i + j) % 3, p) for j in range(n)] for i in range(n)])
-    for d in range(1, 4):
-        dense = FormMatrix(
-            [[HomForm.from_residues(d, p, {e: rng.randrange(1, p) for e in monomials(d)})
-              for _ in range(n)] for _ in range(n)]
-        )
-        for pairs in ([(ones, dense)], [(dense, ones)], [(ones, dense), (dense, ones)]):
-            tables.clear()
-            want = entrywise_product_sum(pairs)
-            tables.clear()
-            assert matmul_sum(pairs) == want
-            assert set(tables) == {(1, d)}
 
 
 def test_matmul_sum_keeps_the_mismatch_errors(rng):
@@ -269,15 +247,15 @@ def test_matmul_sum_keeps_the_mismatch_errors(rng):
     two = FormMatrix.from_scalars([[1, 0], [0, 1]], P)
     other = random_form_matrix(rng, 3, 1, 19)
     with pytest.raises(ValueError, match="^size mismatch: 3x3 vs 2x2$"):
-        matmul_sum([(a, two)])
+        product_row([(a, two)])
     with pytest.raises(ValueError, match="^size mismatch: 3x3 vs 2x2$"):
-        matmul_sum([(a, a), (two, two)])
+        product_row([(a, a), (two, two)])
     with pytest.raises(ValueError, match="^modulus mismatch$"):
         a @ other
     with pytest.raises(ValueError, match="^modulus mismatch$"):
-        matmul_sum([(a, a), (other, other)])
+        product_row([(a, a), (other, other)])
     with pytest.raises(ValueError, match="^degree mismatch: 2 vs 3$"):
-        matmul_sum([(a, a), (a, b)])
+        product_row([(a, a), (a, b)])
 
 
 def test_product_trace_is_the_trace_of_the_product(rng):
@@ -321,9 +299,14 @@ def test_form_matrix_rejects_mixed_entries():
         FormMatrix(rows)
 
 
-def test_form_matrix_needs_a_row():
+def test_form_matrix_needs_a_row(monkeypatch):
     with pytest.raises(ValueError, match="^a matrix needs at least one row$"):
         FormMatrix([])
+    # from_row refuses an empty size the same way, before it builds a form
+    monkeypatch.setattr(sys.modules[FormMatrix.__module__], "split_row", None)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^a matrix needs at least one row$"):
+            FormMatrix.from_row(n, 1, P, [])
 
 
 def assert_checked(out):

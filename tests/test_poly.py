@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+import hesse_moore.poly as poly
 from hesse_moore.field import FieldElement
 from hesse_moore.hesse import HesseCurve
 from hesse_moore.moore import FormMatrix
@@ -271,12 +272,16 @@ def test_from_residues_reduces_and_drops_zeros(p):
         HomForm.from_residues(0, p + 2, {(0, 0, 0): 1})
 
 
-def test_from_row_needs_one_coordinate_per_monomial():
+def test_from_row_needs_one_coordinate_per_monomial(monkeypatch):
     # a linear form has three coordinates, so a fourth entry has no monomial
     with pytest.raises(ValueError, match="^a degree-1 form has 3 coordinates, got 4$"):
         HomForm.from_row(1, 13, [1, 2, 3, 4])
     with pytest.raises(ValueError, match="^a degree-2 form has 6 coordinates, got 3$"):
         HomForm.from_row(2, 13, [1, 2, 3])
+    # the length is checked before the row is split into forms
+    monkeypatch.setattr(poly, "split_row", None)
+    with pytest.raises(ValueError, match="^a degree-1 form has 3 coordinates, got 6$"):
+        HomForm.from_row(1, 13, [1, 2, 3, 4, 5, 6])
 
 
 def test_int_constructors_reject_a_negative_degree():

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from hesse_moore.moore import FormMatrix, matmul_sum
+from hesse_moore.moore import FormMatrix, product_row
 from hesse_moore.poly import HomForm, divide, monomials, product_index
 
 # 2^61 - 1 makes every coefficient product exceed 64 bits
@@ -109,8 +109,9 @@ def test_matmul_sum_matches_reference(n, p):
             (random_matrix(n, d1, rng, p), random_matrix(n, d - d1, rng, p))
             for d1 in (0, d)
         ]
-        got = matmul_sum(mats)
-        assert (got.n, got.p, got.degree) == (n, p, d)
+        row = product_row(mats)
+        got = FormMatrix.from_row(n, d, p, row)
+        assert (got.n, got.p, got.degree, got.row()) == (n, p, d, row)
         for i in range(n):
             for j in range(n):
                 pairs = [(X.entries[i][k], Y.entries[k][j]) for X, Y in mats for k in range(n)]
@@ -149,4 +150,4 @@ def test_row_and_from_row_are_inverse(rng):
 
 def test_empty_matrix_sums_have_no_degree():
     with pytest.raises(ValueError, match="empty sum of matrix products has no degree"):
-        matmul_sum([])
+        product_row([])
