@@ -7,26 +7,18 @@ The degree-m extension space is the quotient
     ---------------------------------------------
     {U*A - A*V : U, V in Mat_3(S_m)}
 
-computed coefficientwise: matrices of forms are their coordinate rows
-of int residues (FormMatrix.row()), solution spaces come from null
-spaces, homotopy spaces from column spans, and subspace comparisons from
-canonical reduced echelon forms, all through the int linalg kernel.
-The trace condition is linear in C, so its constraint columns are sums
-of rows of one table, by position, of remainders mod f of the
-degree-(m+3) monomials (poly's remainder_table), with no form products
-or divisions.  The homotopies span the E*A and A*E for the unit matrices
-E, which unit_products returns as a pair of row lists, none at m < 0
-(it rejects any A but 3x3); these generators lie in the solution space.
-Positions of products come from poly's product_index.  The
-representatives, the solutions taken greedily outside the span of the
-homotopies, are read off one rref_mod of the generators' coordinates in
-the solution basis, by one path at every m.  An ExtSpace keeps those int
-rows and builds the reduced homotopy basis only when it is read; its
-quotient dimension is the number of representatives.  At m = -1 the
-solutions are spanned by the M_{b,e_i}, whose int rows moore_span_basis
-returns and verify checks; moore_representative places each entry of
-those rows at each x_k, as unit_products places A's; divergence_class
-is the divergence of the y of that representative.
+on coordinate rows of int residues (FormMatrix.row()).  Each trace
+constraint, linear in C, sums remainders mod f of degree-(m+3) monomials
+(remainder_table) by position.  The homotopies span the E*A and A*E for
+unit matrices E, rows of A's terms at product_index positions
+(_unit_rows; unit_products keeps every coordinate).  ext_space reduces
+the constraints once, places those terms on the free columns (the
+solution coordinates) and reads the representatives, the solutions taken
+greedily outside the homotopies' span, off the pivots of one more
+rref_mod; an ExtSpace builds the rest on first read.  At m = -1 the
+M_{b,e_i} (moore_span_basis, checked by verify) span the solutions;
+moore_representative places their entries at each x_k, as unit_products
+places A's, and divergence_class is the divergence of its y.
 """
 
 from __future__ import annotations
@@ -39,21 +31,36 @@ from .field import triple_residues
 from .hesse import extension_representative
 from .moore import FormMatrix, moore_scalar
 from .poly import HomForm, monomial_index, product_index, remainder_table
-from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_criterion
+from .ulrich import divergence, moore_factorization, trace_criterion
 
 
 @dataclass
 class ExtSpace:
-    """The solution basis, the chosen quotient representatives and the
-    homotopy generators over F_p at shift m; each is the int coordinate
-    row (FormMatrix.row()) of a matrix of degree-(m+1) forms.  homotopies,
-    the reduced basis of the generators' span, is built on first read."""
+    """The extension space over F_p at shift m: the reduced trace
+    constraints on Mat_3(S_{m+1}), their pivots, the representatives'
+    indices among the solutions, and A.  solutions, representatives,
+    generators and homotopies (the generators' reduced span), coordinate
+    rows of degree-(m+1) forms, are built on first read."""
 
     m: int
-    solutions: list[list[int]]
-    representatives: list[list[int]]
     p: int
-    generators: list[list[int]]
+    constraints: list[list[int]]
+    pivots: list[int]
+    representative_indices: list[int]
+    A: FormMatrix
+
+    @cached_property
+    def solutions(self) -> list[list[int]]:
+        width = 9 * len(monomial_index(self.m + 1))
+        return linalg.kernel_basis(self.constraints, self.pivots, width, self.p)
+
+    @cached_property
+    def representatives(self) -> list[list[int]]:
+        return [self.solutions[k] for k in self.representative_indices]
+
+    @cached_property
+    def generators(self) -> list[list[int]]:
+        return [g for side in unit_products(self.A, self.m) for g in side]
 
     @cached_property
     def homotopies(self) -> list[list[int]]:
@@ -62,75 +69,81 @@ class ExtSpace:
 
     @property
     def quotient_dimension(self) -> int:
-        return len(self.representatives)
+        return len(self.representative_indices)
 
 
-def unit_products(A: FormMatrix, degree: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Coordinates of the E_rc*mu @ A and of the A @ E_rc*mu for a 3x3 A,
-    for r, c row-major and mu over the degree-d monomials, as int rows.
-
-    E_rc*mu @ A is row c of A times mu placed in row r, and A @ E_rc*mu
-    is column r of A times mu placed in column c: shifted coefficients
-    of A, with no form products."""
+def _unit_rows(A: FormMatrix, degree: int, where, width: int):
+    """Width-wide int rows of the E_rc*mu @ A and the A @ E_rc*mu for a
+    3x3 A, r, c row-major and mu over the degree-d monomials, with each
+    coordinate j placed at where[j], or dropped when j is not in where.
+    E_rc*mu @ A is row c of A times mu in row r, and A @ E_rc*mu is
+    column r of A times mu in column c: shifted coefficients of A."""
     if A.n != 3:
         raise ValueError(f"unit_products needs a 3x3 matrix, got {A.n}x{A.n}")
-    k = len(monomial_index(degree + A.degree))
+    k, entries = len(monomial_index(degree + A.degree)), A.entries
     left, right = [], []
     for r in range(3):
         for c in range(3):
             # row mu of the table places mu times each monomial of A's degree
-            for shifted in product_index(degree, A.degree):
-                u, v = [0] * (9 * k), [0] * (9 * k)
+            for at in product_index(degree, A.degree):
+                u, v = [0] * width, [0] * width
                 for t in range(3):
-                    for e, coef in A.entries[c][t].terms:
-                        u[(3 * r + t) * k + shifted[e]] = coef
-                    for e, coef in A.entries[t][r].terms:
-                        v[(3 * t + c) * k + shifted[e]] = coef
+                    for e, x in entries[c][t].terms:
+                        if (j := (3 * r + t) * k + at[e]) in where:
+                            u[where[j]] = x
+                    for e, x in entries[t][r].terms:
+                        if (j := (3 * t + c) * k + at[e]) in where:
+                            v[where[j]] = x
                 left.append(u)
                 right.append(v)
     return left, right
 
 
-def _solution_vectors(fac: MatrixFactorization, m: int) -> list[list[int]]:
-    """Null space of the trace condition on Mat_3(S_{m+1})."""
-    p = fac.f.p
-    if m + 1 < 0:
-        return []
-    # tr(B * E_rc * mu) = B[c][r] * mu; constraints are the coefficients of
-    # its remainder mod f over the degree-(m+3) monomials, which is linear:
-    # the sum of b_e * rem(x^(e + mu)) over the terms b_e x^e of B[c][r]
-    rem = remainder_table(fac.f.form, m + 3)
-    shifted = product_index(fac.B.degree, m + 1)
-    columns = []
-    for r in range(3):
-        for c in range(3):
-            terms = fac.B.entries[c][r].terms
-            for mu in range(len(monomial_index(m + 1))):
-                col = [0] * len(rem)
-                for e, b in terms:
-                    for k, w in rem[shifted[e][mu]]:
-                        col[k] += b * w
-                columns.append(col)
-    # the rows of the multiples of lm(f) are zero (no remainder has one)
-    return linalg.nullspace_mod([list(row) for row in zip(*columns) if any(row)], p)
+def unit_products(A: FormMatrix, degree: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The coordinate rows (FormMatrix.row()) of the E_rc*mu @ A and the
+    A @ E_rc*mu (_unit_rows, every coordinate in place)."""
+    width = 9 * len(monomial_index(degree + A.degree))
+    return _unit_rows(A, degree, range(width), width)
+
+
+def _free_columns(pivots: list[int], width: int) -> dict[int, int]:
+    """Each column of a width-wide row that is not in pivots, mapped to
+    its place among those columns taken last-first."""
+    free = sorted(set(range(width)).difference(pivots), reverse=True)
+    return dict(zip(free, range(len(free))))
 
 
 def ext_space(a, m: int) -> ExtSpace:
     """The extension space at shift m for the Moore factorization at a.
-    A generator's solution coordinates are its entries at the free
-    columns, each solution's last nonzero entry (nullspace_mod).  With W
-    their span, dim(W + <e_1..e_k>) = k + dim(W past k), so solution k is
-    a representative exactly when it is no pivot of W's columns last-first."""
+    Solution k is 1 at the k-th free column and 0 at the others, so a
+    generator's coordinates are its entries there; with W their span,
+    dim(W + <e_1..e_k>) = k + dim(W past k), so solution k is a
+    representative exactly when it is no pivot of W's columns last-first."""
     fac = moore_factorization(a)
-    p = fac.f.p
-    sols = _solution_vectors(fac, m)
+    p, B = fac.f.p, fac.B
+    width = 9 * len(monomial_index(m + 1))
+    # tr(B * E_rc * mu) = B[c][r] * mu; constraints are the coefficients of
+    # its remainder mod f over the degree-(m+3) monomials, which is linear:
+    # the sum of b_e * rem(x^(e + mu)) over the terms b_e x^e of B[c][r]
+    rem = remainder_table(fac.f.form, m + 3)
+    rows = [[0] * width for _ in rem]
+    at, j = product_index(B.degree, m + 1), 0
+    for r in range(3):
+        for c in range(3):
+            for mu in range(width // 9):
+                for e, b in B.entries[c][r].terms:
+                    for k, w in rem[at[e][mu]]:
+                        rows[k][j] += b * w
+                j += 1
+    # the rows of the multiples of lm(f) are zero (no remainder has one)
+    rows = [row for row in rows if any(row)]
+    pivots = linalg.rref_mod(rows, p)
+    where = _free_columns(pivots, width)
     # the U*A - A*V span what the U*A and the A*V span
-    gens = [g for side in unit_products(fac.A, m) for g in side]
-    free = [len(v) - 1 - v[::-1].index(1) for v in reversed(sols)]
-    pivots = linalg.rref_mod([[g[c] for c in free] for g in gens], p)
-    last = len(sols) - 1
-    reps = [v for k, v in enumerate(sols) if last - k not in pivots]
-    return ExtSpace(m, sols, reps, p, gens)
+    coordinates = [g for side in _unit_rows(fac.A, m, where, len(where)) for g in side]
+    w_pivots = set(linalg.rref_mod(coordinates, p))
+    reps = [k for k in range(len(where)) if len(where) - 1 - k not in w_pivots]
+    return ExtSpace(m, p, rows, pivots, reps, fac.A)
 
 
 def moore_span_basis(a) -> list[list[int]]:

@@ -1,9 +1,9 @@
 """Exact linear algebra over F_p.
 
 One Gauss-Jordan kernel, ``rref_mod``, works on lists of lists of plain
-int residues with the modulus passed once; ``nullspace_mod``,
-``solve_mod``, ``rank_mod``, ``same_span_mod`` and ext's quotient
-representatives read their answers off it.  Sizes here are small (at
+int residues with the modulus passed once; ``nullspace_mod`` (through
+``kernel_basis``), ``solve_mod``, ``rank_mod``, ``same_span_mod`` and
+ext's quotient read their answers off it.  Sizes here are small (at
 most a few hundred rows), so plain elimination is all we need.  Its one
 refinement: a row update touches only the nonzero entries of the pivot
 row, in place, which makes the sparse systems of the ext module (a few
@@ -72,16 +72,17 @@ def mat_mul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int
 
 
 def nullspace_mod(m: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : m @ v = 0} over F_p, one vector per free column, for
-    a nonempty m (reduced in place), in free-column order.  Each is 1 at
-    its free column and 0 right of it and at the other free columns, so
-    a kernel vector's coordinates are its entries at the free columns."""
-    cols = len(m[0])
-    pivots = rref_mod(m, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    """kernel_basis of a nonempty m over F_p, after reducing m in place."""
+    return kernel_basis(m, rref_mod(m, p), len(m[0]), p)
+
+
+def kernel_basis(m: list[list[int]], pivots: list[int], cols: int, p: int) -> list[list[int]]:
+    """Basis of the null space of cols-wide rows m in reduced row echelon
+    form with these pivot columns, one vector per free column, in order.
+    Each is 1 at its free column and 0 right of it and at the other free
+    columns, so a kernel vector's coordinates are its entries there."""
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(cols)).difference(pivots)):
         v = [0] * cols
         v[fc] = 1
         for r, pc in enumerate(pivots):

@@ -7,7 +7,7 @@ one solver, _partner, gives D = -B*C*B / f and C = -A*D*A / f, and
 existence is decided by the trace criterion tr(B*C) = 0 mod f.  One
 certified entrywise quotient by f, off the product's flat row, serves
 all four of these divisions.  Each certificate (A*B = B*A = f*I, q*f,
-q*Y = X*M, Y*N + M*X = 0) compares reduced rows and builds no form.
+Y*q = M*X, N*Y + X*M = 0) compares reduced rows and builds no form.
 
 The f of a MatrixFactorization is the HesseCurve from curve_through,
 the one check that a0*a1*a2 != 0.
@@ -96,16 +96,17 @@ def _quotient(pairs, f: HomForm) -> FormMatrix | None:
 
 
 def _partner(X: FormMatrix, Y: FormMatrix, M: FormMatrix, f: HomForm, missing: str):
-    """N = -X*M*X / f, certified by q*Y = X*M (q = -N) and Y*N + M*X = 0,
-    each a comparison of reduced product rows; FactorizationError(missing)
-    when f does not divide X*M*X."""
-    XM_row = product_row([(X, M)])
-    XM = FormMatrix.from_row(X.n, X.degree + M.degree, X.p, XM_row)
-    q = _quotient([(XM, X)], f)
+    """N = -X*M*X / f off X*(M*X), X's sparse entries the outer grid,
+    certified by Y*q = M*X (q = -N) and N*Y + X*M = 0, each a comparison
+    of reduced product rows; FactorizationError(missing) when f does not
+    divide X*M*X."""
+    MX_row = product_row([(M, X)])
+    MX = FormMatrix.from_row(X.n, X.degree + M.degree, X.p, MX_row)
+    q = _quotient([(X, MX)], f)
     if q is None:
         raise FactorizationError(missing)
     N = -q
-    if product_row([(q, Y)]) != XM_row or any(product_row([(Y, N), (M, X)])):
+    if product_row([(Y, q)]) != MX_row or any(product_row([(N, Y), (X, M)])):
         raise AssertionError("partner does not satisfy the extension identities")
     return N
 

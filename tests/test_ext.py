@@ -54,9 +54,12 @@ def test_homotopies_inside_solutions():
 
 
 def test_ext_space_eliminations(monkeypatch):
-    # the quotient costs the nullspace and one elimination of the
-    # generators' coordinates; the reduced homotopy basis costs one
-    # more, on its first read only
+    # the quotient costs one elimination of the trace constraints and one
+    # of the generators' coordinates, with no null-space vectors and no
+    # dense generator rows; the solutions, representatives and generators
+    # are read off those pivots with no elimination, the quotient
+    # dimension counts the representatives, and the reduced homotopy
+    # basis costs one more elimination, on its first read only
     calls = []
     counted = linalg.rref_mod
 
@@ -64,18 +67,31 @@ def test_ext_space_eliminations(monkeypatch):
         calls.append(len(m))
         return counted(m, p)
 
+    dense = []
+    nullspace, units = linalg.nullspace_mod, ext.unit_products
+    monkeypatch.setattr(linalg, "nullspace_mod", lambda *a: dense.append(a) or nullspace(*a))
+    monkeypatch.setattr(ext, "unit_products", lambda *a: dense.append(a) or units(*a))
     monkeypatch.setattr(linalg, "rref_mod", counting)
     ext_space(A_POINT, 0)
     assert len(calls) == 2
-    for m in range(-2, 3):
-        calls.clear()
-        space = ext_space(A_POINT, m)
-        assert len(calls) <= 2
-        calls.clear()
-        homs = space.homotopies
-        assert len(calls) == 1
-        assert space.homotopies is homs
-        assert len(calls) == 1
+    for p in (13, 19, 37, 2**61 - 1):
+        a = tuple(FieldElement(v, p) for v in (1, 2, 3))
+        for m in range(-2, 3):
+            calls.clear()
+            dense.clear()
+            space = ext_space(a, m)
+            assert len(calls) <= 2
+            assert not dense
+            calls.clear()
+            read = (space.solutions, space.representatives, space.generators)
+            assert not calls
+            again = (space.solutions, space.representatives, space.generators)
+            assert all(now is first for now, first in zip(again, read))
+            assert space.quotient_dimension == len(space.representatives)
+            homs = space.homotopies
+            assert len(calls) == 1
+            assert space.homotopies is homs
+            assert len(calls) == 1
 
 
 def test_homotopy_form():

@@ -58,9 +58,21 @@ def _negated_at_degree_2(original):
 def _missing_a_representative(original):
     def ext_space(a, m):
         space = original(a, m)
-        return dataclasses.replace(space, representatives=space.representatives[1:])
+        indices = space.representative_indices[1:]
+        return dataclasses.replace(space, representative_indices=indices)
 
     return ext_space
+
+
+def _at_the_neighbouring_free_column(original):
+    def _free_columns(pivots, width):
+        # the entries at the first free column land on the second one
+        where = original(pivots, width)
+        if len(where) > 1:
+            where[min(where)] -= 1
+        return where
+
+    return _free_columns
 
 
 def _swapped(original):
@@ -120,6 +132,7 @@ CAUGHT = [
     ("trace_lemma", "ulrich", "trace_criterion", _negated_at_degree_2),
     ("rank2_blocks", "ext", "divergence_class", _constant(0)),
     ("ext_dimensions", "ext", "ext_space", _missing_a_representative),
+    ("ext_dimensions", "ext", "_free_columns", _at_the_neighbouring_free_column),
     ("ext_dimensions", "ext", "moore_span_basis", _first_row_twice),
     ("geometric_interpretations", "hesse", "HesseCurve.sub", _swapped),
 ]

@@ -97,7 +97,7 @@ def test_bad_factorization_rejected(fac):
 
 def test_extension_identities_are_checked(fac, monkeypatch):
     # the identities hold whenever A*B = B*A = f*I; a faulty fused product
-    # Y*N + M*X, here one that drops M*X, must still be caught, not
+    # N*Y + X*M, here one that drops X*M, must still be caught, not
     # returned as a partner
     product_row = ulrich_mod.product_row
     monkeypatch.setattr(ulrich_mod, "product_row", lambda pairs: product_row(pairs[:1]))
@@ -105,8 +105,8 @@ def test_extension_identities_are_checked(fac, monkeypatch):
         partner_D(fac, fac.A)
     with pytest.raises(AssertionError, match="partner does not satisfy"):
         recover_C(fac, -fac.B)
-    # and a faulty q*Y, the third single product of a solve (after X*M
-    # and X*M*X)
+    # and a faulty Y*q, the third single product of a solve (after M*X
+    # and X*(M*X))
     calls = []
 
     def third_product_moved(pairs):
@@ -126,7 +126,7 @@ def test_extension_identities_are_checked(fac, monkeypatch):
 
 def test_forms_built(fac, monkeypatch):
     # every form goes through poly._with_terms once.  A factorization
-    # builds its 27 entries and the cubic, a partner X*M, the quotient q
+    # builds its 27 entries and the cubic, a partner M*X, the quotient q
     # and N = -q; the certificates compare int rows and build none
     built = []
     with_terms = poly._with_terms
