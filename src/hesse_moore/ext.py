@@ -74,10 +74,9 @@ class ExtSpace:
 
 def _unit_rows(A: FormMatrix, degree: int, where, width: int):
     """Width-wide int rows of the E_rc*mu @ A and the A @ E_rc*mu for a
-    3x3 A, r, c row-major and mu over the degree-d monomials, with each
-    coordinate j placed at where[j], or dropped when j is not in where.
-    E_rc*mu @ A is row c of A times mu in row r, and A @ E_rc*mu is
-    column r of A times mu in column c: shifted coefficients of A."""
+    3x3 A, r, c row-major and mu over the degree-d monomials, coordinate
+    j at where[j] (dropped when j is not in where): E_rc*mu @ A is row c
+    of A times mu in row r, and A @ E_rc*mu column r of A times mu in column c."""
     if A.n != 3:
         raise ValueError(f"unit_products needs a 3x3 matrix, got {A.n}x{A.n}")
     k, entries = len(monomial_index(degree + A.degree)), A.entries
@@ -107,8 +106,7 @@ def unit_products(A: FormMatrix, degree: int) -> tuple[list[list[int]], list[lis
 
 
 def _free_columns(pivots: list[int], width: int) -> dict[int, int]:
-    """Each column of a width-wide row that is not in pivots, mapped to
-    its place among those columns taken last-first."""
+    """Each column of a width-wide row not in pivots, to its place among them last-first."""
     free = sorted(set(range(width)).difference(pivots), reverse=True)
     return dict(zip(free, range(len(free))))
 
@@ -122,6 +120,8 @@ def ext_space(a, m: int) -> ExtSpace:
     fac = moore_factorization(a)
     p, B = fac.f.p, fac.B
     width = 9 * len(monomial_index(m + 1))
+    if not width:  # m < -1: no unknowns, so no constraints and no generators
+        return ExtSpace(m, p, [], [], [], fac.A)
     # tr(B * E_rc * mu) = B[c][r] * mu; constraints are the coefficients of
     # its remainder mod f over the degree-(m+3) monomials, which is linear:
     # the sum of b_e * rem(x^(e + mu)) over the terms b_e x^e of B[c][r]

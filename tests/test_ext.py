@@ -68,9 +68,9 @@ def test_ext_space_eliminations(monkeypatch):
         return counted(m, p)
 
     dense = []
-    nullspace, units = linalg.nullspace_mod, ext.unit_products
-    monkeypatch.setattr(linalg, "nullspace_mod", lambda *a: dense.append(a) or nullspace(*a))
-    monkeypatch.setattr(ext, "unit_products", lambda *a: dense.append(a) or units(*a))
+    for module, name in ((linalg, "nullspace_mod"), (ext, "unit_products")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original: dense.append(args) or f(*args))
     monkeypatch.setattr(linalg, "rref_mod", counting)
     ext_space(A_POINT, 0)
     assert len(calls) == 2
