@@ -107,26 +107,25 @@ def _parse_matrix(text: str, degree: int, p: int) -> FormMatrix:
 
 
 def cmd_hesse(args):
-    curve = _curve(args)
     action = args.action
+    if action == "mul" and args.n is None:
+        raise UsageError("mul needs --n")
+    # the points are read before the curve is built: a usage error wins
+    names = {"add": ("x", "a"), "sub": ("x", "a"), "double": ("a",), "triple": ("a",), "mul": ("a",)}
+    points = [_point(getattr(args, name), args.p) for name in names.get(action, ())]
+    curve = _curve(args)
     if action == "points":
         pts = curve.enumerate_points()
         return {"count": len(pts), "lambda": curve.lam.value, "p": curve.p,
                 "points": _sorted_points(pts)}
     if action in ("add", "sub"):
-        x = _point(args.x, args.p)
-        a = _point(args.a, args.p)
         op = curve.add if action == "add" else curve.sub
-        return {"point": op(x, a).as_ints()}
+        return {"point": op(*points).as_ints()}
     if action in ("double", "triple"):
-        a = _point(args.a, args.p)
         op = curve.double if action == "double" else curve.triple
-        return {"point": op(a).as_ints()}
+        return {"point": op(*points).as_ints()}
     if action == "mul":
-        if args.n is None:
-            raise UsageError("mul needs --n")
-        a = _point(args.a, args.p)
-        return {"n": args.n, "point": curve.mul(args.n, a).as_ints()}
+        return {"n": args.n, "point": curve.mul(args.n, *points).as_ints()}
     if action == "torsion3":
         pts = curve.torsion3()
         return {"count": len(pts), "points": _sorted_points(pts)}
@@ -220,10 +219,10 @@ def cmd_ulrich(args):
             "extension_triple": residues(blocks.extension_triple)[0],
             "f": blocks.factorization.f.form.serialize(),
         }
-    fac = ulrich_mod.moore_factorization(a)
     if args.C is None:
         raise UsageError(f"{args.action} needs --C")
     C = _parse_matrix(args.C, args.deg, p)
+    fac = ulrich_mod.moore_factorization(a)
     if args.action == "partner":
         D = ulrich_mod.partner_D(fac, C)
         return {"D": D.serialize()}
@@ -243,10 +242,8 @@ def cmd_ext(args):
     a = _triple(args.a, p)
     if args.action == "dims":
         shifts = [_shift(v) for v in args.m.split(",")]
-        dims = {
-            str(m): ext_mod.ext_space(a, m).quotient_dimension for m in shifts
-        }
-        return {"dims": dims}
+        fac = ulrich_mod.moore_factorization(a)
+        return {"dims": {str(m): ext_mod.ext_space(fac, m).quotient_dimension for m in shifts}}
     if args.action == "basis":
         m = _shift(args.m)
         space = ext_mod.ext_space(a, m)

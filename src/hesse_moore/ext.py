@@ -1,7 +1,8 @@
 """Graded self-extension spaces of the rank-1 Ulrich module, as exact
 linear algebra over F_p.
 
-The degree-m extension space is the quotient
+The degree-m extension space of a 3x3 determinantal factorization (a
+Moore triple means moore_factorization of it) is the quotient
 
     {C in Mat_3(S_{m+1}) : tr(B*C) = 0 mod f}
     ---------------------------------------------
@@ -31,7 +32,7 @@ from .field import triple_residues
 from .hesse import extension_representative
 from .moore import FormMatrix, moore_scalar
 from .poly import HomForm, monomial_index, product_index, remainder_table
-from .ulrich import divergence, moore_factorization, trace_criterion
+from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_criterion
 
 
 @dataclass
@@ -111,13 +112,16 @@ def _free_columns(pivots: list[int], width: int) -> dict[int, int]:
     return dict(zip(free, range(len(free))))
 
 
-def ext_space(a, m: int) -> ExtSpace:
-    """The extension space at shift m for the Moore factorization at a.
+def ext_space(x, m: int) -> ExtSpace:
+    """The extension space at shift m of a 3x3 determinantal
+    factorization x; a Moore triple means moore_factorization of it.
     Solution k is 1 at the k-th free column and 0 at the others, so a
     generator's coordinates are its entries there; with W their span,
     dim(W + <e_1..e_k>) = k + dim(W past k), so solution k is a
     representative exactly when it is no pivot of W's columns last-first."""
-    fac = moore_factorization(a)
+    fac = x if isinstance(x, MatrixFactorization) else moore_factorization(x)
+    if (n := fac.A.n) != 3 or fac.A.degree != 1:  # the trace criterion needs B = adj(A) / c
+        raise ValueError(f"ext_space needs a 3x3 linear A, got {n}x{n} of degree {fac.A.degree}")
     p, B = fac.f.p, fac.B
     width = 9 * len(monomial_index(m + 1))
     if not width:  # m < -1: no unknowns, so no constraints and no generators

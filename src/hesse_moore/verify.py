@@ -418,7 +418,8 @@ def check_ext_dimensions(rng: random.Random, primes=(7, 13)):
     kernel_checked = 0
     for a in _base_points(primes, rng):
         tested += 1
-        spaces = {m: ext_mod.ext_space(a.coords, m) for m in expected}
+        fac = ulrich_mod.moore_factorization(a.coords)
+        spaces = {m: ext_mod.ext_space(fac, m) for m in expected}
         if {m: space.quotient_dimension for m, space in spaces.items()} != expected:
             bad += 1
             continue

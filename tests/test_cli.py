@@ -148,6 +148,17 @@ def test_ext_commands(capsys):
     assert payload["homotopies"] == []
 
 
+def test_ext_dims_builds_one_factorization(capsys, patch_everywhere):
+    calls = []
+    patch_everywhere(
+        "ulrich", "moore_factorization", lambda f: lambda a: calls.append(a) or f(a)
+    )
+    code, payload = run_json(capsys, "ext", "dims", "--p", "13", "--a", "1,2,3", "--m=-2,-1,0,1,2")
+    assert code == 0
+    assert payload["dims"] == {"-2": 0, "-1": 3, "0": 1, "1": 0, "2": 0}
+    assert len(calls) == 1
+
+
 def test_verify_all_p7(capsys):
     # every smooth curve over F_7 has only its nine flexes, so the two
     # base-point checks test nothing there: they fail instead of passing
@@ -206,6 +217,9 @@ def test_usage_error_exit_code(capsys):
         # a written '^' needs an exponent
         ("ulrich", "trace", "--p", "13", "--a", "1,2,3", "--deg", "1", "--C",
          json.dumps([["1*x0^", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]])),
+        # a malformed option wins over a zero coordinate or a singular lambda
+        ("ulrich", "trace", "--p", "13", "--a", "1,0,3", "--C", "notjson"),
+        ("hesse", "add", "--p", "13", "--lambda", "1", "--x", "1,2,3", "--a", "0,x,12"),
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)
@@ -223,6 +237,13 @@ def test_usage_error_exit_code(capsys):
         ("ext", "class", "--p", "13", "--a", "1,2,3"),
         ("hesse", "add", "--p", "13", "--lambda", "6", "--a", "1,2,3"),
         ("hesse", "points", "--p", "13"),
+        # a missing option wins over a zero coordinate or a singular lambda
+        pytest.param(("ulrich", "partner", "--p", "13", "--a", "1,0,3"), id="ulrich partner a0"),
+        pytest.param(("ext", "class", "--p", "13", "--a", "1,0,3"), id="ext class a0"),
+        pytest.param(("hesse", "add", "--p", "13", "--lambda", "1", "--a", "1,2,3"),
+                     id="hesse add singular"),
+        pytest.param(("hesse", "mul", "--p", "13", "--lambda", "1", "--a", "1,2,3"),
+                     id="hesse mul singular"),
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )

@@ -15,7 +15,12 @@ from hesse_moore.field import FieldElement
 from hesse_moore.hesse import HesseCurve, extension_representative
 from hesse_moore.moore import FormMatrix, coordinate_vars, moore
 from hesse_moore.poly import HomForm, divide, monomials, remainder_table
-from hesse_moore.ulrich import moore_factorization, trace_criterion
+from hesse_moore.ulrich import (
+    MatrixFactorization,
+    moore_factorization,
+    rank2_ulrich,
+    trace_criterion,
+)
 
 P = 13
 
@@ -92,6 +97,84 @@ def test_ext_space_eliminations(monkeypatch):
             assert len(calls) == 1
             assert space.homotopies is homs
             assert len(calls) == 1
+
+
+def _space_fields(space):
+    return (space, space.solutions, space.representatives, space.generators, space.homotopies)
+
+
+@pytest.mark.parametrize("p", [13, 19, 37, 2**61 - 1])
+def test_ext_space_of_the_moore_factorization_is_that_of_the_triple(p):
+    a = tuple(FieldElement(v, p) for v in (1, 2, 3))
+    fac = moore_factorization(a)
+    for m in range(-2, 3):
+        assert _space_fields(ext_space(fac, m)) == _space_fields(ext_space(a, m))
+
+
+def test_ext_space_of_a_factorization_builds_and_certifies_none(patch_everywhere):
+    # handed a factorization, ext_space neither builds a Moore
+    # factorization nor multiplies out A*B and B*A again
+    calls = []
+
+    def counted(original):
+        return lambda *args: calls.append(original.__name__) or original(*args)
+
+    patch_everywhere("ulrich", "moore_factorization", counted)
+    patch_everywhere("moore", "is_scalar_product", counted)
+    for p in (13, 2**61 - 1):
+        a = tuple(FieldElement(v, p) for v in (1, 2, 3))
+        fac = moore_factorization(a)
+        calls.clear()
+        for m in range(-2, 3):
+            _space_fields(ext_space(fac, m))
+        assert calls == []
+        # the triple builds and certifies its factorization once per call
+        ext_space(a, 0)
+        assert calls == ["moore_factorization", "is_scalar_product", "is_scalar_product"]
+
+
+def _invertible(rng, p):
+    """A random invertible 3x3 matrix of residues and its inverse."""
+    while True:
+        m = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+        augmented = [row + [int(i == j) for j in range(3)] for i, row in enumerate(m)]
+        if linalg.rref_mod(augmented, p) == [0, 1, 2]:
+            return m, [row[3:] for row in augmented]
+
+
+@pytest.mark.parametrize("p", [13, 19, 37, 2**61 - 1])
+def test_ext_space_of_an_equivalent_representation(p):
+    # (L*A*R, R^-1*B*L^-1) is a factorization with a non-Moore A; C -> L*C*R
+    # maps the Moore solutions and homotopy generators onto its own
+    rng = random.Random(3000 + p % 1000)
+    fac = moore_factorization(tuple(FieldElement(v, p) for v in (1, 2, 3)))
+    (L, L_inv), (R, R_inv) = _invertible(rng, p), _invertible(rng, p)
+    L, L_inv, R, R_inv = (FormMatrix.from_scalars(m, p) for m in (L, L_inv, R, R_inv))
+    other = MatrixFactorization(L @ fac.A @ R, R_inv @ fac.B @ L_inv, fac.f)
+    assert other.A != fac.A
+    dims = [ext_space(other, m).quotient_dimension for m in range(-2, 3)]
+    assert dims == [0, 3, 1, 0, 0]
+    for m in (-1, 0, 1):
+        moore_space, space = ext_space(fac, m), ext_space(other, m)
+
+        def image(rows):
+            return [(L @ FormMatrix.from_row(3, m + 1, p, v) @ R).row() for v in rows]
+
+        assert linalg.same_span_mod(space.solutions, image(moore_space.solutions), p)
+        assert linalg.same_span_mod(space.generators, image(moore_space.generators), p)
+
+
+@pytest.mark.parametrize("m", [-2, 0])
+def test_ext_space_rejects_what_is_no_rank_1_factorization(m):
+    # the trace criterion needs B to be A's adjugate: a 6x6 block and the
+    # swapped pair (B, A) are refused before any work
+    fac = moore_factorization(A_POINT)
+    blocks = rank2_ulrich(A_POINT).factorization
+    with pytest.raises(ValueError, match="ext_space needs a 3x3 linear A, got 6x6 of degree 1"):
+        ext_space(blocks, m)
+    swapped = MatrixFactorization(fac.B, fac.A, fac.f)
+    with pytest.raises(ValueError, match="ext_space needs a 3x3 linear A, got 3x3 of degree 2"):
+        ext_space(swapped, m)
 
 
 def test_homotopy_form():
@@ -199,8 +282,6 @@ def test_divergence_class_rejects_non_linear_c():
 
 def test_rank2_blocks_are_rejected_where_3x3_is_read():
     # the 6x6 rank-2 block would be read through its top-left 3x3 corner
-    from hesse_moore.ulrich import rank2_ulrich
-
     A6 = rank2_ulrich(A_POINT).factorization.A
     with pytest.raises(ValueError, match="needs a 3x3 matrix, got 6x6"):
         unit_products(A6, 0)
