@@ -111,7 +111,8 @@ def cmd_hesse(args):
     if action == "mul" and args.n is None:
         raise UsageError("mul needs --n")
     # the points are read before the curve is built: a usage error wins
-    names = {"add": ("x", "a"), "sub": ("x", "a"), "double": ("a",), "triple": ("a",), "mul": ("a",)}
+    names = {"add": ("x", "a"), "sub": ("x", "a"),
+             "double": ("a",), "triple": ("a",), "mul": ("a",)}
     points = [_point(getattr(args, name), args.p) for name in names.get(action, ())]
     curve = _curve(args)
     if action == "points":
