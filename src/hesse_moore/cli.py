@@ -3,14 +3,18 @@ subcommand with canonical JSON output.
 
 Output JSON is deterministic byte-for-byte for fixed inputs (sorted
 keys, compact separators); timing goes to standard error so it never
-perturbs the payload.  Exit codes: 0 ok, 1 domain error, 2 usage error
-(including a required option missing for the chosen action), 3 internal
-error (a failed cross-check, reported as {"error": ..., "status":
-"internal"}).  Any other exception is a bug and propagates.  `verify
-all` exits 3 with "status": "internal" when a check raised ("raised
-<Type>: <text>"), else 1 when one failed.  A closed stdout is no error.
-The environment variable HESSE_MOORE_SEED fixes the randomness source
-used by sampled checks in `verify all`.
+perturbs the payload.  OPTIONS lists the options each action reads,
+each required or with its default, and its typed converter.  Options
+follow their action (``hesse add --p 13 ...``).  Exit codes: 0 ok, 1
+domain error, 2 usage error (an option missing, malformed, abbreviated,
+not read by the action or given before it; argparse reports these
+before any curve or factorization is built), 3 internal error (a failed
+cross-check, reported as {"error": ..., "status": "internal"}).  Any
+other exception is a bug and propagates.  `verify all` exits 3 with
+"status": "internal" when a check raised ("raised <Type>: <text>"), else
+1 when one failed.  A closed stdout is no error.  The environment
+variable HESSE_MOORE_SEED fixes the randomness source used by sampled
+checks in `verify all`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import os
 import random
 import sys
 import time
+from functools import cache
 
 from . import ext as ext_mod
 from . import heisenberg as heis
@@ -44,38 +49,63 @@ class UsageError(ValueError):
     pass
 
 
-def _triple(text: str, p: int):
-    if text is None:
-        raise UsageError("missing a required point/triple option for this action")
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected three comma-separated residues, got {text!r}")
+class _Parser(argparse.ArgumentParser):
+    """A group or action parser: its errors reach main as a UsageError."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+# -- option converters: a ValueError is argparse's "invalid <name> value" --
+
+
+def triple(text: str) -> tuple[int, int, int]:
+    """Three comma-separated integers: a point or a Moore triple."""
+    a0, a1, a2 = map(int, text.split(","))
+    return a0, a1, a2
+
+
+def shifts(text: str) -> list[int]:
+    """Comma-separated integer shifts m."""
+    return [int(v) for v in text.split(",")]
+
+
+def grid(text: str) -> list[list[str]]:
+    """A JSON 3x3 array of strings; the action parses them as forms."""
     try:
-        values = [int(v) for v in parts]
-    except ValueError:
-        raise UsageError(f"residues must be integers, got {text!r}") from None
+        cells = json.loads(text)
+    except RecursionError:  # nested deeper than the decoder can go: no 3x3 array
+        cells = None
+    if not (isinstance(cells, list) and len(cells) == 3 and all(
+        isinstance(r, list) and len(r) == 3 and all(isinstance(c, str) for c in r) for r in cells
+    )):
+        raise ValueError("not a 3x3 array of form strings")
+    return cells
+
+
+def sign(text: str) -> str:
+    """The --lambda-sign convention, minus or plus."""
+    if text not in ("minus", "plus"):
+        raise ValueError(text)
+    return text
+
+
+def _field(values, p: int) -> tuple[FieldElement, ...]:
     return tuple(FieldElement(v, p) for v in values)
 
 
-def _shift(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"--m takes integer shifts, got {text!r}") from None
-
-
-def _point(text: str, p: int) -> ProjectivePoint:
-    return ProjectivePoint(_triple(text, p))
+def _point(values, p: int) -> ProjectivePoint:
+    return ProjectivePoint(_field(values, p))
 
 
 def _curve(args) -> HesseCurve:
-    p = args.p
-    if args.lam is not None:
-        lam = args.lam % p
+    p, lam = args.p, getattr(args, "lambda")
+    if lam is not None:
+        lam %= p
         if args.lambda_sign == "plus":
             lam = (-lam) % p
         return HesseCurve.from_lambda(lam, p)
-    if getattr(args, "a", None):
+    if args.a is not None:
         return curve_through(_point(args.a, p))
     raise UsageError("need --lambda or --a to determine the curve")
 
@@ -84,18 +114,7 @@ def _sorted_points(points) -> list[list[int]]:
     return sorted(pt.as_ints() for pt in points)
 
 
-def _parse_matrix(text: str, degree: int, p: int) -> FormMatrix:
-    try:
-        cells = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"matrix must be JSON (3x3 array of form strings): {exc}")
-    if not (
-        isinstance(cells, list)
-        and len(cells) == 3
-        and all(isinstance(r, list) and len(r) == 3 for r in cells)
-        and all(isinstance(cell, str) for r in cells for cell in r)
-    ):
-        raise UsageError("matrix must be a 3x3 array of form strings")
+def _forms(cells, degree: int, p: int) -> FormMatrix:
     try:
         forms = [[HomForm.parse(cell, degree, p) for cell in row] for row in cells]
     except (ValueError, IndexError) as exc:
@@ -107,30 +126,16 @@ def _parse_matrix(text: str, degree: int, p: int) -> FormMatrix:
 
 
 def cmd_hesse(args):
-    action = args.action
-    if action == "mul" and args.n is None:
-        raise UsageError("mul needs --n")
-    # the points are read before the curve is built: a usage error wins
-    names = {"add": ("x", "a"), "sub": ("x", "a"),
-             "double": ("a",), "triple": ("a",), "mul": ("a",)}
-    points = [_point(getattr(args, name), args.p) for name in names.get(action, ())]
-    curve = _curve(args)
-    if action == "points":
-        pts = curve.enumerate_points()
-        return {"count": len(pts), "lambda": curve.lam.value, "p": curve.p,
-                "points": _sorted_points(pts)}
-    if action in ("add", "sub"):
-        op = curve.add if action == "add" else curve.sub
-        return {"point": op(*points).as_ints()}
-    if action in ("double", "triple"):
-        op = curve.double if action == "double" else curve.triple
-        return {"point": op(*points).as_ints()}
-    if action == "mul":
-        return {"n": args.n, "point": curve.mul(args.n, *points).as_ints()}
-    if action == "torsion3":
-        pts = curve.torsion3()
-        return {"count": len(pts), "points": _sorted_points(pts)}
-    if action == "torsion6":
+    action, p = args.action, args.p
+    if action in ("points", "torsion3", "torsion6"):
+        curve = _curve(args)
+        if action == "points":
+            pts = curve.enumerate_points()
+            return {"count": len(pts), "lambda": curve.lam.value, "p": curve.p,
+                    "points": _sorted_points(pts)}
+        if action == "torsion3":
+            pts = curve.torsion3()
+            return {"count": len(pts), "points": _sorted_points(pts)}
         pts = curve.torsion6()
         primitive = [
             a for a in pts
@@ -138,13 +143,19 @@ def cmd_hesse(args):
         ]
         return {"count": len(pts), "points": _sorted_points(pts),
                 "primitive_count": len(primitive)}
+    a = _point(args.a, p)
+    points = (_point(args.x, p), a) if action in ("add", "sub") else (a,)
+    curve = _curve(args)
+    if action == "mul":
+        return {"n": args.n, "point": curve.mul(args.n, a).as_ints()}
+    return {"point": getattr(curve, action)(*points).as_ints()}
 
 
 # -- moore ---------------------------------------------------------------
 
 
 def cmd_moore(args):
-    a = _triple(args.a, args.p)
+    a = _field(args.a, args.p)
     if args.action == "build":
         return {"matrix": moore(a).serialize()}
     if args.action == "det":
@@ -152,7 +163,7 @@ def cmd_moore(args):
     if args.action == "adjugate":
         return {"adjugate": moore_adjugate(a).serialize()}
     if args.action == "kernel":
-        x = _triple(args.x, args.p)
+        x = _field(args.x, args.p)
         m = moore_scalar(triple_residues(a)[0], triple_residues(x)[0])
         return {"point": list(left_kernel_mod(m, args.p))}
 
@@ -163,14 +174,13 @@ def cmd_moore(args):
 def cmd_heis(args):
     p = args.p
     if args.action == "orbit":
-        orb = heis.orbit(_triple(args.a, p))
+        orb = heis.orbit(_field(args.a, p))
         return {"orbit": _sorted_points(orb), "size": len(orb)}
     if args.action == "invariants":
-        t = heis.trace_invariants(_triple(args.a, p))
+        t = heis.trace_invariants(_field(args.a, p))
         return {"invariants": list(t)}
     if args.action == "equiv":
-        a = _triple(args.a, p)
-        a2 = _triple(args.a2, p)
+        a, a2 = _field(args.a, p), _field(args.a2, p)
         same_curve = heis.on_same_curve(a, a2)
         inv, inv2 = heis.trace_invariants(a), heis.trace_invariants(a2)
         return {
@@ -185,9 +195,7 @@ def cmd_heis(args):
         table = {}
         for j in range(n):
             chi = heis.schrodinger_character(n, j, zeta, p)
-            table[str(j)] = {
-                f"{g.r},{g.s},{g.t}": chi(g) for g in heis.hn_elements(n)
-            }
+            table[str(j)] = {f"{g.r},{g.s},{g.t}": chi(g) for g in heis.hn_elements(n)}
         return {"n": n, "p": p, "zeta": zeta, "table": table}
     if args.action == "restrict":
         holds = heis.verify_restriction(args.n, args.d, args.j, p)
@@ -201,7 +209,7 @@ def cmd_heis(args):
 
 def cmd_ulrich(args):
     p = args.p
-    a = _triple(args.a, p)
+    a = _field(args.a, p)
     if args.action == "rank1":
         fac = ulrich_mod.moore_factorization(a)
         return {
@@ -220,9 +228,7 @@ def cmd_ulrich(args):
             "extension_triple": residues(blocks.extension_triple)[0],
             "f": blocks.factorization.f.form.serialize(),
         }
-    if args.C is None:
-        raise UsageError(f"{args.action} needs --C")
-    C = _parse_matrix(args.C, args.deg, p)
+    C = _forms(args.C, args.deg, p)
     fac = ulrich_mod.moore_factorization(a)
     if args.action == "partner":
         D = ulrich_mod.partner_D(fac, C)
@@ -240,13 +246,12 @@ def cmd_ulrich(args):
 
 def cmd_ext(args):
     p = args.p
-    a = _triple(args.a, p)
+    a = _field(args.a, p)
     if args.action == "dims":
-        shifts = [_shift(v) for v in args.m.split(",")]
         fac = ulrich_mod.moore_factorization(a)
-        return {"dims": {str(m): ext_mod.ext_space(fac, m).quotient_dimension for m in shifts}}
+        return {"dims": {str(m): ext_mod.ext_space(fac, m).quotient_dimension for m in args.m}}
     if args.action == "basis":
-        m = _shift(args.m)
+        m = args.m
         space = ext_mod.ext_space(a, m)
 
         def serialized(vecs):
@@ -260,10 +265,7 @@ def cmd_ext(args):
             "solutions": serialized(space.solutions),
         }
     if args.action == "class":
-        if args.C is None:
-            raise UsageError("class needs --C")
-        C = _parse_matrix(args.C, 1, p)
-        return {"class": ext_mod.divergence_class(a, C)}
+        return {"class": ext_mod.divergence_class(a, _forms(args.C, 1, p))}
 
 
 # -- verify ---------------------------------------------------------------
@@ -271,13 +273,9 @@ def cmd_ext(args):
 
 def cmd_verify(args):
     seed = int(os.environ.get("HESSE_MOORE_SEED", "0"))
-    rng = random.Random(seed)
-    results = verify_mod.run_all(rng, p=args.p)
+    results = verify_mod.run_all(random.Random(seed), p=args.p)
     payload = {
-        "checks": [
-            {"detail": r.detail, "name": r.name, "passed": r.passed}
-            for r in results
-        ],
+        "checks": [{"detail": r.detail, "name": r.name, "passed": r.passed} for r in results],
         "failed": sum(not r.passed for r in results),
         "passed": sum(r.passed for r in results),
         "seed": seed,
@@ -286,81 +284,69 @@ def cmd_verify(args):
     return payload, 3 if raised else int(not all(r.passed for r in results))
 
 
-# -- parser ----------------------------------------------------------------
+# -- the options each action reads ------------------------------------------
+
+REQUIRED = object()  # the default of an option the action cannot do without
+
+_P = {"--p": (int, REQUIRED)}
+_A = {**_P, "--a": (triple, REQUIRED)}
+_CURVE = {**_P, "--lambda": (int, None), "--lambda-sign": (sign, "minus"), "--a": (triple, None)}
+_ON_CURVE = {**_CURVE, "--a": (triple, REQUIRED)}
+_X = {"--x": (triple, REQUIRED)}
+_C = {**_A, "--C": (grid, REQUIRED)}  # ext class reads linear forms
+_C_DEG = {**_C, "--deg": (int, 1)}
+
+# group -> (help, handler, {action: {option: (converter, default or REQUIRED)}})
+OPTIONS = {
+    "hesse": ("curve group law and torsion", cmd_hesse, {
+        "points": _CURVE, "add": {**_ON_CURVE, **_X}, "sub": {**_ON_CURVE, **_X},
+        "double": _ON_CURVE, "triple": _ON_CURVE, "mul": {**_ON_CURVE, "--n": (int, REQUIRED)},
+        "torsion3": _CURVE, "torsion6": _CURVE,
+    }),
+    "moore": ("Moore matrices", cmd_moore, {
+        "build": _A, "det": _A, "adjugate": _A, "kernel": {**_A, **_X},
+    }),
+    "heis": ("Heisenberg actions and characters", cmd_heis, {
+        "orbit": _A, "invariants": _A, "equiv": {**_A, "--a2": (triple, REQUIRED)},
+        "characters": {**_P, "--n": (int, 3)},
+        "restrict": {**_P, "--n": (int, 3), "--d": (int, 3), "--j": (int, 1)},
+        "tensor": _P,
+    }),
+    "ulrich": ("matrix factorizations", cmd_ulrich, {
+        "rank1": _A, "rank2": _A, "partner": _C_DEG, "trace": _C_DEG,
+    }),
+    "ext": ("graded extension spaces", cmd_ext, {
+        "dims": {**_A, "--m": (shifts, "-2,-1,0,1")}, "basis": {**_A, "--m": (int, REQUIRED)},
+        "class": _C,
+    }),
+    "verify": ("acceptance battery", cmd_verify, {"all": {"--p": (int, None)}}),
+}
+
+_HELP = {
+    "--p": "field modulus (verify: restrict prime-parameterized sweeps to F_p)",
+    "--lambda-sign": "minus: f = x0^3+x1^3+x2^3 - lambda*x0x1x2; plus negates lambda",
+    "--m": "shift(s), comma-separated; use --m=-1 for negative values",
+    "--C": "JSON 3x3 array of forms of degree --deg (ext class: linear forms)",
+}
 
 
+@cache  # parsing reads the parser and leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hesse-moore",
         description="Moore-matrix determinantal representations of Hesse cubics",
     )
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    def common(sp, lam=False, a=False, x=False, a2=False):
-        sp.add_argument("--p", type=int, required=True, help="field modulus")
-        if lam:
-            sp.add_argument("--lambda", dest="lam", type=int, default=None)
-            sp.add_argument(
-                "--lambda-sign",
-                choices=("minus", "plus"),
-                default="minus",
-                help="sign convention: 'minus' is the internal x0^3+x1^3+x2^3 - lam*x0x1x2;"
-                " 'plus' negates lam on the way in",
-            )
-        if a:
-            sp.add_argument("--a", required=False, default=None)
-        if x:
-            sp.add_argument("--x", default=None)
-        if a2:
-            sp.add_argument("--a2", default=None)
-
-    hesse = sub.add_parser("hesse", help="curve group law and torsion")
-    hesse.add_argument(
-        "action",
-        choices=("points", "add", "sub", "double", "triple", "mul",
-                 "torsion3", "torsion6"),
-    )
-    common(hesse, lam=True, a=True, x=True)
-    hesse.add_argument("--n", type=int, default=None, help="multiplier for mul")
-    hesse.set_defaults(handler=cmd_hesse)
-
-    moore_p = sub.add_parser("moore", help="Moore matrices")
-    moore_p.add_argument("action", choices=("build", "det", "adjugate", "kernel"))
-    common(moore_p, a=True, x=True)
-    moore_p.set_defaults(handler=cmd_moore)
-
-    heis_p = sub.add_parser("heis", help="Heisenberg actions and characters")
-    heis_p.add_argument(
-        "action",
-        choices=("orbit", "invariants", "equiv", "characters", "restrict", "tensor"),
-    )
-    common(heis_p, a=True, a2=True)
-    heis_p.add_argument("--n", type=int, default=3)
-    heis_p.add_argument("--d", type=int, default=3)
-    heis_p.add_argument("--j", type=int, default=1)
-    heis_p.set_defaults(handler=cmd_heis)
-
-    ulrich_p = sub.add_parser("ulrich", help="matrix factorizations")
-    ulrich_p.add_argument("action", choices=("rank1", "rank2", "partner", "trace"))
-    common(ulrich_p, a=True)
-    ulrich_p.add_argument("--C", default=None, help="JSON 3x3 array of form strings")
-    ulrich_p.add_argument("--deg", type=int, default=1, help="entry degree of --C")
-    ulrich_p.set_defaults(handler=cmd_ulrich)
-
-    ext_p = sub.add_parser("ext", help="graded extension spaces")
-    ext_p.add_argument("action", choices=("dims", "basis", "class"))
-    common(ext_p, a=True)
-    ext_p.add_argument("--m", default="-2,-1,0,1",
-                       help="shift(s), comma-separated; use --m=-1 for negative values")
-    ext_p.add_argument("--C", default=None, help="JSON 3x3 array of linear-form strings")
-    ext_p.set_defaults(handler=cmd_ext)
-
-    verify_p = sub.add_parser("verify", help="acceptance battery")
-    verify_p.add_argument("action", choices=("all",))
-    verify_p.add_argument("--p", type=int, default=None,
-                          help="restrict prime-parameterized sweeps to F_p")
-    verify_p.set_defaults(handler=cmd_verify)
-
+    groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
+    for group, (group_help, handler, actions) in OPTIONS.items():
+        group_parser = groups.add_parser(group, help=group_help)
+        group_parser.set_defaults(handler=handler)
+        subs = group_parser.add_subparsers(dest="action", required=True)
+        for action, options in actions.items():
+            sp = subs.add_parser(action, allow_abbrev=False)
+            for flag, (convert, default) in options.items():
+                sp.add_argument(flag, type=convert, help=_HELP.get(flag),
+                                required=default is REQUIRED,
+                                default=None if default is REQUIRED else default)
     return parser
 
 
@@ -378,10 +364,11 @@ def _emit(payload: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    start = time.monotonic()
     try:
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:
+            raise UsageError(f"unrecognized arguments: {' '.join(unread)}")
+        start = time.monotonic()
         out = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -172,7 +172,12 @@ def check_group_law(rng: random.Random, primes=(7, 13)):
                         checks += 1
                         if curve.add(ab, c) != curve.add(a, curve.add(b, c)):
                             bad += 1
-    # closed doubling/tripling vs repeated Moore-kernel addition
+    def sigma(pt, k=1):
+        """sigma^k, translation by k*sigma(o) = k*[1:0:-1]; it needs no cube root of 1."""
+        return ProjectivePoint.from_ints(pt.residues[-(k % 3):] + pt.residues[:-(k % 3)], pt.p)
+
+    # closed doubling/tripling vs repeated Moore-kernel addition; the
+    # ladder and the kernel law commute with sigma, which fixes the sign of mul
     for p in primes:
         for curve in smooth_curves(p, 3):
             for a in curve.enumerate_points():
@@ -182,6 +187,13 @@ def check_group_law(rng: random.Random, primes=(7, 13)):
                     bad += 1
                 if curve.triple(a) != curve.add(two, a):
                     bad += 1
+                for n in (2, 5, 2**61 + 12345):
+                    checks += 2
+                    na = curve.mul(n, a)
+                    if curve.mul(n, sigma(a)) != sigma(na, n):
+                        bad += 1
+                    if curve.add(sigma(na), a) != sigma(curve.add(na, a)):
+                        bad += 1
     return CheckResult(
         "group law", bad == 0, f"{checks} identities checked, {bad} failures"
     )

@@ -244,6 +244,17 @@ def test_usage_error_exit_code(capsys):
                      id="hesse add singular"),
         pytest.param(("hesse", "mul", "--p", "13", "--lambda", "1", "--a", "1,2,3"),
                      id="hesse mul singular"),
+        # exit 2 since cli.OPTIONS states what each action reads
+        pytest.param(("ext", "basis", "--p", "13", "--a", "1,2,3"), id="ext basis no m"),
+        pytest.param(("hesse", "points", "--p", "13", "--lambda", "6", "--a", "0,x,1"),
+                     id="hesse points malformed a"),
+        pytest.param(("heis", "tensor", "--p", "13", "--a", "1,2,3"), id="heis tensor unread a"),
+        pytest.param(("hesse", "--p", "13", "points", "--lambda", "6"), id="hesse p before points"),
+        pytest.param(("moore", "kernel", "--p", "12", "--a", "1,2,3"), id="moore kernel bad p no x"),
+        pytest.param(("hesse", "points", "--p", "13", "--lambda-s", "plus", "--lambda", "7"),
+                     id="hesse points abbreviated"),
+        pytest.param(("ext", "class", "--p", "13", "--a", "1,2,3", "--C", "[" * 100_000),
+                     id="ext class C nested too deep"),
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
@@ -251,6 +262,12 @@ def test_missing_required_option_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ")
+
+
+def test_a_missing_option_is_named(capsys):
+    code, out, err = run(capsys, "ext", "basis", "--p", "13", "--a", "1,2,3")
+    assert (code, out) == (2, "")
+    assert err == "usage error: the following arguments are required: --m\n"
 
 
 def test_type_error_in_handler_propagates(monkeypatch):

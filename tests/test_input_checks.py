@@ -31,12 +31,16 @@ X = coordinate_vars(P)
 X7 = coordinate_vars(7)
 ZERO_COORDINATE = tuple(FieldElement(v, P) for v in (0, 1, 12))
 
+
+def _parse(*argv):
+    return cli.build_parser().parse_args(argv)
+
+
 ROWS = [
-    ("cli-triple-count", lambda: cli._triple("1,2", P), cli.UsageError,
-     "expected three comma-separated residues, got '1,2'"),
-    ("cli-matrix-json", lambda: cli._parse_matrix("[", 1, P), cli.UsageError,
-     "matrix must be JSON (3x3 array of form strings): "
-     "Expecting value: line 1 column 2 (char 1)"),
+    ("cli-triple-count", lambda: _parse("moore", "build", "--p", "13", "--a", "1,2"),
+     cli.UsageError, "argument --a: invalid triple value: '1,2'"),
+    ("cli-matrix-json", lambda: _parse("ext", "class", "--p", "13", "--a", "1,2,3", "--C", "["),
+     cli.UsageError, "argument --C: invalid grid value: '['"),
     ("heisenberg-order", lambda: HeisenbergElement(0, 0, 0, 0), ValueError,
      "order parameter must be positive"),
     ("heis3-representation-n", lambda: heis3_representation(HeisenbergElement(6, 0, 0, 0), P),

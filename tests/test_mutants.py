@@ -120,6 +120,7 @@ CAUGHT = [
     ("determinant_identity", "moore", "moore_det", _negated),
     ("rank_lemma", "moore", "moore_scalar", _wrong_01_entry),
     ("group_law", "moore", "left_kernel_mod", _of_transpose),
+    ("group_law", "hesse", "HesseCurve._mul", _sign_flipped),
     ("torsion", "hesse", "HesseCurve.torsion3", _missing_a_point),
     ("torsion", "hesse", "HesseCurve._mul", _one_more),
     ("equivalence_classification", "heisenberg", "orbit", _cut_to_3),
@@ -139,7 +140,6 @@ CAUGHT = [
 
 NOT_YET_CAUGHT = [
     ("equivalence_classification", "heisenberg", "trace_invariants", _rotated),
-    ("group_law", "hesse", "HesseCurve._mul", _sign_flipped),
 ]
 
 
