@@ -101,10 +101,8 @@ def _point(values, p: int) -> ProjectivePoint:
 def _curve(args) -> HesseCurve:
     p, lam = args.p, getattr(args, "lambda")
     if lam is not None:
-        lam %= p
-        if args.lambda_sign == "plus":
-            lam = (-lam) % p
-        return HesseCurve.from_lambda(lam, p)
+        lam = FieldElement(lam, p)  # checks p before it reduces lam
+        return HesseCurve(-lam if args.lambda_sign == "plus" else lam)
     if args.a is not None:
         return curve_through(_point(args.a, p))
     raise UsageError("need --lambda or --a to determine the curve")

@@ -11,44 +11,55 @@ Moore triple means moore_factorization of it) is the quotient
 on coordinate rows of int residues (FormMatrix.row()).  Each trace
 constraint, linear in C, sums remainders mod f of degree-(m+3) monomials
 (remainder_table) by position.  The homotopies span the E*A and A*E for
-unit matrices E, rows of A's terms at product_index positions
-(_unit_rows; unit_products keeps every coordinate).  ext_space reduces
-the constraints once, places those terms on the free columns (the
-solution coordinates) and reads the representatives, the solutions taken
-greedily outside the homotopies' span, off the pivots of one more
-rref_mod; an ExtSpace builds the rest on first read.  At m = -1 the
-M_{b,e_i} (moore_span_basis, checked by verify) span the solutions;
-moore_representative places their entries at each x_k, as unit_products
-places A's, and divergence_class is the divergence of its y.
+unit matrices E, sparse rows of A's terms at product_index positions
+(_unit_rows; unit_products densifies every coordinate).  ext_space
+builds no dense matrix: the pivots of an echelon basis of the
+constraints (linalg.echelon_mod) leave the free columns (the solution
+coordinates), where those terms are placed, and the representatives, the
+solutions taken greedily outside the homotopies' span, are read off the
+pivots of one more; an ExtSpace keeps the constraint basis and builds
+the rest on first read.  At m = -1 the M_{b,e_i} (moore_span_basis,
+checked by verify) span the solutions; moore_representative places
+their entries at each x_k, as unit_products places A's, for a Moore
+matrix A (moore_triple), and divergence_class is the divergence of its y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from . import linalg
-from .field import triple_residues
+from .field import FieldElement, triple_residues
 from .hesse import extension_representative
-from .moore import FormMatrix, moore_scalar
+from .moore import FormMatrix, moore, moore_scalar
 from .poly import HomForm, monomial_index, product_index, remainder_table
 from .ulrich import MatrixFactorization, divergence, moore_factorization, trace_criterion
 
 
 @dataclass
 class ExtSpace:
-    """The extension space over F_p at shift m: the reduced trace
-    constraints on Mat_3(S_{m+1}), their pivots, the representatives'
-    indices among the solutions, and A.  solutions, representatives,
+    """The extension space over F_p at shift m: the echelon basis of the
+    trace constraints on Mat_3(S_{m+1}) (linalg.echelon_mod), its
+    pivots, the representatives' indices among the solutions, and A.
+    constraints (the basis reduced), solutions, representatives,
     generators and homotopies (the generators' reduced span), coordinate
     rows of degree-(m+1) forms, are built on first read."""
 
     m: int
     p: int
-    constraints: list[list[int]]
+    basis: dict[int, dict[int, int]]
     pivots: list[int]
     representative_indices: list[int]
     A: FormMatrix
+
+    @cached_property
+    def constraints(self) -> list[list[int]]:
+        width = 9 * len(monomial_index(self.m + 1))
+        rows = linalg.densify([self.basis[c] for c in self.pivots], width)
+        linalg.rref_mod(rows, self.p)
+        return rows
 
     @cached_property
     def solutions(self) -> list[list[int]]:
@@ -73,11 +84,12 @@ class ExtSpace:
         return len(self.representative_indices)
 
 
-def _unit_rows(A: FormMatrix, degree: int, where, width: int):
-    """Width-wide int rows of the E_rc*mu @ A and the A @ E_rc*mu for a
-    3x3 A, r, c row-major and mu over the degree-d monomials, coordinate
-    j at where[j] (dropped when j is not in where): E_rc*mu @ A is row c
-    of A times mu in row r, and A @ E_rc*mu column r of A times mu in column c."""
+def _unit_rows(A: FormMatrix, degree: int, where):
+    """Sparse int rows ({column: int}) of the E_rc*mu @ A and the
+    A @ E_rc*mu for a 3x3 A, r, c row-major and mu over the degree-d
+    monomials, coordinate j at column where[j] (dropped when j is not in
+    where): E_rc*mu @ A is row c of A times mu in row r, and A @ E_rc*mu
+    column r of A times mu in column c."""
     if A.n != 3:
         raise ValueError(f"unit_products needs a 3x3 matrix, got {A.n}x{A.n}")
     k, entries = len(monomial_index(degree + A.degree)), A.entries
@@ -86,7 +98,7 @@ def _unit_rows(A: FormMatrix, degree: int, where, width: int):
         for c in range(3):
             # row mu of the table places mu times each monomial of A's degree
             for at in product_index(degree, A.degree):
-                u, v = [0] * width, [0] * width
+                u, v = {}, {}
                 for t in range(3):
                     for e, x in entries[c][t].terms:
                         if (j := (3 * r + t) * k + at[e]) in where:
@@ -103,13 +115,26 @@ def unit_products(A: FormMatrix, degree: int) -> tuple[list[list[int]], list[lis
     """The coordinate rows (FormMatrix.row()) of the E_rc*mu @ A and the
     A @ E_rc*mu (_unit_rows, every coordinate in place)."""
     width = 9 * len(monomial_index(degree + A.degree))
-    return _unit_rows(A, degree, range(width), width)
+    left, right = _unit_rows(A, degree, range(width))
+    return linalg.densify(left, width), linalg.densify(right, width)
 
 
 def _free_columns(pivots: list[int], width: int) -> dict[int, int]:
     """Each column of a width-wide row not in pivots, to its place among them last-first."""
     free = sorted(set(range(width)).difference(pivots), reverse=True)
     return dict(zip(free, range(len(free))))
+
+
+def moore_triple(fac: MatrixFactorization) -> tuple[FieldElement, ...]:
+    """The triple a of a factorization whose A is the Moore matrix
+    M_{a,x}, read off its diagonal a0*x0, a2*x0, a1*x0; any other A is
+    a ValueError."""
+    A = fac.A
+    if A.n == 3 and A.degree == 1:
+        v = [A.entries[i][i].coefficient((1, 0, 0)) for i in (0, 2, 1)]
+        if any(v) and moore(a := tuple(FieldElement(x, A.p) for x in v)) == A:
+            return a
+    raise ValueError(f"A is not a 3x3 Moore matrix: {A.serialize()}")
 
 
 def ext_space(x, m: int) -> ExtSpace:
@@ -125,29 +150,27 @@ def ext_space(x, m: int) -> ExtSpace:
     p, B = fac.f.p, fac.B
     width = 9 * len(monomial_index(m + 1))
     if not width:  # m < -1: no unknowns, so no constraints and no generators
-        return ExtSpace(m, p, [], [], [], fac.A)
+        return ExtSpace(m, p, {}, [], [], fac.A)
     # tr(B * E_rc * mu) = B[c][r] * mu; constraints are the coefficients of
     # its remainder mod f over the degree-(m+3) monomials, which is linear:
     # the sum of b_e * rem(x^(e + mu)) over the terms b_e x^e of B[c][r]
     rem = remainder_table(fac.f.form, m + 3)
-    rows = [[0] * width for _ in rem]
+    rows = [{} for _ in rem]
     at, j = product_index(B.degree, m + 1), 0
     for r in range(3):
         for c in range(3):
             for mu in range(width // 9):
                 for e, b in B.entries[c][r].terms:
                     for k, w in rem[at[e][mu]]:
-                        rows[k][j] += b * w
+                        row = rows[k]
+                        row[j] = row.get(j, 0) + b * w
                 j += 1
-    # the rows of the multiples of lm(f) are zero (no remainder has one)
-    rows = [row for row in rows if any(row)]
-    pivots = linalg.rref_mod(rows, p)
-    where = _free_columns(pivots, width)
+    basis = linalg.echelon_mod(rows, p)
+    where = _free_columns(basis, width)
     # the U*A - A*V span what the U*A and the A*V span
-    coordinates = [g for side in _unit_rows(fac.A, m, where, len(where)) for g in side]
-    w_pivots = set(linalg.rref_mod(coordinates, p))
+    w_pivots = linalg.echelon_mod(chain(*_unit_rows(fac.A, m, where)), p)
     reps = [k for k in range(len(where)) if len(where) - 1 - k not in w_pivots]
-    return ExtSpace(m, p, rows, pivots, reps, fac.A)
+    return ExtSpace(m, p, basis, sorted(basis), reps, fac.A)
 
 
 def moore_span_basis(a) -> list[list[int]]:
@@ -163,16 +186,18 @@ class RepresentationError(ValueError):
     """No Moore-form representative exists for the given solution."""
 
 
-def moore_representative(a, C: FormMatrix):
+def moore_representative(x, C: FormMatrix):
     """Solve C = M_{b,y} + U*A - A*V for y (linear forms) and constant
-    U, V (rows of int residues); C, a 3x3 matrix of linear forms with
-    tr(B*C) = 0 mod f, has one by the divergence theorem."""
+    U, V (rows of int residues), for a factorization whose A is a Moore
+    matrix (moore_triple; a Moore triple means moore_factorization of
+    it); C, a 3x3 matrix of linear forms with tr(B*C) = 0 mod f, has one
+    by the divergence theorem."""
     if C.n != 3:
         raise ValueError(f"C must be 3x3, got {C.n}x{C.n}")
     if C.degree != 1:
         raise ValueError(f"C must have linear entries, got degree {C.degree}")
-    a = tuple(a)
-    fac = moore_factorization(a)
+    fac = x if isinstance(x, MatrixFactorization) else moore_factorization(x)
+    a = moore_triple(fac)
     if not trace_criterion(fac, C):
         raise RepresentationError("C is not in the m = 0 solution space: tr(B*C) != 0 mod f")
     p = fac.f.p
@@ -193,7 +218,7 @@ def moore_representative(a, C: FormMatrix):
     return y, U, V
 
 
-def divergence_class(a, C: FormMatrix) -> int:
+def divergence_class(x, C: FormMatrix) -> int:
     """The divergence of the Moore representative of a linear C; zero
     exactly on the homotopy subspace."""
-    return divergence(moore_representative(a, C)[0])
+    return divergence(moore_representative(x, C)[0])

@@ -1,15 +1,19 @@
 """Exact linear algebra over F_p.
 
-One Gauss-Jordan kernel, ``rref_mod``, works on lists of lists of plain
-int residues with the modulus passed once; ``nullspace_mod`` (through
-``kernel_basis``), ``solve_mod``, ``rank_mod``, ``same_span_mod`` and
-ext's quotient read their answers off it.  Sizes here are small (at
-most a few hundred rows), so plain elimination is all we need.  Its one
-refinement: a row update touches only the nonzero entries of the pivot
-row, in place, which makes the sparse systems of the ext module (a few
-percent nonzero) cheap and halves the work on dense ones.  Reduced row
-echelon form is canonical, which makes subspace comparison a matter of
-comparing rref bases.
+Two kernels work on plain int residues with the modulus passed once.
+The dense one, ``rref_mod``, is Gauss-Jordan on lists of lists, for
+reduced rows: ``nullspace_mod`` (through ``kernel_basis``),
+``solve_mod``, ``rank_mod``, ``same_span_mod`` and ext's solutions read
+their answers off it.  Its one refinement: a row update touches only
+the nonzero entries of the pivot row, in place, which halves the work
+on dense rows.  Reduced row echelon form is canonical, which makes
+subspace comparison a matter of comparing rref bases.  The sparse one,
+``echelon_mod``, is for pivots alone: it reduces {column: int} rows
+one by one against an echelon basis, touching only nonzeros, which
+suits ext's systems (a few nonzeros per row); the leading columns of
+any echelon basis of a span are the pivots of its rref.  ``densify``
+turns such rows into lists.  Sizes here are small (at most a few
+hundred rows), so plain elimination is all we need.
 
 A pivot is inverted by the built-in pow(x, -1, p), the one inverse
 idiom of the package.  ``mat_mul_mod`` multiplies int matrices (the
@@ -63,6 +67,41 @@ def rref_mod(m: list[list[int]], p: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def echelon_mod(rows, p: int) -> dict[int, dict[int, int]]:
+    """An echelon basis over F_p of the span of the sparse int rows
+    ({column: int}, left untouched), keyed by leading column: each row
+    is 1 there, 0 at every column left of it, and holds its nonzero
+    residues only.  The keys are the pivots rref_mod finds."""
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        v = {c: r for c, x in row.items() if (r := x % p)}
+        while v:
+            lead = min(v)
+            f = v.pop(lead)
+            tail = basis.get(lead)
+            if tail is None:
+                if f != 1:
+                    inv = pow(f, -1, p)
+                    for c in v:
+                        v[c] = v[c] * inv % p
+                basis[lead] = v
+                break
+            # a basis row is its tail until the end, so v loses its lead
+            for c, y in tail.items():
+                if x := (v.get(c, 0) - f * y) % p:
+                    v[c] = x
+                else:
+                    del v[c]
+    for lead, tail in basis.items():
+        tail[lead] = 1
+    return basis
+
+
+def densify(rows, width: int) -> list[list[int]]:
+    """The width-wide int lists of the sparse rows ({column: int})."""
+    return [[row.get(c, 0) for c in range(width)] for row in rows]
 
 
 def mat_mul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:

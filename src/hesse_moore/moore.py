@@ -7,9 +7,10 @@ realizes the curve's group law (see the hesse module).
 
 A triple a of FieldElements enters through field.triple_residues, and
 the Moore matrix, its adjugate and determinant are built from the int
-residues, the first two as one coordinate row each.  A ProjectivePoint
-is a triple of normalized int residues; its ``coords`` property is the
-one conversion back to FieldElements.
+residues, the first two form by form off each entry's one or two terms
+(HomForm.from_terms).  A ProjectivePoint is a triple of normalized int
+residues; its ``coords`` property is the one conversion back to
+FieldElements.
 FormMatrix owns the coordinate row of a matrix of forms: ``row()`` lays
 the cells out row-major, each over monomials(degree), and ``from_row``
 inverts it.  FormMatrix(entries) checks that its entries are square and
@@ -254,10 +255,9 @@ def moore(a) -> FormMatrix:
     v, p = triple_residues(a)
     if not any(v):
         raise ValueError("Moore matrix of the zero triple")
-    row = [0] * 27
-    for i, j in product(range(3), repeat=2):
-        row[9 * i + 3 * j + _VARIABLE[(i - j) % 3]] = v[(i + j) % 3]
-    return FormMatrix.from_row(3, 1, p, row)
+    # entry (i, j) is the one term a[i+j] * x[i-j]
+    terms = [[[(_VARIABLE[(i - j) % 3], v[(i + j) % 3])] for j in range(3)] for i in range(3)]
+    return _form_matrix([[HomForm.from_terms(1, p, t) for t in row] for row in terms])
 
 
 def moore_scalar(a, b) -> list[list]:
@@ -278,12 +278,12 @@ def moore_adjugate(a) -> FormMatrix:
     Entry (i,j) is a[i+j-1]*a[i+j+1]*x[j-i]^2 - a[i+j]^2*x[j-i-1]*x[j-i+1].
     """
     v, p = triple_residues(a)
-    row = [0] * 54
+    entries = [[None] * 3 for _ in range(3)]
     for i, j in product(range(3), repeat=2):
         square, cross = _SQUARE_CROSS[(j - i) % 3]
-        row[18 * i + 6 * j + square] = v[(i + j - 1) % 3] * v[(i + j + 1) % 3]
-        row[18 * i + 6 * j + cross] = -v[(i + j) % 3] ** 2
-    return FormMatrix.from_row(3, 2, p, row)
+        terms = [(square, v[(i + j - 1) % 3] * v[(i + j + 1) % 3]), (cross, -v[(i + j) % 3] ** 2)]
+        entries[i][j] = HomForm.from_terms(2, p, terms)
+    return _form_matrix(entries)
 
 
 def moore_det(a) -> HomForm:

@@ -4,7 +4,8 @@ Monomial order is graded lex with x0 > x1 > x2 (plain lex, as forms are
 homogeneous); a monomial's position is its index in monomials(degree).
 A form stores its modulus once and its ``terms``: the nonzero int
 residues as (position, residue) pairs, ascending, leading term first.
-``row()`` and ``HomForm.from_row`` are the dense coordinate row.
+``row()`` and ``HomForm.from_row`` are the dense coordinate row, and
+``HomForm.from_terms`` builds a form off a few (position, int) terms.
 Products never touch exponents: ``product_index(d1, d2)[i][j]``, one
 cached table per degree pair, is the position of monomial i of degree
 d1 times monomial j of degree d2; ``product_terms``, the one product
@@ -99,18 +100,27 @@ class HomForm:
     def from_residues(cls, degree: int, p: int, residues: dict[Exps, int]) -> "HomForm":
         """The form with int coefficients, each reduced mod p and dropped
         when zero; exponents not of the degree are a ValueError."""
+        index = monomial_index(degree)
+        for e in residues.keys() - index.keys():
+            _check_exponents(e, degree)
+        return cls.from_terms(degree, p, [(index[e], v) for e, v in residues.items()])
+
+    @classmethod
+    def from_terms(cls, degree: int, p: int, terms) -> "HomForm":
+        """The form with (position, int) terms at distinct positions of
+        monomials(degree), in any order, each int reduced mod p and
+        dropped when zero; any other position is a ValueError."""
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        index = monomial_index(degree)
-        row = [0] * len(index)
-        try:
-            for e, v in residues.items():
-                row[index[e]] = v
-        except KeyError:
-            _check_exponents(e, degree)
-            raise
         validate_modulus(p)
-        return _form(degree, p, row)
+        size, last, kept = len(monomial_index(degree)), -1, []
+        for i, v in sorted(terms):
+            if not last < i < size:
+                raise ValueError(f"position {i} repeated or not below {size} at degree {degree}")
+            last = i
+            if r := v % p:
+                kept.append((i, r))
+        return _with_terms(degree, p, kept)
 
     @classmethod
     def variable(cls, i: int, p: int) -> "HomForm":

@@ -26,7 +26,7 @@ from . import ext as ext_mod
 from . import heisenberg as heis
 from . import linalg
 from . import ulrich as ulrich_mod
-from .field import FieldElement, primitive_root_of_unity, triple_residues, validate_modulus
+from .field import FieldElement, primitive_root_of_unity, validate_modulus
 from .hesse import HesseCurve, extension_representative, iota
 from .moore import (
     FormMatrix,
@@ -413,11 +413,12 @@ def check_rank2_blocks(rng: random.Random, primes=(7, 13)):
 # -- 11. extension dimensions -----------------------------------------------
 
 
-def _divergence_kernel_matches_homotopy(a, space: ext_mod.ExtSpace) -> bool:
-    """The kernel of divergence_class on the m = 0 solution space equals
-    the homotopy subspace, as subspaces."""
-    _, p = triple_residues(a)
-    values = [ext_mod.divergence_class(a, FormMatrix.from_row(3, 1, p, v)) for v in space.solutions]
+def _divergence_kernel_matches_homotopy(fac, space: ext_mod.ExtSpace) -> bool:
+    """The kernel of divergence_class on the m = 0 solution space of the
+    Moore factorization fac equals the homotopy subspace, as subspaces."""
+    p = fac.f.p
+    solutions = [FormMatrix.from_row(3, 1, p, v) for v in space.solutions]
+    values = [ext_mod.divergence_class(fac, C) for C in solutions]
     # kernel of the functional sum c_i * values_i on solution coordinates
     kernel_vecs = linalg.mat_mul_mod(linalg.nullspace_mod([values], p), space.solutions, p)
     return linalg.same_span_mod(kernel_vecs, space.generators, p)
@@ -442,7 +443,7 @@ def check_ext_dimensions(rng: random.Random, primes=(7, 13)):
             continue
         if kernel_checked < 2:
             kernel_checked += 1
-            if not _divergence_kernel_matches_homotopy(a.coords, spaces[0]):
+            if not _divergence_kernel_matches_homotopy(fac, spaces[0]):
                 bad += 1
     detail = (
         f"{tested} base points with dims (0,3,1,0), Moore spans verified, "

@@ -444,6 +444,28 @@ def test_verify_all_rejects_a_bad_prime_before_the_battery(capsys, p, message):
     assert payload == {"error": message, "status": "error"}
 
 
+@pytest.mark.parametrize("p, message", [
+    ("0", "modulus must be a prime > 3, got 0"),
+    ("1", "modulus must be a prime > 3, got 1"),
+    ("2", "modulus must be a prime > 3, got 2"),
+    ("3", "modulus must be a prime > 3, got 3"),
+    ("12", "modulus 12 is not congruent to 1 mod 6"),
+    ("-7", "modulus must be a prime > 3, got -7"),
+])
+def test_lambda_is_reduced_only_at_a_checked_modulus(capsys, p, message):
+    # --lambda mod p came first, so p = 0 printed "integer modulo by zero";
+    # now --lambda gives the modulus error that --a and other actions give
+    for argv in (
+        ("hesse", "points", f"--p={p}", "--lambda", "1"),
+        ("hesse", "points", f"--p={p}", "--lambda", "1", "--lambda-sign", "plus"),
+        ("hesse", "points", f"--p={p}", "--a", "1,2,3"),
+        ("moore", "build", f"--p={p}", "--a", "1,2,3"),
+    ):
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload == {"error": message, "status": "error"}
+
+
 @pytest.mark.parametrize("argv, exit_code", [
     ("hesse points --p 13 --lambda 6", 0),
     ("hesse points --p 13 --lambda 3", 1),  # the domain-error payload

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hesse_moore import ext, linalg
+from hesse_moore import ext, linalg, verify
 from hesse_moore.ext import (
     RepresentationError,
     divergence_class,
@@ -59,44 +59,51 @@ def test_homotopies_inside_solutions():
 
 
 def test_ext_space_eliminations(monkeypatch):
-    # the quotient costs one elimination of the trace constraints and one
-    # of the generators' coordinates, with no null-space vectors and no
-    # dense generator rows; the solutions, representatives and generators
-    # are read off those pivots with no elimination, the quotient
-    # dimension counts the representatives, and the reduced homotopy
-    # basis costs one more elimination, on its first read only
-    calls = []
-    counted = linalg.rref_mod
+    # the quotient costs two sparse eliminations (echelon_mod), of the
+    # trace constraints and of the generators' coordinates, with no dense
+    # elimination, no null-space vectors and no dense generator rows (at
+    # m = -2 there are no unknowns and it costs none); the first read of
+    # the solutions reduces the constraint basis with one rref_mod, the
+    # representatives and generators are read off with no elimination,
+    # the quotient dimension counts the representatives, and the reduced
+    # homotopy basis costs one more rref_mod; each on its first read only
+    calls = {"rref_mod": 0, "echelon_mod": 0}
+    for name in calls:
 
-    def counting(m, p):
-        calls.append(len(m))
-        return counted(m, p)
+        def counting(*args, name=name, original=getattr(linalg, name)):
+            calls[name] += 1
+            return original(*args)
 
+        monkeypatch.setattr(linalg, name, counting)
     dense = []
     for module, name in ((linalg, "nullspace_mod"), (ext, "unit_products")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, f=original: dense.append(args) or f(*args))
-    monkeypatch.setattr(linalg, "rref_mod", counting)
-    ext_space(A_POINT, 0)
-    assert len(calls) == 2
+
+    def count(read):
+        calls.update(dict.fromkeys(calls, 0))
+        out = read()
+        return out, (calls["echelon_mod"], calls["rref_mod"])
+
     for p in (13, 19, 37, 2**61 - 1):
         a = tuple(FieldElement(v, p) for v in (1, 2, 3))
         for m in range(-2, 3):
-            calls.clear()
             dense.clear()
-            space = ext_space(a, m)
-            assert len(calls) <= 2
+            space, cost = count(lambda: ext_space(a, m))
+            assert cost == ((2 if m >= -1 else 0), 0)
             assert not dense
-            calls.clear()
-            read = (space.solutions, space.representatives, space.generators)
-            assert not calls
+            solutions, cost = count(lambda: space.solutions)
+            assert cost == (0, 1)
+            read, cost = count(lambda: (space.solutions, space.representatives, space.generators))
+            assert cost == (0, 0)
+            assert read[0] is solutions
             again = (space.solutions, space.representatives, space.generators)
             assert all(now is first for now, first in zip(again, read))
             assert space.quotient_dimension == len(space.representatives)
-            homs = space.homotopies
-            assert len(calls) == 1
+            homs, cost = count(lambda: space.homotopies)
+            assert cost == (0, 1)
+            assert count(lambda: (space.homotopies, space.constraints, space.solutions))[1] == (0, 0)
             assert space.homotopies is homs
-            assert len(calls) == 1
 
 
 def _space_fields(space):
@@ -142,15 +149,21 @@ def _invertible(rng, p):
             return m, [row[3:] for row in augmented]
 
 
-@pytest.mark.parametrize("p", [13, 19, 37, 2**61 - 1])
-def test_ext_space_of_an_equivalent_representation(p):
-    # (L*A*R, R^-1*B*L^-1) is a factorization with a non-Moore A; C -> L*C*R
-    # maps the Moore solutions and homotopy generators onto its own
-    rng = random.Random(3000 + p % 1000)
-    fac = moore_factorization(tuple(FieldElement(v, p) for v in (1, 2, 3)))
+def _equivalent(fac, rng):
+    """(L*A*R, R^-1*B*L^-1) for seeded invertible constant L and R, a
+    factorization with a non-Moore A, and L and R."""
+    p = fac.f.p
     (L, L_inv), (R, R_inv) = _invertible(rng, p), _invertible(rng, p)
     L, L_inv, R, R_inv = (FormMatrix.from_scalars(m, p) for m in (L, L_inv, R, R_inv))
-    other = MatrixFactorization(L @ fac.A @ R, R_inv @ fac.B @ L_inv, fac.f)
+    return MatrixFactorization(L @ fac.A @ R, R_inv @ fac.B @ L_inv, fac.f), L, R
+
+
+@pytest.mark.parametrize("p", [13, 19, 37, 2**61 - 1])
+def test_ext_space_of_an_equivalent_representation(p):
+    # C -> L*C*R maps the Moore solutions and homotopy generators onto
+    # those of (L*A*R, R^-1*B*L^-1)
+    fac = moore_factorization(tuple(FieldElement(v, p) for v in (1, 2, 3)))
+    other, L, R = _equivalent(fac, random.Random(3000 + p % 1000))
     assert other.A != fac.A
     dims = [ext_space(other, m).quotient_dimension for m in range(-2, 3)]
     assert dims == [0, 3, 1, 0, 0]
@@ -162,6 +175,29 @@ def test_ext_space_of_an_equivalent_representation(p):
 
         assert linalg.same_span_mod(space.solutions, image(moore_space.solutions), p)
         assert linalg.same_span_mod(space.generators, image(moore_space.generators), p)
+
+
+def _h(d):
+    """dim S_d, the number of monomials of degree d in x0, x1, x2."""
+    return (d + 1) * (d + 2) // 2 if d >= 0 else 0
+
+
+def test_ext_counts_match_the_hilbert_function():
+    # counts that share no elimination with ext_space: C -> tr(B*C) mod f
+    # maps Mat_3(S_{m+1}) onto (S/f)_{m+3}, of dimension h(m+3) - h(m);
+    # the (U, V) with U*A = A*V are the (g + A*W, g + W*A) for g in S_m
+    # and W in Mat_3(S_{m-1}), counted once for g in f*S_{m-3}
+    facs = [moore_factorization(tuple(FieldElement(v, p) for v in (1, 2, 3)))
+            for p in (13, 37, 2**61 - 1)]
+    facs.append(_equivalent(facs[0], random.Random(1700))[0])
+    for fac in facs:
+        for m in range(-1, 4):
+            space = ext_space(fac, m)
+            solutions = 9 * _h(m + 1) - _h(m + 3) + _h(m)
+            homotopies = 17 * _h(m) - 9 * _h(m - 1) + _h(m - 3)
+            assert len(space.solutions) == solutions
+            assert len(space.homotopies) == homotopies
+            assert space.quotient_dimension == solutions - homotopies
 
 
 @pytest.mark.parametrize("m", [-2, 0])
@@ -322,6 +358,53 @@ def test_divergence_class_builds_one_factorization(monkeypatch):
     monkeypatch.setattr(ext, "moore_factorization", counting)
     assert divergence_class(A_POINT, moore(extension_representative(A_POINT))) == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [13, 37, 2**61 - 1])
+def test_moore_representative_of_a_factorization_is_that_of_its_triple(p, rng, patch_everywhere):
+    # handed the Moore factorization it reads the triple off A's diagonal
+    # and builds no factorization of its own
+    a = tuple(FieldElement(v, p) for v in (1, 2, 3))
+    fac = moore_factorization(a)
+    assert ext.moore_triple(fac) == a
+    calls = []
+    patch_everywhere("ulrich", "moore_factorization", lambda f: lambda x: calls.append(x) or f(x))
+    for C in _random_solutions(a, 4, rng) + [moore(extension_representative(a))]:
+        calls.clear()
+        want = moore_representative(a, C)
+        assert len(calls) == 1
+        assert moore_representative(fac, C) == want
+        assert divergence_class(fac, C) == divergence_class(a, C)
+        assert len(calls) == 2
+
+
+def test_moore_representative_refuses_a_non_moore_a_before_any_work(patch_everywhere):
+    # an equivalent representation, the swapped pair and a rank-2 block
+    # are no Moore matrices: a ValueError, with no trace criterion read
+    fac = moore_factorization(A_POINT)
+    C = moore(extension_representative(A_POINT))
+    calls = []
+    patch_everywhere("ulrich", "trace_criterion", lambda f: lambda *args: calls.append(1) or f(*args))
+    others = (
+        _equivalent(fac, random.Random(1701))[0],
+        MatrixFactorization(fac.B, fac.A, fac.f),
+        rank2_ulrich(A_POINT).factorization,
+    )
+    for other in others:
+        with pytest.raises(ValueError, match="A is not a 3x3 Moore matrix"):
+            ext.moore_triple(other)
+        for solve in (moore_representative, divergence_class):
+            with pytest.raises(ValueError, match="A is not a 3x3 Moore matrix"):
+                solve(other, C)
+    assert calls == []
+
+
+def test_check_ext_dimensions_builds_one_factorization_per_base_point(patch_everywhere):
+    calls = []
+    patch_everywhere("ulrich", "moore_factorization", lambda f: lambda x: calls.append(x) or f(x))
+    result = verify.check_ext_dimensions(random.Random(0))
+    assert result.passed
+    assert len(calls) == 10
 
 
 def test_representatives_extend_homotopies():

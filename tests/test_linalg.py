@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hesse_moore import linalg
+from hesse_moore import ext, linalg
 from hesse_moore.field import FieldElement
 
 P = 13
@@ -237,3 +237,106 @@ def test_kernel_leaves_caller_rows_untouched(rng):
         linalg.solve_mod(rows, [1] * len(rows), P)
         linalg.same_span_mod(rows, dense, P)
         assert rows == snapshot
+
+
+# -- the sparse echelon kernel against the dense one ----------------------
+#
+# Tier-1 runs ECHELON_COUNT random systems; to run more, under -W error:
+#
+#     PYTHONPATH=src python -W error tests/test_linalg.py 10000
+
+ECHELON_COUNT = 300
+ECHELON_SEED = 32
+
+
+def ext_systems():
+    """The 30 sparse systems ext_space hands echelon_mod, (rows, p): its
+    trace constraints and generator coordinates at m = -1..3 over F_13,
+    F_37 and F_(2^61 - 1)."""
+    systems = []
+    original = linalg.echelon_mod
+
+    def recording(rows, p):
+        rows = list(rows)
+        systems.append((rows, p))
+        return original(rows, p)
+
+    linalg.echelon_mod = recording
+    try:
+        for p in (13, 37, 2**61 - 1):
+            for m in range(-1, 4):
+                ext.ext_space(tuple(FieldElement(v, p) for v in (1, 2, 3)), m)
+    finally:
+        linalg.echelon_mod = original
+    assert len(systems) == 30
+    return systems
+
+
+def echelon_systems(count, seed):
+    """ext's systems, then count random ones: 0-12 rows and columns,
+    density 0-1, entries in [-3p, 3p), p in {7, 13, 37, 2^61 - 1}."""
+    yield from ext_systems()
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((7, 13, 37, 2**61 - 1))
+        rows, cols, density = rng.randrange(13), rng.randrange(13), rng.random()
+        yield [
+            {c: rng.randrange(-3 * p, 3 * p) for c in range(cols) if rng.random() < density}
+            for _ in range(rows)
+        ], p
+
+
+def echelon_broken(rows, p):
+    """What echelon_mod gets wrong on the sparse rows, against rref_mod:
+    a mutated input, keys other than the pivots, a row that is not 1 at
+    its key and of residues right of it only, or another span."""
+    snapshot = [dict(row) for row in rows]
+    basis = linalg.echelon_mod(rows, p)
+    width = 1 + max((c for row in rows for c in row), default=-1)
+    dense = linalg.densify(rows, width)
+    broken = []
+    if rows != snapshot:
+        broken.append("input mutated")
+    if sorted(basis) != linalg.rref_mod([list(row) for row in dense], p):
+        broken.append(f"keys {sorted(basis)} are not the pivots")
+    for lead, row in basis.items():
+        if row.get(lead) != 1 or min(row) != lead or not all(0 < x < p for x in row.values()):
+            broken.append(f"row {lead} is no echelon row: {row}")
+    if not linalg.same_span_mod(linalg.densify(basis.values(), width), dense, p):
+        broken.append("another span")
+    return broken
+
+
+def echelon_failures(count, seed):
+    return [
+        f"{p} {rows}: {rule}"
+        for rows, p in echelon_systems(count, seed)
+        for rule in echelon_broken(rows, p)
+    ]
+
+
+def test_echelon_kernel_matches_rref():
+    failures = echelon_failures(ECHELON_COUNT, ECHELON_SEED)
+    assert not failures, "\n".join(failures[:20])
+
+
+def test_echelon_checks_catch_a_wrong_basis(monkeypatch):
+    # the rules see a kernel that drops its last basis row
+    original = linalg.echelon_mod
+
+    def dropped(rows, p):
+        basis = original(rows, p)
+        if basis:
+            del basis[max(basis)]
+        return basis
+
+    monkeypatch.setattr(linalg, "echelon_mod", dropped)
+    assert echelon_failures(20, ECHELON_SEED)
+
+
+if __name__ == "__main__":
+    import sys
+
+    found = echelon_failures(int(sys.argv[1]) if len(sys.argv) > 1 else ECHELON_COUNT, ECHELON_SEED)
+    print("\n".join(found[:50]) or "no broken rule")
+    sys.exit(1 if found else 0)

@@ -75,6 +75,16 @@ def _at_the_neighbouring_free_column(original):
     return _free_columns
 
 
+def _without_the_last_pivot(original):
+    def echelon_mod(rows, p):
+        basis = original(rows, p)
+        if basis:
+            del basis[max(basis)]
+        return basis
+
+    return echelon_mod
+
+
 def _swapped(original):
     return lambda curve, b, a: original(curve, a, b)
 
@@ -135,6 +145,7 @@ CAUGHT = [
     ("ext_dimensions", "ext", "ext_space", _missing_a_representative),
     ("ext_dimensions", "ext", "_free_columns", _at_the_neighbouring_free_column),
     ("ext_dimensions", "ext", "moore_span_basis", _first_row_twice),
+    ("ext_dimensions", "linalg", "echelon_mod", _without_the_last_pivot),
     ("geometric_interpretations", "hesse", "HesseCurve.sub", _swapped),
 ]
 
