@@ -165,7 +165,8 @@ def divergence(y) -> int:
 
 @dataclass(frozen=True)
 class Rank2Ulrich:
-    """The rank-2 block factorization ((A C; 0 A), (B D; 0 B)) of f.
+    """The rank-2 block factorization ((A C; 0 A), (B D; 0 B)) of f, an
+    extension of the rank-1 factorization ``rank1`` = (A, B) by itself.
     ``divergence`` is div(M_{b,x}) = 3 by construction (C = M_{b,x}); the
     non-split witness is ext.divergence_class of C, which verify checks."""
 
@@ -174,6 +175,7 @@ class Rank2Ulrich:
     D: FormMatrix
     extension_triple: tuple
     divergence: FieldElement
+    rank1: MatrixFactorization
 
 
 def _block(upper_left: FormMatrix, upper_right: FormMatrix) -> FormMatrix:
@@ -199,4 +201,4 @@ def rank2_ulrich(a) -> Rank2Ulrich:
     A2 = _block(fac.A, C)
     B2 = _block(fac.B, D)
     block_fac = _certified(A2, B2, fac.f)
-    return Rank2Ulrich(block_fac, C, D, b, FieldElement(divergence(coordinate_vars(p)), p))
+    return Rank2Ulrich(block_fac, C, D, b, FieldElement(divergence(coordinate_vars(p)), p), fac)

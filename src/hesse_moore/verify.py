@@ -401,7 +401,7 @@ def check_rank2_blocks(rng: random.Random, primes=(7, 13)):
         try:
             blocks = ulrich_mod.rank2_ulrich(a.coords)  # certifies 6x6 product
             # non-split: the Moore representative of C has divergence 3
-            if ext_mod.divergence_class(a.coords, blocks.C) != 3:
+            if ext_mod.divergence_class(blocks.rank1, blocks.C) != 3:
                 bad += 1
         except (ValueError, AssertionError):
             bad += 1

@@ -1,9 +1,14 @@
 import importlib
+import json
 import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -32,3 +37,21 @@ def patch_everywhere(monkeypatch):
         return patched
 
     return patch
+
+
+@pytest.fixture
+def fresh_python():
+    """run(code) runs code in a fresh interpreter under -W error, with
+    the package imported from src/, and returns the JSON that its last
+    line of stdout prints."""
+
+    def run(code):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    return run

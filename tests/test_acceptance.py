@@ -52,3 +52,16 @@ def test_rank2_blocks_fail_without_divergence_three(monkeypatch, rng):
     result = verify.check_rank2_blocks(rng)
     assert not result.passed
     assert result.detail.endswith(" base points certified, 10 failures"), result.line()
+
+
+def test_rank2_blocks_build_one_factorization_per_base_point(patch_everywhere):
+    # divergence_class reads the rank-1 factorization that rank2_ulrich
+    # built and kept, rather than building its own from the triple
+    calls = []
+    patch_everywhere(
+        "ulrich", "moore_factorization", lambda f: lambda a: calls.append(a) or f(a)
+    )
+    result = verify.check_rank2_blocks(random.Random(0))
+    assert result.passed, result.line()
+    assert result.detail == "10 base points certified, 0 failures"
+    assert len(calls) == 10

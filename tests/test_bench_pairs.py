@@ -122,3 +122,23 @@ def test_run_once_keeps_the_stderr_summary_and_medians_each_kind(monkeypatch, tm
         "p50_kind": ["ext0", "partner", "ext0"],
         "median_ms": {"ext0": 0.32, "partner": 0.41},
     }
+
+
+@pytest.mark.parametrize("env, writes", [(None, True), ("", True), ("1", False)])
+def test_main_records_whether_the_runs_write_bytecode(monkeypatch, capsys, env, writes):
+    # the runs inherit the environment, so PYTHONDONTWRITEBYTECODE decides
+    if env is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", env)
+    metrics = {"setup_s": 0.01, "wall_s": 0.5, "throughput_ops_s": 80.0,
+               "latency_p50_ms": 0.2, "peak_rss_mb": 18.0}
+    result = {"correct": True, "attempted": 40, "failed": 0,
+              "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}
+    summary = {"p50_kind": "ext0", "kinds_ms": {"ext0": [0.2, 0.2, 0.3]}}
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: (result, summary))
+    assert bench_pairs.main(["--parent", "HEAD~1", "--seed", "34", "--pairs", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["writes_bytecode"] is writes
+    assert out["workloads"]["point-scan"]["metrics"]["setup_s"]["pairs_won_by_change"] == 0

@@ -249,9 +249,11 @@ def test_rank2_blocks():
     assert blocks.factorization.A.n == 6
     assert blocks.divergence == F(3)
     assert tuple(c.value for c in blocks.extension_triple) == (6, 0, 8)
+    # the rank-1 factorization it extends is kept
+    assert blocks.rank1 == moore_factorization(A_POINT)
     # block structure: upper-left and lower-right are A, lower-left is 0
     A2 = blocks.factorization.A
-    base = moore_factorization(A_POINT).A
+    base = blocks.rank1.A
     for i in range(3):
         for j in range(3):
             assert A2.entries[i][j] == base.entries[i][j]

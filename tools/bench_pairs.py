@@ -23,6 +23,10 @@ and no larger share of the operations fails than at the parent.
 Under "kinds", each side lists the p50_kind of each of its runs and, per
 request kind, the median over its runs of that kind's median latency,
 from the summary line bench/run.py prints last on stderr.
+"writes_bytecode" says whether the runs, which inherit this process's
+environment, wrote bytecode for the exported sources (false when
+PYTHONDONTWRITEBYTECODE is set); setup_s differs several-fold between
+the two, since a set-up without it compiles src/ afresh each time.
 Progress goes to stderr.  Standard library only; nothing is written
 into the checkout.
 """
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -131,7 +136,9 @@ def main(argv=None) -> int:
 
     seconds = spec["run_seconds"]
     out = {"parent": args.parent, "change": args.change, "seed": args.seed,
-           "seconds": seconds, "workloads": {}}
+           "seconds": seconds,
+           "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+           "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         for side, tree in trees.items():
