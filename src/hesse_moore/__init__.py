@@ -4,12 +4,12 @@ law, Heisenberg equivalence invariants, Schroedinger characters, and
 rank-1/rank-2 Ulrich matrix factorizations with their graded extension
 spaces.
 
-``import hesse_moore`` loads only the curve layer: field, poly, linalg,
-moore and hesse.  The factorization layer (heisenberg, ulrich and ext)
-loads on first use: reading one of its names, or the submodule itself,
-imports the submodule that defines it (PEP 562).  Those names are read
-from their submodule on every access and never copied here, so a name
-rebound there is the name seen here."""
+``import hesse_moore`` loads only the curve layer: field, poly, moore
+and hesse.  linalg and the factorization layer (heisenberg, ulrich and
+ext) load on first use: reading one of their names, or the submodule
+itself, imports the submodule that defines it (PEP 562).  Those names
+are read from their submodule on every access and never copied here,
+so a name rebound there is the name seen here."""
 
 import importlib
 
@@ -33,8 +33,9 @@ from .hesse import (
     tripling_representative,
 )
 
-# the factorization layer: each submodule and the public names it defines
+# linalg and the factorization layer: each submodule and its exported names
 _LAZY = {
+    "linalg": (),
     "heisenberg": (
         "ClassFunction",
         "HeisenbergElement",

@@ -3,18 +3,19 @@ subcommand with canonical JSON output.
 
 Output JSON is deterministic byte-for-byte for fixed inputs (sorted
 keys, compact separators); timing goes to standard error so it never
-perturbs the payload.  OPTIONS lists the options each action reads,
-each required or with its default, and its typed converter.  Options
-follow their action (``hesse add --p 13 ...``).  Exit codes: 0 ok, 1
-domain error, 2 usage error (an option missing, malformed, abbreviated,
-not read by the action or given before it; argparse reports these
-before any curve or factorization is built), 3 internal error (a failed
-cross-check, reported as {"error": ..., "status": "internal"}).  Any
-other exception is a bug and propagates.  `verify all` exits 3 with
-"status": "internal" when a check raised ("raised <Type>: <text>"), else
-1 when one failed.  A closed stdout is no error.  The environment
-variable HESSE_MOORE_SEED fixes the randomness source used by sampled
-checks in `verify all`.
+perturbs the payload.  OPTIONS names, for each action, its handler and
+the options it reads, each required or with its default, and its typed
+converter; argparse alone picks the handler.  Options follow their
+action (``hesse add --p 13 ...``).  Exit codes: 0 ok, 1 domain error, 2
+usage error at any level (a group or action missing or unknown; an
+option missing, malformed, abbreviated, not read by the action or given
+before it; a stray token: argparse reports these before any curve or
+factorization is built), 3 internal error (a failed cross-check,
+reported as {"error": ..., "status": "internal"}).  Any other exception
+is a bug and propagates.  `verify all` exits 3 with "status": "internal"
+when a check raised ("raised <Type>: <text>"), else 1 when one failed.
+A closed stdout is no error.  HESSE_MOORE_SEED fixes the randomness
+source used by sampled checks in `verify all`.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A group or action parser: its errors reach main as a UsageError."""
+    """Every parser of the CLI: its errors reach main as a UsageError."""
 
     def error(self, message):
         raise UsageError(message)
@@ -94,6 +95,10 @@ def _field(values, p: int) -> tuple[FieldElement, ...]:
     return tuple(FieldElement(v, p) for v in values)
 
 
+def _a(args) -> tuple[FieldElement, ...]:
+    return _field(args.a, args.p)
+
+
 def _point(values, p: int) -> ProjectivePoint:
     return ProjectivePoint(_field(values, p))
 
@@ -108,8 +113,8 @@ def _curve(args) -> HesseCurve:
     raise UsageError("need --lambda or --a to determine the curve")
 
 
-def _sorted_points(points) -> list[list[int]]:
-    return sorted(pt.as_ints() for pt in points)
+def _point_set(points) -> dict:
+    return {"count": len(points), "points": sorted(pt.as_ints() for pt in points)}
 
 
 def _forms(cells, degree: int, p: int) -> FormMatrix:
@@ -120,156 +125,136 @@ def _forms(cells, degree: int, p: int) -> FormMatrix:
     return FormMatrix(forms)
 
 
-# -- hesse ---------------------------------------------------------------
+# -- handlers -------------------------------------------------------------
+# Each names the library functions it calls in its body, so a function
+# rebound in its module (a test's monkeypatch) is the one called.
 
 
-def cmd_hesse(args):
-    action, p = args.action, args.p
-    if action in ("points", "torsion3", "torsion6"):
-        curve = _curve(args)
-        if action == "points":
-            pts = curve.enumerate_points()
-            return {"count": len(pts), "lambda": curve.lam.value, "p": curve.p,
-                    "points": _sorted_points(pts)}
-        if action == "torsion3":
-            pts = curve.torsion3()
-            return {"count": len(pts), "points": _sorted_points(pts)}
-        pts = curve.torsion6()
-        primitive = [
-            a for a in pts
-            if curve.mul(2, a) != curve.identity and curve.mul(3, a) != curve.identity
-        ]
-        return {"count": len(pts), "points": _sorted_points(pts),
-                "primitive_count": len(primitive)}
-    a = _point(args.a, p)
-    points = (_point(args.x, p), a) if action in ("add", "sub") else (a,)
+def _hesse_points(args):
     curve = _curve(args)
-    if action == "mul":
-        return {"n": args.n, "point": curve.mul(args.n, a).as_ints()}
-    return {"point": getattr(curve, action)(*points).as_ints()}
+    pts = curve.enumerate_points()
+    return {**_point_set(pts), "lambda": curve.lam.value, "p": curve.p}
 
 
-# -- moore ---------------------------------------------------------------
+def _hesse_torsion6(args):
+    curve = _curve(args)
+    pts = curve.torsion6()
+    primitive = [
+        a for a in pts
+        if curve.mul(2, a) != curve.identity and curve.mul(3, a) != curve.identity
+    ]
+    return {**_point_set(pts), "primitive_count": len(primitive)}
 
 
-def cmd_moore(args):
-    a = _field(args.a, args.p)
-    if args.action == "build":
-        return {"matrix": moore(a).serialize()}
-    if args.action == "det":
-        return {"det": moore_det(a).serialize()}
-    if args.action == "adjugate":
-        return {"adjugate": moore_adjugate(a).serialize()}
-    if args.action == "kernel":
-        x = _field(args.x, args.p)
-        m = moore_scalar(triple_residues(a)[0], triple_residues(x)[0])
-        return {"point": list(left_kernel_mod(m, args.p))}
+def _group_law(method):
+    """The handler of hesse add, sub, double or triple: the curve method
+    of that name on --x, when the action reads it, and --a."""
+
+    def handler(args):
+        a = _point(args.a, args.p)
+        x = [_point(args.x, args.p)] if "x" in args else []
+        return {"point": getattr(_curve(args), method)(*x, a).as_ints()}
+
+    return handler
 
 
-# -- heis ----------------------------------------------------------------
+def _hesse_mul(args):
+    a = _point(args.a, args.p)
+    return {"n": args.n, "point": _curve(args).mul(args.n, a).as_ints()}
 
 
-def cmd_heis(args):
-    p = args.p
-    if args.action == "orbit":
-        orb = heis.orbit(_field(args.a, p))
-        return {"orbit": _sorted_points(orb), "size": len(orb)}
-    if args.action == "invariants":
-        t = heis.trace_invariants(_field(args.a, p))
-        return {"invariants": list(t)}
-    if args.action == "equiv":
-        a, a2 = _field(args.a, p), _field(args.a2, p)
-        same_curve = heis.on_same_curve(a, a2)
-        inv, inv2 = heis.trace_invariants(a), heis.trace_invariants(a2)
-        return {
-            "equivalent": same_curve and inv == inv2,
-            "invariants": list(inv),
-            "invariants2": list(inv2),
-            "orbit_size": len(heis.orbit(a)),
-        }
-    if args.action == "characters":
-        n = args.n
-        zeta = primitive_root_of_unity(p, n)
-        table = {}
-        for j in range(n):
-            chi = heis.schrodinger_character(n, j, zeta, p)
-            table[str(j)] = {f"{g.r},{g.s},{g.t}": chi(g) for g in heis.hn_elements(n)}
-        return {"n": n, "p": p, "zeta": zeta, "table": table}
-    if args.action == "restrict":
-        holds = heis.verify_restriction(args.n, args.d, args.j, p)
-        return {"n": args.n, "d": args.d, "j": args.j, "holds": holds}
-    if args.action == "tensor":
-        return {"holds": heis.verify_tensor_h3(p), "p": p}
+def _moore_kernel(args):
+    a, x = _a(args), _field(args.x, args.p)
+    m = moore_scalar(triple_residues(a)[0], triple_residues(x)[0])
+    return {"point": list(left_kernel_mod(m, args.p))}
 
 
-# -- ulrich ---------------------------------------------------------------
+def _heis_orbit(args):
+    orb = heis.orbit(_a(args))
+    return {"orbit": sorted(pt.as_ints() for pt in orb), "size": len(orb)}
 
 
-def cmd_ulrich(args):
-    p = args.p
-    a = _field(args.a, p)
-    if args.action == "rank1":
-        fac = ulrich_mod.moore_factorization(a)
-        return {
-            "A": fac.A.serialize(),
-            "B": fac.B.serialize(),
-            "certified": True,
-            "f": fac.f.form.serialize(),
-        }
-    if args.action == "rank2":
-        blocks = ulrich_mod.rank2_ulrich(a)
-        return {
-            "A": blocks.factorization.A.serialize(),
-            "B": blocks.factorization.B.serialize(),
-            "certified": True,
-            "divergence": blocks.divergence.value,
-            "extension_triple": residues(blocks.extension_triple)[0],
-            "f": blocks.factorization.f.form.serialize(),
-        }
-    C = _forms(args.C, args.deg, p)
+def _heis_equiv(args):
+    a, a2 = _a(args), _field(args.a2, args.p)
+    same_curve = heis.on_same_curve(a, a2)
+    inv, inv2 = heis.trace_invariants(a), heis.trace_invariants(a2)
+    return {
+        "equivalent": same_curve and inv == inv2,
+        "invariants": list(inv),
+        "invariants2": list(inv2),
+        "orbit_size": len(heis.orbit(a)),
+    }
+
+
+def _heis_characters(args):
+    n, p = args.n, args.p
+    if n > 18:  # 1.2 MB of output at n = 18
+        raise ValueError(f"the character table has n^4 entries: n must be at most 18, got n = {n}")
+    zeta = primitive_root_of_unity(p, n)
+    table = {}
+    for j in range(n):
+        chi = heis.schrodinger_character(n, j, zeta, p)
+        table[str(j)] = {f"{g.r},{g.s},{g.t}": chi(g) for g in heis.hn_elements(n)}
+    return {"n": n, "p": p, "zeta": zeta, "table": table}
+
+
+def _heis_restrict(args):
+    holds = heis.verify_restriction(args.n, args.d, args.j, args.p)
+    return {"n": args.n, "d": args.d, "j": args.j, "holds": holds}
+
+
+def _certified(fac) -> dict:
+    return {"A": fac.A.serialize(), "B": fac.B.serialize(), "certified": True,
+            "f": fac.f.form.serialize()}
+
+
+def _ulrich_rank2(args):
+    blocks = ulrich_mod.rank2_ulrich(_a(args))
+    return {**_certified(blocks.factorization), "divergence": blocks.divergence.value,
+            "extension_triple": residues(blocks.extension_triple)[0]}
+
+
+def _ulrich_partner(args):
+    a, C = _a(args), _forms(args.C, args.deg, args.p)
+    return {"D": ulrich_mod.partner_D(ulrich_mod.moore_factorization(a), C).serialize()}
+
+
+def _ulrich_trace(args):
+    a, C = _a(args), _forms(args.C, args.deg, args.p)
     fac = ulrich_mod.moore_factorization(a)
-    if args.action == "partner":
-        D = ulrich_mod.partner_D(fac, C)
-        return {"D": D.serialize()}
-    if args.action == "trace":
-        return {
-            "bcb_congruence": ulrich_mod.bcb_congruence(fac, C),
-            "bcb_divisible": ulrich_mod.bcb_divisible(fac, C),
-            "trace_criterion": ulrich_mod.trace_criterion(fac, C),
-        }
+    return {
+        "bcb_congruence": ulrich_mod.bcb_congruence(fac, C),
+        "bcb_divisible": ulrich_mod.bcb_divisible(fac, C),
+        "trace_criterion": ulrich_mod.trace_criterion(fac, C),
+    }
 
 
-# -- ext ------------------------------------------------------------------
+def _ext_dims(args):
+    fac = ulrich_mod.moore_factorization(_a(args))
+    return {"dims": {str(m): ext_mod.ext_space(fac, m).quotient_dimension for m in args.m}}
 
 
-def cmd_ext(args):
-    p = args.p
-    a = _field(args.a, p)
-    if args.action == "dims":
-        fac = ulrich_mod.moore_factorization(a)
-        return {"dims": {str(m): ext_mod.ext_space(fac, m).quotient_dimension for m in args.m}}
-    if args.action == "basis":
-        m = args.m
-        space = ext_mod.ext_space(a, m)
+def _ext_basis(args):
+    p, m = args.p, args.m
+    space = ext_mod.ext_space(_a(args), m)
 
-        def serialized(vecs):
-            return [FormMatrix.from_row(3, m + 1, p, v).serialize() for v in vecs]
+    def serialized(vecs):
+        return [FormMatrix.from_row(3, m + 1, p, v).serialize() for v in vecs]
 
-        return {
-            "homotopies": serialized(space.homotopies),
-            "m": m,
-            "quotient_dimension": space.quotient_dimension,
-            "representatives": serialized(space.representatives),
-            "solutions": serialized(space.solutions),
-        }
-    if args.action == "class":
-        return {"class": ext_mod.divergence_class(a, _forms(args.C, 1, p))}
+    return {
+        "homotopies": serialized(space.homotopies),
+        "m": m,
+        "quotient_dimension": space.quotient_dimension,
+        "representatives": serialized(space.representatives),
+        "solutions": serialized(space.solutions),
+    }
 
 
-# -- verify ---------------------------------------------------------------
+def _ext_class(args):
+    return {"class": ext_mod.divergence_class(_a(args), _forms(args.C, 1, args.p))}
 
 
-def cmd_verify(args):
+def _verify_all(args):
     seed = int(os.environ.get("HESSE_MOORE_SEED", "0"))
     results = verify_mod.run_all(random.Random(seed), p=args.p)
     payload = {
@@ -282,7 +267,7 @@ def cmd_verify(args):
     return payload, 3 if raised else int(not all(r.passed for r in results))
 
 
-# -- the options each action reads ------------------------------------------
+# -- each action's handler and the options it reads -------------------------
 
 REQUIRED = object()  # the default of an option the action cannot do without
 
@@ -294,30 +279,44 @@ _X = {"--x": (triple, REQUIRED)}
 _C = {**_A, "--C": (grid, REQUIRED)}  # ext class reads linear forms
 _C_DEG = {**_C, "--deg": (int, 1)}
 
-# group -> (help, handler, {action: {option: (converter, default or REQUIRED)}})
+# group -> (help, {action: (handler, {option: (converter, default or REQUIRED)})})
 OPTIONS = {
-    "hesse": ("curve group law and torsion", cmd_hesse, {
-        "points": _CURVE, "add": {**_ON_CURVE, **_X}, "sub": {**_ON_CURVE, **_X},
-        "double": _ON_CURVE, "triple": _ON_CURVE, "mul": {**_ON_CURVE, "--n": (int, REQUIRED)},
-        "torsion3": _CURVE, "torsion6": _CURVE,
+    "hesse": ("curve group law and torsion", {
+        "points": (_hesse_points, _CURVE),
+        "add": (_group_law("add"), {**_ON_CURVE, **_X}),
+        "sub": (_group_law("sub"), {**_ON_CURVE, **_X}),
+        "double": (_group_law("double"), _ON_CURVE),
+        "triple": (_group_law("triple"), _ON_CURVE),
+        "mul": (_hesse_mul, {**_ON_CURVE, "--n": (int, REQUIRED)}),
+        "torsion3": (lambda args: _point_set(_curve(args).torsion3()), _CURVE),
+        "torsion6": (_hesse_torsion6, _CURVE),
     }),
-    "moore": ("Moore matrices", cmd_moore, {
-        "build": _A, "det": _A, "adjugate": _A, "kernel": {**_A, **_X},
+    "moore": ("Moore matrices", {
+        "build": (lambda args: {"matrix": moore(_a(args)).serialize()}, _A),
+        "det": (lambda args: {"det": moore_det(_a(args)).serialize()}, _A),
+        "adjugate": (lambda args: {"adjugate": moore_adjugate(_a(args)).serialize()}, _A),
+        "kernel": (_moore_kernel, {**_A, **_X}),
     }),
-    "heis": ("Heisenberg actions and characters", cmd_heis, {
-        "orbit": _A, "invariants": _A, "equiv": {**_A, "--a2": (triple, REQUIRED)},
-        "characters": {**_P, "--n": (int, 3)},
-        "restrict": {**_P, "--n": (int, 3), "--d": (int, 3), "--j": (int, 1)},
-        "tensor": _P,
+    "heis": ("Heisenberg actions and characters", {
+        "orbit": (_heis_orbit, _A),
+        "invariants": (lambda args: {"invariants": list(heis.trace_invariants(_a(args)))}, _A),
+        "equiv": (_heis_equiv, {**_A, "--a2": (triple, REQUIRED)}),
+        "characters": (_heis_characters, {**_P, "--n": (int, 3)}),
+        "restrict": (_heis_restrict, {**_P, "--n": (int, 3), "--d": (int, 3), "--j": (int, 1)}),
+        "tensor": (lambda args: {"holds": heis.verify_tensor_h3(args.p), "p": args.p}, _P),
     }),
-    "ulrich": ("matrix factorizations", cmd_ulrich, {
-        "rank1": _A, "rank2": _A, "partner": _C_DEG, "trace": _C_DEG,
+    "ulrich": ("matrix factorizations", {
+        "rank1": (lambda args: _certified(ulrich_mod.moore_factorization(_a(args))), _A),
+        "rank2": (_ulrich_rank2, _A),
+        "partner": (_ulrich_partner, _C_DEG),
+        "trace": (_ulrich_trace, _C_DEG),
     }),
-    "ext": ("graded extension spaces", cmd_ext, {
-        "dims": {**_A, "--m": (shifts, "-2,-1,0,1")}, "basis": {**_A, "--m": (int, REQUIRED)},
-        "class": _C,
+    "ext": ("graded extension spaces", {
+        "dims": (_ext_dims, {**_A, "--m": (shifts, "-2,-1,0,1")}),
+        "basis": (_ext_basis, {**_A, "--m": (int, REQUIRED)}),
+        "class": (_ext_class, _C),
     }),
-    "verify": ("acceptance battery", cmd_verify, {"all": {"--p": (int, None)}}),
+    "verify": ("acceptance battery", {"all": (_verify_all, {"--p": (int, None)})}),
 }
 
 _HELP = {
@@ -330,17 +329,17 @@ _HELP = {
 
 @cache  # parsing reads the parser and leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hesse-moore",
         description="Moore-matrix determinantal representations of Hesse cubics",
     )
-    groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
-    for group, (group_help, handler, actions) in OPTIONS.items():
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, (group_help, actions) in OPTIONS.items():
         group_parser = groups.add_parser(group, help=group_help)
-        group_parser.set_defaults(handler=handler)
         subs = group_parser.add_subparsers(dest="action", required=True)
-        for action, options in actions.items():
+        for action, (handler, options) in actions.items():
             sp = subs.add_parser(action, allow_abbrev=False)
+            sp.set_defaults(handler=handler)
             for flag, (convert, default) in options.items():
                 sp.add_argument(flag, type=convert, help=_HELP.get(flag),
                                 required=default is REQUIRED,
@@ -363,9 +362,7 @@ def _emit(payload: dict) -> None:
 
 def main(argv=None) -> int:
     try:
-        args, unread = build_parser().parse_known_args(argv)
-        if unread:
-            raise UsageError(f"unrecognized arguments: {' '.join(unread)}")
+        args = build_parser().parse_args(argv)
         start = time.monotonic()
         out = args.handler(args)
     except UsageError as exc:

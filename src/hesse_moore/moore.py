@@ -29,7 +29,6 @@ from __future__ import annotations
 import operator
 from itertools import chain, product
 
-from . import linalg
 from .field import FieldElement, triple_residues, validate_modulus
 from .poly import HomForm, monomial_index, product_terms, split_row
 
@@ -326,8 +325,8 @@ def kernel_column_mod(m: list[list[int]], p: int) -> tuple[int, int, int]:
 
     Read off as the first nonzero column of the adjugate (the columns of
     the adjugate span the null space when rank is 2).  The rank is 2
-    exactly when det = 0 and the adjugate is nonzero; the rank itself is
-    computed only for the KernelError message.
+    exactly when det = 0 and the adjugate is nonzero; the two also give
+    the rank that the KernelError names.
     """
     adj, det = adjugate_det(m)
     if not det % p:
@@ -335,7 +334,8 @@ def kernel_column_mod(m: list[list[int]], p: int) -> tuple[int, int, int]:
             col = (adj[0][j] % p, adj[1][j] % p, adj[2][j] % p)
             if any(col):
                 return col
-    rank = len(linalg.rref_mod([list(row) for row in m], p))
+    # det != 0 is rank 3; a zero adjugate leaves rank 1 if an entry is nonzero, else 0
+    rank = 3 if det % p else int(any(v % p for row in m for v in row))
     raise KernelError(f"rank is {rank}, need exactly 2")
 
 

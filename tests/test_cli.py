@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hesse_moore.cli import main
+from hesse_moore.cli import OPTIONS, REQUIRED, main
 from hesse_moore.moore import FormMatrix
 from hesse_moore.poly import monomials
 
@@ -320,10 +320,62 @@ def test_heis_equiv_computes_each_triples_invariants_once(capsys, monkeypatch, a
     assert len(calls) <= 2
 
 
-def test_unknown_subcommand_exits_2():
+def test_unknown_subcommand_exits_2(capsys):
+    # a usage error at any level returns 2, as an option's does: no group,
+    # an unknown group, no action, an unknown action, a stray trailing token
+    for argv, error in (
+        ([], "the following arguments are required: group"),
+        (["frobenius"], "argument group: invalid choice: "),
+        (["hesse"], "the following arguments are required: action"),
+        (["hesse", "frobenius"], "argument action: invalid choice: "),
+        (["hesse", "points", "--p", "13", "--lambda", "6", "extra"],
+         "unrecognized arguments: extra"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: " + error)
+
+
+def _help(capsys, *argv) -> str:
     with pytest.raises(SystemExit) as exc:
-        main(["frobenius"])
-    assert exc.value.code == 2
+        main(list(argv))
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("group, action", [
+    (group, action) for group, (_, actions) in OPTIONS.items() for action in actions
+], ids=" ".join)
+def test_each_action_help_lists_the_options_it_reads(capsys, group, action):
+    usage = _help(capsys, group, action, "-h").split("\n\n")[0]
+    # each option once, in brackets exactly when it has a default
+    listed = [(flag, bool(bracket)) for bracket, flag in re.findall(r"(\[?)(--[\w-]+)", usage)]
+    _, options = OPTIONS[group][1][action]
+    assert listed == [(flag, default is not REQUIRED) for flag, (_, default) in options.items()]
+
+
+def test_help_exits_0_above_the_actions(capsys):
+    assert _help(capsys, "-h").startswith("usage: hesse-moore [-h] {hesse,moore,heis,")
+    assert _help(capsys, "ext", "-h").startswith("usage: hesse-moore ext [-h] {dims,basis,class}")
+
+
+def test_heis_characters_refuses_n_above_18_before_any_character(capsys, monkeypatch):
+    # the table holds n^4 values; at 2^61 - 1, n = 1321 divides p - 1
+    from hesse_moore import heisenberg
+
+    built = []
+    character = heisenberg.schrodinger_character
+    monkeypatch.setattr(heisenberg, "schrodinger_character",
+                        lambda *args: built.append(args) or character(*args))
+    monkeypatch.setattr(heisenberg, "hn_elements", lambda n: [])  # keeps n = 18 cheap
+    for p, n in ((37, 19), (37, 36), (2**61 - 1, 1321)):
+        code, out, _ = run(capsys, "heis", "characters", "--p", str(p), "--n", str(n))
+        assert code == 1
+        assert out == ('{"error":"the character table has n^4 entries: n must be at most 18, '
+                       f'got n = {n}","status":"error"}}\n')
+    assert built == []
+    code, payload = run_json(capsys, "heis", "characters", "--p", "37", "--n", "18")
+    assert (code, len(payload["table"]), len(built)) == (0, 18, 18)
 
 
 def _transposed(original):

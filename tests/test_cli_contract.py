@@ -1,7 +1,7 @@
 """The CLI's exit-code contract, checked on seeded generated argvs.
 
-The generator walks cli.OPTIONS, the table of the options each action
-reads.  For each action in turn it draws a base argv: a well-formed
+The generator walks cli.OPTIONS, the table of each action's handler and
+the options it reads.  For each action in turn it draws a base argv: a well-formed
 value for every required option and for some of the optional ones.  A
 base that exits 0 or 1 then gets one variant of each kind that applies:
 - one option the action reads given a malformed value;
@@ -11,15 +11,21 @@ base that exits 0 or 1 then gets one variant of each kind that applies:
 - a --C whose cells are not forms of degree --deg, over a field F_p.
 
 The rules:
-- every exit is 0, 1 or 2 (argparse's SystemExit(2) counts as 2), and
-  nothing else propagates;
+- every exit is 0, 1 or 2, main returns it, and nothing propagates, a
+  SystemExit included;
 - exit 2 leaves stdout empty;
 - exit 0 prints one JSON line with status "ok", exit 1 one with "error";
 - every variant of a base that exits 0 or 1 exits 2.
 
+The exit-3 rule reruns each `ulrich` or `ext` argv that exits 0 with
+moore.moore_adjugate transposed: the certificate of the factorization
+the library built fails, so it exits 3 and prints exactly the one
+"internal" line INTERNAL.
+
 The values stay small, so the 2^61 - 1 point scans do not run, and
-`verify` is left out.  Each argv runs in process.  Tier-1 runs COUNT
-argvs; to run more, under -W error:
+`verify` is left out.  Each argv runs in process.  Tier-1 checks the
+first rules on COUNT argvs and the exit-3 rule on FAULT_COUNT argvs of
+the ulrich and ext actions; to check both on more argvs, under -W error:
 
     PYTHONPATH=src python -W error tests/test_cli_contract.py 10000
 """
@@ -33,6 +39,7 @@ from itertools import cycle
 
 from hesse_moore import cli
 from hesse_moore.field import validate_modulus
+from hesse_moore.moore import FormMatrix, moore_adjugate
 from hesse_moore.poly import monomials
 
 COUNT = 300
@@ -40,8 +47,8 @@ SEED = 31
 
 ACTIONS = [
     (group, action, options)
-    for group, (_, _, actions) in cli.OPTIONS.items() if group != "verify"
-    for action, options in actions.items()
+    for group, (_, actions) in cli.OPTIONS.items() if group != "verify"
+    for action, (_, options) in actions.items()
 ]
 # every option of the table, with a converter it is read with
 EVERY_OPTION = {flag: spec[0] for *_, options in ACTIONS for flag, spec in options.items()}
@@ -117,8 +124,8 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse's own usage errors
-            code = exc.code
+        except SystemExit as exc:  # main returns every usage error
+            code = f"SystemExit({exc.code})"
         except Exception as exc:  # the contract lets nothing else propagate
             raise AssertionError(f"{' '.join(argv)} raised {exc!r}") from exc
     return code, out.getvalue()
@@ -163,12 +170,13 @@ def _variants(rng, group, action, options, opts, degree):
         yield "cells not of degree", _argv(group, action, bad_cells)
 
 
-def generated_runs(count, seed):
-    """Yield (argv, code, stdout, variant) for count generated argvs; the
-    variant names how the argv breaks a well-formed base, or is None."""
+def generated_runs(count, seed, actions=ACTIONS):
+    """Yield (argv, code, stdout, variant) for count generated argvs of
+    the actions; the variant names how the argv breaks a well-formed
+    base, or is None."""
     rng = random.Random(seed)
     done = 0
-    for group, action, options in cycle(ACTIONS):
+    for group, action, options in cycle(actions):
         opts = {}
         for flag in rng.sample(list(options), len(options)):
             if options[flag][1] is cli.REQUIRED or rng.random() < 0.5:
@@ -202,6 +210,51 @@ def broken(runs):
     ]
 
 
+INTERNAL = '{"error":"A*B = B*A = f*I fails; not a matrix factorization","status":"internal"}\n'
+FACTORIZATION_GROUPS = ("ulrich", "ext")  # each of their actions builds a Moore factorization
+# few ulrich and ext bases exit 0, so tier-1 draws more of them for the exit-3 rule
+FAULT_COUNT = 1000
+
+
+@contextlib.contextmanager
+def adjugate_transposed():
+    """moore.moore_adjugate transposed in every hesse_moore namespace that
+    holds it, as `from ... import` copies it; restored on exit."""
+    held = [
+        (module, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name == "hesse_moore" or module_name.startswith("hesse_moore.")
+        for name, value in list(vars(module).items()) if value is moore_adjugate
+    ]
+
+    def transposed(a):
+        return FormMatrix([list(col) for col in zip(*moore_adjugate(a).entries)])
+
+    for module, name in held:
+        setattr(module, name, transposed)
+    try:
+        yield
+    finally:
+        for module, name in held:
+            setattr(module, name, moore_adjugate)
+
+
+def runs_under_the_fault(runs):
+    """(argv, code, stdout) of each ulrich or ext argv of runs that exits
+    0, rerun with moore.moore_adjugate transposed."""
+    argvs = [argv for argv, code, _, _ in runs if code == 0 and argv[0] in FACTORIZATION_GROUPS]
+    with adjugate_transposed():
+        return [(argv, *run(argv)) for argv in argvs]
+
+
+def broken_under_the_fault(faulted):
+    return [
+        f"{' '.join(argv)}: exit {code} under the fault with stdout {out[:200]!r}"
+        for argv, code, out in faulted
+        if (code, out) != (3, INTERNAL)
+    ]
+
+
 def test_every_option_has_well_formed_and_malformed_values():
     for flag, convert in EVERY_OPTION.items():
         assert convert in MALFORMED, flag
@@ -215,7 +268,21 @@ def test_generated_argvs_keep_the_exit_code_contract():
     assert not broken(runs), "\n".join(broken(runs)[:20])
 
 
+def test_a_failed_certificate_exits_3_where_the_argv_exited_0():
+    actions = [entry for entry in ACTIONS if entry[0] in FACTORIZATION_GROUPS]
+    faulted = runs_under_the_fault(list(generated_runs(FAULT_COUNT, SEED, actions)))
+    assert {argv[1] for argv, *_ in faulted} >= {"rank1", "rank2", "trace", "dims", "basis"}
+    assert not broken_under_the_fault(faulted), "\n".join(broken_under_the_fault(faulted)[:20])
+
+
 if __name__ == "__main__":
-    found = broken(generated_runs(int(sys.argv[1]) if len(sys.argv) > 1 else COUNT, SEED))
-    print("\n".join(found[:50]) or "no broken rule")
-    sys.exit(1 if found else 0)
+    runs = list(generated_runs(int(sys.argv[1]) if len(sys.argv) > 1 else COUNT, SEED))
+    faulted = runs_under_the_fault(runs)
+    rules = [
+        ("exit-code", runs, broken(runs)),
+        ("exit-3", faulted, broken_under_the_fault(faulted)),
+    ]
+    for rule, checked, found in rules:
+        report = "\n".join(found[:50]) or "no broken rule"
+        print(f"{rule} rule on {len(checked)} argvs: {report}")
+    sys.exit(1 if any(found for *_, found in rules) else 0)

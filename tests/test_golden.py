@@ -145,10 +145,7 @@ def run_cli(argv) -> tuple[int, str]:
     """Exit code and stdout of one in-process cli.main call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = main(list(argv))
     return code, out.getvalue()
 
 

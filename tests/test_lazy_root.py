@@ -1,9 +1,10 @@
-"""``import hesse_moore`` loads the curve layer only; the factorization
-layer loads when one of its names is first read from the package."""
+"""``import hesse_moore`` loads the curve layer only; linalg and the
+factorization layer load when one of their names is first read from the
+package."""
 
 import textwrap
 
-LOADED_ON_USE = ("heisenberg", "ulrich", "ext", "cli", "verify")
+LOADED_ON_USE = ("linalg", "heisenberg", "ulrich", "ext", "cli", "verify")
 
 PROBE = textwrap.dedent(f"""
     import json
@@ -29,5 +30,5 @@ def test_import_loads_the_curve_layer_only(fresh_python):
     assert fresh_python(PROBE) == {
         "import": [],
         "unknown": ["module 'hesse_moore' has no attribute 'no_such_name'", []],
-        "ext_space": ["ulrich", "ext"],
+        "ext_space": ["linalg", "ulrich", "ext"],
     }

@@ -385,6 +385,22 @@ def test_int_kernel_keeps_the_rank_messages():
     assert left_kernel_mod([[14, 0, 0], [0, 14, 0], [0, 0, 13]], P) == (0, 0, 1)
 
 
+def test_int_kernel_names_the_gauss_jordan_rank(rng):
+    # the det and adjugate give the rank a KernelError names; rank_mod is
+    # the oracle, on outer products (rank 1 or 0), the zero matrix and
+    # random matrices, each entry moved by a multiple of p
+    for p in (5, 7, 13):
+        for _ in range(60):
+            u, v = ([rng.randrange(p) for _ in range(3)] for _ in range(2))
+            outer = [[x * y for y in v] for x in u]
+            for m in (outer, [[0] * 3] * 3, [[rng.randrange(p) for _ in range(3)] for _ in range(3)]):
+                m = [[x + p * rng.randrange(-2, 3) for x in row] for row in m]
+                rank = linalg.rank_mod(m, p)
+                if rank != 2:
+                    with pytest.raises(KernelError, match=f"^rank is {rank}, need exactly 2$"):
+                        left_kernel_mod(m, p)
+
+
 def test_int_kernel_matches_gauss_jordan_nullspace(rng):
     for p in (7, 13, 31):
         checked = 0
