@@ -113,6 +113,17 @@ def _curve(args) -> HesseCurve:
     raise UsageError("need --lambda or --a to determine the curve")
 
 
+def _scanned_curve(args) -> HesseCurve:
+    """The curve of args, refused before any point is enumerated when p
+    is too large for the O(p) scan (1.58 MB of points at p = 100,003)."""
+    curve = _curve(args)
+    if curve.p > 100_000:
+        raise ValueError(
+            f"a point scan takes O(p) time and memory: p must be at most 100000, got p = {curve.p}"
+        )
+    return curve
+
+
 def _point_set(points) -> dict:
     return {"count": len(points), "points": sorted(pt.as_ints() for pt in points)}
 
@@ -131,13 +142,13 @@ def _forms(cells, degree: int, p: int) -> FormMatrix:
 
 
 def _hesse_points(args):
-    curve = _curve(args)
+    curve = _scanned_curve(args)
     pts = curve.enumerate_points()
     return {**_point_set(pts), "lambda": curve.lam.value, "p": curve.p}
 
 
 def _hesse_torsion6(args):
-    curve = _curve(args)
+    curve = _scanned_curve(args)
     pts = curve.torsion6()
     primitive = [
         a for a in pts

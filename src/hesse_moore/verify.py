@@ -3,21 +3,24 @@ statement verified by enumeration, symbolic identity, or a seeded random
 sweep.
 
 Each check takes the seeded rng and returns a CheckResult with a pass flag
-and a short detail string (counts of cases exercised); a check that
-exercises no case fails.  Sample sizes and primes are fixed inside each
-check.  run_all executes all twelve; a prime filter reruns over that prime
-only the checks whose signature has a ``primes`` parameter (five), and the
-others stay on the primes their statements name.  Each check states its
-identity in its own body, apart from two predicates on a curve's public
-group law that only the battery uses: segre_check, and
-translation_graph_check, which reads both Moore rewritings off
-moore_scalar.
+and a short detail string (counts of cases exercised).  Every check counts
+the statements it tests, and those that fail, per label in one _Tally,
+which alone builds the result: a check passes only when it tested some
+statement and none failed, so every check that tests nothing fails as
+vacuous.  Sample sizes and primes are fixed inside each check.  run_all
+executes all twelve; a prime filter reruns over that prime only the
+checks whose signature has a ``primes`` parameter (five), and the others
+stay on the primes their statements name.  Each check states its identity
+in its own body, apart from two predicates on a curve's public group law
+that only the battery uses: segre_check, and translation_graph_check,
+which reads both Moore rewritings off moore_scalar.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from inspect import signature
 from itertools import product
@@ -86,81 +89,79 @@ def _base_points(primes, rng: random.Random) -> list[ProjectivePoint]:
     return points
 
 
-def _nonvacuous(name: str, tested: int, bad: int, detail: str) -> CheckResult:
-    """The result of a check over base points; with none, it fails."""
-    if tested == 0:
-        detail = "vacuous: no non-torsion rational points over the selected primes"
-    return CheckResult(name, tested > 0 and bad == 0, detail)
+_NO_BASE_POINTS = "no non-torsion rational points over the selected primes"
+
+
+class _Tally:
+    """The statements one check tested and the ones that failed, per label."""
+
+    def __init__(self):
+        self.cases = Counter()
+        self.failures = Counter()
+
+    def expect(self, holds, label: str = "case") -> bool:
+        """Count one tested statement under label; return whether it holds."""
+        self.cases[label] += 1
+        if not holds:
+            self.failures[label] += 1
+        return bool(holds)
+
+    def result(self, name: str, detail: str, holds=True, vacuous="no case tested") -> CheckResult:
+        """Pass when some statement was tested, none failed and holds is
+        true; having tested nothing fails with "vacuous: " + vacuous."""
+        if not self.cases:
+            return CheckResult(name, False, "vacuous: " + vacuous)
+        return CheckResult(name, bool(holds) and not self.failures, detail)
 
 
 # -- 1. determinant identity -------------------------------------------
 
 
 def check_determinant_identity(rng: random.Random):
-    p, samples = 13, 200
-    failures = 0
-    for _ in range(samples):
+    p, tally = 13, _Tally()
+    for _ in range(200):
         a = _random_triple(p, rng)
         m = moore(a)
         closed = moore_det(a)
         cofactors, det = adjugate_det(m.entries)
-        if closed != det:
-            failures += 1
-            continue
         adj = moore_adjugate(a)
-        if adj != FormMatrix(cofactors):
-            failures += 1
-            continue
-        if not (is_scalar_product([(m, adj)], closed) and is_scalar_product([(adj, m)], closed)):
-            failures += 1
-    return CheckResult(
-        "determinant identity",
-        failures == 0,
-        f"{samples} random triples over F_{p}, {failures} failures",
-    )
+        scalar = is_scalar_product([(m, adj)], closed) and is_scalar_product([(adj, m)], closed)
+        tally.expect(closed == det and adj == FormMatrix(cofactors) and scalar)
+    counts = f"{tally.cases.total()} random triples over F_{p}, {tally.failures.total()} failures"
+    return tally.result("determinant identity", counts)
 
 
 # -- 2. rank lemma ------------------------------------------------------
 
 
 def check_rank_lemma(rng: random.Random, primes=(7, 13)):
-    pairs = 0
-    bad = 0
+    tally = _Tally()
     for p in primes:
         for curve in smooth_curves(p, 3):
             pts = curve.enumerate_points()
             for a in pts:
                 for b in pts:
-                    pairs += 1
-                    if linalg.rank_mod(moore_scalar(a.residues, b.residues), p) != 2:
-                        bad += 1
-    return CheckResult(
-        "rank lemma",
-        bad == 0,
-        f"{pairs} point pairs on {len(primes) * 3} curves, {bad} of rank != 2",
-    )
+                    tally.expect(linalg.rank_mod(moore_scalar(a.residues, b.residues), p) == 2)
+    pairs = f"{tally.cases.total()} point pairs on {len(primes) * 3} curves"
+    return tally.result("rank lemma", f"{pairs}, {tally.failures.total()} of rank != 2")
 
 
 # -- 3. group law --------------------------------------------------------
 
 
 def check_group_law(rng: random.Random, primes=(7, 13)):
-    checks = 0
-    bad = 0
+    tally = _Tally()
     if 13 in primes:
         # identity / inverse / commutativity, exhaustive on E(F_13)
         for curve in smooth_curves(13, 3):
             pts = curve.enumerate_points()
             o = curve.identity
             for a in pts:
-                checks += 2
-                if curve.add(a, o) != a or curve.add(a, curve.neg(a)) != o:
-                    bad += 1
+                tally.expect(curve.add(a, o) == a)
+                tally.expect(curve.add(a, curve.neg(a)) == o)
             for a in pts:
                 for b in pts:
-                    checks += 1
-                    if curve.add(a, b) != curve.add(b, a):
-                        bad += 1
+                    tally.expect(curve.add(a, b) == curve.add(b, a))
     if 7 in primes:
         # associativity, exhaustive on E(F_7)
         for curve in smooth_curves(7):
@@ -169,9 +170,7 @@ def check_group_law(rng: random.Random, primes=(7, 13)):
                 for b in pts:
                     ab = curve.add(a, b)
                     for c in pts:
-                        checks += 1
-                        if curve.add(ab, c) != curve.add(a, curve.add(b, c)):
-                            bad += 1
+                        tally.expect(curve.add(ab, c) == curve.add(a, curve.add(b, c)))
     def sigma(pt, k=1):
         """sigma^k, translation by k*sigma(o) = k*[1:0:-1]; it needs no cube root of 1."""
         return ProjectivePoint.from_ints(pt.residues[-(k % 3):] + pt.residues[:-(k % 3)], pt.p)
@@ -181,87 +180,69 @@ def check_group_law(rng: random.Random, primes=(7, 13)):
     for p in primes:
         for curve in smooth_curves(p, 3):
             for a in curve.enumerate_points():
-                checks += 2
                 two = curve.add(a, a)
-                if curve.double(a) != two:
-                    bad += 1
-                if curve.triple(a) != curve.add(two, a):
-                    bad += 1
+                tally.expect(curve.double(a) == two)
+                tally.expect(curve.triple(a) == curve.add(two, a))
                 for n in (2, 5, 2**61 + 12345):
-                    checks += 2
                     na = curve.mul(n, a)
-                    if curve.mul(n, sigma(a)) != sigma(na, n):
-                        bad += 1
-                    if curve.add(sigma(na), a) != sigma(curve.add(na, a)):
-                        bad += 1
-    return CheckResult(
-        "group law", bad == 0, f"{checks} identities checked, {bad} failures"
-    )
+                    tally.expect(curve.mul(n, sigma(a)) == sigma(na, n))
+                    tally.expect(curve.add(sigma(na), a) == sigma(curve.add(na, a)))
+    counts = f"{tally.cases.total()} identities checked, {tally.failures.total()} failures"
+    return tally.result("group law", counts)
 
 
 # -- 4. torsion ----------------------------------------------------------
 
 
 def check_torsion(rng: random.Random):
-    failed = []
+    tally = _Tally()
     for p in (7, 13):
         for curve in smooth_curves(p, 3):
             t3 = curve.torsion3()
             on_curve = set(curve.enumerate_points())
             coord_zero = {a for a in on_curve if not a.coordinate_product()}
-            if len(t3) != 9 or not t3 <= on_curve or coord_zero != t3:
-                failed.append(f"E[3] of {curve!r}")
-            if curve.torsion6() != curve.torsion6_line_arrangement():
-                failed.append(f"E[6] of {curve!r}")
+            t3_ok = len(t3) == 9 and t3 <= on_curve and coord_zero == t3
+            tally.expect(t3_ok, f"E[3] of {curve!r}")
+            t6_ok = curve.torsion6() == curve.torsion6_line_arrangement()
+            tally.expect(t6_ok, f"E[6] of {curve!r}")
     # a curve with fully rational 6-torsion: lambda = 1 over F_31
     curve = HesseCurve.from_lambda(1, 31)
     t6 = curve.torsion6()
-    if t6 != curve.torsion6_line_arrangement():
-        failed.append(f"E[6] of {curve!r}")
-    primitive = [
-        a
-        for a in t6
-        if curve.mul(2, a) != curve.identity
-        and curve.mul(3, a) != curve.identity
-    ]
+    tally.expect(t6 == curve.torsion6_line_arrangement(), f"E[6] of {curve!r}")
+    o = curve.identity
+    primitive = [a for a in t6 if curve.mul(2, a) != o and curve.mul(3, a) != o]
     detail = f"|E[6]| = {len(t6)}, {len(primitive)} primitive over F_31"
-    if len(t6) != 36 or len(primitive) != 24:
-        failed.append(detail)
-    return CheckResult("torsion", not failed, "failed: " + "; ".join(failed) if failed else detail)
+    tally.expect(len(t6) == 36 and len(primitive) == 24, detail)
+    failed = "failed: " + "; ".join(tally.failures)
+    return tally.result("torsion", failed if tally.failures else detail)
 
 
 # -- 5. Theorem A classification ----------------------------------------
 
 
 def check_equivalence_classification(rng: random.Random):
-    p = 19
-    pairs = 0
-    inequivalent = 0
-    bad = 0
-    orbits_ok = True
+    p, tally = 19, _Tally()
     for curve in smooth_curves(p, 3):
         pts = _nontorsion_points(curve)
         orbits = {a: heis.orbit(a.coords) for a in pts}
         triples = {a: curve.triple(a) for a in pts}
         invs = {a: heis.trace_invariants(a.coords) for a in pts}
         for a in pts:
-            if len(orbits[a]) != 9:
-                orbits_ok = False
+            tally.expect(len(orbits[a]) == 9, "orbit")
             for b in pts:
-                pairs += 1
                 by_inv = invs[a] == invs[b]
                 by_orbit = b in orbits[a]
-                inequivalent += not by_orbit
                 by_triple = triples[a] == triples[b]
-                if not (by_inv == by_orbit == by_triple):
-                    bad += 1
-                if heis.are_equivalent(a.coords, b.coords) != by_inv:
-                    bad += 1
-    return CheckResult(
+                label = "equivalent" if by_orbit else "inequivalent"
+                tally.expect(by_inv == by_orbit == by_triple, label)
+                tally.expect(heis.are_equivalent(a.coords, b.coords) == by_inv, "decision")
+    pairs, inequivalent = tally.cases["decision"], tally.cases["inequivalent"]
+    return tally.result(
         "equivalence classification",
-        bad == 0 and orbits_ok and 0 < inequivalent < pairs,
-        f"{pairs} pairs over F_{p}, {inequivalent} inequivalent, {bad} criterion mismatches, "
-        f"orbits of 9: {orbits_ok}",
+        f"{pairs} pairs over F_{p}, {inequivalent} inequivalent, "
+        f"{tally.failures.total() - tally.failures['orbit']} criterion mismatches, "
+        f"orbits of 9: {not tally.failures['orbit']}",
+        holds=0 < inequivalent < pairs,
     )
 
 
@@ -272,48 +253,37 @@ def check_conjugation_identities(rng: random.Random, primes=(7, 13)):
     """M_{T(a),x} = T * M_{a,x} * T and
     M_{Sigma(a),x} = Sigma^{-1} * M_{a,x} * Sigma, symbolically, for T and
     Sigma from heis3_matrix (Sigma^{-1} = Sigma^2)."""
-    samples, bad = 20, 0
+    tally = _Tally()
     for p in primes:
         t = FormMatrix.from_scalars(heis.heis3_matrix(1, 1, 0, p), p)
         s = FormMatrix.from_scalars(heis.heis3_matrix(1, 0, 1, p), p)
-        for _ in range(samples):
+        for _ in range(20):
             a = _random_triple(p, rng)
             m = moore(a)
             t_ok = moore(heis.t_action(a)) == t @ m @ t
-            if not (t_ok and moore(heis.sigma_action(a)) == s @ s @ m @ s):
-                bad += 1
-    return CheckResult(
-        "conjugation identities",
-        bad == 0,
-        f"{samples * len(primes)} symbolic checks, {bad} failures",
-    )
+            tally.expect(t_ok and moore(heis.sigma_action(a)) == s @ s @ m @ s)
+    counts = f"{tally.cases.total()} symbolic checks, {tally.failures.total()} failures"
+    return tally.result("conjugation identities", counts)
 
 
 # -- 7. characters -------------------------------------------------------
 
 
 def check_characters(rng: random.Random):
-    p = 13
-    failed = []
-    details = []
+    p, tally = 13, _Tally()
     for n in (3, 6):
         zeta = primitive_root_of_unity(p, n)
         units = [j for j in range(1, n) if math.gcd(j, n) == 1]
         chars = {j: heis.schrodinger_character(n, j, zeta, p) for j in units}
         for i in units:
             for j in units:
-                expect = 1 if i == j else 0
-                if chars[i].inner_product(chars[j]) != expect:
-                    failed.append(f"<chi_{i}, chi_{j}> of H_{n}")
-        details.append(f"orthogonality n={n}")
-    if not heis.verify_restriction(6, 3, 1, p):
-        failed.append("restriction (6,3,1)")
-    details.append("restriction (6,3,1)")
-    if not heis.verify_tensor_h3(p):
-        failed.append("tensor on H_3")
-    details.append("tensor on H_3")
-    detail = "failed: " + ", ".join(failed) if failed else ", ".join(details)
-    return CheckResult("characters", not failed, detail + f" over F_{p}")
+                orthogonal = chars[i].inner_product(chars[j]) == int(i == j)
+                tally.expect(orthogonal, f"<chi_{i}, chi_{j}> of H_{n}")
+    tally.expect(heis.verify_restriction(6, 3, 1, p), "restriction (6,3,1)")
+    tally.expect(heis.verify_tensor_h3(p), "tensor on H_3")
+    detail = "orthogonality n=3, orthogonality n=6, restriction (6,3,1), tensor on H_3"
+    failed = "failed: " + ", ".join(tally.failures)
+    return tally.result("characters", (failed if tally.failures else detail) + f" over F_{p}")
 
 
 # -- 8. partner lemma -----------------------------------------------------
@@ -341,29 +311,25 @@ def check_partner_lemma(rng: random.Random):
     # side is solvable when every y with y @ system = 0 kills it
     e_a, a_e = ext_mod.unit_products(fac.A, 2)
     left, right = linalg.nullspace_mod(a_e, p), linalg.nullspace_mod(e_a, p)
-    mismatches = 0
-    positive = 0
-    broken = 0
+    tally = _Tally()
     for C in candidates:
         ca = _in_column_space(left, (-(C @ fac.B)).row(), p)
         cb = _in_column_space(right, (-(fac.B @ C)).row(), p)
         cc = ulrich_mod.bcb_divisible(fac, C)
-        if not (ca == cb == cc):
-            mismatches += 1
-            continue
-        if cc:
-            positive += 1
+        if tally.expect(ca == cb == cc, "condition") and cc:
             try:
                 D = ulrich_mod.partner_D(fac, C)  # verifies both identities
-                if ulrich_mod.recover_C(fac, D) != C:
-                    broken += 1
+                round_trip = ulrich_mod.recover_C(fac, D) == C
             except (ulrich_mod.FactorizationError, AssertionError):
-                broken += 1
-    return CheckResult(
+                round_trip = False
+            tally.expect(round_trip, "round trip")
+    positive = tally.cases["round trip"]
+    return tally.result(
         "partner lemma",
-        mismatches == 0 and broken == 0 and positive >= 4,
-        f"{len(candidates)} candidates, {positive} with partners, "
-        f"{mismatches} condition mismatches, {broken} round-trip failures",
+        f"{tally.cases['condition']} candidates, {positive} with partners, "
+        f"{tally.failures['condition']} condition mismatches, "
+        f"{tally.failures['round trip']} round-trip failures",
+        holds=positive >= 4,
     )
 
 
@@ -371,22 +337,19 @@ def check_partner_lemma(rng: random.Random):
 
 
 def check_trace_lemma(rng: random.Random):
-    p, samples = 13, 100
+    p, tally = 13, _Tally()
     a = tuple(FieldElement(v, p) for v in (1, 2, 3))
     fac = ulrich_mod.moore_factorization(a)
-    bad_congruence = 0
-    disagreements = 0
-    for k in range(samples):
+    for k in range(100):
         C = _random_form_matrix(k % 3, p, rng)
-        if not ulrich_mod.bcb_congruence(fac, C):
-            bad_congruence += 1
-        if ulrich_mod.trace_criterion(fac, C) != ulrich_mod.bcb_divisible(fac, C):
-            disagreements += 1
-    return CheckResult(
+        tally.expect(ulrich_mod.bcb_congruence(fac, C), "congruence")
+        agree = ulrich_mod.trace_criterion(fac, C) == ulrich_mod.bcb_divisible(fac, C)
+        tally.expect(agree, "criterion")
+    return tally.result(
         "trace lemma",
-        bad_congruence == 0 and disagreements == 0,
-        f"{samples} random C of degree <= 2: {bad_congruence} congruence failures, "
-        f"{disagreements} criterion/divisibility disagreements",
+        f"{tally.cases['congruence']} random C of degree <= 2: "
+        f"{tally.failures['congruence']} congruence failures, "
+        f"{tally.failures['criterion']} criterion/divisibility disagreements",
     )
 
 
@@ -394,20 +357,16 @@ def check_trace_lemma(rng: random.Random):
 
 
 def check_rank2_blocks(rng: random.Random, primes=(7, 13)):
-    tested = 0
-    bad = 0
+    tally = _Tally()
     for a in _base_points(primes, rng):
-        tested += 1
         try:
             blocks = ulrich_mod.rank2_ulrich(a.coords)  # certifies 6x6 product
             # non-split: the Moore representative of C has divergence 3
-            if ext_mod.divergence_class(blocks.rank1, blocks.C) != 3:
-                bad += 1
+            tally.expect(ext_mod.divergence_class(blocks.rank1, blocks.C) == 3)
         except (ValueError, AssertionError):
-            bad += 1
-    return _nonvacuous(
-        "rank-2 Ulrich blocks", tested, bad, f"{tested} base points certified, {bad} failures"
-    )
+            tally.expect(False)
+    counts = f"{tally.cases.total()} base points certified, {tally.failures.total()} failures"
+    return tally.result("rank-2 Ulrich blocks", counts, vacuous=_NO_BASE_POINTS)
 
 
 # -- 11. extension dimensions -----------------------------------------------
@@ -426,30 +385,23 @@ def _divergence_kernel_matches_homotopy(fac, space: ext_mod.ExtSpace) -> bool:
 
 def check_ext_dimensions(rng: random.Random, primes=(7, 13)):
     expected = {-2: 0, -1: 3, 0: 1, 1: 0}
-    tested = 0
-    bad = 0
-    kernel_checked = 0
+    tally = _Tally()
     for a in _base_points(primes, rng):
-        tested += 1
         fac = ulrich_mod.moore_factorization(a.coords)
         spaces = {m: ext_mod.ext_space(fac, m) for m in expected}
-        if {m: space.quotient_dimension for m, space in spaces.items()} != expected:
-            bad += 1
-            continue
+        dims = {m: space.quotient_dimension for m, space in spaces.items()}
         # no homotopies at m = -1, so dimension 3 is 3 independent solutions
-        span = ext_mod.moore_span_basis(a.coords)
-        if not linalg.same_span_mod(spaces[-1].solutions, span, a.p):
-            bad += 1
-            continue
-        if kernel_checked < 2:
-            kernel_checked += 1
-            if not _divergence_kernel_matches_homotopy(fac, spaces[0]):
-                bad += 1
-    detail = (
-        f"{tested} base points with dims (0,3,1,0), Moore spans verified, "
-        f"{kernel_checked} divergence kernels compared, {bad} failures"
+        holds = dims == expected and linalg.same_span_mod(
+            spaces[-1].solutions, ext_mod.moore_span_basis(a.coords), a.p
+        )
+        if tally.expect(holds, "point") and tally.cases["kernel"] < 2:
+            tally.expect(_divergence_kernel_matches_homotopy(fac, spaces[0]), "kernel")
+    return tally.result(
+        "extension dimensions",
+        f"{tally.cases['point']} base points with dims (0,3,1,0), Moore spans verified, "
+        f"{tally.cases['kernel']} divergence kernels compared, {tally.failures.total()} failures",
+        vacuous=_NO_BASE_POINTS,
     )
-    return _nonvacuous("extension dimensions", tested, bad, detail)
 
 
 # -- 12. geometric interpretations -------------------------------------------
@@ -503,24 +455,17 @@ def segre_check(curve: HesseCurve, a: ProjectivePoint, x: ProjectivePoint) -> bo
 
 
 def check_geometric_interpretations(rng: random.Random):
-    p = 7
-    graphs = 0
-    segres = 0
-    bad = 0
+    p, tally = 7, _Tally()
     for curve in smooth_curves(p):
         pts = curve.enumerate_points()
         for a in pts:
-            graphs += 1
-            if not translation_graph_check(curve, a):
-                bad += 1
+            tally.expect(translation_graph_check(curve, a), "graph")
             for x in pts:
-                segres += 1
-                if not segre_check(curve, a, x):
-                    bad += 1
-    return CheckResult(
+                tally.expect(segre_check(curve, a, x), "segre")
+    return tally.result(
         "geometric interpretations",
-        bad == 0,
-        f"{graphs} translation graphs and {segres} Segre products over F_{p}, {bad} failures",
+        f"{tally.cases['graph']} translation graphs and {tally.cases['segre']} Segre products "
+        f"over F_{p}, {tally.failures.total()} failures",
     )
 
 

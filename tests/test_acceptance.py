@@ -26,6 +26,25 @@ def test_prime_filter_tests_the_selected_prime():
         assert results[name].detail.startswith("10 base points"), results[name].line()
 
 
+# the checks whose every case comes from smooth_curves, besides the two
+# over base points, whose vacuous text test_cli pins over F_7
+CURVE_CHECKS = [
+    verify.check_rank_lemma,
+    verify.check_group_law,
+    verify.check_equivalence_classification,
+    verify.check_geometric_interpretations,
+]
+
+
+@pytest.mark.parametrize(
+    "check", CURVE_CHECKS, ids=[c.__name__.removeprefix("check_") for c in CURVE_CHECKS]
+)
+def test_a_check_that_tests_nothing_fails(monkeypatch, check):
+    monkeypatch.setattr(verify, "smooth_curves", lambda p, count=None: [])
+    result = check(random.Random(0))
+    assert not result.passed and result.detail.startswith("vacuous: "), result.line()
+
+
 def test_prime_filter_reaches_exactly_the_checks_that_take_primes(monkeypatch):
     # a check receives primes=(p,) when, and only when, its signature
     # has that parameter

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hesse_moore.cli import OPTIONS, REQUIRED, main
+from hesse_moore.hesse import HesseCurve
 from hesse_moore.moore import FormMatrix
 from hesse_moore.poly import monomials
 
@@ -376,6 +377,27 @@ def test_heis_characters_refuses_n_above_18_before_any_character(capsys, monkeyp
     assert built == []
     code, payload = run_json(capsys, "heis", "characters", "--p", "37", "--n", "18")
     assert (code, len(payload["table"]), len(built)) == (0, 18, 18)
+
+
+@pytest.mark.parametrize("action", ["points", "torsion6"])
+def test_point_scans_refuse_p_above_100000_before_any_point(capsys, monkeypatch, action):
+    # enumerate_points builds a table of p square roots, so 2^61 - 1 would
+    # exhaust memory; the bound is checked after the modulus
+    def enumerate_points(curve):
+        raise AssertionError(f"enumerated the points of {curve}")
+
+    monkeypatch.setattr(HesseCurve, "enumerate_points", enumerate_points)
+    for p, curve in ((2**61 - 1, ("--lambda", "6")), (2**61 - 1, ("--a", "1,2,3")),
+                     (100_003, ("--lambda", "6"))):
+        code, out, _ = run(capsys, "hesse", action, "--p", str(p), *curve)
+        assert code == 1
+        assert out == ('{"error":"a point scan takes O(p) time and memory: p must be at most '
+                       f'100000, got p = {p}","status":"error"}}\n')
+    code, payload = run_json(capsys, "hesse", action, "--p", str(7 * (2**61 - 1)), "--lambda", "6")
+    assert (code, payload["error"]) == (1, f"modulus {7 * (2**61 - 1)} is not prime")
+    code, payload = run_json(capsys, "hesse", action, "--p", "99991", "--lambda", "6")
+    assert (code, payload["status"]) == (3, "internal")
+    assert payload["error"] == "enumerated the points of HesseCurve(lambda=6, p=99991)"
 
 
 def _transposed(original):

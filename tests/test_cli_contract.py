@@ -22,10 +22,18 @@ moore.moore_adjugate transposed: the certificate of the factorization
 the library built fails, so it exits 3 and prints exactly the one
 "internal" line INTERNAL.
 
-The values stay small, so the 2^61 - 1 point scans do not run, and
-`verify` is left out.  Each argv runs in process.  Tier-1 checks the
-first rules on COUNT argvs and the exit-3 rule on FAULT_COUNT argvs of
-the ulrich and ext actions; to check both on more argvs, under -W error:
+Some bases of the actions that read --a are non-torsion points of
+smooth curves, and some --C read at degree 1 are s*M_b + U*A - A*V for
+the base's Moore matrix A, its extension representative b and constant
+U, V: such a C has a partner D and lies in the m = 0 solution space, so
+`ulrich partner` and `ext class` reach exit 0.  `hesse points` and
+`hesse torsion6` also draw 2^61 - 1, which they refuse at once as a
+domain error; the other values stay small, and `verify` is left out.
+Each argv runs in process.  Tier-1 checks the first rules on COUNT
+argvs, and the exit-3 rule on FAULT_COUNT argvs of the ulrich and ext
+actions, among which each of those actions exits 0.  On more argvs the
+script checks both, and that each ulrich and ext action exits 0 at
+least once, under -W error:
 
     PYTHONPATH=src python -W error tests/test_cli_contract.py 10000
 """
@@ -38,8 +46,9 @@ import sys
 from itertools import cycle
 
 from hesse_moore import cli
-from hesse_moore.field import validate_modulus
-from hesse_moore.moore import FormMatrix, moore_adjugate
+from hesse_moore.field import FieldElement, validate_modulus
+from hesse_moore.hesse import extension_representative
+from hesse_moore.moore import FormMatrix, moore, moore_adjugate
 from hesse_moore.poly import monomials
 
 COUNT = 300
@@ -55,6 +64,8 @@ EVERY_OPTION = {flag: spec[0] for *_, options in ACTIONS for flag, spec in optio
 
 # the field accepts the first five; the rest are domain errors (exit 1)
 MODULI = (7, 13, 19, 31, 37) * 3 + (5, 11, 12, 25, 0, -7)
+# refused above p = 100,000, before any point is enumerated
+POINT_SCANS = {("hesse", "points"), ("hesse", "torsion6")}
 INTS = {
     "--p": MODULI,
     "--lambda": range(-30, 31),
@@ -100,6 +111,34 @@ def _value(rng, group, flag, convert, degree):
     if (group, flag) == ("hesse", "--n"):  # any multiplier: the ladder is log-cost
         return str(rng.choice((rng.randrange(-100, 100), rng.getrandbits(64))))
     return str(rng.choice(INTS[flag]))
+
+
+def _prime(opts):
+    """The drawn --p when the field accepts it, else None."""
+    try:
+        validate_modulus(p := int(opts["--p"]))
+    except ValueError:
+        return None
+    return p
+
+
+def _base_point(rng, p):
+    """A point with no zero coordinate on a smooth curve of the pencil over F_p."""
+    while True:
+        a = [rng.randrange(1, p) for _ in range(3)]
+        lam = sum(v**3 for v in a) * pow(a[0] * a[1] * a[2], -1, p) % p
+        if (lam**3 - 27) % p:
+            return a
+
+
+def _partner_cells(rng, a, p):
+    """s*M_b + U*A - A*V, for A the Moore matrix of a, b its extension
+    representative, s != 0 and constant U, V: a linear --C with a partner."""
+    trip = tuple(FieldElement(v, p) for v in a)
+    A, b = moore(trip), extension_representative(trip)
+    U, V = (FormMatrix.from_row(3, 0, p, [rng.randrange(p) for _ in range(9)]) for _ in "UV")
+    s = FieldElement(rng.randrange(1, p), p)
+    return json.dumps((moore(b).scale(s) + U @ A - A @ V).serialize())
 
 
 def _bad_cells(rng, degree):
@@ -161,11 +200,7 @@ def _variants(rng, group, action, options, opts, degree):
     rest = _argv(group, action, {f: v for f, v in opts.items() if f != flag})
     moved = _argv(group, action, {flag: opts[flag]})[2:]
     yield flag + " before the action", rest[:1] + moved + rest[1:]
-    if "--C" in options:
-        try:
-            validate_modulus(int(opts["--p"]))
-        except ValueError:
-            return
+    if "--C" in options and _prime(opts):
         bad_cells = dict(opts, **{"--C": _bad_cells(rng, degree)})
         yield "cells not of degree", _argv(group, action, bad_cells)
 
@@ -189,6 +224,15 @@ def generated_runs(count, seed, actions=ACTIONS):
         for flag in opts:
             if opts[flag] is None:
                 opts[flag] = _value(rng, group, flag, options[flag][0], degree)
+        # every smooth curve over F_7 is its nine flexes, so F_7 has no base point
+        p = _prime(opts)
+        if (group, action) in POINT_SCANS and rng.random() < 0.25:
+            opts["--p"] = str(2**61 - 1)
+        elif p and p != 7 and "--a" in opts and rng.random() < 0.5:
+            a = _base_point(rng, p)
+            opts["--a"] = ",".join(map(str, a))
+            if "--C" in opts and degree == 1 and rng.random() < 0.5:
+                opts["--C"] = _partner_cells(rng, a, p)
         argv = _argv(group, action, opts)
         code, out = run(argv)
         yield argv, code, out, None
@@ -255,6 +299,16 @@ def broken_under_the_fault(faulted):
     ]
 
 
+def never_ok(runs):
+    """Each ulrich or ext action that no argv of runs runs to exit 0."""
+    ok = {tuple(argv[:2]) for argv, code, _, _ in runs if code == 0}
+    return [
+        f"{group} {action} never exits 0"
+        for group, action, _ in ACTIONS
+        if group in FACTORIZATION_GROUPS and (group, action) not in ok
+    ]
+
+
 def test_every_option_has_well_formed_and_malformed_values():
     for flag, convert in EVERY_OPTION.items():
         assert convert in MALFORMED, flag
@@ -271,7 +325,7 @@ def test_generated_argvs_keep_the_exit_code_contract():
 def test_a_failed_certificate_exits_3_where_the_argv_exited_0():
     actions = [entry for entry in ACTIONS if entry[0] in FACTORIZATION_GROUPS]
     faulted = runs_under_the_fault(list(generated_runs(FAULT_COUNT, SEED, actions)))
-    assert {argv[1] for argv, *_ in faulted} >= {"rank1", "rank2", "trace", "dims", "basis"}
+    assert {tuple(argv[:2]) for argv, *_ in faulted} == {(g, a) for g, a, _ in actions}
     assert not broken_under_the_fault(faulted), "\n".join(broken_under_the_fault(faulted)[:20])
 
 
@@ -281,6 +335,7 @@ if __name__ == "__main__":
     rules = [
         ("exit-code", runs, broken(runs)),
         ("exit-3", faulted, broken_under_the_fault(faulted)),
+        ("exit-0", runs, never_ok(runs)),
     ]
     for rule, checked, found in rules:
         report = "\n".join(found[:50]) or "no broken rule"
